@@ -35,7 +35,7 @@ from .formats import (
 )
 from .invariants import invariant_vector
 from .lie_core import build_chevalley
-from .sampling import stream
+from .sampling import random_cjl_point, stream
 from .suites import Tolerances, run_all, worker_count
 from .toda import embed, embed_inverse, in_flow_domain, toda_flow, toda_matrix
 
@@ -240,9 +240,10 @@ def cmd_flow(cfg: RunConfig) -> int:
             pt = toda_flow(chev, cfg.flow_label, t, p0,
                            eps=cfg.tolerances().chamber,
                            tol_minor=cfg.tolerances().minor)
-        except NotInGStar as exc:
-            rows.append([fmt_complex(t)] + [""] * (3 * cfg.n - 2)
-                        + [f"NotInGStar({exc.minor_index})"])
+        except CentralizerLabError as exc:
+            status = (f"NotInGStar({exc.minor_index})" if isinstance(exc, NotInGStar)
+                      else type(exc).__name__)
+            rows.append([fmt_complex(t)] + [""] * (3 * cfg.n - 2) + [status])
             blew_up = True
             continue
         values = invariant_vector(chev, toda_matrix(chev, pt))
@@ -266,7 +267,7 @@ def cmd_embed(cfg: RunConfig) -> int:
     tols = cfg.tolerances()
     if not in_flow_domain(chev, p0, eps=tols.chamber):
         raise ConfigError("point is outside the flow domain")
-    zp = embed(chev, p0, eps=tols.chamber, tol_minor=tols.minor)
+    zp = embed(chev, p0, eps=tols.chamber)
     back = embed_inverse(chev, zp, eps=tols.chamber, tol_minor=tols.minor)
     m0 = toda_matrix(chev, p0)
     error = float(np.linalg.norm(toda_matrix(chev, back) - m0)
@@ -285,14 +286,13 @@ def cmd_embed(cfg: RunConfig) -> int:
 
 def cmd_cjl(cfg: RunConfig) -> int:
     from .centralizer import cjl_pullback_deviation
-    from .suites import _random_cjl_point
 
     tols = cfg.tolerances()
     if not 1e-8 <= cfg.fd_step <= 1e-4:
         raise ConfigError(f"fd_step {cfg.fd_step:g} outside [1e-8, 1e-4]")
     chev = build_chevalley(cfg.n)
     rng = stream(cfg.seed, "cli_cjl")
-    points = [_random_cjl_point(chev, rng) for _ in range(cfg.samples)]
+    points = [random_cjl_point(chev, rng) for _ in range(cfg.samples)]
 
     threads = worker_count()
     if threads > 1:

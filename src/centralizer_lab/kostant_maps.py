@@ -244,14 +244,29 @@ def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray,
     return adjoint(factors.u, theta_x)
 
 
-def stabilizer_lift(chev: ChevalleyData, x: np.ndarray,
-                    eps: float = CHAMBER_GAP,
-                    tol_minor: float = linalg.TOL_MINOR) -> np.ndarray:
-    """The unique element g of the translated big cell that centralizes
-    chamber_form(x) and satisfies dress(chamber_form(x), g) = x.
+@dataclass(frozen=True)
+class NormalForms:
+    """Read-only normal forms of a Toda point x: chamber form theta, section
+    form s, conjugator conj with Ad_conj(theta) = s, stabilizer lift."""
 
-    Assembled in closed form from three factors: the upper factor is the
-    chamber conjugator of x; the torus factor realizes the reciprocal
+    theta: np.ndarray
+    s: np.ndarray
+    conj: np.ndarray
+    lift: np.ndarray
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
+
+
+def normal_forms(chev: ChevalleyData, x: np.ndarray,
+                 eps: float = CHAMBER_GAP) -> NormalForms:
+    """The chamber form, section decomposition and stabilizer lift of x.
+
+    The lift is the unique element g of the translated big cell that
+    centralizes theta = chamber_form(x) and satisfies dress(theta, g) = x.
+    It is assembled in closed form from three factors: the upper factor is
+    the chamber conjugator of x; the torus factor realizes the reciprocal
     superdiagonal coordinates of x as simple root characters; the lower
     factor is a w0-twisted chamber conjugator of the point with reversed
     coordinates (conjugating x by w0 * torus exactly reverses the diagonal
@@ -265,10 +280,10 @@ def stabilizer_lift(chev: ChevalleyData, x: np.ndarray,
         raise ValueError("superdiagonal coordinates must be nonzero")
 
     theta_x = chamber_form(chev, x, eps=eps)
-    dec_theta = decompose_to_section(chev, theta_x)
-    u_theta_inv = linalg.inv(dec_theta.u)
+    u_theta_inv = linalg.inv(decompose_to_section(chev, theta_x).u)
 
-    u = decompose_to_section(chev, x).u @ u_theta_inv
+    dec_x = decompose_to_section(chev, x)
+    u = dec_x.u @ u_theta_inv
 
     t_diag = np.ones(n, dtype=complex)
     for k in range(1, n):
@@ -286,4 +301,10 @@ def stabilizer_lift(chev: ChevalleyData, x: np.ndarray,
     if moved > 1e-9 * (1.0 + cond_lift) * (1.0 + linalg.norm(theta_x)):
         raise NotCentralizing(
             f"assembled lift moves the chamber form by {moved:.3e}")
-    return lift
+    return NormalForms(theta=theta_x, s=dec_x.s, conj=u_theta_inv, lift=lift)
+
+
+def stabilizer_lift(chev: ChevalleyData, x: np.ndarray,
+                    eps: float = CHAMBER_GAP) -> np.ndarray:
+    """The stabilizer lift of x (read-only); see :func:`normal_forms`."""
+    return normal_forms(chev, x, eps=eps).lift

@@ -206,13 +206,6 @@ def project_triangular(x: np.ndarray):
     return t_part, u_part, uminus_part
 
 
-def check_traceless(x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    x = linalg.as_matrix(x)
-    if abs(np.trace(x)) > tol * (1.0 + linalg.norm(x)):
-        raise ValueError(f"matrix has trace {np.trace(x):.3e}, expected traceless")
-    return x
-
-
 def root_char(t: np.ndarray, i: int) -> complex:
     """Value of the i-th simple root character t_i / t_{i+1}, i = 1..n-1.
 
@@ -254,14 +247,6 @@ def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray) -> float:
     denom = np.vdot(g1, g1)
     c = np.vdot(g1, g2) / denom if abs(denom) > 0 else 0.0
     return linalg.norm(c * g1 - g2) / max(linalg.norm(g2), 1e-300)
-
-
-def check_invertible(g: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    g = linalg.as_matrix(g)
-    n = g.shape[0]
-    if abs(np.linalg.det(g)) <= tol * max(linalg.norm(g), 1e-300) ** n:
-        raise ValueError("group element is numerically singular")
-    return g
 
 
 def traceless_part(m: np.ndarray) -> np.ndarray:

@@ -66,24 +66,25 @@ def gauss_ldu(a: np.ndarray, tol_minor: float = TOL_MINOR):
     """Gauss factorization a = l d u without pivoting.
 
     ``l`` is lower unitriangular, ``d`` diagonal, ``u`` upper unitriangular.
-    The factorization exists iff every leading principal minor is nonzero;
-    a minor of modulus <= ``tol_minor * ||a||`` raises
-    :class:`SingularMinor` with the 1-based order of the first offender.
+    The factorization exists iff every leading principal minor is nonzero.
+    The minor of order k is the product of the first k pivots; one of
+    modulus <= ``tol_minor * ||a||`` raises :class:`SingularMinor` with the
+    1-based order of the first offender.
     No pivoting is attempted: failure is reported, not repaired.
     """
     a = as_matrix(a)
     n = a.shape[0]
     threshold = tol_minor * max(norm(a), 1e-300)
-    for k in range(1, n + 1):
-        if abs(np.linalg.det(a[:k, :k])) <= threshold:
-            raise SingularMinor(k)
-
     lower = np.eye(n, dtype=complex)
     upper = np.eye(n, dtype=complex)
     work = a.copy()
     d = np.zeros(n, dtype=complex)
+    minor = 1.0
     for k in range(n):
         d[k] = work[k, k]
+        minor *= d[k]
+        if abs(minor) <= threshold:
+            raise SingularMinor(k + 1)
         lower[k + 1:, k] = work[k + 1:, k] / d[k]
         upper[k, k + 1:] = work[k, k + 1:] / d[k]
         work[k + 1:, k + 1:] -= np.outer(lower[k + 1:, k], work[k, k + 1:])

@@ -17,6 +17,7 @@ import zlib
 import numpy as np
 
 from . import linalg
+from .centralizer import CJLPoint
 from .errors import NoConvergence
 from .invariants import invariant_gradients
 from .lie_core import ChevalleyData
@@ -62,6 +63,15 @@ def random_section_coords(chev: ChevalleyData, rng: np.random.Generator,
 def random_section_point(chev: ChevalleyData, rng: np.random.Generator,
                          scale: float = 1.0) -> np.ndarray:
     return chev.section_point(random_section_coords(chev, rng, scale=scale))
+
+
+def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator) -> CJLPoint:
+    """A chart point, its flow times damped by the invariant gradients."""
+    s = random_section_point(chev, rng, scale=0.8)
+    lam = np.zeros(chev.r, dtype=complex)
+    for i, grad in enumerate(invariant_gradients(chev, s)):
+        lam[i] = complex_uniform(rng, ()) * (0.4 / max(1.0, linalg.norm(grad)))
+    return CJLPoint(lam=lam, s=s)
 
 
 def random_stabilizer_element(chev: ChevalleyData, rng: np.random.Generator,

@@ -25,7 +25,6 @@ from .centralizer import (
     cjl_pullback_deviation,
     flow_step,
     hamiltonian_field,
-    is_z_point,
     moment_preimage_report,
     stabilizer_residual,
     symplectic_form,
@@ -49,7 +48,6 @@ from .kostant_maps import (
     longest_weyl_lift,
     section_form,
     stabilizer_lift,
-    unipotent_exp,
 )
 from .lie_core import (
     adjoint,
@@ -64,10 +62,10 @@ from .report import CheckResult, Report
 from .sampling import (
     complex_uniform,
     domain_fraction,
+    random_cjl_point,
     random_group_element,
     random_section_point,
     random_stabilizer_element,
-    random_toda_point,
     random_traceless,
     sample_flow_domain,
     stream,
@@ -81,8 +79,6 @@ from .toda import (
     rk4_toda,
     toda_flow,
     toda_matrix,
-    toda_point_from_matrix,
-    toda_vector_field,
 )
 
 THREADS_ENV = "CENTRALIZER_LAB_THREADS"
@@ -416,7 +412,7 @@ def _check_stabilizer_lift(chev, rng, samples, tols):
     for _ in range(samples):
         x = toda_matrix(chev, sample_flow_domain(chev, rng))
         theta_x = chamber_form(chev, x, eps=tols.chamber)
-        lift = stabilizer_lift(chev, x, eps=tols.chamber, tol_minor=tols.minor)
+        lift = stabilizer_lift(chev, x, eps=tols.chamber)
         worst = max(worst, _rel(adjoint(lift, theta_x), theta_x))
         worst = max(worst, _rel(dress(chev, theta_x, lift, tol_minor=tols.minor), x))
     return worst, 1e-9, samples
@@ -433,7 +429,7 @@ def _check_lift_of_dressed(chev, rng, samples, tols):
             y = dress(chev, theta_x, g, tol_minor=tols.minor)
             if np.min(np.abs(np.diagonal(y, 1))) < 1e-6:
                 continue
-            lift = stabilizer_lift(chev, y, eps=tols.chamber, tol_minor=tols.minor)
+            lift = stabilizer_lift(chev, y, eps=tols.chamber)
         except NotInGStar:
             continue
         used += 1
@@ -545,7 +541,7 @@ def _check_ham_isotropy(chev, rng, samples, tols):
 def _check_ham_duality(chev, rng, samples, tols):
     worst = 0.0
     for _ in range(samples):
-        c = _random_cjl_point(chev, rng)
+        c = random_cjl_point(chev, rng)
         p = cjl_chart(chev, c)
         dirs = [chart_pushforward_lambda(chev, c, i, step=tols.fd_step)
                 for i in range(1, chev.r + 1)]
@@ -559,14 +555,6 @@ def _check_ham_duality(chev, rng, samples, tols):
                 rhs = pairing(grad, v.z)
                 worst = max(worst, abs(lhs - rhs))
     return worst, 1e-6, samples
-
-
-def _random_cjl_point(chev, rng) -> CJLPoint:
-    s = random_section_point(chev, rng, scale=0.8)
-    lam = np.zeros(chev.r, dtype=complex)
-    for i, grad in enumerate(invariant_gradients(chev, s)):
-        lam[i] = complex_uniform(rng, ()) * (0.4 / max(1.0, linalg.norm(grad)))
-    return CJLPoint(lam=lam, s=s)
 
 
 @_register("cent_cjl_surjectivity")
@@ -590,7 +578,7 @@ def _check_cjl_surjectivity(chev, rng, samples, tols):
 def _check_cjl_rank(chev, rng, samples, tols):
     bad = 0
     for _ in range(samples):
-        c = _random_cjl_point(chev, rng)
+        c = random_cjl_point(chev, rng)
         cols = []
         for i in range(1, chev.r + 1):
             v = chart_pushforward_lambda(chev, c, i, step=tols.fd_step)
@@ -622,7 +610,7 @@ def _check_flow_group_law(chev, rng, samples, tols):
 def _check_cjl_factor_order(chev, rng, samples, tols):
     worst = 0.0
     for _ in range(samples):
-        c = _random_cjl_point(chev, rng)
+        c = random_cjl_point(chev, rng)
         base = cjl_chart(chev, c)
         order = rng.permutation(chev.r)
         p = ZPoint(g=np.eye(chev.n, dtype=complex), x=np.asarray(c.s))
@@ -636,7 +624,7 @@ def _check_cjl_factor_order(chev, rng, samples, tols):
 def _check_cjl_pullback(chev, rng, samples, tols):
     worst = 0.0
     for _ in range(samples):
-        res = cjl_pullback_deviation(chev, _random_cjl_point(chev, rng),
+        res = cjl_pullback_deviation(chev, random_cjl_point(chev, rng),
                                      fd_step=tols.fd_step)
         worst = max(worst, res.max_deviation)
     return worst, (1e-5 if chev.n <= 3 else 1e-4), samples
@@ -697,7 +685,7 @@ def _check_embed_triangle(chev, rng, samples, tols):
     worst = 0.0
     for _ in range(samples):
         p = sample_flow_domain(chev, rng)
-        zp = embed(chev, p, eps=tols.chamber, tol_minor=tols.minor)
+        zp = embed(chev, p, eps=tols.chamber)
         base = invariant_vector(chev, toda_matrix(chev, p))
         dev = float(np.linalg.norm(z_invariants(chev, zp) - base))
         worst = max(worst, dev / (1.0 + float(np.linalg.norm(base))))
@@ -726,10 +714,10 @@ def _check_embed_roundtrip(chev, rng, samples, tols):
     worst = 0.0
     for _ in range(samples):
         p = sample_flow_domain(chev, rng)
-        zp = embed(chev, p, eps=tols.chamber, tol_minor=tols.minor)
+        zp = embed(chev, p, eps=tols.chamber)
         back = embed_inverse(chev, zp, eps=tols.chamber, tol_minor=tols.minor)
         worst = max(worst, _rel(toda_matrix(chev, back), toda_matrix(chev, p)))
-        again = embed(chev, back, eps=tols.chamber, tol_minor=tols.minor)
+        again = embed(chev, back, eps=tols.chamber)
         worst = max(worst, scalar_aligned_distance(again.g, zp.g), _rel(again.x, zp.x))
     return worst, 1e-8, samples
 

@@ -17,31 +17,20 @@ in the translated big cell, and the inverse is constructive.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
-from .errors import NotInGStar, NotInW
-from .invariants import (
-    CHAMBER_GAP,
-    in_chamber_image,
-    invariant_gradient,
-    invariant_vector,
-    real_part_gap,
-)
-from .kostant_maps import (
-    chamber_form,
-    chamber_to_section_conjugator,
-    decompose_to_section,
-    dress,
-    section_form,
-    stabilizer_lift,
-)
-from .lie_core import ChevalleyData, scalar_aligned_distance, traceless_part
+from .errors import NoConvergence, NotInGStar, NotInV, NotInW
+from .invariants import CHAMBER_GAP, invariant_gradient, real_part_gap
+from .kostant_maps import NormalForms, chamber_form, decompose_to_section, dress, normal_forms
+from .lie_core import ChevalleyData, build_chevalley, scalar_aligned_distance, traceless_part
 
 MIN_ROOT_COORD = 1e-13
+NORMAL_FORMS_CACHE_SIZE = 16  # > the reuse distance of `check` at 4 workers
 
 
 @dataclass(frozen=True)
@@ -87,10 +76,18 @@ def toda_point_from_matrix(chev: ChevalleyData, m: np.ndarray,
 
 def in_flow_domain(chev: ChevalleyData, p: TodaPoint,
                    eps: float = CHAMBER_GAP) -> bool:
-    """Whether the invariants of p land in the image of the open chamber,
-    i.e. whether the chamber normal form (and hence the factorization
-    solution) exists at p."""
-    return in_chamber_image(chev, invariant_vector(chev, toda_matrix(chev, p)), eps=eps)
+    """Whether the spectrum of p has real parts pairwise separated by more
+    than eps, i.e. whether the chamber normal form (and hence the
+    factorization solution) exists at p."""
+    values, _ = linalg.eig(toda_matrix(chev, p))
+    return real_part_gap(values) > eps
+
+
+@functools.lru_cache(maxsize=NORMAL_FORMS_CACHE_SIZE)
+def _normal_forms_of(n: int, x: bytes, eps: float) -> NormalForms:
+    """Normal forms of the n x n Toda matrix with entries x (never stale)."""
+    return normal_forms(build_chevalley(n),
+                        np.frombuffer(x, dtype=complex).reshape(n, n), eps=eps)
 
 
 def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint,
@@ -98,16 +95,19 @@ def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint,
               tol_minor: float = linalg.TOL_MINOR) -> TodaPoint:
     """Time-t image of p under the i-th flow, by factorization.
 
-    Raises :class:`NotInV` off the flow domain and :class:`NotInGStar`
+    Raises :class:`NotInV` off the flow domain, :class:`NotInGStar`
     when the group trajectory leaves the translated big cell (the expected
-    blow-up mode at complex time; the offending minor index is attached).
+    blow-up mode at complex time; the offending minor index is attached),
+    and :class:`NoConvergence` when the dressed result misses the Toda
+    phase space.
     """
-    x = toda_matrix(chev, p)
-    theta_x = chamber_form(chev, x, eps=eps)
-    lift = stabilizer_lift(chev, x, eps=eps, tol_minor=tol_minor)
-    moved = lift @ linalg.mat_exp(t * invariant_gradient(chev, theta_x, i))
-    result = dress(chev, theta_x, moved, tol_minor=tol_minor)
-    return toda_point_from_matrix(chev, result)
+    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes(), eps)
+    moved = forms.lift @ linalg.mat_exp(t * invariant_gradient(chev, forms.theta, i))
+    result = dress(chev, forms.theta, moved, tol_minor=tol_minor)
+    try:
+        return toda_point_from_matrix(chev, result)
+    except ValueError as exc:
+        raise NoConvergence(f"dressed flow point left the phase space: {exc}") from exc
 
 
 def toda_vector_field(chev: ChevalleyData, i: int, p: TodaPoint,
@@ -129,15 +129,12 @@ def toda_vector_field(chev: ChevalleyData, i: int, p: TodaPoint,
 
 
 def embed(chev: ChevalleyData, p: TodaPoint,
-          eps: float = CHAMBER_GAP,
-          tol_minor: float = linalg.TOL_MINOR) -> ZPoint:
+          eps: float = CHAMBER_GAP) -> ZPoint:
     """The canonical centralizer point of p:
     (conjugated stabilizer lift, section form)."""
-    x = toda_matrix(chev, p)
-    conj = chamber_to_section_conjugator(chev, x, eps=eps)
-    lift = stabilizer_lift(chev, x, eps=eps, tol_minor=tol_minor)
-    g = conj @ lift @ linalg.inv(conj)
-    zp = ZPoint(g=g, x=section_form(chev, x))
+    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes(), eps)
+    g = forms.conj @ forms.lift @ linalg.inv(forms.conj)
+    zp = ZPoint(g=g, x=forms.s.copy())
     # validation threshold follows the conditioning of the conjugated lift,
     # which only matters near the top of the supported rank range
     cond_g = linalg.norm(g) * linalg.norm(linalg.inv(g))
@@ -156,12 +153,10 @@ def embed_inverse(chev: ChevalleyData, zp: ZPoint,
     cond_g = linalg.norm(zp.g) * linalg.norm(linalg.inv(zp.g))
     check_z_point(chev, zp, tol=1e-9 * (1.0 + cond_g),
                   tol_section=1e-10 * (1.0 + cond_g))
-    values, _ = linalg.eig(zp.x)
-    gap = real_part_gap(values)
-    if not gap > eps:
-        raise NotInW(f"spectrum real-part gap {gap:.3e} below {eps:.1e}")
-    ordered = values[np.argsort(-values.real)]
-    z = chev.xi + np.diag(ordered)
+    try:
+        z = chamber_form(chev, zp.x, eps=eps)
+    except NotInV as exc:
+        raise NotInW(str(exc)) from exc
     u_z = decompose_to_section(chev, z).u
     h = u_z @ zp.g @ linalg.inv(u_z)
     try:

@@ -226,3 +226,17 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
         entry.pop("seconds", None)
     d1["config"].pop("threads"), d2["config"].pop("threads")
     assert d1 == d2
+
+
+def test_flow_off_phase_space_marks_row_and_exits_1(tmp_path, monkeypatch):
+    from centralizer_lab import toda
+
+    monkeypatch.setattr(toda, "dress",
+                        lambda *args, **kwargs: np.array([[0.0, 1.0], [2.0, 0.0]]))
+    out = tmp_path / "off.csv"
+    code = main(["flow", "--n", "2", "--i", "1", "--t", "0,0.5",
+                 "--point", GOLDEN_POINT, "--out", str(out)])
+    assert code == 1
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["NoConvergence"] * 2
+    assert len(lines[1].split(",")) == len(lines[0].split(","))

@@ -171,3 +171,31 @@ def test_kernel_basis_rank_one():
     basis = linalg.kernel_basis(a)
     assert basis.shape == (3, 2)
     assert linalg.norm(a @ basis) < 1e-12
+
+
+def _first_singular_minor(a, tol_minor=linalg.TOL_MINOR):
+    """Reference: the 1-based order of the first leading minor of modulus
+    <= tol_minor * ||a||, by explicit determinants; None if there is none."""
+    threshold = tol_minor * linalg.norm(a)
+    for k in range(1, a.shape[0] + 1):
+        if abs(np.linalg.det(a[:k, :k])) <= threshold:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_gauss_ldu_minor_verdict_matches_determinants(n):
+    rng = np.random.default_rng(n)
+    for trial in range(40):
+        a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        k = trial % (n + 1)
+        if k:  # make the leading minor of order k vanish exactly
+            a[k - 1, :k] = a[:k - 1, :k].sum(axis=0) if k > 1 else 0.0
+        expected = _first_singular_minor(a)
+        if expected is None:
+            lower, diag, upper = linalg.gauss_ldu(a)
+            assert linalg.norm(lower @ diag @ upper - a) <= 1e-10 * linalg.norm(a)
+        else:
+            with pytest.raises(SingularMinor) as excinfo:
+                linalg.gauss_ldu(a)
+            assert excinfo.value.index == expected

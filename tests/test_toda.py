@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from centralizer_lab import linalg
+from centralizer_lab import invariants, kostant_maps, linalg, toda
 from centralizer_lab.centralizer import flow_step, is_z_point, z_invariants
-from centralizer_lab.errors import NotInGStar, NotInV, NotInW
-from centralizer_lab.invariants import invariant_vector
+from centralizer_lab.errors import NoConvergence, NotInGStar, NotInV, NotInW
+from centralizer_lab.invariants import in_chamber_image, invariant_vector
 from centralizer_lab.kostant_maps import (
     chamber_form,
     chamber_to_section_conjugator,
     section_form,
+    stabilizer_lift,
 )
 from centralizer_lab.lie_core import build_chevalley, group_equal, scalar_aligned_distance
 from centralizer_lab.sampling import (
@@ -373,3 +374,89 @@ def test_random_toda_point_is_valid():
         p = random_toda_point(chev, rng)
         assert abs(np.sum(p.diag)) <= 1e-12 * (1 + np.linalg.norm(p.diag))
         assert np.min(np.abs(p.root_coords)) > 1e-13
+
+
+# ----------------------------- per-point normal forms --------------------- #
+
+def test_flows_and_embed_share_one_normal_form_pass(monkeypatch):
+    chev = build_chevalley(4)
+    p = sample_flow_domain(chev, stream(11, "shared_normal_forms"))
+    calls = []
+    original = kostant_maps.decompose_to_section
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kostant_maps, "decompose_to_section", counting)
+    monkeypatch.setattr(toda, "decompose_to_section", counting)
+    toda._normal_forms_of.cache_clear()
+    for i in range(1, chev.n):
+        toda_flow(chev, i, 0.3, p)
+    embed(chev, p)
+    assert len(calls) == 3  # x, its chamber form and the reversed point
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_embed_equals_the_per_call_normal_forms(n):
+    chev = build_chevalley(n)
+    p = sample_flow_domain(chev, stream(12, "per_call_reference"))
+    x = toda_matrix(chev, p)
+    conj = chamber_to_section_conjugator(chev, x)
+    zp = embed(chev, p)
+    assert np.array_equal(zp.x, section_form(chev, x))
+    assert np.array_equal(zp.g, conj @ stabilizer_lift(chev, x) @ linalg.inv(conj))
+
+
+def test_normal_forms_cache_never_aliases_caller_arrays():
+    chev = build_chevalley(3)
+    rng = stream(13, "cache_alias")
+    p, r = sample_flow_domain(chev, rng), sample_flow_domain(chev, rng)
+    first = embed(chev, p)
+    expected_g, expected_x = first.g.copy(), first.x.copy()
+    first.g[:] = 0.0
+    first.x[:] = 0.0
+    again = embed(chev, p)
+    assert np.array_equal(again.g, expected_g) and np.array_equal(again.x, expected_x)
+    with pytest.raises(ValueError):
+        stabilizer_lift(chev, toda_matrix(chev, p))[0, 0] = 0.0
+
+    # the cache is keyed on the entries of a point, not on its arrays
+    q = make_toda_point(p.diag.copy(), p.root_coords.copy())
+    embed(chev, q)
+    toda_flow(chev, 1, 0.4, q)
+    q.diag[:] = r.diag
+    q.root_coords[:] = r.root_coords
+    got_zp, got_flow = embed(chev, q), toda_flow(chev, 1, 0.4, q)
+    toda._normal_forms_of.cache_clear()
+    want_zp, want_flow = embed(chev, r), toda_flow(chev, 1, 0.4, r)
+    assert np.array_equal(got_zp.g, want_zp.g) and np.array_equal(got_zp.x, want_zp.x)
+    assert np.array_equal(toda_matrix(chev, got_flow), toda_matrix(chev, want_flow))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_in_flow_domain_reads_the_spectrum(monkeypatch, n):
+    chev = build_chevalley(n)
+    rng = stream(5, "domain_route")
+    points = [random_toda_point(chev, rng) for _ in range(60)]
+    # real points with a negative superdiagonal entry have conjugate
+    # eigenvalue pairs, which lie outside the domain
+    points += [make_toda_point(p.diag.real - np.mean(p.diag.real), p.root_coords.real)
+               for p in points[:30]]
+    # reference: the invariants' route through the section inverse
+    expected = [in_chamber_image(chev, invariant_vector(chev, toda_matrix(chev, p)))
+                for p in points]
+    assert any(expected) and not all(expected)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("in_flow_domain inverted the section")
+
+    monkeypatch.setattr(invariants, "section_from_invariants", forbidden)
+    assert [in_flow_domain(chev, p) for p in points] == expected
+
+
+def test_flow_off_phase_space_raises_no_convergence(monkeypatch, chev2, golden):
+    monkeypatch.setattr(toda, "dress",
+                        lambda *args, **kwargs: np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(NoConvergence, match="phase space"):
+        toda_flow(chev2, 1, 0.5, golden)
