@@ -282,3 +282,9 @@ def cjl_pullback_deviation(chev: ChevalleyData, c: CJLPoint,
             dev_ss = max(dev_ss, abs(val_ss))
     return CJLPullbackResult(flow_flow=dev_ff, flow_section=dev_fs,
                              section_section=dev_ss)
+
+
+def cjl_pullback_tolerance(n: int) -> float:
+    """Pinned bound on the chart pullback deviation at rank n, shared by
+    the ``cjl`` command and the ``cent_cjl_pullback`` check."""
+    return 1e-5 if n <= 3 else 1e-4

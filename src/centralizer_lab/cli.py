@@ -9,8 +9,8 @@ Subcommands:
 Common flags: --n --seed --samples --config <json> --out <path>
 --format json|csv and the tolerance knobs --tol.eig --tol.minor --tol.exp
 --tol.chamber --tol.fd_step.  Exit code 2 signals a usage or input error.
-The worker count is capped by the environment variable
-CENTRALIZER_LAB_THREADS.
+Every command runs on one thread: checks and samples are evaluated one
+after another, each check on its own named random stream.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .centralizer import cjl_pullback_deviation, cjl_pullback_tolerance
 from .errors import CentralizerLabError, NotInGStar, NotInV
 from .formats import (
     dump_json,
@@ -36,7 +37,7 @@ from .formats import (
 from .invariants import invariant_vector
 from .lie_core import build_chevalley
 from .sampling import random_cjl_point, stream
-from .suites import Tolerances, run_all, worker_count
+from .suites import Tolerances, run_all
 from .toda import embed, embed_inverse, in_flow_domain, toda_flow, toda_matrix
 
 TOL_NAMES = ("eig", "minor", "exp", "chamber", "fd_step")
@@ -61,7 +62,7 @@ class RunConfig:
     fd_step: float = 1e-6
 
     def tolerances(self) -> Tolerances:
-        return Tolerances().with_overrides(self.tol_overrides)
+        return replace(Tolerances(), **self.tol_overrides)
 
     def validate(self):
         if not 2 <= self.n <= 8:
@@ -144,8 +145,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.flow_label = file_data["i"]
     if "t_list" in file_data:
         try:
-            cfg.t_list = [complex(t) if isinstance(t, str) else complex(t)
-                          for t in file_data["t_list"]]
+            cfg.t_list = [complex(t) for t in file_data["t_list"]]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad t_list in config: {exc}") from exc
     if "point" in file_data:
@@ -285,26 +285,13 @@ def cmd_embed(cfg: RunConfig) -> int:
 
 
 def cmd_cjl(cfg: RunConfig) -> int:
-    from .centralizer import cjl_pullback_deviation
-
-    tols = cfg.tolerances()
     if not 1e-8 <= cfg.fd_step <= 1e-4:
         raise ConfigError(f"fd_step {cfg.fd_step:g} outside [1e-8, 1e-4]")
     chev = build_chevalley(cfg.n)
     rng = stream(cfg.seed, "cli_cjl")
     points = [random_cjl_point(chev, rng) for _ in range(cfg.samples)]
-
-    threads = worker_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda c: cjl_pullback_deviation(chev, c, fd_step=cfg.fd_step),
-                points))
-    else:
-        results = [cjl_pullback_deviation(chev, c, fd_step=cfg.fd_step)
-                   for c in points]
+    results = [cjl_pullback_deviation(chev, c, fd_step=cfg.fd_step)
+               for c in points]
 
     blocks = {
         "flow_flow": max(res.flow_flow for res in results),
@@ -312,7 +299,7 @@ def cmd_cjl(cfg: RunConfig) -> int:
         "section_section": max(res.section_section for res in results),
     }
     max_dev = max(blocks.values())
-    tolerance = 1e-5 if cfg.n <= 3 else 1e-4
+    tolerance = cjl_pullback_tolerance(cfg.n)
     passed = max_dev <= tolerance
     payload = {
         "config": {"n": cfg.n, "seed": cfg.seed, "samples": cfg.samples,

@@ -41,14 +41,6 @@ class SectionDecomposition:
     u: np.ndarray
     s: np.ndarray
 
-    @property
-    def unipotent_part(self) -> np.ndarray:
-        return self.u
-
-    @property
-    def section_part(self) -> np.ndarray:
-        return self.s
-
 
 @dataclass(frozen=True)
 class GStarFactorization:

@@ -1,17 +1,16 @@
 """Named verification suites behind the ``check`` command.
 
 Every check is a pure function of (structure data, named random stream,
-sample count, tolerance knobs); the driver fans checks out across worker
-threads and reassembles results in registry order, so reports are
-deterministic for a fixed configuration regardless of scheduling.
+sample count, tolerance knobs); the driver runs the checks one after
+another in registry order, each on its own named random stream, so reports
+are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .centralizer import (
     chart_pushforward_section,
     cjl_chart,
     cjl_pullback_deviation,
+    cjl_pullback_tolerance,
     flow_step,
     hamiltonian_field,
     moment_preimage_report,
@@ -81,8 +81,6 @@ from .toda import (
     toda_matrix,
 )
 
-THREADS_ENV = "CENTRALIZER_LAB_THREADS"
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -93,9 +91,6 @@ class Tolerances:
     exp: float = linalg.TOL_EXP
     chamber: float = 1e-9
     fd_step: float = 1e-6
-
-    def with_overrides(self, overrides: dict) -> "Tolerances":
-        return replace(self, **overrides)
 
 
 CHECKS = {}
@@ -627,7 +622,7 @@ def _check_cjl_pullback(chev, rng, samples, tols):
         res = cjl_pullback_deviation(chev, random_cjl_point(chev, rng),
                                      fd_step=tols.fd_step)
         worst = max(worst, res.max_deviation)
-    return worst, (1e-5 if chev.n <= 3 else 1e-4), samples
+    return worst, cjl_pullback_tolerance(chev.n), samples
 
 
 # ----------------------------- toda ------------------------------------ #
@@ -769,16 +764,6 @@ def _check_rk4(chev, rng, samples, tols):
 
 # ----------------------------- driver ----------------------------------- #
 
-def worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def run_check(name: str, n: int, seed: int, samples: int,
               tols: Tolerances) -> CheckResult:
     chev = build_chevalley(n)
@@ -796,19 +781,8 @@ def run_check(name: str, n: int, seed: int, samples: int,
                        seconds=elapsed)
 
 
-def run_all(n: int, seed: int, samples: int, tols: Tolerances,
-            threads: int | None = None) -> Report:
-    """Run every registered check; results come back in registry order
-    independent of worker scheduling."""
-    names = list(CHECKS)
-    threads = threads or worker_count()
-    config = {"n": n, "seed": seed, "samples": samples, "threads": threads}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda name: run_check(name, n, seed, samples, tols), names))
-    else:
-        results = [run_check(name, n, seed, samples, tols) for name in names]
-    return Report(config=config, checks=tuple(results))
+def run_all(n: int, seed: int, samples: int, tols: Tolerances) -> Report:
+    """Run every registered check, one after another, in registry order."""
+    results = [run_check(name, n, seed, samples, tols) for name in CHECKS]
+    return Report(config={"n": n, "seed": seed, "samples": samples},
+                  checks=tuple(results))

@@ -30,7 +30,9 @@ from .kostant_maps import NormalForms, chamber_form, decompose_to_section, dress
 from .lie_core import ChevalleyData, build_chevalley, scalar_aligned_distance, traceless_part
 
 MIN_ROOT_COORD = 1e-13
-NORMAL_FORMS_CACHE_SIZE = 16  # > the reuse distance of `check` at 4 workers
+# Largest LRU reuse distance measured is 1 (`check`; the Toda pipeline and
+# `flow` reuse at 0), so 2 points keep every hit a bounded cache can get.
+NORMAL_FORMS_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from centralizer_lab.cli import main
+from centralizer_lab.suites import Tolerances, run_check
 
 GOLDEN_POINT = '{"diag": [[0,0],[0,0]], "root_coords": [[1,0]]}'
 OFF_DOMAIN_POINT = '{"diag": [[0,0],[0,0]], "root_coords": [[-1,0]]}'
@@ -27,8 +29,7 @@ def test_check_passes_n2_seed42(tmp_path, capsys):
     assert "PASS" in stdout and "FAIL  " not in stdout.replace("0 failing", "")
     data = json.loads(out.read_text())
     assert data["passed"] is True
-    assert data["config"] == {"n": 2, "seed": 42, "samples": 50,
-                              "threads": data["config"]["threads"]}
+    assert data["config"] == {"n": 2, "seed": 42, "samples": 50}
     assert all(entry["passed"] for entry in data["checks"])
 
 
@@ -199,33 +200,35 @@ def test_cjl_passes(tmp_path, capsys):
     assert set(data["blocks"]) == {"flow_flow", "flow_section", "section_section"}
 
 
-def test_cjl_n4_looser_tolerance(tmp_path):
-    out = tmp_path / "cjl4.json"
-    assert main(["cjl", "--n", "4", "--seed", "3", "--samples", "5",
-                 "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["tolerance"] == 1e-4
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_cjl_tolerance_matches_check(tmp_path, n):
+    out = tmp_path / "cjl.json"
+    main(["cjl", "--n", str(n), "--seed", "3", "--samples", "1",
+          "--out", str(out)])
+    check = run_check("cent_cjl_pullback", n, 42, 1, Tolerances())
+    assert json.loads(out.read_text())["tolerance"] == check.tolerance
+
+
+def test_cjl_deterministic_bytes(tmp_path):
+    out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
+    assert main(["cjl", "--n", "3", "--seed", "5", "--out", str(out1)]) == 0
+    assert main(["cjl", "--n", "3", "--seed", "5", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_cjl_bad_fd_step_exits_2():
     assert main(["cjl", "--n", "2", "--fd-step", "0.01"]) == 2
 
 
-# ----------------------------- worker cap ---------------------------------- #
+# ----------------------------- one thread --------------------------------- #
 
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "t1.json", tmp_path / "t2.json"
-    monkeypatch.setenv("CENTRALIZER_LAB_THREADS", "1")
-    assert main(["check", "--n", "2", "--seed", "6", "--samples", "5",
-                 "--out", str(out1)]) == 0
-    monkeypatch.setenv("CENTRALIZER_LAB_THREADS", "3")
-    assert main(["check", "--n", "2", "--seed", "6", "--samples", "5",
-                 "--out", str(out2)]) == 0
-    d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
-    assert d1["config"]["threads"] == 1 and d2["config"]["threads"] == 3
-    for entry in d1["checks"] + d2["checks"]:
-        entry.pop("seconds", None)
-    d1["config"].pop("threads"), d2["config"].pop("threads")
-    assert d1 == d2
+def test_commands_start_no_threads(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("a command started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["check", "--n", "2", "--samples", "2"]) == 0
+    assert main(["cjl", "--n", "3", "--samples", "4"]) == 0
 
 
 def test_flow_off_phase_space_marks_row_and_exits_1(tmp_path, monkeypatch):

@@ -132,8 +132,6 @@ def test_decompose_n2_golden():
     dec = decompose_to_section(chev, GOLDEN_THETA)
     assert np.allclose(dec.u, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-12)
     assert np.allclose(dec.s, FLIP2, atol=1e-12)
-    assert np.allclose(dec.unipotent_part, dec.u, atol=0)
-    assert np.allclose(dec.section_part, dec.s, atol=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
