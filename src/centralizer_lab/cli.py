@@ -7,8 +7,10 @@ Subcommands:
   cjl     chart pullback deviations over random chart points
 
 Common flags: --n --seed --samples --config <json> --out <path>
---format json|csv and the tolerance knobs --tol.eig --tol.minor --tol.exp
---tol.chamber --tol.fd_step.  Exit code 2 signals a usage or input error.
+--format json|csv.  A config file holds the same fields as the flags, under
+the keys in CONFIG_KEYS.  Every tolerance is pinned in the library: no flag
+or config key sets one.  Exit code 2 signals a usage or input error, an
+unknown flag or config key included.
 Every command runs on one thread: checks and samples are evaluated one
 after another, each check on its own named random stream.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +39,11 @@ from .formats import (
 from .invariants import invariant_vector
 from .lie_core import build_chevalley
 from .sampling import random_cjl_point, stream
-from .suites import Tolerances, run_all
+from .suites import run_all
 from .toda import embed, embed_inverse, in_flow_domain, toda_flow, toda_matrix
 
-TOL_NAMES = ("eig", "minor", "exp", "chamber", "fd_step")
+CONFIG_KEYS = frozenset({"n", "seed", "samples", "out", "format", "fd_step",
+                         "i", "t_list", "point"})
 
 
 class ConfigError(Exception):
@@ -53,16 +56,12 @@ class RunConfig:
     n: int = 2
     seed: int = 42
     samples: int = 25
-    tol_overrides: dict = field(default_factory=dict)
     out: str | None = None
     format: str | None = None
     flow_label: int = 1
     t_list: list = field(default_factory=lambda: [0.0, 0.5, 1.0])
     point: object = None
     fd_step: float = 1e-6
-
-    def tolerances(self) -> Tolerances:
-        return replace(Tolerances(), **self.tol_overrides)
 
     def validate(self):
         if not 2 <= self.n <= 8:
@@ -82,9 +81,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON file with the same fields as the flags")
     sub.add_argument("--out", help="write the structured output to this path")
     sub.add_argument("--format", choices=("json", "csv"))
-    for name in TOL_NAMES:
-        sub.add_argument(f"--tol.{name}", dest=f"tol_{name}", type=float,
-                         help=f"override the {name} tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +133,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(file_data, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(set(file_data) - CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     for key in ("n", "seed", "samples", "out", "format", "fd_step"):
         if key in file_data:
@@ -150,9 +149,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"bad t_list in config: {exc}") from exc
     if "point" in file_data:
         cfg.point = file_data["point"]
-    for name in TOL_NAMES:
-        if f"tol_{name}" in file_data:
-            cfg.tol_overrides[name] = float(file_data[f"tol_{name}"])
 
     for key in ("n", "seed", "samples", "out", "format", "fd_step"):
         value = getattr(args, key, None)
@@ -170,10 +166,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             cfg.point = _read_point_text(args.point_text)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad --point value: {exc}") from exc
-    for name in TOL_NAMES:
-        value = getattr(args, f"tol_{name}", None)
-        if value is not None:
-            cfg.tol_overrides[name] = value
 
     try:
         cfg.n = int(cfg.n)
@@ -211,7 +203,7 @@ def _require_point(cfg: RunConfig):
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    report = run_all(cfg.n, cfg.seed, cfg.samples, cfg.tolerances())
+    report = run_all(cfg.n, cfg.seed, cfg.samples)
     for line in report.lines():
         print(line)
     if cfg.out:
@@ -225,7 +217,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_flow(cfg: RunConfig) -> int:
     chev = build_chevalley(cfg.n)
     p0 = _require_point(cfg)
-    if not in_flow_domain(chev, p0, eps=cfg.tolerances().chamber):
+    if not in_flow_domain(chev, p0):
         raise ConfigError("initial point is outside the flow domain")
 
     header = (["t"]
@@ -237,9 +229,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     blew_up = False
     for t in cfg.t_list:
         try:
-            pt = toda_flow(chev, cfg.flow_label, t, p0,
-                           eps=cfg.tolerances().chamber,
-                           tol_minor=cfg.tolerances().minor)
+            pt = toda_flow(chev, cfg.flow_label, t, p0)
         except CentralizerLabError as exc:
             status = (f"NotInGStar({exc.minor_index})" if isinstance(exc, NotInGStar)
                       else type(exc).__name__)
@@ -264,11 +254,10 @@ def cmd_flow(cfg: RunConfig) -> int:
 def cmd_embed(cfg: RunConfig) -> int:
     chev = build_chevalley(cfg.n)
     p0 = _require_point(cfg)
-    tols = cfg.tolerances()
-    if not in_flow_domain(chev, p0, eps=tols.chamber):
+    if not in_flow_domain(chev, p0):
         raise ConfigError("point is outside the flow domain")
-    zp = embed(chev, p0, eps=tols.chamber)
-    back = embed_inverse(chev, zp, eps=tols.chamber, tol_minor=tols.minor)
+    zp = embed(chev, p0)
+    back = embed_inverse(chev, zp)
     m0 = toda_matrix(chev, p0)
     error = float(np.linalg.norm(toda_matrix(chev, back) - m0)
                   / (1.0 + np.linalg.norm(m0)))

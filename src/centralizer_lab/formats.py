@@ -54,11 +54,6 @@ def matrix_to_json(m):
     return [[complex_to_pair(z) for z in row] for row in m]
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    return np.array([[complex_from_obj(z) for z in row] for row in obj],
-                    dtype=complex)
-
-
 def group_to_json(g):
     return {"matrix": matrix_to_json(g), "mod_scalar": True}
 

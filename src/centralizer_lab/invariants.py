@@ -122,14 +122,14 @@ def real_part_gap(values) -> float:
     return float(np.min(np.diff(re)))
 
 
-def in_chamber_image(chev: ChevalleyData, z, eps: float = CHAMBER_GAP) -> bool:
+def in_chamber_image(chev: ChevalleyData, z) -> bool:
     """Whether the invariant vector z comes from the open chamber.
 
     True iff the n roots of the characteristic polynomial encoded by z
     (the spectrum of the section point with invariants z) have pairwise
-    distinct real parts with minimal gap > eps.  Boundary spectra are
+    distinct real parts with minimal gap > ``CHAMBER_GAP``.  Boundary spectra are
     rejected, never perturbed.
     """
     x = section_from_invariants(chev, z)
     values, _ = linalg.eig(x)
-    return real_part_gap(values) > eps
+    return real_part_gap(values) > CHAMBER_GAP

@@ -32,6 +32,9 @@ from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiP
 from .invariants import CHAMBER_GAP, real_part_gap
 from .lie_core import ChevalleyData, adjoint, build_chevalley
 
+# Root coordinates (superdiagonal entries) of modulus at most this are zero.
+MIN_ROOT_COORD = 1e-13
+
 
 @dataclass(frozen=True)
 class SectionDecomposition:
@@ -62,13 +65,11 @@ def longest_weyl_lift(chev: ChevalleyData) -> np.ndarray:
     return np.fliplr(np.eye(chev.n, dtype=complex))
 
 
-def _check_unitriangular(u: np.ndarray, lower: bool = False, tol: float = 1e-12) -> np.ndarray:
+def _check_unitriangular(u: np.ndarray) -> np.ndarray:
     u = linalg.as_matrix(u)
-    scale = 1.0 + linalg.norm(u)
-    off = np.triu(u, 1) if lower else np.tril(u, -1)
-    if linalg.norm(off) > tol * scale or np.max(np.abs(np.diag(u) - 1.0)) > tol * scale:
-        kind = "lower" if lower else "upper"
-        raise ValueError(f"matrix is not {kind} unitriangular")
+    tol = 1e-12 * (1.0 + linalg.norm(u))
+    if linalg.norm(np.tril(u, -1)) > tol or np.max(np.abs(np.diag(u) - 1.0)) > tol:
+        raise ValueError("matrix is not upper unitriangular")
     return u
 
 
@@ -84,12 +85,11 @@ def unipotent_exp(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray,
-                      tol: float = 1e-10) -> np.ndarray:
+def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Ad_u(s) for u upper unitriangular and s on the Kostant section."""
     u = _check_unitriangular(u)
     s = linalg.as_matrix(s)
-    if not chev.on_section(s, tol=tol):
+    if not chev.on_section(s, tol=1e-10):
         raise ValueError("second argument is not on the Kostant section")
     return adjoint(u, s)
 
@@ -118,8 +118,7 @@ def _elimination_data(n: int):
     return tuple(data)
 
 
-def decompose_to_section(chev: ChevalleyData, z: np.ndarray,
-                         tol: float = 1e-12) -> SectionDecomposition:
+def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposition:
     """Inverse of :func:`conjugate_section` on xi + (upper triangular).
 
     Raises :class:`NotInXiPlusB` when the strictly lower part of z differs
@@ -132,7 +131,7 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray,
     if z.shape[0] != n:
         raise NotInXiPlusB(f"expected size {n}, got {z.shape[0]}")
     scale = 1.0 + linalg.norm(z)
-    if linalg.norm(np.tril(z, -1) - chev.xi) > tol * scale:
+    if linalg.norm(np.tril(z, -1) - chev.xi) > 1e-12 * scale:
         raise NotInXiPlusB("strictly lower part is not the unit subdiagonal")
 
     solvers = _elimination_data(n)
@@ -161,29 +160,28 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray,
     return SectionDecomposition(u=u, s=current)
 
 
-def chamber_form(chev: ChevalleyData, x: np.ndarray,
-                 eps: float = CHAMBER_GAP) -> np.ndarray:
+def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique conjugate of x of the shape xi + (diagonal with strictly
     decreasing real parts).
 
     The eigenvalues of such a matrix are its diagonal entries, so the form
     is xi + diag(spectrum of x sorted by decreasing real part).  Raises
-    :class:`NotInV` when the real parts are not pairwise separated by eps.
+    :class:`NotInV` when the real parts are not pairwise separated by
+    more than ``CHAMBER_GAP``.
     """
     x = linalg.as_matrix(x)
     values, _ = linalg.eig(x)
     gap = real_part_gap(values)
-    if not gap > eps:
-        raise NotInV(f"spectrum real-part gap {gap:.3e} below {eps:.1e}")
+    if not gap > CHAMBER_GAP:
+        raise NotInV(f"spectrum real-part gap {gap:.3e} below {CHAMBER_GAP:.1e}")
     ordered = values[np.argsort(-values.real)]
     return chev.xi + np.diag(ordered)
 
 
-def chamber_conjugator(chev: ChevalleyData, x: np.ndarray,
-                       eps: float = CHAMBER_GAP) -> np.ndarray:
+def chamber_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u with Ad_u(chamber_form(x)) = x."""
     u1 = decompose_to_section(chev, x).u
-    u2 = decompose_to_section(chev, chamber_form(chev, x, eps=eps)).u
+    u2 = decompose_to_section(chev, chamber_form(chev, x)).u
     return u1 @ linalg.inv(u2)
 
 
@@ -192,15 +190,13 @@ def section_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     return decompose_to_section(chev, x).s
 
 
-def chamber_to_section_conjugator(chev: ChevalleyData, x: np.ndarray,
-                                  eps: float = CHAMBER_GAP) -> np.ndarray:
+def chamber_to_section_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u conjugating the chamber form of x
     to its section form."""
-    return linalg.inv(decompose_to_section(chev, chamber_form(chev, x, eps=eps)).u)
+    return linalg.inv(decompose_to_section(chev, chamber_form(chev, x)).u)
 
 
-def gstar_factor(chev: ChevalleyData, g: np.ndarray,
-                 tol_minor: float = linalg.TOL_MINOR) -> GStarFactorization:
+def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
     """Factor g as w0_tilde * u_minus * torus * u, modulo scalar.
 
     Existence is equivalent to all leading principal minors of
@@ -211,7 +207,7 @@ def gstar_factor(chev: ChevalleyData, g: np.ndarray,
     w0 = longest_weyl_lift(chev)
     translated = linalg.solve(w0, g)
     try:
-        lower, diag, upper = linalg.gauss_ldu(translated, tol_minor=tol_minor)
+        lower, diag, upper = linalg.gauss_ldu(translated)
     except SingularMinor as exc:
         raise NotInGStar(
             f"translated Gauss factorization fails at minor {exc.index}",
@@ -219,8 +215,7 @@ def gstar_factor(chev: ChevalleyData, g: np.ndarray,
     return GStarFactorization(u_minus=lower, torus=diag, u=upper)
 
 
-def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray,
-          tol: float = 1e-8, tol_minor: float = linalg.TOL_MINOR) -> np.ndarray:
+def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Conjugate theta_x by the upper unitriangular factor of g.
 
     g must centralize theta_x and lie in the translated big cell; the
@@ -229,10 +224,10 @@ def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray,
     theta_x = linalg.as_matrix(theta_x)
     moved = linalg.norm(adjoint(g, theta_x) - theta_x)
     cond_g = linalg.norm(g) * linalg.norm(linalg.inv(g))
-    if moved > tol * (1.0 + cond_g) * (1.0 + linalg.norm(theta_x)):
+    if moved > 1e-8 * (1.0 + cond_g) * (1.0 + linalg.norm(theta_x)):
         raise NotCentralizing(
             f"group element moves the chamber form by {moved:.3e}")
-    factors = gstar_factor(chev, g, tol_minor=tol_minor)
+    factors = gstar_factor(chev, g)
     return adjoint(factors.u, theta_x)
 
 
@@ -251,8 +246,7 @@ class NormalForms:
             value.flags.writeable = False
 
 
-def normal_forms(chev: ChevalleyData, x: np.ndarray,
-                 eps: float = CHAMBER_GAP) -> NormalForms:
+def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     """The chamber form, section decomposition and stabilizer lift of x.
 
     The lift is the unique element g of the translated big cell that
@@ -268,10 +262,10 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray,
     x = linalg.as_matrix(x)
     n = chev.n
     y = np.diagonal(x, 1)
-    if np.any(np.abs(y) <= 1e-13):
+    if np.any(np.abs(y) <= MIN_ROOT_COORD):
         raise ValueError("superdiagonal coordinates must be nonzero")
 
-    theta_x = chamber_form(chev, x, eps=eps)
+    theta_x = chamber_form(chev, x)
     u_theta_inv = linalg.inv(decompose_to_section(chev, theta_x).u)
 
     dec_x = decompose_to_section(chev, x)
@@ -296,7 +290,6 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray,
     return NormalForms(theta=theta_x, s=dec_x.s, conj=u_theta_inv, lift=lift)
 
 
-def stabilizer_lift(chev: ChevalleyData, x: np.ndarray,
-                    eps: float = CHAMBER_GAP) -> np.ndarray:
+def stabilizer_lift(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The stabilizer lift of x (read-only); see :func:`normal_forms`."""
-    return normal_forms(chev, x, eps=eps).lift
+    return normal_forms(chev, x).lift

@@ -64,9 +64,6 @@ class ChevalleyData:
     basis: tuple
     _section_pinv: np.ndarray = field(repr=False)
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.n, dtype=complex)
-
     def section_point(self, coords) -> np.ndarray:
         """xi + sum_k coords[k] * eta^(k+1), a point of the Kostant section."""
         coords = np.asarray(coords, dtype=complex)

@@ -36,13 +36,13 @@ def norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def eig(a: np.ndarray, tol_eig: float = TOL_EIG):
+def eig(a: np.ndarray):
     """Eigenvalues and eigenvectors of a general complex matrix.
 
     Returns ``(values, vectors)`` with ``a @ vectors[:, k] ~= values[k] *
     vectors[:, k]``; the values come back in no particular order.  Residuals
     are checked pair by pair and :class:`NoConvergence` is raised if any
-    exceeds ``tol_eig * ||a||``.
+    exceeds ``TOL_EIG * n * ||a||``.
     """
     a = as_matrix(a)
     try:
@@ -51,9 +51,9 @@ def eig(a: np.ndarray, tol_eig: float = TOL_EIG):
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
     scale = max(norm(a), 1e-300)
     residual = norm(a @ vectors - vectors * values[np.newaxis, :])
-    if residual > tol_eig * scale * a.shape[0]:
+    if residual > TOL_EIG * scale * a.shape[0]:
         raise NoConvergence(
-            f"eigenpair residual {residual:.3e} exceeds {tol_eig:.1e} * ||a||")
+            f"eigenpair residual {residual:.3e} exceeds {TOL_EIG:.1e} * ||a||")
     return values, vectors
 
 
@@ -62,19 +62,19 @@ def mat_exp(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(as_matrix(a))
 
 
-def gauss_ldu(a: np.ndarray, tol_minor: float = TOL_MINOR):
+def gauss_ldu(a: np.ndarray):
     """Gauss factorization a = l d u without pivoting.
 
     ``l`` is lower unitriangular, ``d`` diagonal, ``u`` upper unitriangular.
     The factorization exists iff every leading principal minor is nonzero.
     The minor of order k is the product of the first k pivots; one of
-    modulus <= ``tol_minor * ||a||`` raises :class:`SingularMinor` with the
+    modulus <= ``TOL_MINOR * ||a||`` raises :class:`SingularMinor` with the
     1-based order of the first offender.
     No pivoting is attempted: failure is reported, not repaired.
     """
     a = as_matrix(a)
     n = a.shape[0]
-    threshold = tol_minor * max(norm(a), 1e-300)
+    threshold = TOL_MINOR * max(norm(a), 1e-300)
     lower = np.eye(n, dtype=complex)
     upper = np.eye(n, dtype=complex)
     work = a.copy()

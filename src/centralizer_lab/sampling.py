@@ -20,6 +20,7 @@ from . import linalg
 from .centralizer import CJLPoint
 from .errors import NoConvergence
 from .invariants import invariant_gradients
+from .kostant_maps import MIN_ROOT_COORD
 from .lie_core import ChevalleyData
 from .toda import TodaPoint, in_flow_domain, make_toda_point
 
@@ -97,7 +98,7 @@ def random_toda_point(chev: ChevalleyData, rng: np.random.Generator,
     diag = complex_uniform(rng, (chev.n,), scale=scale)
     diag = diag - np.mean(diag)
     coords = complex_uniform(rng, (chev.r,), scale=scale)
-    while np.any(np.abs(coords) <= 1e-13):
+    while np.any(np.abs(coords) <= MIN_ROOT_COORD):
         coords = complex_uniform(rng, (chev.r,), scale=scale)
     return make_toda_point(diag, coords)
 

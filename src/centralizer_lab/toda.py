@@ -26,10 +26,10 @@ from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW
 from .invariants import CHAMBER_GAP, invariant_gradient, real_part_gap
-from .kostant_maps import NormalForms, chamber_form, decompose_to_section, dress, normal_forms
+from .kostant_maps import (MIN_ROOT_COORD, NormalForms, chamber_form, decompose_to_section,
+                           dress, normal_forms)
 from .lie_core import ChevalleyData, build_chevalley, scalar_aligned_distance, traceless_part
 
-MIN_ROOT_COORD = 1e-13
 # Largest LRU reuse distance measured is 1 (`check`; the Toda pipeline and
 # `flow` reuse at 0), so 2 points keep every hit a bounded cache can get.
 NORMAL_FORMS_CACHE_SIZE = 2
@@ -63,38 +63,33 @@ def toda_matrix(chev: ChevalleyData, p: TodaPoint) -> np.ndarray:
     return m
 
 
-def toda_point_from_matrix(chev: ChevalleyData, m: np.ndarray,
-                           tol: float = 1e-8) -> TodaPoint:
+def toda_point_from_matrix(chev: ChevalleyData, m: np.ndarray) -> TodaPoint:
     """Read a phase-space point off a matrix, verifying the tridiagonal
     shape (unit subdiagonal, nothing else off the three diagonals)."""
     m = linalg.as_matrix(m)
     scale = 1.0 + linalg.norm(m)
     structure = chev.xi + np.diag(np.diag(m)) + np.diag(np.diagonal(m, 1), k=1)
     off = linalg.norm(m - structure)
-    if off > tol * scale:
+    if off > 1e-8 * scale:
         raise ValueError(f"matrix is {off:.3e} away from the Toda phase space")
     return make_toda_point(np.diag(m).copy(), np.diagonal(m, 1).copy())
 
 
-def in_flow_domain(chev: ChevalleyData, p: TodaPoint,
-                   eps: float = CHAMBER_GAP) -> bool:
+def in_flow_domain(chev: ChevalleyData, p: TodaPoint) -> bool:
     """Whether the spectrum of p has real parts pairwise separated by more
-    than eps, i.e. whether the chamber normal form (and hence the
+    than ``CHAMBER_GAP``, i.e. whether the chamber normal form (and hence the
     factorization solution) exists at p."""
     values, _ = linalg.eig(toda_matrix(chev, p))
-    return real_part_gap(values) > eps
+    return real_part_gap(values) > CHAMBER_GAP
 
 
 @functools.lru_cache(maxsize=NORMAL_FORMS_CACHE_SIZE)
-def _normal_forms_of(n: int, x: bytes, eps: float) -> NormalForms:
+def _normal_forms_of(n: int, x: bytes) -> NormalForms:
     """Normal forms of the n x n Toda matrix with entries x (never stale)."""
-    return normal_forms(build_chevalley(n),
-                        np.frombuffer(x, dtype=complex).reshape(n, n), eps=eps)
+    return normal_forms(build_chevalley(n), np.frombuffer(x, dtype=complex).reshape(n, n))
 
 
-def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint,
-              eps: float = CHAMBER_GAP,
-              tol_minor: float = linalg.TOL_MINOR) -> TodaPoint:
+def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> TodaPoint:
     """Time-t image of p under the i-th flow, by factorization.
 
     Raises :class:`NotInV` off the flow domain, :class:`NotInGStar`
@@ -103,9 +98,9 @@ def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint,
     and :class:`NoConvergence` when the dressed result misses the Toda
     phase space.
     """
-    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes(), eps)
+    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes())
     moved = forms.lift @ linalg.mat_exp(t * invariant_gradient(chev, forms.theta, i))
-    result = dress(chev, forms.theta, moved, tol_minor=tol_minor)
+    result = dress(chev, forms.theta, moved)
     try:
         return toda_point_from_matrix(chev, result)
     except ValueError as exc:
@@ -130,11 +125,10 @@ def toda_vector_field(chev: ChevalleyData, i: int, p: TodaPoint,
     return shaped
 
 
-def embed(chev: ChevalleyData, p: TodaPoint,
-          eps: float = CHAMBER_GAP) -> ZPoint:
+def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
     """The canonical centralizer point of p:
     (conjugated stabilizer lift, section form)."""
-    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes(), eps)
+    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes())
     g = forms.conj @ forms.lift @ linalg.inv(forms.conj)
     zp = ZPoint(g=g, x=forms.s.copy())
     # validation threshold follows the conditioning of the conjugated lift,
@@ -144,9 +138,7 @@ def embed(chev: ChevalleyData, p: TodaPoint,
                          tol_section=1e-10 * (1.0 + cond_g))
 
 
-def embed_inverse(chev: ChevalleyData, zp: ZPoint,
-                  eps: float = CHAMBER_GAP,
-                  tol_minor: float = linalg.TOL_MINOR) -> TodaPoint:
+def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
     """Constructive inverse of :func:`embed` on its image.
 
     Raises :class:`NotInW` when the spectrum has collided real parts or the
@@ -156,13 +148,13 @@ def embed_inverse(chev: ChevalleyData, zp: ZPoint,
     check_z_point(chev, zp, tol=1e-9 * (1.0 + cond_g),
                   tol_section=1e-10 * (1.0 + cond_g))
     try:
-        z = chamber_form(chev, zp.x, eps=eps)
+        z = chamber_form(chev, zp.x)
     except NotInV as exc:
         raise NotInW(str(exc)) from exc
     u_z = decompose_to_section(chev, z).u
     h = u_z @ zp.g @ linalg.inv(u_z)
     try:
-        v = dress(chev, z, h, tol_minor=tol_minor)
+        v = dress(chev, z, h)
     except NotInGStar as exc:
         raise NotInW(f"group part outside the embedding image: {exc}") from exc
     return toda_point_from_matrix(chev, v)
@@ -194,35 +186,33 @@ def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
     return toda_point_from_matrix(chev, m)
 
 
-def intertwine_check(chev: ChevalleyData, i: int, t: complex, p: TodaPoint,
-                     eps: float = CHAMBER_GAP) -> float:
+def intertwine_check(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> float:
     """Deviation between flowing then embedding and embedding then flowing.
 
     Group parts are compared modulo scalar; both sides must be defined
     (the Toda side can raise :class:`NotInGStar` at complex time).
     """
-    left = embed(chev, toda_flow(chev, i, t, p, eps=eps), eps=eps)
-    right = flow_step(chev, t, embed(chev, p, eps=eps), i)
+    left = embed(chev, toda_flow(chev, i, t, p))
+    right = flow_step(chev, t, embed(chev, p), i)
     dev_g = scalar_aligned_distance(left.g, right.g)
     dev_x = linalg.norm(left.x - right.x) / (1.0 + linalg.norm(right.x))
     return max(dev_g, dev_x)
 
 
 def intertwine_infinitesimal(chev: ChevalleyData, i: int, p: TodaPoint,
-                             step: float = 1e-6,
-                             eps: float = CHAMBER_GAP) -> float:
+                             step: float = 1e-6) -> float:
     """Deviation between the Hamiltonian field at the embedded point and the
     finite-difference pushforward of the Toda vector field.
 
     The group-direction derivative is compared in the scalar quotient, so
     its traceless part is the meaningful representative.
     """
-    base = embed(chev, p, eps=eps)
+    base = embed(chev, p)
     target = hamiltonian_field(chev, base, i)
     w = toda_vector_field(chev, i, p, step=step)
     m = toda_matrix(chev, p)
-    plus = embed(chev, toda_point_from_matrix(chev, m + step * w), eps=eps)
-    minus = embed(chev, toda_point_from_matrix(chev, m - step * w), eps=eps)
+    plus = embed(chev, toda_point_from_matrix(chev, m + step * w))
+    minus = embed(chev, toda_point_from_matrix(chev, m - step * w))
     y_fd = traceless_part(linalg.solve(base.g, (plus.g - minus.g) / (2.0 * step)))
     z_fd = (plus.x - minus.x) / (2.0 * step)
     dev_y = linalg.norm(y_fd - target.y) / (1.0 + linalg.norm(target.y))

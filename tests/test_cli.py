@@ -1,9 +1,12 @@
+import dataclasses
+import inspect
 import json
 import threading
 
 import numpy as np
 import pytest
 
+from centralizer_lab import invariants, kostant_maps, linalg, toda
 from centralizer_lab.cli import main
 from centralizer_lab.suites import Tolerances, run_check
 
@@ -75,6 +78,13 @@ def test_config_file_merges_with_flag_overrides(tmp_path):
     assert data["config"]["n"] == 2
     assert data["config"]["seed"] == 2  # flag wins over file
     assert data["config"]["samples"] == 5
+
+
+@pytest.mark.parametrize("key", ["tol_chamber", "threads"])
+def test_unknown_config_key_exits_2(tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "samples": 1, key: 1}))
+    assert main(["check", "--config", str(cfg)]) == 2
 
 
 # ----------------------------- flow -------------------------------------- #
@@ -205,7 +215,7 @@ def test_cjl_tolerance_matches_check(tmp_path, n):
     out = tmp_path / "cjl.json"
     main(["cjl", "--n", str(n), "--seed", "3", "--samples", "1",
           "--out", str(out)])
-    check = run_check("cent_cjl_pullback", n, 42, 1, Tolerances())
+    check = run_check("cent_cjl_pullback", n, 42, 1)
     assert json.loads(out.read_text())["tolerance"] == check.tolerance
 
 
@@ -243,3 +253,30 @@ def test_flow_off_phase_space_marks_row_and_exits_1(tmp_path, monkeypatch):
     lines = out.read_text().strip().splitlines()
     assert [line.split(",")[-1] for line in lines[1:]] == ["NoConvergence"] * 2
     assert len(lines[1].split(",")) == len(lines[0].split(","))
+
+
+# ----------------------------- pinned tolerances ------------------------- #
+
+COMMAND_ARGS = {
+    "check": ["check", "--n", "2", "--samples", "1"],
+    "flow": ["flow", "--n", "2", "--i", "1", "--t", "0", "--point", GOLDEN_POINT],
+    "embed": ["embed", "--n", "2", "--point", GOLDEN_POINT],
+    "cjl": ["cjl", "--n", "2", "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_tolerance_flag_exits_2(command):
+    args = COMMAND_ARGS[command]
+    assert main(args) == 0
+    assert main(args + ["--tol.minor", "1e-3"]) == 2
+
+
+def test_no_tolerance_keywords():
+    for module in (linalg, kostant_maps, toda, invariants):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_"):
+                params = set(inspect.signature(fn).parameters)
+                assert not params & {"eps", "tol_minor", "tol_eig"}, \
+                    f"{module.__name__}.{name}"
+    assert dataclasses.fields(Tolerances) == ()
