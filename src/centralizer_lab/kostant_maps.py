@@ -199,8 +199,8 @@ def chamber_to_section_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndar
 def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
     """Factor g as w0_tilde * u_minus * torus * u, modulo scalar.
 
-    Existence is equivalent to all leading principal minors of
-    w0_tilde^{-1} g being nonzero; a vanishing minor raises
+    Existence is equivalent to the leading principal minors of orders
+    1..n-1 of w0_tilde^{-1} g being nonzero; a vanishing one raises
     :class:`NotInGStar` with the minor index attached.
     """
     g = linalg.as_matrix(g)
@@ -233,17 +233,13 @@ def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class NormalForms:
-    """Read-only normal forms of a Toda point x: chamber form theta, section
-    form s, conjugator conj with Ad_conj(theta) = s, stabilizer lift."""
+    """Normal forms of a Toda point x: chamber form theta, section form s,
+    conjugator conj with Ad_conj(theta) = s, stabilizer lift."""
 
     theta: np.ndarray
     s: np.ndarray
     conj: np.ndarray
     lift: np.ndarray
-
-    def __post_init__(self):
-        for value in vars(self).values():
-            value.flags.writeable = False
 
 
 def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
@@ -291,5 +287,5 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
 
 
 def stabilizer_lift(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
-    """The stabilizer lift of x (read-only); see :func:`normal_forms`."""
+    """The stabilizer lift of x; see :func:`normal_forms`."""
     return normal_forms(chev, x).lift

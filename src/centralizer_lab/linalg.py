@@ -66,10 +66,10 @@ def gauss_ldu(a: np.ndarray):
     """Gauss factorization a = l d u without pivoting.
 
     ``l`` is lower unitriangular, ``d`` diagonal, ``u`` upper unitriangular.
-    The factorization exists iff every leading principal minor is nonzero.
-    The minor of order k is the product of the first k pivots; one of
-    modulus <= ``TOL_MINOR * ||a||`` raises :class:`SingularMinor` with the
-    1-based order of the first offender.
+    It exists iff the leading principal minors of orders 1..n-1 are nonzero.
+    Pivot k is the ratio of the minors of orders k and k - 1; the first
+    pivot k < n of modulus <= ``TOL_MINOR * ||a||`` (a test unchanged when a
+    is rescaled) raises :class:`SingularMinor` with its 1-based order k.
     No pivoting is attempted: failure is reported, not repaired.
     """
     a = as_matrix(a)
@@ -79,15 +79,14 @@ def gauss_ldu(a: np.ndarray):
     upper = np.eye(n, dtype=complex)
     work = a.copy()
     d = np.zeros(n, dtype=complex)
-    minor = 1.0
-    for k in range(n):
+    for k in range(n - 1):
         d[k] = work[k, k]
-        minor *= d[k]
-        if abs(minor) <= threshold:
+        if abs(d[k]) <= threshold:
             raise SingularMinor(k + 1)
         lower[k + 1:, k] = work[k + 1:, k] / d[k]
         upper[k, k + 1:] = work[k, k + 1:] / d[k]
         work[k + 1:, k + 1:] -= np.outer(lower[k + 1:, k], work[k, k + 1:])
+    d[n - 1] = work[n - 1, n - 1]
     return lower, np.diag(d), upper
 
 

@@ -2,37 +2,32 @@
 into the universal centralizer.
 
 Phase-space points are tridiagonal: unit subdiagonal, traceless diagonal,
-nonzero superdiagonal.  The flows are *defined* by factorization rather
-than by an ODE: the time-t image of x under the i-th flow is obtained by
-right-translating the stabilizer lift of x by exp(t * gradient) and
-dressing the chamber form with the result.  Conservation of the invariants
-is then structural, and the vector field is recovered from the flow by
-central differences when needed.
+nonzero superdiagonal.  The i-th flow is the Lax equation
+dx/dt = [(gradient f_i(x))_{>0}, x], solved by Symes' factorization: if
+exp(t * gradient f_i(x)) = l d u (unit lower, diagonal, unit upper, no
+pivoting), the time-t point is u x u^{-1}, and a vanishing leading minor
+(tau-function) of the exponential is the blow-up of the flow.
 
 The embedding sends x to (d * lift * d^{-1}, section form of x) where d
 conjugates the chamber form to the section form; its image is the open
 subset of the centralizer with regular-real-part spectrum and group part
-in the translated big cell, and the inverse is constructive.
+in the translated big cell.  The inverse dresses the chamber form by the
+group part, Kostant's route to the same flows.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
-from .errors import NoConvergence, NotInGStar, NotInV, NotInW
+from .errors import NoConvergence, NotInGStar, NotInV, NotInW, SingularMinor
 from .invariants import CHAMBER_GAP, invariant_gradient, real_part_gap
-from .kostant_maps import (MIN_ROOT_COORD, NormalForms, chamber_form, decompose_to_section,
-                           dress, normal_forms)
-from .lie_core import ChevalleyData, build_chevalley, scalar_aligned_distance, traceless_part
-
-# Largest LRU reuse distance measured is 1 (`check`; the Toda pipeline and
-# `flow` reuse at 0), so 2 points keep every hit a bounded cache can get.
-NORMAL_FORMS_CACHE_SIZE = 2
+from .kostant_maps import MIN_ROOT_COORD, chamber_form, decompose_to_section, dress, normal_forms
+from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
 
 
 @dataclass(frozen=True)
@@ -83,54 +78,59 @@ def in_flow_domain(chev: ChevalleyData, p: TodaPoint) -> bool:
     return real_part_gap(values) > CHAMBER_GAP
 
 
-@functools.lru_cache(maxsize=NORMAL_FORMS_CACHE_SIZE)
-def _normal_forms_of(n: int, x: bytes) -> NormalForms:
-    """Normal forms of the n x n Toda matrix with entries x (never stale)."""
-    return normal_forms(build_chevalley(n), np.frombuffer(x, dtype=complex).reshape(n, n))
-
-
 def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> TodaPoint:
-    """Time-t image of p under the i-th flow, by factorization.
+    """Time-t image of p under the i-th flow, by Symes' factorization, in
+    substeps over which Re(t * eigenvalue^i) spreads by at most 8.
 
-    Raises :class:`NotInV` off the flow domain, :class:`NotInGStar`
-    when the group trajectory leaves the translated big cell (the expected
-    blow-up mode at complex time; the offending minor index is attached),
-    and :class:`NoConvergence` when the dressed result misses the Toda
-    phase space.
+    Raises :class:`NotInV` off the flow domain, :class:`NotInGStar` when a
+    tau-function (a leading minor of the exponential) vanishes, the
+    blow-up mode at complex time, with the minor index attached, and
+    :class:`NoConvergence` when a substep misses the Toda phase space.
     """
-    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes())
-    moved = forms.lift @ linalg.mat_exp(t * invariant_gradient(chev, forms.theta, i))
-    result = dress(chev, forms.theta, moved)
-    try:
-        return toda_point_from_matrix(chev, result)
-    except ValueError as exc:
-        raise NoConvergence(f"dressed flow point left the phase space: {exc}") from exc
+    x = toda_matrix(chev, p)
+    values, _ = linalg.eig(x)
+    gap = real_part_gap(values)
+    if not gap > CHAMBER_GAP:
+        raise NotInV(f"spectrum real-part gap {gap:.3e} below {CHAMBER_GAP:.1e}")
+    exponents = (t * values ** i).real
+    steps = max(1, math.ceil((exponents.max() - exponents.min()) / 8.0))
+    for _ in range(steps):
+        g = linalg.mat_exp((t / steps) * invariant_gradient(chev, x, i))
+        try:
+            _, _, u = linalg.gauss_ldu(g)
+        except SingularMinor as exc:
+            raise NotInGStar(f"tau-function {exc.index} of the flow vanishes",
+                             minor_index=exc.index) from exc
+        try:
+            p = toda_point_from_matrix(chev, adjoint(u, x))
+        except ValueError as exc:
+            raise NoConvergence(f"flow point left the phase space: {exc}") from exc
+        x = toda_matrix(chev, p)
+    return p
 
 
-def toda_vector_field(chev: ChevalleyData, i: int, p: TodaPoint,
-                      step: float = 1e-6) -> np.ndarray:
-    """Central difference of the factorization flow at t = 0.
+def toda_vector_field(chev: ChevalleyData, i: int, p: TodaPoint) -> np.ndarray:
+    """The i-th Toda vector field in Lax form, [(gradient f_i(x))_{>0}, x].
 
     The result is tangent to the phase space: diagonal plus superdiagonal,
     zero subdiagonal.  Residual mass outside that shape is checked and
     truncated.
     """
-    m_plus = toda_matrix(chev, toda_flow(chev, i, step, p))
-    m_minus = toda_matrix(chev, toda_flow(chev, i, -step, p))
-    w = (m_plus - m_minus) / (2.0 * step)
+    x = toda_matrix(chev, p)
+    w = bracket(np.triu(invariant_gradient(chev, x, i), 1), x)
     shaped = np.diag(np.diag(w)) + np.diag(np.diagonal(w, 1), k=1)
     off = linalg.norm(w - shaped)
     if off > 1e-5 * (1.0 + linalg.norm(w)):
-        raise ValueError(f"flow derivative has off-shape mass {off:.3e}")
+        raise ValueError(f"Lax field has off-shape mass {off:.3e}")
     return shaped
 
 
 def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
     """The canonical centralizer point of p:
     (conjugated stabilizer lift, section form)."""
-    forms = _normal_forms_of(chev.n, toda_matrix(chev, p).tobytes())
+    forms = normal_forms(chev, toda_matrix(chev, p))
     g = forms.conj @ forms.lift @ linalg.inv(forms.conj)
-    zp = ZPoint(g=g, x=forms.s.copy())
+    zp = ZPoint(g=g, x=forms.s)
     # validation threshold follows the conditioning of the conjugated lift,
     # which only matters near the top of the supported rank range
     cond_g = linalg.norm(g) * linalg.norm(linalg.inv(g))
@@ -161,21 +161,19 @@ def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
 
 
 def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
-             step: float = 1e-3, fd_step: float = 1e-6) -> TodaPoint:
+             step: float = 1e-3) -> TodaPoint:
     """Integrate the i-th vector field with classical RK4.
 
-    This is a deliberately independent route to the time-t point: the field
-    is itself a finite difference of the factorization flow, so agreement
-    with :func:`toda_flow` at t_end is a local-to-global consistency check,
-    not a tautology.
+    This is an independent route to the time-t point: the Lax field is
+    evaluated in closed form, so agreement with :func:`toda_flow` at t_end
+    checks the factorization against the ODE it solves.
     """
     steps = max(1, round(abs(t_end) / step))
     h = t_end / steps
     m = toda_matrix(chev, p)
 
     def field(mat):
-        return toda_vector_field(chev, i, toda_point_from_matrix(chev, mat),
-                                 step=fd_step)
+        return toda_vector_field(chev, i, toda_point_from_matrix(chev, mat))
 
     for _ in range(steps):
         k1 = field(m)
@@ -209,7 +207,7 @@ def intertwine_infinitesimal(chev: ChevalleyData, i: int, p: TodaPoint,
     """
     base = embed(chev, p)
     target = hamiltonian_field(chev, base, i)
-    w = toda_vector_field(chev, i, p, step=step)
+    w = toda_vector_field(chev, i, p)
     m = toda_matrix(chev, p)
     plus = embed(chev, toda_point_from_matrix(chev, m + step * w))
     minus = embed(chev, toda_point_from_matrix(chev, m - step * w))

@@ -244,7 +244,7 @@ def test_commands_start_no_threads(monkeypatch):
 def test_flow_off_phase_space_marks_row_and_exits_1(tmp_path, monkeypatch):
     from centralizer_lab import toda
 
-    monkeypatch.setattr(toda, "dress",
+    monkeypatch.setattr(toda, "adjoint",
                         lambda *args, **kwargs: np.array([[0.0, 1.0], [2.0, 0.0]]))
     out = tmp_path / "off.csv"
     code = main(["flow", "--n", "2", "--i", "1", "--t", "0,0.5",

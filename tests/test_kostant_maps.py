@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from centralizer_lab import linalg
 from centralizer_lab.errors import (
@@ -291,6 +293,32 @@ def test_gstar_refactor_recovers_factors(n):
         assert linalg.norm(factors.u_minus - u_minus) <= 1e-10 * (1 + linalg.norm(u_minus))
         assert linalg.norm(factors.u - u) <= 1e-10 * (1 + linalg.norm(u))
         assert scalar_aligned_distance(factors.torus, torus) <= 1e-10
+
+
+def _gstar_verdict(chev, g):
+    try:
+        gstar_factor(chev, g)
+    except NotInGStar as exc:
+        return exc.minor_index
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(
+           lambda n: st.lists(st.integers(-2, 2), min_size=2 * n * n, max_size=2 * n * n)),
+       st.floats(-6.0, 6.0))
+@example(entries=[0, 0, 1, 0, 1, 0, 1, 0, 0] + [0] * 9, log_scale=-6.0)  # g = w0
+def test_gstar_verdict_is_scale_invariant(entries, log_scale):
+    # g and c * g are the same element of PGL_n.  Small integer entries make
+    # every pivot either exactly zero or far from the threshold, so the
+    # verdict must not depend on c in [1e-6, 1e6].
+    n = int(np.sqrt(len(entries) // 2))
+    parts = np.array(entries, dtype=float).reshape(2, n, n)
+    g = parts[0] + 1j * parts[1]
+    if np.linalg.matrix_rank(g) < n:
+        return  # not a group element
+    chev = build_chevalley(n)
+    assert _gstar_verdict(chev, 10.0 ** log_scale * g) == _gstar_verdict(chev, g)
 
 
 def test_trivial_upper_factor_dresses_to_itself():

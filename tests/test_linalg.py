@@ -174,12 +174,16 @@ def test_kernel_basis_rank_one():
 
 
 def _first_singular_minor(a, tol_minor=linalg.TOL_MINOR):
-    """Reference: the 1-based order of the first leading minor of modulus
-    <= tol_minor * ||a||, by explicit determinants; None if there is none."""
+    """Reference: the 1-based order k < n of the first pivot, the ratio of
+    the leading minors of orders k and k - 1 by explicit determinants, of
+    modulus <= tol_minor * ||a||; None if there is none."""
     threshold = tol_minor * linalg.norm(a)
-    for k in range(1, a.shape[0] + 1):
-        if abs(np.linalg.det(a[:k, :k])) <= threshold:
+    previous = 1.0
+    for k in range(1, a.shape[0]):
+        minor = np.linalg.det(a[:k, :k])
+        if abs(minor / previous) <= threshold:
             return k
+        previous = minor
     return None
 
 

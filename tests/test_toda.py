@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from centralizer_lab import invariants, kostant_maps, linalg, toda
 from centralizer_lab.centralizer import flow_step, is_z_point, z_invariants
@@ -378,7 +379,7 @@ def test_random_toda_point_is_valid():
 
 # ----------------------------- per-point normal forms --------------------- #
 
-def test_flows_and_embed_share_one_normal_form_pass(monkeypatch):
+def test_flows_read_no_normal_forms(monkeypatch):
     chev = build_chevalley(4)
     p = sample_flow_domain(chev, stream(11, "shared_normal_forms"))
     calls = []
@@ -390,9 +391,9 @@ def test_flows_and_embed_share_one_normal_form_pass(monkeypatch):
 
     monkeypatch.setattr(kostant_maps, "decompose_to_section", counting)
     monkeypatch.setattr(toda, "decompose_to_section", counting)
-    toda._normal_forms_of.cache_clear()
     for i in range(1, chev.n):
         toda_flow(chev, i, 0.3, p)
+    assert not calls  # Symes' factorization needs no normal form
     embed(chev, p)
     assert len(calls) == 3  # x, its chamber form and the reversed point
 
@@ -406,32 +407,6 @@ def test_embed_equals_the_per_call_normal_forms(n):
     zp = embed(chev, p)
     assert np.array_equal(zp.x, section_form(chev, x))
     assert np.array_equal(zp.g, conj @ stabilizer_lift(chev, x) @ linalg.inv(conj))
-
-
-def test_normal_forms_cache_never_aliases_caller_arrays():
-    chev = build_chevalley(3)
-    rng = stream(13, "cache_alias")
-    p, r = sample_flow_domain(chev, rng), sample_flow_domain(chev, rng)
-    first = embed(chev, p)
-    expected_g, expected_x = first.g.copy(), first.x.copy()
-    first.g[:] = 0.0
-    first.x[:] = 0.0
-    again = embed(chev, p)
-    assert np.array_equal(again.g, expected_g) and np.array_equal(again.x, expected_x)
-    with pytest.raises(ValueError):
-        stabilizer_lift(chev, toda_matrix(chev, p))[0, 0] = 0.0
-
-    # the cache is keyed on the entries of a point, not on its arrays
-    q = make_toda_point(p.diag.copy(), p.root_coords.copy())
-    embed(chev, q)
-    toda_flow(chev, 1, 0.4, q)
-    q.diag[:] = r.diag
-    q.root_coords[:] = r.root_coords
-    got_zp, got_flow = embed(chev, q), toda_flow(chev, 1, 0.4, q)
-    toda._normal_forms_of.cache_clear()
-    want_zp, want_flow = embed(chev, r), toda_flow(chev, 1, 0.4, r)
-    assert np.array_equal(got_zp.g, want_zp.g) and np.array_equal(got_zp.x, want_zp.x)
-    assert np.array_equal(toda_matrix(chev, got_flow), toda_matrix(chev, want_flow))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -456,7 +431,83 @@ def test_in_flow_domain_reads_the_spectrum(monkeypatch, n):
 
 
 def test_flow_off_phase_space_raises_no_convergence(monkeypatch, chev2, golden):
-    monkeypatch.setattr(toda, "dress",
+    monkeypatch.setattr(toda, "adjoint",
                         lambda *args, **kwargs: np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(NoConvergence, match="phase space"):
         toda_flow(chev2, 1, 0.5, golden)
+
+
+# ----------------------------- two routes to the flow -------------------- #
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_lax_field_matches_flow_difference(n):
+    # oracle: the central difference of the factorization flow at t = 0
+    chev = build_chevalley(n)
+    rng = stream(94, f"field-fd-{n}")
+    h = 1e-6
+    for _ in range(5):
+        p = sample_flow_domain(chev, rng)
+        for i in range(1, chev.r + 1):
+            w = toda_vector_field(chev, i, p)
+            fd = (toda_matrix(chev, toda_flow(chev, i, h, p))
+                  - toda_matrix(chev, toda_flow(chev, i, -h, p))) / (2 * h)
+            assert linalg.norm(w - fd) <= 1e-8 * (1 + linalg.norm(w))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_symes_flow_matches_dressing(n):
+    # oracle: Kostant's route, dressing the chamber form by the stabilizer
+    # lift right-translated by exp(t * gradient)
+    chev = build_chevalley(n)
+    rng = stream(95, f"two-routes-{n}")
+    for k in range(10):
+        p = sample_flow_domain(chev, rng)
+        i = 1 + k % chev.r
+        t = rng.uniform(-1.0, 1.0)
+        forms = kostant_maps.normal_forms(chev, toda_matrix(chev, p))
+        moved = forms.lift @ linalg.mat_exp(t * invariants.invariant_gradient(chev, forms.theta, i))
+        expected = kostant_maps.dress(chev, forms.theta, moved)
+        got = toda_matrix(chev, toda_flow(chev, i, t, p))
+        assert linalg.norm(got - expected) <= 1e-8 * (1 + linalg.norm(expected))
+
+
+def test_flow_where_dressing_leaves_the_phase_space():
+    # Point 21 of the probe stream at n = 6: the dressing route ends 4.2e-6
+    # off the phase space at label 5, t = 0.7.
+    chev = build_chevalley(6)
+    rng = stream(42, "probe")
+    p = [sample_flow_domain(chev, rng) for _ in range(22)][21]
+    x0 = toda_matrix(chev, p)
+    xt = toda_matrix(chev, toda_flow(chev, 5, 0.7, p))
+    base = invariant_vector(chev, x0)
+    assert np.linalg.norm(invariant_vector(chev, xt) - base) <= 1e-8 * (1 + np.linalg.norm(base))
+
+    def lax(_, y):  # dx/dt = [(x^5)_{>0}, x], written out with numpy alone
+        x = y.reshape(6, 6)
+        b = np.triu(np.linalg.matrix_power(x, 5), 1)
+        return (b @ x - x @ b).ravel()
+
+    sol = solve_ivp(lax, (0.0, 0.7), x0.ravel(), method="DOP853", rtol=1e-13, atol=1e-13)
+    expected = sol.y[:, -1].reshape(6, 6)
+    assert linalg.norm(xt - expected) <= 1e-8 * (1 + linalg.norm(expected))
+
+
+def test_tiny_root_coordinate_flows_and_inverts():
+    # A point with root coordinate 2.5e-4 in modulus, drawn by the n = 4
+    # benchmark workload.  The translated determinant det(w0^-1 g) of its
+    # group elements is of order 1e-12, so a big-cell test that also
+    # checked minor n would reject them.
+    chev = build_chevalley(4)
+    p = make_toda_point(
+        [0.5758114129408125 - 0.6703775131537696j, -0.6206233339603293 - 0.09030237483800463j,
+         -0.4790169133109705 - 0.15972326627133027j, 0.5238288343304873 + 0.9204031542631045j],
+        [9.338678106818321e-05 + 0.00022930868330117704j,
+         -0.48914651653128827 - 0.06890418923834352j,
+         -0.26497355149167556 - 0.8414525810882045j])
+    x0 = toda_matrix(chev, p)
+    base = invariant_vector(chev, x0)
+    for i, t in enumerate([0.4267142243006363, 0.5527553262253284, 0.9864824629919129], start=1):
+        xt = toda_matrix(chev, toda_flow(chev, i, t, p))
+        assert np.linalg.norm(invariant_vector(chev, xt) - base) <= 1e-8 * (1 + np.linalg.norm(base))
+    back = embed_inverse(chev, embed(chev, p))
+    assert linalg.norm(toda_matrix(chev, back) - x0) <= 1e-8 * (1 + linalg.norm(x0))
