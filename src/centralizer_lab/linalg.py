@@ -26,7 +26,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 2:
         raise ValueError("matrices of size n >= 2 only")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -71,13 +71,23 @@ def gauss_ldu(a: np.ndarray):
     pivot k < n of modulus <= ``TOL_MINOR * ||a||`` (a test unchanged when a
     is rescaled) raises :class:`SingularMinor` with its 1-based order k.
     No pivoting is attempted: failure is reported, not repaired.
+
+    The elimination runs on ``a`` scaled by the power of two that brings its
+    largest real or imaginary part into [0.5, 1).  The scaling is exact, and
+    subnormal or huge inputs neither underflow the norm nor overflow a
+    division.  The zero matrix raises ``SingularMinor(1)``.
     """
     a = as_matrix(a)
     n = a.shape[0]
-    threshold = TOL_MINOR * max(norm(a), 1e-300)
+    parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts
+    peak = np.max(np.abs(parts))
+    if peak == 0.0:
+        raise SingularMinor(1)
+    shift = -int(np.frexp(peak)[1])
+    work = np.ldexp(parts, shift).view(complex)
+    threshold = TOL_MINOR * norm(work)
     lower = np.eye(n, dtype=complex)
     upper = np.eye(n, dtype=complex)
-    work = a.copy()
     d = np.zeros(n, dtype=complex)
     for k in range(n - 1):
         d[k] = work[k, k]
@@ -87,7 +97,7 @@ def gauss_ldu(a: np.ndarray):
         upper[k, k + 1:] = work[k, k + 1:] / d[k]
         work[k + 1:, k + 1:] -= np.outer(lower[k + 1:, k], work[k, k + 1:])
     d[n - 1] = work[n - 1, n - 1]
-    return lower, np.diag(d), upper
+    return lower, np.diag(np.ldexp(d.view(np.float64), -shift).view(complex)), upper
 
 
 def kernel_basis(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:

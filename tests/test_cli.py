@@ -6,8 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from centralizer_lab import invariants, kostant_maps, linalg, toda
+from centralizer_lab import invariants, kostant_maps, linalg, suites, toda
 from centralizer_lab.cli import main
+from centralizer_lab.errors import NotInGStar, SingularMinor
+from centralizer_lab.report import Report
 from centralizer_lab.suites import Tolerances, run_check
 
 GOLDEN_POINT = '{"diag": [[0,0],[0,0]], "root_coords": [[1,0]]}'
@@ -47,6 +49,56 @@ def test_check_deterministic_modulo_timing(tmp_path):
     assert main(["check", "--n", "2", "--seed", "9", "--samples", "10",
                  "--out", str(out2)]) == 0
     assert _strip_seconds(out1.read_text()) == _strip_seconds(out2.read_text())
+    for entry in json.loads(out1.read_text())["checks"]:
+        assert entry["error"] is None and entry["skipped"] == {}, entry
+
+
+def test_check_failure_names_its_exception():
+    # At n=7 a Symes flow of toda_conservation ends below the phase-space
+    # floor; the row keeps the declared bound and says why it failed.
+    first = run_check("toda_conservation", 7, 42, 25)
+    assert first.error.startswith("NoConvergence: ")
+    assert first.max_deviation == float("inf") and not first.passed
+    assert first.tolerance == 1e-8
+    assert 0 < first.samples < 25
+    again = run_check("toda_conservation", 7, 42, 25)
+    assert dataclasses.replace(again, seconds=0.0) == dataclasses.replace(first, seconds=0.0)
+    report = Report(config={}, checks=(first,))
+    assert first.error in report.lines()[0]
+    assert report.to_json_obj()["checks"][0]["error"] == first.error
+    row = report.to_csv(include_timing=False).splitlines()[1]
+    assert row.split(",")[-2:] == ["0", "NoConvergence"]
+
+
+def test_check_counts_skipped_samples(monkeypatch):
+    real_ldu = linalg.gauss_ldu
+    calls = []
+
+    def every_third_singular(a):
+        calls.append(a)
+        if len(calls) % 3 == 1:
+            raise SingularMinor(1)
+        return real_ldu(a)
+
+    monkeypatch.setattr(linalg, "gauss_ldu", every_third_singular)
+    result = run_check("linalg_ldu_roundtrip", 3, 1, 10)
+    assert result.passed and result.error is None
+    assert result.skipped == {"SingularMinor": 4}
+    assert result.samples + sum(result.skipped.values()) == 10
+
+    dressed = []
+
+    def wall_or_blowup(chev, theta_x, g):
+        dressed.append(g)
+        if len(dressed) % 2:
+            raise NotInGStar()
+        return np.zeros((chev.n, chev.n), dtype=complex)  # every root coordinate 0
+
+    monkeypatch.setattr(suites, "dress", wall_or_blowup)
+    result = run_check("kostant_lift_of_dressed_point", 3, 1, 5)
+    assert result.skipped == {"NotInGStar": 3, "SmallRootCoordinate": 2}
+    assert list(result.skipped) == sorted(result.skipped)
+    assert result.samples == 0 and result.error is None
 
 
 def test_check_csv_output(tmp_path):

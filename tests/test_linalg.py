@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centralizer_lab import linalg
@@ -131,10 +131,15 @@ def test_gauss_ldu_singular_minor():
     with pytest.raises(SingularMinor) as excinfo:
         linalg.gauss_ldu(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert excinfo.value.index == 1
+    with pytest.raises(SingularMinor) as excinfo:
+        linalg.gauss_ldu(np.zeros((3, 3)))
+    assert excinfo.value.index == 1
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+# a subnormal pivot: the norm of this input underflows to 0
+@example([2.225073858507203e-309, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 def test_gauss_ldu_roundtrip_property(flat):
     a = (np.array(flat[:4]) + 1j * np.array(flat[4:])).reshape(2, 2)
     try:
