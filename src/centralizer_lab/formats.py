@@ -73,7 +73,7 @@ def toda_point_from_json(obj):
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def parse_time_list(text: str):

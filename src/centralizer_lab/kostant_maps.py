@@ -8,12 +8,13 @@ spectrum are used throughout:
 * the section form, the unique point of the Kostant section conjugate to x;
 * the unipotent conjugators between x and these forms, which are unique.
 
-The decomposition of xi + b into (unipotent, section point) pairs is
-computed by graded elimination: per height band of the defect, the ambient
+The conjugator u with Ad_u(xi + diag(lambda)) = x is a column recurrence,
+u[:, 0] = e_1 and u[:, j+1] = (x - lambda_j) u[:, j].  The section form
+takes the one decomposition of xi + b into (unipotent, section point)
+pairs, by graded elimination: per height band of the defect, the ambient
 algebra splits as [xi, sl_n] + centralizer(eta), and conjugating by the
 exponential of the solved height-(m+1) component clears the non-section
-part of band m without touching lower bands.  The sweep terminates after
-n - 1 bands.
+part of band m without touching lower bands, for n - 1 bands.
 
 The "translated big cell" is w0_tilde * U_- * T * U, the open subset of
 PGL_n on which the w0-translated Gauss factorization exists; membership
@@ -178,11 +179,22 @@ def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     return chev.xi + np.diag(ordered)
 
 
+def unipotent_conjugator(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The upper unitriangular u with Ad_u(theta) = x, for x in xi + b and
+    theta = xi + diag(spectrum of x), by the column recurrence."""
+    u = np.eye(len(x), dtype=complex)
+    for j in range(len(x) - 1):
+        column = u[:j + 1, j]  # entry j+1 of the next column is the unit subdiagonal's 1
+        u[:j + 1, j + 1] = x[:j + 1, :j + 1] @ column - theta[j, j] * column
+    return u
+
+
 def chamber_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u with Ad_u(chamber_form(x)) = x."""
-    u1 = decompose_to_section(chev, x).u
-    u2 = decompose_to_section(chev, chamber_form(chev, x)).u
-    return u1 @ linalg.inv(u2)
+    x = linalg.as_matrix(x)
+    if linalg.norm(np.tril(x, -1) - chev.xi) > 1e-12 * (1.0 + linalg.norm(x)):
+        raise NotInXiPlusB("strictly lower part is not the unit subdiagonal")
+    return unipotent_conjugator(x, chamber_form(chev, x))
 
 
 def section_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
@@ -193,7 +205,7 @@ def section_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
 def chamber_to_section_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u conjugating the chamber form of x
     to its section form."""
-    return linalg.inv(decompose_to_section(chev, chamber_form(chev, x)).u)
+    return unipotent_conjugator(section_form(chev, x), chamber_form(chev, x))
 
 
 def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
@@ -234,56 +246,44 @@ def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray) -> np.ndarray
 @dataclass(frozen=True)
 class NormalForms:
     """Normal forms of a Toda point x: chamber form theta, section form s,
-    conjugator conj with Ad_conj(theta) = s, stabilizer lift."""
+    stabilizer lift, and g, the lift carried to s (Ad_g(s) = s)."""
 
     theta: np.ndarray
     s: np.ndarray
-    conj: np.ndarray
     lift: np.ndarray
+    g: np.ndarray
 
 
 def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
-    """The chamber form, section decomposition and stabilizer lift of x.
+    """The chamber form, section form and stabilizer lift of x, and the
+    lift carried to the section form, from one section decomposition.
 
-    The lift is the unique element g of the translated big cell that
-    centralizes theta = chamber_form(x) and satisfies dress(theta, g) = x.
-    It is assembled in closed form from three factors: the upper factor is
-    the chamber conjugator of x; the torus factor realizes the reciprocal
-    superdiagonal coordinates of x as simple root characters; the lower
-    factor is a w0-twisted chamber conjugator of the point with reversed
-    coordinates (conjugating x by w0 * torus exactly reverses the diagonal
-    and superdiagonal).  x must be tridiagonal with unit subdiagonal and
-    nonzero superdiagonal (the Toda phase space).
+    The lift (the element of the translated big cell that centralizes
+    theta = chamber_form(x) and dresses it to x) is K_tr^{-1} w0 t K_x, with
+    K_x, K_tr the chamber conjugators of x and of Ad_{w0 t}(x), the point
+    with reversed coordinates (t: partial products of the superdiagonal).
+    With x = Ad_{u_x}(s) and u_tr = K_tr K_s^{-1}, the lift carried to s is
+    u_tr^{-1} w0 t u_x.  x must be in the Toda phase space.
     """
     x = linalg.as_matrix(x)
-    n = chev.n
     y = np.diagonal(x, 1)
     if np.any(np.abs(y) <= MIN_ROOT_COORD):
         raise ValueError("superdiagonal coordinates must be nonzero")
 
     theta_x = chamber_form(chev, x)
-    u_theta_inv = linalg.inv(decompose_to_section(chev, theta_x).u)
-
     dec_x = decompose_to_section(chev, x)
-    u = dec_x.u @ u_theta_inv
-
-    t_diag = np.ones(n, dtype=complex)
-    for k in range(1, n):
-        t_diag[k] = t_diag[k - 1] * y[k - 1]
-    t = np.diag(t_diag)
-
-    w0 = longest_weyl_lift(chev)
+    w0_t = longest_weyl_lift(chev) @ np.diag(np.concatenate(([1.0], np.cumprod(y))))
     translated = chev.xi + np.diag(np.diag(x)[::-1]) + np.diag(y[::-1], k=1)
-    nu_translated = decompose_to_section(chev, translated).u @ u_theta_inv
-    u_minus = linalg.solve(w0, linalg.inv(nu_translated)) @ w0
-
-    lift = w0 @ u_minus @ t @ u
+    k_tr = unipotent_conjugator(translated, theta_x)
+    lift = linalg.solve(k_tr, w0_t @ unipotent_conjugator(x, theta_x))
     moved = linalg.norm(adjoint(lift, theta_x) - theta_x)
     cond_lift = linalg.norm(lift) * linalg.norm(linalg.inv(lift))
     if moved > 1e-9 * (1.0 + cond_lift) * (1.0 + linalg.norm(theta_x)):
         raise NotCentralizing(
             f"assembled lift moves the chamber form by {moved:.3e}")
-    return NormalForms(theta=theta_x, s=dec_x.s, conj=u_theta_inv, lift=lift)
+    u_tr = k_tr @ linalg.inv(unipotent_conjugator(dec_x.s, theta_x))
+    return NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
+                       g=linalg.solve(u_tr, w0_t @ dec_x.u))
 
 
 def stabilizer_lift(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:

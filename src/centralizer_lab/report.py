@@ -5,10 +5,12 @@ configuration.
 
 ``skipped`` counts the samples a check skipped, by reason (an exception
 type name or a check's own reject); ``error`` is ``"Type: message"`` of the
-exception that failed a check, or None."""
+exception that failed a check, or None.  JSON writes a non-finite
+``max_deviation`` as null."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .formats import fmt_float
@@ -54,7 +56,7 @@ class Report:
         for c in self.checks:
             entry = {
                 "name": c.name,
-                "max_deviation": c.max_deviation,
+                "max_deviation": c.max_deviation if math.isfinite(c.max_deviation) else None,
                 "tolerance": c.tolerance,
                 "passed": c.passed,
                 "samples": c.samples,

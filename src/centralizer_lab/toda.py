@@ -26,7 +26,7 @@ from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW, SingularMinor
 from .invariants import CHAMBER_GAP, invariant_gradient, real_part_gap
-from .kostant_maps import MIN_ROOT_COORD, chamber_form, decompose_to_section, dress, normal_forms
+from .kostant_maps import MIN_ROOT_COORD, chamber_form, dress, normal_forms, unipotent_conjugator
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
 
 
@@ -129,11 +129,10 @@ def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
     """The canonical centralizer point of p:
     (conjugated stabilizer lift, section form)."""
     forms = normal_forms(chev, toda_matrix(chev, p))
-    g = forms.conj @ forms.lift @ linalg.inv(forms.conj)
-    zp = ZPoint(g=g, x=forms.s)
+    zp = ZPoint(g=forms.g, x=forms.s)
     # validation threshold follows the conditioning of the conjugated lift,
     # which only matters near the top of the supported rank range
-    cond_g = linalg.norm(g) * linalg.norm(linalg.inv(g))
+    cond_g = linalg.norm(zp.g) * linalg.norm(linalg.inv(zp.g))
     return check_z_point(chev, zp, tol=1e-9 * (1.0 + cond_g),
                          tol_section=1e-10 * (1.0 + cond_g))
 
@@ -151,10 +150,9 @@ def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
         z = chamber_form(chev, zp.x)
     except NotInV as exc:
         raise NotInW(str(exc)) from exc
-    u_z = decompose_to_section(chev, z).u
-    h = u_z @ zp.g @ linalg.inv(u_z)
+    k_s = unipotent_conjugator(zp.x, z)
     try:
-        v = dress(chev, z, h)
+        v = dress(chev, z, linalg.solve(k_s, zp.g @ k_s))
     except NotInGStar as exc:
         raise NotInW(f"group part outside the embedding image: {exc}") from exc
     return toda_point_from_matrix(chev, v)

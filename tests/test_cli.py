@@ -6,9 +6,10 @@ import threading
 import numpy as np
 import pytest
 
-from centralizer_lab import invariants, kostant_maps, linalg, suites, toda
+from centralizer_lab import cli, invariants, kostant_maps, linalg, suites, toda
 from centralizer_lab.cli import main
 from centralizer_lab.errors import NotInGStar, SingularMinor
+from centralizer_lab.formats import dump_json
 from centralizer_lab.report import Report
 from centralizer_lab.suites import Tolerances, run_check
 
@@ -68,6 +69,25 @@ def test_check_failure_names_its_exception():
     assert report.to_json_obj()["checks"][0]["error"] == first.error
     row = report.to_csv(include_timing=False).splitlines()[1]
     assert row.split(",")[-2:] == ["0", "NoConvergence"]
+
+
+def test_failed_check_writes_strict_json(tmp_path, monkeypatch):
+    # the n=7 report holds the infinite toda_conservation row; a strict
+    # parser rejects NaN and Infinity, so the row must read null
+    failed = run_check("toda_conservation", 7, 42, 25)
+    monkeypatch.setattr(cli, "run_all", lambda n, seed, samples: Report(
+        config={"n": n, "seed": seed, "samples": samples}, checks=(failed,)))
+    out = tmp_path / "r.json"
+    assert main(["check", "--n", "7", "--seed", "42", "--samples", "25",
+                 "--out", str(out)]) == 1
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    entry = json.loads(out.read_text(), parse_constant=reject)["checks"][0]
+    assert entry["max_deviation"] is None and entry["error"] == failed.error
+    with pytest.raises(ValueError):
+        dump_json({"max_deviation": float("nan")})
 
 
 def test_check_counts_skipped_samples(monkeypatch):

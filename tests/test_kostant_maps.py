@@ -2,7 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from centralizer_lab import linalg
@@ -12,7 +13,7 @@ from centralizer_lab.errors import (
     NotInV,
     NotInXiPlusB,
 )
-from centralizer_lab.invariants import invariant_vector
+from centralizer_lab.invariants import CHAMBER_GAP, invariant_vector, real_part_gap
 from centralizer_lab.kostant_maps import (
     chamber_conjugator,
     chamber_form,
@@ -24,6 +25,7 @@ from centralizer_lab.kostant_maps import (
     longest_weyl_lift,
     section_form,
     stabilizer_lift,
+    unipotent_conjugator,
     unipotent_exp,
 )
 from centralizer_lab.lie_core import (
@@ -39,6 +41,7 @@ from centralizer_lab.sampling import (
     sample_flow_domain,
     stream,
 )
+from centralizer_lab.suites import run_check
 from centralizer_lab.toda import toda_matrix
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -219,6 +222,79 @@ def test_chamber_conjugator_defining_property(n):
             <= 1e-9 * (1 + linalg.norm(x))
 
 
+def test_chamber_conjugator_rejects_points_off_xi_plus_b():
+    chev = build_chevalley(3)
+    with pytest.raises(NotInXiPlusB):
+        chamber_conjugator(chev, np.diag([1.0, 0.0, -1.0]) + np.eye(3, k=-1) + np.eye(3, k=-2))
+
+
+def _xi_plus_b_from(entries, log_scale):
+    n = int(np.sqrt(len(entries) // 2))
+    parts = np.array(entries).reshape(2, n, n)
+    return build_chevalley(n), np.eye(n, k=-1) + 10.0 ** log_scale * np.triu(parts[0] + 1j * parts[1])
+
+
+_XI_PLUS_B = dict(
+    entries=st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n, max_size=2 * n * n)),
+    log_scale=st.floats(-1.0, 1.0))
+
+
+# derandomized here and below, so that every run draws the same examples
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_XI_PLUS_B)
+def test_column_recurrence_within_its_error_bound(entries, log_scale):
+    # Columns 0..n-2 of u theta - x u are the rounding of the n-1 products
+    # u[:, j+1] = (x - lam_j) u[:, j], each carried to the last column by the
+    # later factors.  The last column is prod_m (x - lam_m) e_1: to first
+    # order in the eigenvalue errors, |delta_k| <= n eps |x| kappa_k, it is
+    # sum_k delta_k prod_{m != k} (x - lam_m) e_1.  theta takes scipy's
+    # eigenvalues, whose condition numbers kappa_k come with them.
+    chev, x = _xi_plus_b_from(entries, log_scale)
+    n = chev.n
+    values, left, right = scipy.linalg.eig(x, left=True, right=True)
+    assume(real_part_gap(values) > CHAMBER_GAP)
+    order = np.argsort(-values.real)
+    lam = values[order]
+    kappa = 1.0 / np.abs(np.sum(left.conj() * right, axis=0))[order]
+    theta = chev.xi + np.diag(lam)
+    u = unipotent_conjugator(x, theta)
+    assert np.array_equal(np.tril(u), np.eye(n))
+
+    eps, size = np.finfo(float).eps, linalg.norm(x)
+    factors = [np.linalg.norm(x - lam_m * np.eye(n), 2) for lam_m in lam]
+    rounding = sum((n + 1) * eps * (size + abs(lam[j])) * np.linalg.norm(u[:, j])
+                   * (1.0 + np.prod(factors[j + 1:])) for j in range(n - 1))
+    spectral = 0.0
+    for k in range(n):
+        v = np.eye(n, dtype=complex)[:, 0]
+        for m in range(n):
+            if m != k:
+                v = x @ v - lam[m] * v
+        spectral += n * eps * size * kappa[k] * np.linalg.norm(v)
+    assert linalg.norm(u @ theta - x @ u) <= rounding + spectral
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_XI_PLUS_B, unipotent=st.lists(st.floats(-1.0, 1.0), min_size=128, max_size=128))
+def test_chamber_conjugator_is_conjugation_equivariant(entries, log_scale, unipotent):
+    # Ad_v(x) for v upper unitriangular has the same chamber form, so its
+    # conjugator is v times that of x.  The real parts are kept 1e-6 apart,
+    # so that rounding in Ad_v cannot reorder the chamber form, and the
+    # bound scales with the eigenvalue conditioning and with cond(v).
+    chev, x = _xi_plus_b_from(entries, log_scale)
+    n = chev.n
+    values, left, right = scipy.linalg.eig(x, left=True, right=True)
+    assume(real_part_gap(values) > 1e-6)
+    parts = np.array(unipotent).reshape(2, 8, 8)[:, :n, :n]
+    v = np.eye(n) + np.triu(parts[0] + 1j * parts[1], 1)
+    moved = chev.xi + np.triu(v @ x @ linalg.inv(v))
+    expected = v @ chamber_conjugator(chev, x)
+    kappa = np.max(1.0 / np.abs(np.sum(left.conj() * right, axis=0)))
+    dev = linalg.norm(chamber_conjugator(chev, moved) - expected) / linalg.norm(expected)
+    assert dev <= 1e-10 * kappa * np.linalg.cond(v)
+
+
 def test_section_chamber_conjugator_n2_golden():
     chev = build_chevalley(2)
     assert np.allclose(chamber_to_section_conjugator(chev, FLIP2), GOLDEN_NU, atol=1e-12)
@@ -382,6 +458,16 @@ def test_lift_of_dressed_point_matches_group_element(n):
             continue
         done += 1
         assert scalar_aligned_distance(lift, g) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("name", ["kostant_stabilizer_lift", "kostant_lift_of_dressed_point",
+                                  "kostant_open_stabilizer_conjugation"])
+def test_lift_checks_pass_at_the_top_of_the_range(name, n):
+    # cond(lift) reaches 1e5 at n = 8, so the lift holds its bounds only if
+    # the chamber conjugators are forward accurate
+    result = run_check(name, n, 42, 25)
+    assert result.passed and result.error is None, result
 
 
 def test_dress_conserves_invariants():

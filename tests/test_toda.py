@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from centralizer_lab import invariants, kostant_maps, linalg, toda
-from centralizer_lab.centralizer import flow_step, is_z_point, z_invariants
+from centralizer_lab.centralizer import flow_step, is_z_point, stabilizer_residual, z_invariants
 from centralizer_lab.errors import NoConvergence, NotInGStar, NotInV, NotInW
 from centralizer_lab.invariants import in_chamber_image, invariant_vector
 from centralizer_lab.kostant_maps import (
@@ -390,23 +390,33 @@ def test_flows_read_no_normal_forms(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(kostant_maps, "decompose_to_section", counting)
-    monkeypatch.setattr(toda, "decompose_to_section", counting)
+    # counted in toda too, should toda ever bind the decomposition itself
+    monkeypatch.setattr(toda, "decompose_to_section", counting, raising=False)
     for i in range(1, chev.n):
         toda_flow(chev, i, 0.3, p)
     assert not calls  # Symes' factorization needs no normal form
-    embed(chev, p)
-    assert len(calls) == 3  # x, its chamber form and the reversed point
-
-
-@pytest.mark.parametrize("n", [2, 4, 7])
-def test_embed_equals_the_per_call_normal_forms(n):
-    chev = build_chevalley(n)
-    p = sample_flow_domain(chev, stream(12, "per_call_reference"))
-    x = toda_matrix(chev, p)
-    conj = chamber_to_section_conjugator(chev, x)
     zp = embed(chev, p)
-    assert np.array_equal(zp.x, section_form(chev, x))
-    assert np.array_equal(zp.g, conj @ stabilizer_lift(chev, x) @ linalg.inv(conj))
+    assert len(calls) == 1  # x only; the conjugators are column recurrences
+    embed_inverse(chev, zp)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 8])
+def test_embed_defining_properties(n):
+    # the section part is the section form, the group part stabilizes it at
+    # embed's own bound and is the stabilizer lift carried to the section
+    chev = build_chevalley(n)
+    rng = stream(12, "per_call_reference")
+    for _ in range(5):
+        p = sample_flow_domain(chev, rng)
+        x = toda_matrix(chev, p)
+        zp = embed(chev, p)
+        assert np.array_equal(zp.x, section_form(chev, x))
+        cond_g = linalg.norm(zp.g) * linalg.norm(linalg.inv(zp.g))
+        assert stabilizer_residual(zp.g, zp.x) <= 1e-9 * (1.0 + cond_g)
+        conj = chamber_to_section_conjugator(chev, x)
+        carried = conj @ stabilizer_lift(chev, x) @ linalg.inv(conj)
+        assert scalar_aligned_distance(zp.g, carried) <= 1e-9
 
 
 @pytest.mark.parametrize("n", range(2, 9))
