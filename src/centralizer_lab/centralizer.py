@@ -16,7 +16,11 @@ Hamiltonian fields are the left-invariant fields of the invariant
 gradients, so flows act by right translation of g with x frozen, and
 composing the r flows from the identity fiber gives an explicit chart
 (Caratheodory-Jacobi-Lie coordinates) whose pullback of the symplectic
-form is checked against sum(dz_i ^ df_i) by finite differences.
+form is checked against sum(dz_i ^ df_i).  The chart's 2r coordinate
+directions are central differences around one base chart evaluation: in
+each flow time, and along each coordinate field df_j of the invariants on
+the section.  The section is affine, so s +/- h df_j stays on it and the
+z part of the j-th section direction is df_j exactly.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidZPoint
-from .invariants import invariant_gradient, invariant_gradients, invariant_vector, section_from_invariants
+from .invariants import invariant_gradient, invariant_gradients, invariant_vector
 from .lie_core import ChevalleyData, adjoint, bracket, pairing
 
 STABILIZER_TOL = 1e-9
 SECTION_TOL = 1e-10
+# Admitted finite-difference steps of the chart pullback.
+FD_STEP_RANGE = (1e-8, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -65,36 +71,9 @@ def symplectic_form(chev: ChevalleyData, x: np.ndarray,
             + pairing(x, bracket(v1.y, v2.y)))
 
 
-def moment_left(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return adjoint(g, x)
-
-
-def moment_right(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return -linalg.as_matrix(x)
-
-
-def moment_pair(g: np.ndarray, x: np.ndarray):
-    return moment_left(g, x), moment_right(g, x)
-
-
 def stabilizer_residual(g: np.ndarray, x: np.ndarray) -> float:
     x = linalg.as_matrix(x)
     return linalg.norm(adjoint(g, x) - x) / max(linalg.norm(x), 1e-300)
-
-
-def is_z_point(chev: ChevalleyData, g: np.ndarray, x: np.ndarray,
-               tol: float = STABILIZER_TOL, tol_section: float = SECTION_TOL) -> bool:
-    """Both centralizer invariants: x on the section, g stabilizing x."""
-    try:
-        g = linalg.as_matrix(g)
-        x = linalg.as_matrix(x)
-    except ValueError:
-        return False
-    if abs(np.linalg.det(g)) == 0.0:
-        return False
-    if not chev.on_section(x, tol=tol_section):
-        return False
-    return stabilizer_residual(g, x) <= tol
 
 
 def check_z_point(chev: ChevalleyData, p: ZPoint,
@@ -136,7 +115,7 @@ def moment_preimage_report(chev: ChevalleyData, points,
     max_res = 0.0
     for g, x in points:
         total += 1
-        mu_l, mu_r = moment_pair(g, x)
+        mu_l, mu_r = adjoint(g, x), -x
         on_sec = chev.on_section(x, tol=tol)
         in_z = on_sec and stabilizer_residual(g, x) <= tol
         in_pre = on_sec and chev.on_section(mu_l, tol=tol) and chev.on_section(-mu_r, tol=tol)
@@ -207,35 +186,35 @@ def coordinate_fields(chev: ChevalleyData, x: np.ndarray):
     return fields
 
 
-def chart_pushforward_lambda(chev: ChevalleyData, c: CJLPoint, i: int,
-                             step: float = 1e-6) -> Tangent:
-    """Central-difference pushforward of the i-th flow-time direction."""
-    base = cjl_chart(chev, c)
-    lam_p, lam_m = c.lam.copy(), c.lam.copy()
-    lam_p[i - 1] += step
-    lam_m[i - 1] -= step
-    g_p = cjl_chart(chev, CJLPoint(lam_p, c.s)).g
-    g_m = cjl_chart(chev, CJLPoint(lam_m, c.s)).g
-    y = linalg.solve(base.g, (g_p - g_m) / (2.0 * step))
-    return Tangent(y=y, z=np.zeros((chev.n, chev.n), dtype=complex))
+def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, base_g: np.ndarray,
+                              v: np.ndarray, step: float = 1e-6) -> Tangent:
+    """Central-difference pushforward of the section direction v at c,
+    along s +/- step * v; the section is affine, so both stay on it.
+    ``base_g`` is the group part of the chart at c."""
+    g_p = cjl_chart(chev, CJLPoint(c.lam, c.s + step * v)).g
+    g_m = cjl_chart(chev, CJLPoint(c.lam, c.s - step * v)).g
+    return Tangent(y=linalg.solve(base_g, (g_p - g_m) / (2.0 * step)), z=v)
 
 
-def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, j: int,
-                              step: float = 1e-6) -> Tangent:
-    """Central-difference pushforward of the j-th invariant-coordinate
-    direction on the section, moving along the coordinate line through the
-    section inverse."""
-    base = cjl_chart(chev, c)
-    z0 = invariant_vector(chev, c.s)
-    bump = np.zeros(chev.r, dtype=complex)
-    bump[j - 1] = step
-    x_p = section_from_invariants(chev, z0 + bump)
-    x_m = section_from_invariants(chev, z0 - bump)
-    g_p = cjl_chart(chev, CJLPoint(c.lam, x_p)).g
-    g_m = cjl_chart(chev, CJLPoint(c.lam, x_m)).g
-    y = linalg.solve(base.g, (g_p - g_m) / (2.0 * step))
-    z = (x_p - x_m) / (2.0 * step)
-    return Tangent(y=y, z=z)
+def chart_directions(chev: ChevalleyData, c: CJLPoint, step: float = 1e-6) -> list:
+    """Pushforwards of the 2r chart coordinate directions at c: the r flow
+    times, then the r invariant coordinates on the section.
+
+    Each is a central difference of the chart with the given step.  A
+    section direction moves along the coordinate field df_j, so its z part
+    is df_j itself and d f (z) is the j-th unit vector.
+    """
+    base_g = cjl_chart(chev, c).g
+    zero = np.zeros((chev.n, chev.n), dtype=complex)
+    dirs = []
+    for i in range(chev.r):
+        bump = np.zeros(chev.r, dtype=complex)
+        bump[i] = step
+        g_p = cjl_chart(chev, CJLPoint(c.lam + bump, c.s)).g
+        g_m = cjl_chart(chev, CJLPoint(c.lam - bump, c.s)).g
+        dirs.append(Tangent(y=linalg.solve(base_g, (g_p - g_m) / (2.0 * step)), z=zero))
+    return dirs + [chart_pushforward_section(chev, c, base_g, v, step)
+                   for v in coordinate_fields(chev, c.s)]
 
 
 @dataclass(frozen=True)
@@ -259,16 +238,15 @@ def cjl_pullback_deviation(chev: ChevalleyData, c: CJLPoint,
 
     The three exact blocks are 0, delta_ij, 0; the returned result holds the
     maximal absolute deviation per block.  ``fd_step`` must lie in
-    [1e-8, 1e-4].
+    ``FD_STEP_RANGE``.
     """
-    if not 1e-8 <= fd_step <= 1e-4:
-        raise ValueError(f"fd_step {fd_step:g} outside [1e-8, 1e-4]")
+    lo, hi = FD_STEP_RANGE
+    if not lo <= fd_step <= hi:
+        raise ValueError(f"fd_step {fd_step:g} outside [{lo:g}, {hi:g}]")
     r = chev.r
     x0 = np.asarray(c.s, dtype=complex)
-    flow_dirs = [chart_pushforward_lambda(chev, c, i, step=fd_step)
-                 for i in range(1, r + 1)]
-    section_dirs = [chart_pushforward_section(chev, c, j, step=fd_step)
-                    for j in range(1, r + 1)]
+    dirs = chart_directions(chev, c, step=fd_step)
+    flow_dirs, section_dirs = dirs[:r], dirs[r:]
 
     dev_ff = dev_fs = dev_ss = 0.0
     for i in range(r):

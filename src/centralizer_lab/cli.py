@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centralizer import cjl_pullback_deviation, cjl_pullback_tolerance
+from .centralizer import FD_STEP_RANGE, cjl_pullback_deviation, cjl_pullback_tolerance
 from .errors import CentralizerLabError, NotInGStar, NotInV
 from .formats import (
     dump_json,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cjl = subs.add_parser("cjl", help="chart pullback deviations")
     _add_common(p_cjl)
     p_cjl.add_argument("--fd-step", dest="fd_step", type=float,
-                       help="finite-difference step, in [1e-8, 1e-4]")
+                       help="finite-difference step, in [{:g}, {:g}]".format(*FD_STEP_RANGE))
     return parser
 
 
@@ -274,8 +274,9 @@ def cmd_embed(cfg: RunConfig) -> int:
 
 
 def cmd_cjl(cfg: RunConfig) -> int:
-    if not 1e-8 <= cfg.fd_step <= 1e-4:
-        raise ConfigError(f"fd_step {cfg.fd_step:g} outside [1e-8, 1e-4]")
+    lo, hi = FD_STEP_RANGE
+    if not lo <= cfg.fd_step <= hi:
+        raise ConfigError(f"fd_step {cfg.fd_step:g} outside [{lo:g}, {hi:g}]")
     chev = build_chevalley(cfg.n)
     rng = stream(cfg.seed, "cli_cjl")
     points = [random_cjl_point(chev, rng) for _ in range(cfg.samples)]

@@ -32,8 +32,7 @@ from . import linalg
 from .centralizer import (
     CJLPoint,
     ZPoint,
-    chart_pushforward_lambda,
-    chart_pushforward_section,
+    chart_directions,
     cjl_chart,
     cjl_pullback_deviation,
     cjl_pullback_tolerance,
@@ -416,12 +415,6 @@ def _random_z_point(chev, rng) -> ZPoint:
     return ZPoint(g=random_stabilizer_element(chev, rng, x), x=x)
 
 
-def _chart_directions(chev, c):
-    """Pushforwards of the r flow and the r section directions at ``c``."""
-    return ([chart_pushforward_lambda(chev, c, i) for i in range(1, chev.r + 1)]
-            + [chart_pushforward_section(chev, c, j) for j in range(1, chev.r + 1)])
-
-
 @_register("cent_flow_preserves_points", 1e-9)
 def _check_flow_preserves(chev, rng, k):
     p = _random_z_point(chev, rng)
@@ -463,7 +456,7 @@ def _check_ham_isotropy(chev, rng, k):
 def _check_ham_duality(chev, rng, k):
     c = random_cjl_point(chev, rng)
     p = cjl_chart(chev, c)
-    dirs = _chart_directions(chev, c)
+    dirs = chart_directions(chev, c)
     pairs = [(hamiltonian_field(chev, p, i), invariant_gradient(chev, p.x, i))
              for i in range(1, chev.r + 1)]
     return max(abs(symplectic_form(chev, p.x, ham, v) - pairing(grad, v.z))
@@ -486,7 +479,7 @@ def _check_cjl_surjectivity(chev, rng, k):
 @_register("cent_cjl_chart_rank", 0.5)
 def _check_cjl_rank(chev, rng, k):
     # Deviation is 1 when the chart Jacobian is rank-deficient, else 0.
-    dirs = _chart_directions(chev, random_cjl_point(chev, rng))
+    dirs = chart_directions(chev, random_cjl_point(chev, rng))
     jac = np.stack([np.concatenate([v.y.ravel(), v.z.ravel()]) for v in dirs], axis=1)
     sigma = np.linalg.svd(jac, compute_uv=False)
     return float(sigma[-1] <= 1e-6 * sigma[0])

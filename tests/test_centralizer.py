@@ -1,32 +1,34 @@
 import numpy as np
 import pytest
 
-from centralizer_lab import linalg
+from centralizer_lab import centralizer, invariants, linalg
 from centralizer_lab.centralizer import (
+    FD_STEP_RANGE,
     CJLPoint,
     Tangent,
     ZPoint,
-    chart_pushforward_lambda,
-    chart_pushforward_section,
+    chart_directions,
     check_z_point,
     cjl_chart,
     cjl_pullback_deviation,
     coordinate_fields,
     flow_step,
     hamiltonian_field,
-    is_z_point,
-    moment_left,
-    moment_pair,
     moment_preimage_report,
-    moment_right,
     symplectic_form,
     z_invariants,
 )
 from centralizer_lab.errors import InvalidZPoint
-from centralizer_lab.invariants import invariant_gradient, invariant_gradients, invariant_vector
-from centralizer_lab.lie_core import build_chevalley, pairing, scalar_aligned_distance
+from centralizer_lab.invariants import (
+    invariant_gradient,
+    invariant_gradients,
+    invariant_vector,
+    section_from_invariants,
+)
+from centralizer_lab.lie_core import adjoint, build_chevalley, pairing, scalar_aligned_distance
 from centralizer_lab.sampling import (
     complex_uniform,
+    random_cjl_point,
     random_group_element,
     random_section_point,
     random_stabilizer_element,
@@ -89,27 +91,31 @@ def test_symplectic_term_by_term_oracle_n2():
 # ----------------------------- moment maps ------------------------------- #
 
 def test_moment_maps():
+    # The moment values of (g, x) are Ad_g(x) and -x; on the centralizer
+    # both land in (a sign flip of) the section, off it the left one does not.
     chev = build_chevalley(3)
     rng = stream(52, "moments")
-    x = random_traceless(chev, rng)
-    assert np.allclose(moment_left(np.eye(3), x), x)
-    assert np.array_equal(moment_right(np.eye(3), x), -x)
     s = random_section_point(chev, rng)
     g = random_stabilizer_element(chev, rng, s)
-    mu_l, mu_r = moment_pair(g, s)
-    assert linalg.norm(mu_l - s) <= 1e-9 * linalg.norm(s)
-    assert np.array_equal(mu_r, -s)
+    assert linalg.norm(adjoint(g, s) - s) <= 1e-9 * linalg.norm(s)
+    report = moment_preimage_report(chev, [(np.eye(3), s), (g, s),
+                                           (random_group_element(chev, rng), s)])
+    assert (report.centralizer_members, report.preimage_members) == (2, 2)
+    assert report.mismatches == 0
 
 
-def test_is_z_point_examples():
+def test_check_z_point_examples():
     chev = build_chevalley(3)
-    assert is_z_point(chev, np.eye(3), chev.xi)
+    p = ZPoint(g=np.eye(3), x=chev.xi)
+    assert check_z_point(chev, p) is p
     rng = stream(53, "zpoint")
     s = random_section_point(chev, rng)
     g = linalg.mat_exp(invariant_gradient(chev, s, 1))
-    assert is_z_point(chev, g, s)
-    assert not is_z_point(chev, random_group_element(chev, rng), s)
-    assert not is_z_point(chev, g, s + 0.5 * chev.e_minus[1] @ chev.e_minus[0])
+    check_z_point(chev, ZPoint(g=g, x=s))
+    with pytest.raises(InvalidZPoint, match="moves x"):
+        check_z_point(chev, ZPoint(g=random_group_element(chev, rng), x=s))
+    with pytest.raises(InvalidZPoint, match="misses the section"):
+        check_z_point(chev, ZPoint(g=g, x=s + 0.5 * chev.e_minus[1] @ chev.e_minus[0]))
 
 
 def test_check_z_point_raises():
@@ -203,8 +209,7 @@ def test_hamiltonian_duality_against_fd_pushforwards():
     for _ in range(5):
         c = _random_cjl(chev, rng)
         p = cjl_chart(chev, c)
-        dirs = [chart_pushforward_lambda(chev, c, i) for i in (1, 2)]
-        dirs += [chart_pushforward_section(chev, c, j) for j in (1, 2)]
+        dirs = chart_directions(chev, c)
         for i in range(1, chev.r + 1):
             ham = hamiltonian_field(chev, p, i)
             grad = invariant_gradient(chev, p.x, i)
@@ -235,7 +240,7 @@ def test_flow_step_golden_hyperbolic():
         moved = flow_step(chev, t, p, 1)
         expected = np.cosh(t) * np.eye(2) + np.sinh(t) * FLIP2
         assert linalg.norm(moved.g - expected) <= 1e-12 * np.cosh(t)
-        assert is_z_point(chev, moved.g, moved.x)
+        check_z_point(chev, moved)
 
 
 def test_flow_step_group_law():
@@ -352,13 +357,78 @@ def test_cjl_chart_differential_full_rank():
     chev = build_chevalley(3)
     rng = stream(70, "chart-rank")
     for _ in range(5):
-        c = _random_cjl(chev, rng)
-        cols = []
-        for i in range(1, chev.r + 1):
-            v = chart_pushforward_lambda(chev, c, i)
-            cols.append(np.concatenate([v.y.ravel(), v.z.ravel()]))
-        for j in range(1, chev.r + 1):
-            v = chart_pushforward_section(chev, c, j)
-            cols.append(np.concatenate([v.y.ravel(), v.z.ravel()]))
+        dirs = chart_directions(chev, _random_cjl(chev, rng))
+        cols = [np.concatenate([v.y.ravel(), v.z.ravel()]) for v in dirs]
         sigma = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
         assert sigma[-1] > 1e-6 * sigma[0]
+
+
+def _section_inverse_pushforward(chev, c, j, step=1e-6):
+    """Reference for the j-th section direction (0-based): the chart along
+    the coordinate line F^-1(F(s) +/- step e_j), through the Newton
+    section inverse."""
+    base = cjl_chart(chev, c)
+    bump = np.zeros(chev.r, dtype=complex)
+    bump[j] = step
+    z0 = invariant_vector(chev, c.s)
+    x_p = section_from_invariants(chev, z0 + bump)
+    x_m = section_from_invariants(chev, z0 - bump)
+    g_p = cjl_chart(chev, CJLPoint(c.lam, x_p)).g
+    g_m = cjl_chart(chev, CJLPoint(c.lam, x_m)).g
+    return Tangent(y=linalg.solve(base.g, (g_p - g_m) / (2.0 * step)),
+                   z=(x_p - x_m) / (2.0 * step))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_section_directions_match_section_inverse_route(n):
+    # dF(df_j) = e_j, so moving along the coordinate field and moving along
+    # the coordinate line through the section inverse give the same tangent.
+    chev = build_chevalley(n)
+    rng = stream(71, f"chart-dirs-{n}")
+    for _ in range(3):
+        c = random_cjl_point(chev, rng)
+        dirs = chart_directions(chev, c)
+        assert len(dirs) == 2 * chev.r
+        for j, v in enumerate(dirs[chev.r:]):
+            ref = _section_inverse_pushforward(chev, c, j)
+            assert linalg.norm(v.y - ref.y) <= 1e-6
+            assert linalg.norm(v.z - ref.z) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
+    # one base chart plus two per central difference; the section inverse
+    # and the invariant vector are not on the chart path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the chart path left the affine section")
+
+    monkeypatch.setattr(invariants, "section_from_invariants", forbidden)
+    monkeypatch.setattr(invariants, "invariant_vector", forbidden)
+    monkeypatch.setattr(centralizer, "invariant_vector", forbidden)
+    calls = []
+    chart = centralizer.cjl_chart
+    monkeypatch.setattr(centralizer, "cjl_chart",
+                        lambda *args: calls.append(1) or chart(*args))
+    chev = build_chevalley(n)
+    c = random_cjl_point(chev, stream(72, f"chart-count-{n}"))
+    chart_directions(chev, c)
+    assert len(calls) == 1 + 4 * chev.r
+    calls.clear()
+    cjl_pullback_deviation(chev, c)
+    assert len(calls) == 1 + 4 * chev.r
+
+
+def test_fd_step_range_boundaries():
+    from centralizer_lab.cli import main
+
+    chev = build_chevalley(2)
+    c = _random_cjl(chev, stream(73, "fd-step-range"))
+    lo, hi = FD_STEP_RANGE
+    assert (lo, hi) == (1e-8, 1e-4)
+    for step in (lo, hi):
+        assert cjl_pullback_deviation(chev, c, fd_step=step).max_deviation <= 1e-5
+        assert main(["cjl", "--n", "2", "--samples", "2", "--fd-step", repr(step)]) == 0
+    for step in (9.9e-9, 1.01e-4):
+        with pytest.raises(ValueError, match="outside"):
+            cjl_pullback_deviation(chev, c, fd_step=step)
+        assert main(["cjl", "--n", "2", "--samples", "2", "--fd-step", repr(step)]) == 2

