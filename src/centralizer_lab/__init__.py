@@ -11,7 +11,6 @@ from .errors import (
     NoConvergence,
     NotCentralizing,
     NotInGStar,
-    NotInTorus,
     NotInV,
     NotInW,
     NotInXiPlusB,
@@ -33,7 +32,6 @@ __all__ = [
     "NoConvergence",
     "NotCentralizing",
     "NotInGStar",
-    "NotInTorus",
     "NotInV",
     "NotInW",
     "NotInXiPlusB",

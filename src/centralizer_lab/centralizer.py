@@ -103,14 +103,15 @@ class MomentPreimageReport:
         return self.mismatches == 0
 
 
-def moment_preimage_report(chev: ChevalleyData, points,
-                           tol: float = STABILIZER_TOL) -> MomentPreimageReport:
+def moment_preimage_report(chev: ChevalleyData, points) -> MomentPreimageReport:
     """Check both inclusions on a sample of (g, x) pairs.
 
     Membership in the centralizer is the stabilizer condition; membership
     in the preimage asks that both moment values land in (a sign flip of)
-    the section.  The two predicates must agree on every sample.
+    the section.  Both are decided at ``STABILIZER_TOL``.  The two
+    predicates must agree on every sample.
     """
+    tol = STABILIZER_TOL
     total = z_members = pre_members = mismatches = 0
     max_res = 0.0
     for g, x in points:
@@ -131,11 +132,10 @@ def moment_preimage_report(chev: ChevalleyData, points,
                                 max_member_residual=max_res)
 
 
-def z_invariants(chev: ChevalleyData, p: ZPoint,
-                 tol: float = STABILIZER_TOL) -> np.ndarray:
+def z_invariants(chev: ChevalleyData, p: ZPoint) -> np.ndarray:
     """The invariant system on the centralizer: invariants of the algebra
     part, independent of the group part."""
-    check_z_point(chev, p, tol=tol)
+    check_z_point(chev, p)
     return invariant_vector(chev, p.x)
 
 

@@ -36,10 +36,6 @@ class SingularMinor(CentralizerLabError):
         super().__init__(message or f"leading principal minor {index} is numerically zero")
 
 
-class NotInTorus(CentralizerLabError):
-    """The group element is not diagonal modulo scalar."""
-
-
 class NotInXiPlusB(CentralizerLabError):
     """The matrix does not have the companion-plus-upper-triangular shape
     (unit subdiagonal from the regular nilpotent, nothing below it)."""

@@ -23,8 +23,6 @@ from . import linalg
 from .errors import NoConvergence
 from .lie_core import ChevalleyData, build_chevalley
 
-CHAMBER_GAP = 1e-9
-
 
 def invariant_vector(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """F(x) = (tr(x^2)/2, ..., tr(x^n)/n)."""
@@ -69,11 +67,6 @@ def _leading_coefficients(n: int) -> np.ndarray:
     return gammas
 
 
-def section_invariants(chev: ChevalleyData, coords) -> np.ndarray:
-    """F evaluated on the section point with the given coordinates."""
-    return invariant_vector(chev, chev.section_point(coords))
-
-
 def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
     """The unique section point x with F(x) = z.
 
@@ -89,20 +82,20 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
 
     coords = np.zeros(chev.r, dtype=complex)
     for i in range(1, chev.r + 1):
-        partial = section_invariants(chev, coords)
+        partial = invariant_vector(chev, chev.section_point(coords))
         coords[i - 1] = (z[i - 1] - partial[i - 1]) / gammas[i - 1]
 
     tol = 1e-10 * (1.0 + float(np.linalg.norm(z)))
     step = 1e-7
     for _ in range(2):
-        current = section_invariants(chev, coords)
+        current = invariant_vector(chev, chev.section_point(coords))
         if np.linalg.norm(current - z) <= 1e-2 * tol:
             break
         jac = np.zeros((chev.r, chev.r), dtype=complex)
         for j in range(chev.r):
             bumped = coords.copy()
             bumped[j] += step
-            jac[:, j] = (section_invariants(chev, bumped) - current) / step
+            jac[:, j] = (invariant_vector(chev, chev.section_point(bumped)) - current) / step
         coords = coords + np.linalg.solve(jac, z - current)
 
     x = chev.section_point(coords)
@@ -112,24 +105,3 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
             f"section inversion residual {residual:.3e} exceeds {tol:.3e} "
             f"(n={chev.n}, ||z||={np.linalg.norm(z):.3e})")
     return x
-
-
-def real_part_gap(values) -> float:
-    """Smallest pairwise distance between the real parts of the values."""
-    re = np.sort(np.real(np.asarray(values)))
-    if re.size < 2:
-        return np.inf
-    return float(np.min(np.diff(re)))
-
-
-def in_chamber_image(chev: ChevalleyData, z) -> bool:
-    """Whether the invariant vector z comes from the open chamber.
-
-    True iff the n roots of the characteristic polynomial encoded by z
-    (the spectrum of the section point with invariants z) have pairwise
-    distinct real parts with minimal gap > ``CHAMBER_GAP``.  Boundary spectra are
-    rejected, never perturbed.
-    """
-    x = section_from_invariants(chev, z)
-    values, _ = linalg.eig(x)
-    return real_part_gap(values) > CHAMBER_GAP

@@ -30,11 +30,13 @@ import numpy as np
 
 from . import linalg
 from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiPlusB, SingularMinor
-from .invariants import CHAMBER_GAP, real_part_gap
 from .lie_core import ChevalleyData, adjoint, build_chevalley
 
 # Root coordinates (superdiagonal entries) of modulus at most this are zero.
 MIN_ROOT_COORD = 1e-13
+# Spectra whose real parts are not pairwise separated by more than this
+# have no chamber form.
+CHAMBER_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,12 +122,14 @@ def _elimination_data(n: int):
 
 
 def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposition:
-    """Inverse of :func:`conjugate_section` on xi + (upper triangular).
+    """Inverse of :func:`conjugate_section` on the traceless points of
+    xi + (upper triangular).
 
     Raises :class:`NotInXiPlusB` when the strictly lower part of z differs
-    from the unit subdiagonal, and :class:`NoConvergence` if the eliminated
-    matrix misses the section (relative to the conditioning of the
-    accumulated conjugator).
+    from the unit subdiagonal or z has nonzero trace (the section is
+    traceless, so no decomposition exists), and :class:`NoConvergence` if
+    the eliminated matrix misses the section (relative to the conditioning
+    of the accumulated conjugator).
     """
     z = linalg.as_matrix(z)
     n = chev.n
@@ -134,6 +138,8 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
     scale = 1.0 + linalg.norm(z)
     if linalg.norm(np.tril(z, -1) - chev.xi) > 1e-12 * scale:
         raise NotInXiPlusB("strictly lower part is not the unit subdiagonal")
+    if abs(np.trace(z)) > 1e-12 * scale:
+        raise NotInXiPlusB(f"trace {np.trace(z):.3e} is not zero")
 
     solvers = _elimination_data(n)
     current = z.astype(complex).copy()
@@ -159,6 +165,14 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
         raise NoConvergence(
             f"graded elimination left section residual {residual:.3e}")
     return SectionDecomposition(u=u, s=current)
+
+
+def real_part_gap(values) -> float:
+    """Smallest pairwise distance between the real parts of the values."""
+    re = np.sort(np.real(np.asarray(values)))
+    if re.size < 2:
+        return np.inf
+    return float(np.min(np.diff(re)))
 
 
 def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:

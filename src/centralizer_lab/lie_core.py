@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotInTorus, UnsupportedRank
+from .errors import DimensionMismatch, UnsupportedRank
 
 MIN_RANK_PLUS_ONE = 2
 MAX_RANK_PLUS_ONE = 8
@@ -48,8 +48,6 @@ class ChevalleyData:
       c:               integer coefficients c_i = i (n - i).
       centralizer_eta: basis eta, eta^2, ..., eta^r of the centralizer of eta;
                        the Kostant section is xi + span(centralizer_eta).
-      basis:           orthonormal (Frobenius) basis of sl_n used for
-                       coordinates of the adjoint action.
     """
 
     n: int
@@ -61,7 +59,6 @@ class ChevalleyData:
     eta: np.ndarray
     c: tuple
     centralizer_eta: tuple
-    basis: tuple
     _section_pinv: np.ndarray = field(repr=False)
 
     def section_point(self, coords) -> np.ndarray:
@@ -131,25 +128,12 @@ def build_chevalley(n: int) -> ChevalleyData:
         powers.append(_freeze(p.copy()))
     centralizer_eta = tuple(powers)
 
-    # Orthonormal basis of sl_n: the matrix units off the diagonal are
-    # already orthonormal in the Frobenius inner product; the traceless
-    # diagonal part gets an explicit orthonormalization.
-    basis = [_matrix_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
-    diag_raw = np.zeros((n, r), dtype=complex)
-    for k in range(r):
-        diag_raw[k, k] = 1.0
-        diag_raw[k + 1, k] = -1.0
-    q, _ = np.linalg.qr(diag_raw)
-    for k in range(r):
-        basis.append(np.diag(q[:, k]))
-    basis = tuple(_freeze(b) for b in basis)
-
     section_matrix = np.stack([b.ravel() for b in centralizer_eta], axis=1)
     section_pinv = _freeze(np.linalg.pinv(section_matrix))
 
     return ChevalleyData(
         n=n, r=r, e_plus=e_plus, e_minus=e_minus, h=h, xi=xi, eta=eta, c=c,
-        centralizer_eta=centralizer_eta, basis=basis, _section_pinv=section_pinv)
+        centralizer_eta=centralizer_eta, _section_pinv=section_pinv)
 
 
 def pairing(x: np.ndarray, y: np.ndarray) -> complex:
@@ -165,58 +149,21 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def ad_action(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
-    """Matrix of y -> [x, y] in the fixed orthonormal basis of sl_n."""
-    x = linalg.as_matrix(x)
-    d = len(chev.basis)
-    out = np.zeros((d, d), dtype=complex)
-    for j, b in enumerate(chev.basis):
-        out[:, j] = coords_of(chev, bracket(x, b))
-    return out
+def centralizer_basis(chev: ChevalleyData, x: np.ndarray):
+    """Numerical basis of the centralizer {y in sl_n : [x, y] = 0}.
 
-
-def coords_of(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
-    """Coordinates of a traceless matrix in the orthonormal sl_n basis."""
-    return np.array([np.vdot(b, x) for b in chev.basis])
-
-
-def from_coords(chev: ChevalleyData, coeffs) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.zeros((chev.n, chev.n), dtype=complex)
-    for ck, b in zip(coeffs, chev.basis):
-        out += ck * b
-    return out
-
-
-def centralizer_basis(chev: ChevalleyData, x: np.ndarray, tol: float = 1e-10):
-    """Numerical basis of the centralizer {y in sl_n : [x, y] = 0}."""
-    kernel = linalg.kernel_basis(ad_action(chev, x), tol=tol)
-    return [from_coords(chev, kernel[:, k]) for k in range(kernel.shape[1])]
-
-
-def project_triangular(x: np.ndarray):
-    """Split x into (diagonal, strictly upper, strictly lower) parts."""
-    x = linalg.as_matrix(x)
-    t_part = np.diag(np.diag(x))
-    u_part = np.triu(x, 1)
-    uminus_part = np.tril(x, -1)
-    return t_part, u_part, uminus_part
-
-
-def root_char(t: np.ndarray, i: int) -> complex:
-    """Value of the i-th simple root character t_i / t_{i+1}, i = 1..n-1.
-
-    Well defined on the scalar quotient.  Raises :class:`NotInTorus` when
-    the off-diagonal mass of t exceeds 1e-10 * ||t||.
+    The null space of y -> [x, y] on row-major vec(y), which is
+    kron(x, I) - kron(I, x^T), with one more row ||x|| vec(I) for tr y = 0;
+    scaled by ||x||, that row leaves the rank decision unchanged when x is
+    rescaled, and its 1e-300 floor gives the zero matrix all of sl_n.
     """
-    t = linalg.as_matrix(t)
-    n = t.shape[0]
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple root index {i} outside 1..{n - 1}")
-    off = t - np.diag(np.diag(t))
-    if linalg.norm(off) > 1e-10 * max(linalg.norm(t), 1e-300):
-        raise NotInTorus("group element is not diagonal modulo scalar")
-    return complex(t[i - 1, i - 1] / t[i, i])
+    x = linalg.as_matrix(x)
+    n = chev.n
+    eye = np.eye(n)
+    trace_row = max(linalg.norm(x), 1e-300) * eye.reshape(1, n * n)
+    kernel = linalg.kernel_basis(
+        np.vstack([np.kron(x, eye) - np.kron(eye, x.T), trace_row]))
+    return [kernel[:, k].reshape(n, n) for k in range(kernel.shape[1])]
 
 
 def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -225,16 +172,12 @@ def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return g @ x @ linalg.inv(g)
 
 
-def is_scalar_matrix(m: np.ndarray, tol: float = 1e-9) -> bool:
-    m = linalg.as_matrix(m)
-    n = m.shape[0]
-    scalar = (np.trace(m) / n) * np.eye(n)
-    return linalg.norm(m - scalar) <= tol * max(linalg.norm(m), 1e-300)
-
-
-def group_equal(g1: np.ndarray, g2: np.ndarray, tol: float = 1e-9) -> bool:
-    """Equality in PGL_n: g1 g2^{-1} is within tol of a scalar matrix."""
-    return is_scalar_matrix(linalg.as_matrix(g1) @ linalg.inv(g2), tol=tol)
+def group_equal(g1: np.ndarray, g2: np.ndarray) -> bool:
+    """Equality in PGL_n: g1 g2^{-1} is within 1e-9 (relative) of a scalar
+    matrix."""
+    m = linalg.as_matrix(g1) @ linalg.inv(g2)
+    scalar = (np.trace(m) / m.shape[0]) * np.eye(m.shape[0])
+    return linalg.norm(m - scalar) <= 1e-9 * max(linalg.norm(m), 1e-300)
 
 
 def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray) -> float:

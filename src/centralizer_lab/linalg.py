@@ -100,11 +100,11 @@ def gauss_ldu(a: np.ndarray):
     return lower, np.diag(np.ldexp(d.view(np.float64), -shift).view(complex)), upper
 
 
-def kernel_basis(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def kernel_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``.
 
     Columns of the returned array span the right singular directions whose
-    singular values fall below ``tol * sigma_max``; for the zero matrix that
+    singular values fall below ``1e-10 * sigma_max``; for the zero matrix that
     is the full standard basis.  ``a`` may be rectangular.
     """
     a = np.asarray(a, dtype=complex)
@@ -116,7 +116,7 @@ def kernel_basis(a: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if smax <= 0.0:
         return np.eye(ncols, dtype=complex)
     mask = np.ones(ncols, dtype=bool)
-    mask[: s.size] = s < tol * smax
+    mask[: s.size] = s < 1e-10 * smax
     return vh.conj().T[:, mask]
 
 

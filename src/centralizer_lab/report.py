@@ -51,35 +51,28 @@ class Report:
                    f"({sum(not c.passed for c in self.checks)} failing)")
         return out
 
-    def to_json_obj(self, include_timing: bool = True) -> dict:
-        checks = []
-        for c in self.checks:
-            entry = {
-                "name": c.name,
-                "max_deviation": c.max_deviation if math.isfinite(c.max_deviation) else None,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "samples": c.samples,
-                "skipped": c.skipped,
-                "error": c.error,
-            }
-            if include_timing:
-                entry["seconds"] = c.seconds
-            checks.append(entry)
+    def to_json_obj(self) -> dict:
+        checks = [{
+            "name": c.name,
+            "max_deviation": c.max_deviation if math.isfinite(c.max_deviation) else None,
+            "tolerance": c.tolerance,
+            "passed": c.passed,
+            "samples": c.samples,
+            "skipped": c.skipped,
+            "error": c.error,
+            "seconds": c.seconds,
+        } for c in self.checks]
         return {"config": self.config, "checks": checks, "passed": self.passed}
 
-    def to_csv(self, include_timing: bool = True) -> str:
+    def to_csv(self) -> str:
         header = ["name", "max_deviation", "tolerance", "passed", "samples", "skipped",
-                  "error"]
-        if include_timing:
-            header.append("seconds")
+                  "error", "seconds"]
         rows = [",".join(header)]
         for c in self.checks:
             # the error cell holds the type only, since a message may hold a comma
             row = [c.name, fmt_float(c.max_deviation), fmt_float(c.tolerance),
                    "true" if c.passed else "false", str(c.samples),
-                   str(sum(c.skipped.values())), (c.error or "").partition(":")[0]]
-            if include_timing:
-                row.append(fmt_float(c.seconds))
+                   str(sum(c.skipped.values())), (c.error or "").partition(":")[0],
+                   fmt_float(c.seconds)]
             rows.append(",".join(row))
         return "\n".join(rows) + "\n"

@@ -37,9 +37,8 @@ def complex_uniform(rng: np.random.Generator, shape, scale: float = 1.0) -> np.n
     return scale * (re + 1j * im)
 
 
-def random_traceless(chev: ChevalleyData, rng: np.random.Generator,
-                     scale: float = 1.0) -> np.ndarray:
-    m = complex_uniform(rng, (chev.n, chev.n), scale=scale)
+def random_traceless(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
+    m = complex_uniform(rng, (chev.n, chev.n))
     return m - (np.trace(m) / chev.n) * np.eye(chev.n)
 
 
@@ -76,41 +75,40 @@ def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator) -> CJLPoint:
 
 
 def random_stabilizer_element(chev: ChevalleyData, rng: np.random.Generator,
-                              x: np.ndarray, scale: float = 0.5) -> np.ndarray:
+                              x: np.ndarray) -> np.ndarray:
     """exp of a random combination of the invariant gradients of x, the
     generic way to draw from the identity component of the stabilizer.
 
-    Each gradient's coefficient is damped by its norm so the exponent stays
-    bounded independently of n.
+    Each gradient's coefficient is damped to 0.5 / max(1, its norm) so the
+    exponent stays bounded independently of n.
     """
     grads = invariant_gradients(chev, x)
     total = np.zeros((chev.n, chev.n), dtype=complex)
     for grad in grads:
-        coeff = complex_uniform(rng, ()) * (scale / max(1.0, linalg.norm(grad)))
+        coeff = complex_uniform(rng, ()) * (0.5 / max(1.0, linalg.norm(grad)))
         total += coeff * grad
     return linalg.mat_exp(total)
 
 
-def random_toda_point(chev: ChevalleyData, rng: np.random.Generator,
-                      scale: float = 1.0) -> TodaPoint:
+def random_toda_point(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoint:
     """Entries uniform in the unit box (diagonal recentred to trace zero);
     zero superdiagonal draws are redrawn, they carry no measure."""
-    diag = complex_uniform(rng, (chev.n,), scale=scale)
+    diag = complex_uniform(rng, (chev.n,))
     diag = diag - np.mean(diag)
-    coords = complex_uniform(rng, (chev.r,), scale=scale)
+    coords = complex_uniform(rng, (chev.r,))
     while np.any(np.abs(coords) <= MIN_ROOT_COORD):
-        coords = complex_uniform(rng, (chev.r,), scale=scale)
+        coords = complex_uniform(rng, (chev.r,))
     return make_toda_point(diag, coords)
 
 
-def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator,
-                       scale: float = 1.0, max_tries: int = 1000) -> TodaPoint:
-    """Rejection-sample a phase-space point inside the flow domain."""
-    for _ in range(max_tries):
-        p = random_toda_point(chev, rng, scale=scale)
+def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoint:
+    """Rejection-sample a phase-space point inside the flow domain, in at
+    most 1000 draws."""
+    for _ in range(1000):
+        p = random_toda_point(chev, rng)
         if in_flow_domain(chev, p):
             return p
-    raise NoConvergence(f"no flow-domain point found in {max_tries} draws")
+    raise NoConvergence("no flow-domain point found in 1000 draws")
 
 
 def domain_fraction(chev: ChevalleyData, rng: np.random.Generator,

@@ -232,8 +232,9 @@ def _check_pairing_invariance(chev, rng, k):
 
 @_register("lie_torus_gram_nondegenerate")
 def _check_torus_gram(chev, rng, samples):
-    diag_basis = [b for b in chev.basis if linalg.norm(b - np.diag(np.diag(b))) == 0.0]
-    gram = np.array([[pairing(a, b) for b in diag_basis] for a in diag_basis])
+    # On the simple coroots the Gram matrix is the Cartan matrix, det = n.
+    coroots = [bracket(e, f) for e, f in zip(chev.e_plus, chev.e_minus)]
+    gram = np.array([[pairing(a, b) for b in coroots] for a in coroots])
     det = abs(np.linalg.det(gram))
     return (0.0 if det > 1e-8 else 1.0), 0.5, 1
 
@@ -326,8 +327,8 @@ def _random_xi_plus_b(chev, rng):
     return chev.xi + upper
 
 
-def _random_unitriangular(chev, rng, scale=0.8):
-    return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=scale), 1)
+def _random_unitriangular(chev, rng):
+    return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=0.8), 1)
 
 
 @_register("kostant_section_decomposition_roundtrip", 1e-10)
@@ -432,7 +433,7 @@ def _check_moment_preimage(chev, rng, samples):
         p = _random_z_point(chev, rng)
         points.append((p.g, p.x))
         points.append((random_group_element(chev, rng), p.x))
-    report = moment_preimage_report(chev, points, tol=1e-9)
+    report = moment_preimage_report(chev, points)
     dev = float(report.mismatches) + report.max_member_residual
     return dev, 1e-9 + 0.5, len(points)
 

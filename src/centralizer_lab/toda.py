@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW, SingularMinor
-from .invariants import CHAMBER_GAP, invariant_gradient, real_part_gap
+from .invariants import invariant_gradient
 from .kostant_maps import MIN_ROOT_COORD, chamber_form, dress, normal_forms, unipotent_conjugator
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
 
@@ -71,11 +71,13 @@ def toda_point_from_matrix(chev: ChevalleyData, m: np.ndarray) -> TodaPoint:
 
 
 def in_flow_domain(chev: ChevalleyData, p: TodaPoint) -> bool:
-    """Whether the spectrum of p has real parts pairwise separated by more
-    than ``CHAMBER_GAP``, i.e. whether the chamber normal form (and hence the
-    factorization solution) exists at p."""
-    values, _ = linalg.eig(toda_matrix(chev, p))
-    return real_part_gap(values) > CHAMBER_GAP
+    """Whether the chamber normal form (and hence the factorization
+    solution) exists at p, i.e. whether :func:`chamber_form` accepts it."""
+    try:
+        chamber_form(chev, toda_matrix(chev, p))
+    except NotInV:
+        return False
+    return True
 
 
 def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> TodaPoint:
@@ -192,14 +194,14 @@ def intertwine_check(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> f
     return max(dev_g, dev_x)
 
 
-def intertwine_infinitesimal(chev: ChevalleyData, i: int, p: TodaPoint,
-                             step: float = 1e-6) -> float:
+def intertwine_infinitesimal(chev: ChevalleyData, i: int, p: TodaPoint) -> float:
     """Deviation between the Hamiltonian field at the embedded point and the
-    finite-difference pushforward of the Toda vector field.
+    central-difference pushforward, with step 1e-6, of the Toda vector field.
 
     The group-direction derivative is compared in the scalar quotient, so
     its traceless part is the meaningful representative.
     """
+    step = 1e-6
     base = embed(chev, p)
     target = hamiltonian_field(chev, base, i)
     w = toda_vector_field(chev, i, p)

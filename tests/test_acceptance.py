@@ -175,8 +175,7 @@ def test_criterion_4_intertwining():
             except NotInGStar:
                 skipped += 1  # complex-time blow-up: both sides undefined
             if k % 5 == 0:
-                worst_inf = max(worst_inf, intertwine_infinitesimal(chev, i, p,
-                                                                    step=1e-6))
+                worst_inf = max(worst_inf, intertwine_infinitesimal(chev, i, p))
     passed = worst_flow <= 1e-7 and worst_inf <= 1e-5 and skipped <= 15
     _report("criterion 4 (Hamiltonian intertwining)", passed,
             f"flow max_dev={worst_flow:.3e} tol=1e-7, "
@@ -195,7 +194,7 @@ def test_criterion_5_moment_preimage():
             s = random_section_point(chev, rng)
             points.append((random_stabilizer_element(chev, rng, s), s))
             points.append((random_group_element(chev, rng), s))
-        report = moment_preimage_report(chev, points, tol=1e-9)
+        report = moment_preimage_report(chev, points)
         ok = (report.mismatches == 0 and report.total == 200
               and report.max_member_residual <= 1e-9)
         all_pass = all_pass and ok

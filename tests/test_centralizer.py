@@ -134,7 +134,7 @@ def test_moment_preimage_report():
         s = random_section_point(chev, rng)
         points.append((random_stabilizer_element(chev, rng, s), s))
         points.append((random_group_element(chev, rng), s))
-    report = moment_preimage_report(chev, points, tol=1e-9)
+    report = moment_preimage_report(chev, points)
     assert report.total == 100
     assert report.mismatches == 0
     assert report.centralizer_members == report.preimage_members

@@ -13,8 +13,9 @@ from centralizer_lab.errors import (
     NotInV,
     NotInXiPlusB,
 )
-from centralizer_lab.invariants import CHAMBER_GAP, invariant_vector, real_part_gap
+from centralizer_lab.invariants import invariant_vector
 from centralizer_lab.kostant_maps import (
+    CHAMBER_GAP,
     chamber_conjugator,
     chamber_form,
     chamber_to_section_conjugator,
@@ -23,6 +24,7 @@ from centralizer_lab.kostant_maps import (
     dress,
     gstar_factor,
     longest_weyl_lift,
+    real_part_gap,
     section_form,
     stabilizer_lift,
     unipotent_conjugator,
@@ -160,6 +162,14 @@ def test_decompose_rejects_off_shape():
     bad = chev.xi * 2.0  # subdiagonal is 2, not 1
     with pytest.raises(NotInXiPlusB):
         decompose_to_section(chev, bad)
+
+
+def test_decompose_rejects_nonzero_trace():
+    # The section is traceless and conjugation keeps the trace, so a point
+    # of xi + b with trace has no decomposition; nothing is eliminated.
+    chev = build_chevalley(2)
+    with pytest.raises(NotInXiPlusB, match="trace"):
+        decompose_to_section(chev, np.array([[0, 0], [1, 1j]]))
 
 
 def test_unipotent_exp_matches_general_exp():

@@ -5,10 +5,12 @@ from scipy.integrate import solve_ivp
 from centralizer_lab import invariants, kostant_maps, linalg, toda
 from centralizer_lab.centralizer import check_z_point, flow_step, stabilizer_residual, z_invariants
 from centralizer_lab.errors import NoConvergence, NotInGStar, NotInV, NotInW
-from centralizer_lab.invariants import in_chamber_image, invariant_vector
+from centralizer_lab.invariants import invariant_vector, section_from_invariants
 from centralizer_lab.kostant_maps import (
+    CHAMBER_GAP,
     chamber_form,
     chamber_to_section_conjugator,
+    real_part_gap,
     section_form,
     stabilizer_lift,
 )
@@ -429,8 +431,10 @@ def test_in_flow_domain_reads_the_spectrum(monkeypatch, n):
     points += [make_toda_point(p.diag.real - np.mean(p.diag.real), p.root_coords.real)
                for p in points[:30]]
     # reference: the invariants' route through the section inverse
-    expected = [in_chamber_image(chev, invariant_vector(chev, toda_matrix(chev, p)))
-                for p in points]
+    expected = []
+    for p in points:
+        s = section_from_invariants(chev, invariant_vector(chev, toda_matrix(chev, p)))
+        expected.append(real_part_gap(linalg.eig(s)[0]) > CHAMBER_GAP)
     assert any(expected) and not all(expected)
 
     def forbidden(*args, **kwargs):
