@@ -43,7 +43,9 @@ class NotInXiPlusB(CentralizerLabError):
 
 class NotInV(CentralizerLabError):
     """The point is outside the flow domain: its spectrum does not have
-    pairwise distinct real parts, so no chamber normal form exists."""
+    pairwise distinct real parts, so no chamber normal form exists.  The
+    embedding also raises it where the partial products of the root
+    coordinates over- or underflow, a domain restriction of floating point."""
 
 
 class NotInGStar(CentralizerLabError):

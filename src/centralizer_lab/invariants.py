@@ -8,9 +8,9 @@ homogeneous of degrees 2..n and algebraically independent.  Their trace-form
 duals have the closed form  x^i - (tr x^i / n) I, which commutes with x.
 
 Restricted to the Kostant section the map F = (f_1, ..., f_r) is a bijection
-onto C^r; its inverse is computed by degree-graded forward substitution (the
+onto C^r; its inverse is computed by degree-graded forward substitution: the
 coordinates of the section are triangular in the grading, with f_i exactly
-linear in the i-th coordinate) followed by a short Newton polish.
+linear in the i-th coordinate.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
     """The unique section point x with F(x) = z.
 
     Forward substitution in the graded coordinates gives the exact solution
-    in exact arithmetic; two Newton steps with a finite-difference Jacobian
-    polish the floating-point result.  Raises :class:`NoConvergence` if the
-    final residual exceeds 1e-10 * (1 + ||z||).
+    in exact arithmetic.  Raises :class:`NoConvergence` if the residual of
+    the floating-point result exceeds 1e-10 * (1 + ||z||).
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (chev.r,):
@@ -85,21 +84,9 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
         partial = invariant_vector(chev, chev.section_point(coords))
         coords[i - 1] = (z[i - 1] - partial[i - 1]) / gammas[i - 1]
 
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(z)))
-    step = 1e-7
-    for _ in range(2):
-        current = invariant_vector(chev, chev.section_point(coords))
-        if np.linalg.norm(current - z) <= 1e-2 * tol:
-            break
-        jac = np.zeros((chev.r, chev.r), dtype=complex)
-        for j in range(chev.r):
-            bumped = coords.copy()
-            bumped[j] += step
-            jac[:, j] = (invariant_vector(chev, chev.section_point(bumped)) - current) / step
-        coords = coords + np.linalg.solve(jac, z - current)
-
     x = chev.section_point(coords)
     residual = float(np.linalg.norm(invariant_vector(chev, x) - z))
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(z)))
     if residual > tol:
         raise NoConvergence(
             f"section inversion residual {residual:.3e} exceeds {tol:.3e} "

@@ -32,8 +32,6 @@ from . import linalg
 from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiPlusB, SingularMinor
 from .lie_core import ChevalleyData, adjoint, build_chevalley
 
-# Root coordinates (superdiagonal entries) of modulus at most this are zero.
-MIN_ROOT_COORD = 1e-13
 # Spectra whose real parts are not pairwise separated by more than this
 # have no chamber form.
 CHAMBER_GAP = 1e-9
@@ -278,15 +276,22 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     with reversed coordinates (t: partial products of the superdiagonal).
     With x = Ad_{u_x}(s) and u_tr = K_tr K_s^{-1}, the lift carried to s is
     u_tr^{-1} w0 t u_x.  x must be in the Toda phase space.
+
+    The embedding is restricted to points whose partial products t are
+    finite and nonzero in floating point: where they overflow or underflow,
+    :class:`NotInV` is raised.
     """
     x = linalg.as_matrix(x)
     y = np.diagonal(x, 1)
-    if np.any(np.abs(y) <= MIN_ROOT_COORD):
+    if np.any(y == 0):
         raise ValueError("superdiagonal coordinates must be nonzero")
+    partial = np.cumprod(y)
+    if not np.all(np.isfinite(partial) & (partial != 0)):
+        raise NotInV("partial products of the root coordinates leave the floating-point range")
 
     theta_x = chamber_form(chev, x)
     dec_x = decompose_to_section(chev, x)
-    w0_t = longest_weyl_lift(chev) @ np.diag(np.concatenate(([1.0], np.cumprod(y))))
+    w0_t = longest_weyl_lift(chev) @ np.diag(np.concatenate(([1.0], partial)))
     translated = chev.xi + np.diag(np.diag(x)[::-1]) + np.diag(y[::-1], k=1)
     k_tr = unipotent_conjugator(translated, theta_x)
     lift = linalg.solve(k_tr, w0_t @ unipotent_conjugator(x, theta_x))

@@ -20,7 +20,6 @@ from . import linalg
 from .centralizer import CJLPoint
 from .errors import NoConvergence
 from .invariants import invariant_gradients
-from .kostant_maps import MIN_ROOT_COORD
 from .lie_core import ChevalleyData
 from .toda import TodaPoint, in_flow_domain, make_toda_point
 
@@ -96,7 +95,7 @@ def random_toda_point(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoin
     diag = complex_uniform(rng, (chev.n,))
     diag = diag - np.mean(diag)
     coords = complex_uniform(rng, (chev.r,))
-    while np.any(np.abs(coords) <= MIN_ROOT_COORD):
+    while np.any(coords == 0):
         coords = complex_uniform(rng, (chev.r,))
     return make_toda_point(diag, coords)
 

@@ -26,7 +26,7 @@ from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW, SingularMinor
 from .invariants import invariant_gradient
-from .kostant_maps import MIN_ROOT_COORD, chamber_form, dress, normal_forms, unipotent_conjugator
+from .kostant_maps import chamber_form, dress, normal_forms, unipotent_conjugator
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
 
 
@@ -46,7 +46,7 @@ def make_toda_point(diag, root_coords) -> TodaPoint:
         raise ValueError("need n diagonal entries and n-1 superdiagonal entries")
     if abs(np.sum(diag)) > 1e-12 * (1.0 + float(np.linalg.norm(diag))):
         raise ValueError(f"diagonal part has trace {np.sum(diag):.3e}")
-    if np.any(np.abs(root_coords) <= MIN_ROOT_COORD):
+    if np.any(root_coords == 0):
         raise ValueError("superdiagonal coordinates must be nonzero")
     return TodaPoint(diag=diag, root_coords=root_coords)
 

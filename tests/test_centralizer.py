@@ -58,7 +58,7 @@ def test_symplectic_antisymmetry():
     rng = stream(50, "omega-antisym")
     x = random_traceless(chev, rng)
     v = Tangent(y=random_traceless(chev, rng), z=random_traceless(chev, rng))
-    assert symplectic_form(chev, x, v, v) == pytest.approx(0.0, abs=1e-12)
+    assert symplectic_form(x, [v], [v])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_symplectic_two_term_case():
@@ -68,14 +68,14 @@ def test_symplectic_two_term_case():
     rng = stream(51, "omega-two-term")
     y1 = random_traceless(chev, rng)
     z2 = random_traceless(chev, rng)
-    val = symplectic_form(chev, np.zeros((3, 3)), _tangent(chev, y=y1),
-                          _tangent(chev, z=z2))
-    assert val == pytest.approx(pairing(y1, z2))
+    val = symplectic_form(np.zeros((3, 3)), [_tangent(chev, y=y1)],
+                          [_tangent(chev, z=z2)])
+    assert val.shape == (1, 1)
+    assert val[0, 0] == pytest.approx(pairing(y1, z2))
 
 
 def test_symplectic_term_by_term_oracle_n2():
     # Fixed inputs; the oracle expands the three pairings independently.
-    chev = build_chevalley(2)
     x = np.array([[0.5, 1.0], [2.0, -0.5]])
     y1 = np.array([[1.0, 2.0], [0.0, -1.0]])
     z1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -84,8 +84,35 @@ def test_symplectic_term_by_term_oracle_n2():
     term1 = np.trace(y1 @ z2)
     term2 = np.trace(y2 @ z1)
     term3 = np.trace(x @ (y1 @ y2 - y2 @ y1))
-    val = symplectic_form(chev, x, Tangent(y1, z1), Tangent(y2, z2))
-    assert val == pytest.approx(term1 - term2 + term3)
+    val = symplectic_form(x, [Tangent(y1, z1)], [Tangent(y2, z2)])
+    assert val[0, 0] == pytest.approx(term1 - term2 + term3)
+
+
+def _omega_term_by_term(x, v1, v2):
+    return (np.trace(v1.y @ v2.z) - np.trace(v2.y @ v1.z)
+            + np.trace(x @ (v1.y @ v2.y - v2.y @ v1.y)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_symplectic_form_matches_pairwise_definition(n):
+    # The Gram matrix of lists of different lengths, entry by entry against
+    # the three pairings, and antisymmetric under swapping the lists.
+    chev = build_chevalley(n)
+    rng = stream(74, f"omega-gram-{n}")
+    x = random_traceless(chev, rng)
+
+    def tangents(count):
+        return [Tangent(y=random_traceless(chev, rng), z=random_traceless(chev, rng))
+                for _ in range(count)]
+
+    left, right = tangents(n + 1), tangents(n - 1)
+    gram = symplectic_form(x, left, right)
+    assert gram.shape == (n + 1, n - 1)
+    scale = 1.0 + np.max(np.abs(gram))
+    for a, va in enumerate(left):
+        for b, vb in enumerate(right):
+            assert abs(gram[a, b] - _omega_term_by_term(x, va, vb)) <= 1e-13 * scale
+    assert np.max(np.abs(gram + symplectic_form(x, right, left).T)) <= 1e-13 * scale
 
 
 # ----------------------------- moment maps ------------------------------- #
@@ -196,9 +223,7 @@ def test_hamiltonian_pairwise_isotropy():
         x = random_section_point(chev, rng)
         p = ZPoint(g=random_stabilizer_element(chev, rng, x), x=x)
         fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
-        for vi in fields:
-            for vj in fields:
-                assert abs(symplectic_form(chev, p.x, vi, vj)) <= 1e-10
+        assert np.max(np.abs(symplectic_form(p.x, fields, fields))) <= 1e-10
 
 
 def test_hamiltonian_duality_against_fd_pushforwards():
@@ -210,13 +235,12 @@ def test_hamiltonian_duality_against_fd_pushforwards():
         c = _random_cjl(chev, rng)
         p = cjl_chart(chev, c)
         dirs = chart_directions(chev, c)
+        fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
+        gram = symplectic_form(p.x, fields, dirs)
         for i in range(1, chev.r + 1):
-            ham = hamiltonian_field(chev, p, i)
             grad = invariant_gradient(chev, p.x, i)
-            for v in dirs:
-                lhs = symplectic_form(chev, p.x, ham, v)
-                rhs = pairing(grad, v.z)
-                assert abs(lhs - rhs) <= 1e-6
+            for b, v in enumerate(dirs):
+                assert abs(gram[i - 1, b] - pairing(grad, v.z)) <= 1e-6
 
 
 # ----------------------------- flows ------------------------------------- #
@@ -365,8 +389,8 @@ def test_cjl_chart_differential_full_rank():
 
 def _section_inverse_pushforward(chev, c, j, step=1e-6):
     """Reference for the j-th section direction (0-based): the chart along
-    the coordinate line F^-1(F(s) +/- step e_j), through the Newton
-    section inverse."""
+    the coordinate line F^-1(F(s) +/- step e_j), through the section
+    inverse."""
     base = cjl_chart(chev, c)
     bump = np.zeros(chev.r, dtype=complex)
     bump[j] = step
@@ -395,10 +419,38 @@ def test_section_directions_match_section_inverse_route(n):
             assert linalg.norm(v.z - ref.z) <= 1e-6
 
 
+def _flow_time_difference(chev, c, i, step=1e-6):
+    """Reference for the i-th flow-time direction (0-based): the central
+    difference of the chart in lam_i."""
+    base = cjl_chart(chev, c)
+    bump = np.zeros(chev.r, dtype=complex)
+    bump[i] = step
+    g_p = cjl_chart(chev, CJLPoint(c.lam + bump, c.s)).g
+    g_m = cjl_chart(chev, CJLPoint(c.lam - bump, c.s)).g
+    return Tangent(y=linalg.solve(base.g, (g_p - g_m) / (2.0 * step)),
+                   z=np.zeros((chev.n, chev.n), dtype=complex))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_flow_directions_match_chart_differences(n):
+    # the chart's exponents commute, so its lam_i derivative, left-
+    # trivialized, is the exact Hamiltonian field (gradient_i(s), 0)
+    chev = build_chevalley(n)
+    rng = stream(75, f"flow-dirs-{n}")
+    for _ in range(3):
+        c = random_cjl_point(chev, rng)
+        dirs = chart_directions(chev, c)
+        for i, v in enumerate(dirs[:chev.r]):
+            ref = _flow_time_difference(chev, c, i)
+            assert linalg.norm(v.y - ref.y) <= 1e-6
+            assert linalg.norm(v.z - ref.z) <= 1e-6
+
+
 @pytest.mark.parametrize("n", [2, 5])
 def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
-    # one base chart plus two per central difference; the section inverse
-    # and the invariant vector are not on the chart path
+    # one base chart plus two per section central difference, and one Gram
+    # matrix per pullback; the section inverse and the invariant vector are
+    # not on the chart path
     def forbidden(*args, **kwargs):
         raise AssertionError("the chart path left the affine section")
 
@@ -411,11 +463,16 @@ def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
                         lambda *args: calls.append(1) or chart(*args))
     chev = build_chevalley(n)
     c = random_cjl_point(chev, stream(72, f"chart-count-{n}"))
+    grams = []
+    form = centralizer.symplectic_form
+    monkeypatch.setattr(centralizer, "symplectic_form",
+                        lambda *args: grams.append(1) or form(*args))
     chart_directions(chev, c)
-    assert len(calls) == 1 + 4 * chev.r
+    assert len(calls) == 1 + 2 * chev.r
     calls.clear()
     cjl_pullback_deviation(chev, c)
-    assert len(calls) == 1 + 4 * chev.r
+    assert len(calls) == 1 + 2 * chev.r
+    assert len(grams) == 1
 
 
 def test_fd_step_range_boundaries():

@@ -20,7 +20,7 @@ from centralizer_lab import (
     toda,
 )
 from centralizer_lab.cli import main
-from centralizer_lab.errors import NotInGStar, SingularMinor
+from centralizer_lab.errors import NoConvergence, NotInGStar, SingularMinor
 from centralizer_lab.formats import dump_json
 from centralizer_lab.report import Report
 from centralizer_lab.suites import Tolerances, run_check
@@ -66,15 +66,30 @@ def test_check_deterministic_modulo_timing(tmp_path):
         assert entry["error"] is None and entry["skipped"] == {}, entry
 
 
-def test_check_failure_names_its_exception():
-    # At n=7 a Symes flow of toda_conservation ends below the phase-space
-    # floor; the row keeps the declared bound and says why it failed.
-    first = run_check("toda_conservation", 7, 42, 25)
+def _run_with_failing_flow(monkeypatch):
+    """toda_conservation at n=7 whose 37th Symes flow, the first of the
+    fourth sample, leaves the phase space."""
+    calls = []
+
+    def flow(*args):
+        calls.append(args)
+        if len(calls) > 36:
+            raise NoConvergence("flow point left the phase space: injected")
+        return toda.toda_flow(*args)
+
+    monkeypatch.setattr(suites, "toda_flow", flow)
+    return run_check("toda_conservation", 7, 42, 25)
+
+
+def test_check_failure_names_its_exception(monkeypatch):
+    # A failing flow ends the row; it keeps the declared bound and says why
+    # it failed.
+    first = _run_with_failing_flow(monkeypatch)
     assert first.error.startswith("NoConvergence: ")
     assert first.max_deviation == float("inf") and not first.passed
     assert first.tolerance == 1e-8
     assert 0 < first.samples < 25
-    again = run_check("toda_conservation", 7, 42, 25)
+    again = _run_with_failing_flow(monkeypatch)
     assert dataclasses.replace(again, seconds=0.0) == dataclasses.replace(first, seconds=0.0)
     report = Report(config={}, checks=(first,))
     assert first.error in report.lines()[0]
@@ -84,9 +99,9 @@ def test_check_failure_names_its_exception():
 
 
 def test_failed_check_writes_strict_json(tmp_path, monkeypatch):
-    # the n=7 report holds the infinite toda_conservation row; a strict
-    # parser rejects NaN and Infinity, so the row must read null
-    failed = run_check("toda_conservation", 7, 42, 25)
+    # the report holds an infinite toda_conservation row; a strict parser
+    # rejects NaN and Infinity, so the row must read null
+    failed = _run_with_failing_flow(monkeypatch)
     monkeypatch.setattr(cli, "run_all", lambda n, seed, samples: Report(
         config={"n": n, "seed": seed, "samples": samples}, checks=(failed,)))
     out = tmp_path / "r.json"
@@ -401,3 +416,7 @@ def test_benchmark_hooks_are_bound():
             assert inspect.isfunction(getattr(home, func, None)), f"{module}.{func}"
     result = suites.run_check("kostant_stabilizer_lift", 2, 42, 1, suites.Tolerances())
     assert result.passed and result.error is None
+    # the cjl-n6 workload passes the pullback its finite-difference step
+    chev = lie_core.build_chevalley(2)
+    c = sampling.random_cjl_point(chev, sampling.stream(42, "bench-hook"))
+    assert centralizer.cjl_pullback_deviation(chev, c, fd_step=1e-6).max_deviation <= 1e-5

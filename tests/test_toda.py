@@ -525,3 +525,13 @@ def test_tiny_root_coordinate_flows_and_inverts():
         assert np.linalg.norm(invariant_vector(chev, xt) - base) <= 1e-8 * (1 + np.linalg.norm(base))
     back = embed_inverse(chev, embed(chev, p))
     assert linalg.norm(toda_matrix(chev, back) - x0) <= 1e-8 * (1 + linalg.norm(x0))
+
+
+def test_embedding_rejects_underflowing_partial_products():
+    # Root coordinates far below 1e-13 are still points of the phase space,
+    # but the partial products of these two underflow to zero, so the torus
+    # factor of the embedding does not exist in floating point.
+    chev = build_chevalley(3)
+    p = make_toda_point([1.0, 0.0, -1.0], [1e-200, 1e-200])
+    with pytest.raises(NotInV, match="floating-point range"):
+        embed(chev, p)
