@@ -8,13 +8,15 @@ spectrum are used throughout:
 * the section form, the unique point of the Kostant section conjugate to x;
 * the unipotent conjugators between x and these forms, which are unique.
 
-The conjugator u with Ad_u(xi + diag(lambda)) = x is a column recurrence,
-u[:, 0] = e_1 and u[:, j+1] = (x - lambda_j) u[:, j].  The section form
-takes the one decomposition of xi + b into (unipotent, section point)
-pairs, by graded elimination: per height band of the defect, the ambient
-algebra splits as [xi, sl_n] + centralizer(eta), and conjugating by the
-exponential of the solved height-(m+1) component clears the non-section
-part of band m without touching lower bands, for n - 1 bands.
+Every unipotent conjugator is one column recurrence.  The upper
+unitriangular u with Ad_u(y) = x, for x, y in xi + b and conjugate, solves
+x u = u y column by column,
+
+    u[:, 0] = e_1,   u[:, j+1] = (x - y[j, j]) u[:, j] - u[:, :j] y[:j, j],
+
+and for a chamber form y the last term vanishes.  The section form is the
+section inverse of the invariants of x, and the section decomposition the
+recurrence towards it.
 
 The "translated big cell" is w0_tilde * U_- * T * U, the open subset of
 PGL_n on which the w0-translated Gauss factorization exists; membership
@@ -23,14 +25,14 @@ failures surface as :class:`NotInGStar` carrying the vanishing minor index.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiPlusB, SingularMinor
-from .lie_core import ChevalleyData, adjoint, build_chevalley
+from .invariants import invariant_vector, section_from_invariants
+from .lie_core import ChevalleyData, adjoint
 
 # Spectra whose real parts are not pairwise separated by more than this
 # have no chamber form.
@@ -75,7 +77,11 @@ def _check_unitriangular(u: np.ndarray) -> np.ndarray:
 
 
 def unipotent_exp(q: np.ndarray) -> np.ndarray:
-    """exp of a strictly triangular (nilpotent) matrix; the series stops."""
+    """exp of a strictly triangular (nilpotent) matrix; the series stops.
+
+    Nothing in the library calls it.  It exists only because the benchmark
+    in ``perfbench/`` still traces it by name.
+    """
     q = linalg.as_matrix(q)
     n = q.shape[0]
     out = np.eye(n, dtype=complex)
@@ -95,39 +101,17 @@ def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray) -> np.n
     return adjoint(u, s)
 
 
-@functools.lru_cache(maxsize=None)
-def _elimination_data(n: int):
-    """Per-height solve operators for the graded decomposition.
-
-    The entry for band m = 0..n-2 is the pseudoinverse of the map
-    (height-(m+1) coefficients [, eta^m coefficient]) -> band-m
-    coefficients of [xi, q] [+ c eta^m]; the split is a direct sum, so the
-    solve is exact.
-    """
-    chev = build_chevalley(n)
-    data = []
-    for m in range(n - 1):
-        cols = []
-        for i in range(n - m - 1):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, i + m + 1] = 1.0
-            cols.append(np.diagonal(chev.xi @ unit - unit @ chev.xi, m).copy())
-        if m >= 1:
-            cols.append(np.diagonal(chev.centralizer_eta[m - 1], m).copy())
-        a = np.stack(cols, axis=1)
-        data.append(np.linalg.pinv(a))
-    return tuple(data)
-
-
 def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposition:
     """Inverse of :func:`conjugate_section` on the traceless points of
     xi + (upper triangular).
 
-    Raises :class:`NotInXiPlusB` when the strictly lower part of z differs
-    from the unit subdiagonal or z has nonzero trace (the section is
-    traceless, so no decomposition exists), and :class:`NoConvergence` if
-    the eliminated matrix misses the section (relative to the conditioning
-    of the accumulated conjugator).
+    The section point is the section inverse of the invariants of z, and
+    the conjugator the column recurrence :func:`unipotent_conjugator`
+    towards it.  Raises :class:`NotInXiPlusB` when the strictly lower part
+    of z differs from the unit subdiagonal or z has nonzero trace (the
+    section is traceless, so no decomposition exists), and
+    :class:`NoConvergence` if z u - u s, whose last column the recurrence
+    leaves free, exceeds 1e-10 (1 + ||z||) (1 + cond u).
     """
     z = linalg.as_matrix(z)
     n = chev.n
@@ -139,30 +123,15 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
     if abs(np.trace(z)) > 1e-12 * scale:
         raise NotInXiPlusB(f"trace {np.trace(z):.3e} is not zero")
 
-    solvers = _elimination_data(n)
-    current = z.astype(complex).copy()
-    u = np.eye(n, dtype=complex)
-    for m in range(n - 1):
-        band = np.diagonal(current - chev.xi, m)
-        coeffs = solvers[m] @ band
-        q_coeffs = coeffs if m == 0 else coeffs[:-1]
-        q = np.zeros((n, n), dtype=complex)
-        for i, qi in enumerate(q_coeffs):
-            q[i, i + m + 1] = qi
-        step = unipotent_exp(q)
-        step_inv = unipotent_exp(-q)
-        current = step @ current @ step_inv
-        u = u @ step_inv
-
-    _, residual = chev.section_coords(current)
-    # The guard scales with the conditioning of the accumulated conjugator:
-    # a wrong elimination leaves a residual of the order of the input, far
-    # above this bound even at rank 7.
+    s = section_from_invariants(chev, invariant_vector(chev, z))
+    u = unipotent_conjugator(z, s)
+    # the recurrence leaves the last column of z u = u s free
+    residual = linalg.norm(z @ u - u @ s)
     cond_u = linalg.norm(u) * linalg.norm(linalg.inv(u))
     if residual > 1e-10 * scale * (1.0 + cond_u):
         raise NoConvergence(
-            f"graded elimination left section residual {residual:.3e}")
-    return SectionDecomposition(u=u, s=current)
+            f"section conjugator leaves residual {residual:.3e}")
+    return SectionDecomposition(u=u, s=s)
 
 
 def real_part_gap(values) -> float:
@@ -191,13 +160,20 @@ def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     return chev.xi + np.diag(ordered)
 
 
-def unipotent_conjugator(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The upper unitriangular u with Ad_u(theta) = x, for x in xi + b and
-    theta = xi + diag(spectrum of x), by the column recurrence."""
+def unipotent_conjugator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The upper unitriangular u with Ad_u(y) = x, for x and y in xi + b
+    and conjugate, by the column recurrence of x u = u y.
+
+    The relation is solved in columns 0..n-2; that of the last column holds
+    only when x and y have one characteristic polynomial, and is not
+    checked here.  For a chamber form y the strictly upper term is an
+    exact zero.
+    """
     u = np.eye(len(x), dtype=complex)
     for j in range(len(x) - 1):
         column = u[:j + 1, j]  # entry j+1 of the next column is the unit subdiagonal's 1
-        u[:j + 1, j + 1] = x[:j + 1, :j + 1] @ column - theta[j, j] * column
+        u[:j + 1, j + 1] = (x[:j + 1, :j + 1] @ column - y[j, j] * column
+                            - u[:j + 1, :j] @ y[:j, j])
     return u
 
 
@@ -274,8 +250,10 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     theta = chamber_form(x) and dresses it to x) is K_tr^{-1} w0 t K_x, with
     K_x, K_tr the chamber conjugators of x and of Ad_{w0 t}(x), the point
     with reversed coordinates (t: partial products of the superdiagonal).
-    With x = Ad_{u_x}(s) and u_tr = K_tr K_s^{-1}, the lift carried to s is
-    u_tr^{-1} w0 t u_x.  x must be in the Toda phase space.
+    With x = Ad_{u_x}(s) and u_tr the section conjugator of the reversed
+    point, the lift carried to s is u_tr^{-1} w0 t u_x.  Every conjugator
+    is a :func:`unipotent_conjugator` recurrence.  x must be in the Toda
+    phase space.
 
     The embedding is restricted to points whose partial products t are
     finite and nonzero in floating point: where they overflow or underflow,
@@ -300,7 +278,7 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     if moved > 1e-9 * (1.0 + cond_lift) * (1.0 + linalg.norm(theta_x)):
         raise NotCentralizing(
             f"assembled lift moves the chamber form by {moved:.3e}")
-    u_tr = k_tr @ linalg.inv(unipotent_conjugator(dec_x.s, theta_x))
+    u_tr = unipotent_conjugator(translated, dec_x.s)
     return NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
                        g=linalg.solve(u_tr, w0_t @ dec_x.u))
 

@@ -141,7 +141,7 @@ def test_decompose_n2_golden():
     assert np.allclose(dec.s, FLIP2, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_decompose_roundtrip_seeded(n):
     chev = build_chevalley(n)
     rng = stream(33, f"psi-roundtrip-{n}")
@@ -166,7 +166,7 @@ def test_decompose_rejects_off_shape():
 
 def test_decompose_rejects_nonzero_trace():
     # The section is traceless and conjugation keeps the trace, so a point
-    # of xi + b with trace has no decomposition; nothing is eliminated.
+    # of xi + b with trace has no decomposition; nothing is solved.
     chev = build_chevalley(2)
     with pytest.raises(NotInXiPlusB, match="trace"):
         decompose_to_section(chev, np.array([[0, 0], [1, 1j]]))
@@ -311,7 +311,7 @@ def test_section_form_is_conjugation_equivariant(entries, log_scale, unipotent):
     # Ad_u(s) = x gives Ad_{vu}(s) = Ad_v(x), and the decomposition is
     # unique, so for v upper unitriangular Ad_v(x) keeps the section form
     # and its conjugator is v u.  Rounding enters through Ad_v and the
-    # elimination, so the bound scales with cond(v) and cond(u); over these
+    # recurrence, so the bound scales with cond(v) and cond(u); over these
     # examples the worst deviation stays below 1e-12 of that product.
     chev, x = _xi_plus_b_from(entries, log_scale)
     n = chev.n
@@ -324,6 +324,35 @@ def test_section_form_is_conjugation_equivariant(entries, log_scale, unipotent):
     assert linalg.norm(moved.s - dec.s) / (1.0 + linalg.norm(dec.s)) <= bound
     expected = v @ dec.u
     assert linalg.norm(moved.u - expected) / linalg.norm(expected) <= bound
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unipotent_conjugator_recovers_section_conjugator(n):
+    # Towards a section point y = s the strictly upper part of y enters the
+    # recurrence; a recurrence that reads only the diagonal of y misses u.
+    chev = build_chevalley(n)
+    rng = stream(44, f"section-conjugator-{n}")
+    for _ in range(25):
+        u = _random_unitriangular(chev, rng)
+        s = random_section_point(chev, rng)
+        got = unipotent_conjugator(conjugate_section(chev, u, s), s)
+        assert linalg.norm(got - u) <= 1e-10 * (1 + linalg.norm(u))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unipotent_conjugator_to_the_chamber_form_is_the_product_recurrence(n):
+    # Towards a chamber form the strictly upper term is an exact zero, so
+    # the conjugator equals u[:, j+1] = (x - lam_j) u[:, j] bit for bit.
+    chev = build_chevalley(n)
+    rng = stream(45, f"chamber-recurrence-{n}")
+    for _ in range(10):
+        x = toda_matrix(chev, sample_flow_domain(chev, rng))
+        theta = chamber_form(chev, x)
+        ref = np.eye(n, dtype=complex)
+        for j in range(n - 1):
+            column = ref[:j + 1, j]
+            ref[:j + 1, j + 1] = x[:j + 1, :j + 1] @ column - theta[j, j] * column
+        assert np.array_equal(unipotent_conjugator(x, theta), ref)
 
 
 def test_section_chamber_conjugator_n2_golden():
