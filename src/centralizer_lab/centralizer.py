@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidZPoint
 from .invariants import invariant_gradient, invariant_gradients, invariant_vector
-from .lie_core import ChevalleyData, adjoint
+from .lie_core import ChevalleyData, adjoint, stabilizer_residual
 
 STABILIZER_TOL = 1e-9
 SECTION_TOL = 1e-10
@@ -84,18 +84,14 @@ def symplectic_form(x: np.ndarray, left, right) -> np.ndarray:
             + np.einsum("aij,bji->ab", moved, right_y))
 
 
-def stabilizer_residual(g: np.ndarray, x: np.ndarray) -> float:
-    x = linalg.as_matrix(x)
-    return linalg.norm(adjoint(g, x) - x) / max(linalg.norm(x), 1e-300)
-
-
-def check_z_point(chev: ChevalleyData, p: ZPoint,
-                  tol: float = STABILIZER_TOL, tol_section: float = SECTION_TOL) -> ZPoint:
-    if not chev.on_section(p.x, tol=tol_section):
+def check_z_point(chev: ChevalleyData, p: ZPoint) -> ZPoint:
+    """Return p if x is on the section to ``SECTION_TOL`` and g stabilizes
+    it to ``STABILIZER_TOL``; raise :class:`InvalidZPoint` otherwise."""
+    if not chev.on_section(p.x, tol=SECTION_TOL):
         _, residual = chev.section_coords(p.x)
         raise InvalidZPoint(f"algebra part misses the section by {residual:.3e}")
     moved = stabilizer_residual(p.g, p.x)
-    if moved > tol:
+    if moved > STABILIZER_TOL:
         raise InvalidZPoint(f"group part moves x by relative {moved:.3e}")
     return p
 

@@ -16,8 +16,9 @@ rescaling of the form as long as a single normalization is used throughout,
 and the trace form keeps all structure constants integral.
 
 The adjoint group of sl_n is PGL_n; group elements are invertible matrices
-interpreted modulo a nonzero scalar, and all comparisons of group elements
-go through :func:`group_equal` / :func:`scalar_aligned_distance`.
+interpreted modulo a nonzero scalar; they are compared through
+:func:`group_equal` / :func:`scalar_aligned_distance`, and every test that
+g stabilizes x is the inverse-free :func:`stabilizer_residual`.
 """
 
 from __future__ import annotations
@@ -170,6 +171,14 @@ def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Ad_g(x) = g x g^{-1}; insensitive to rescaling g."""
     g = linalg.as_matrix(g)
     return g @ x @ linalg.inv(g)
+
+
+def stabilizer_residual(g: np.ndarray, x: np.ndarray) -> float:
+    """||g x - x g|| / (||g|| ||x||), scale-free and inverse-free, so an
+    ill-conditioned g is not charged for the rounding of g^{-1}."""
+    g = linalg.as_matrix(g)
+    x = linalg.as_matrix(x)
+    return linalg.norm(g @ x - x @ g) / max(linalg.norm(g) * linalg.norm(x), 1e-300)
 
 
 def group_equal(g1: np.ndarray, g2: np.ndarray) -> bool:

@@ -39,7 +39,6 @@ from .centralizer import (
     flow_step,
     hamiltonian_field,
     moment_preimage_report,
-    stabilizer_residual,
     symplectic_form,
     z_invariants,
 )
@@ -70,6 +69,7 @@ from .lie_core import (
     group_equal,
     pairing,
     scalar_aligned_distance,
+    stabilizer_residual,
 )
 from .report import CheckResult, Report
 from .sampling import (
@@ -367,7 +367,7 @@ def _check_stabilizer_lift(chev, rng, k):
     x = toda_matrix(chev, sample_flow_domain(chev, rng))
     theta_x = chamber_form(chev, x)
     lift = stabilizer_lift(chev, x)
-    return max(_rel(adjoint(lift, theta_x), theta_x), _rel(dress(chev, theta_x, lift), x))
+    return max(stabilizer_residual(lift, theta_x), _rel(dress(chev, theta_x, lift), x))
 
 
 @_register("kostant_lift_of_dressed_point", 1e-8, skips=(NotInGStar, SmallRootCoordinate))

@@ -35,6 +35,7 @@ from centralizer_lab.sampling import (
     random_traceless,
     stream,
 )
+from centralizer_lab.suites import run_check
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -290,6 +291,15 @@ def test_flow_step_outputs_valid_points():
         i = int(rng.integers(1, chev.r + 1))
         moved = flow_step(chev, complex_uniform(rng, ()), p, i)
         check_z_point(chev, moved)
+
+
+@pytest.mark.parametrize("n, seed", [(7, 3), (8, 42), (8, 1), (8, 2), (8, 3)])
+def test_flow_preserves_points_at_the_top_of_the_range(n, seed):
+    # cond(g) of the flowed group part reaches 1e11 (n=8, seed 42) and
+    # 8.6e15 (n=8, seed 2), so the stabilizer residual must not pass
+    # through g^{-1}
+    result = run_check("cent_flow_preserves_points", n, seed, 25)
+    assert result.passed and result.error is None, result
 
 
 # ----------------------------- the chart --------------------------------- #

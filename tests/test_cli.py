@@ -373,6 +373,7 @@ def test_tolerance_flag_exits_2(command):
 
 # Keywords that only one value reached, now constants where they are applied.
 PINNED_KEYWORDS = {
+    centralizer.check_z_point: {"tol", "tol_section"},
     centralizer.moment_preimage_report: {"tol"},
     centralizer.z_invariants: {"tol"},
     lie_core.centralizer_basis: {"tol"},

@@ -5,6 +5,7 @@ import pytest
 
 from centralizer_lab import linalg
 from centralizer_lab.errors import DimensionMismatch, UnsupportedRank
+from centralizer_lab.invariants import invariant_gradient
 from centralizer_lab.lie_core import (
     adjoint,
     bracket,
@@ -13,6 +14,7 @@ from centralizer_lab.lie_core import (
     group_equal,
     pairing,
     scalar_aligned_distance,
+    stabilizer_residual,
     traceless_part,
 )
 from centralizer_lab.sampling import (
@@ -207,6 +209,20 @@ def test_group_equality_mod_scalar():
         # the adjoint action cannot see the scalar at all
         x = random_traceless(chev, rng)
         assert linalg.norm(adjoint(lam * g, x) - adjoint(g, x)) <= 1e-12 * linalg.norm(x)
+
+
+def test_stabilizer_residual_does_not_charge_the_inverse():
+    # g = exp(10 grad f_1(x)) stabilizes x exactly; it has cond ~ 8.5e8, and
+    # the forward residual ||g x g^-1 - x|| / ||x|| reads the rounding of g^-1
+    chev = build_chevalley(8)
+    x = random_section_point(chev, stream(1, "residual"))
+    g = linalg.mat_exp(10 * invariant_gradient(chev, x, 1))
+    assert np.linalg.cond(g) > 1e8
+    assert linalg.norm(adjoint(g, x) - x) / linalg.norm(x) > 1e-8
+    residual = stabilizer_residual(g, x)
+    assert residual <= 1e-14
+    assert abs(stabilizer_residual(1e-6j * g, x) - residual) <= 1e-15
+    assert stabilizer_residual(np.eye(8), x) == 0.0
 
 
 def test_traceless_part():
