@@ -36,6 +36,7 @@ from . import linalg
 from .errors import InvalidZPoint
 from .invariants import invariant_gradient, invariant_gradients, invariant_vector
 from .lie_core import ChevalleyData, adjoint, stabilizer_residual
+from .stacks import per_sample, stacked
 
 STABILIZER_TOL = 1e-9
 SECTION_TOL = 1e-10
@@ -84,16 +85,17 @@ def symplectic_form(x: np.ndarray, left, right) -> np.ndarray:
             + np.einsum("aij,bji->ab", moved, right_y))
 
 
+@stacked(2)
 def check_z_point(chev: ChevalleyData, p: ZPoint) -> ZPoint:
     """Return p if x is on the section to ``SECTION_TOL`` and g stabilizes
     it to ``STABILIZER_TOL``; raise :class:`InvalidZPoint` otherwise."""
-    if not chev.on_section(p.x, tol=SECTION_TOL):
-        _, residual = chev.section_coords(p.x)
-        raise InvalidZPoint(f"algebra part misses the section by {residual:.3e}")
-    moved = stabilizer_residual(p.g, p.x)
-    if moved > STABILIZER_TOL:
-        raise InvalidZPoint(f"group part moves x by relative {moved:.3e}")
-    return p
+    _, missed = chev.section_coords(p.x)  # on the section: chev.on_section's test
+    return p, [
+        InvalidZPoint(f"algebra part misses the section by {off:.3e}")
+        if not off <= SECTION_TOL * (1.0 + size) else
+        InvalidZPoint(f"group part moves x by relative {moved:.3e}")
+        if moved > STABILIZER_TOL else None
+        for off, size, moved in zip(missed, linalg.norm(p.x), stabilizer_residual(p.g, p.x))]
 
 
 @dataclass(frozen=True)
@@ -141,24 +143,28 @@ def moment_preimage_report(chev: ChevalleyData, points) -> MomentPreimageReport:
                                 max_member_residual=max_res)
 
 
+@stacked(2)
 def z_invariants(chev: ChevalleyData, p: ZPoint) -> np.ndarray:
     """The invariant system on the centralizer: invariants of the algebra
     part, independent of the group part."""
-    check_z_point(chev, p)
-    return invariant_vector(chev, p.x)
+    _, errors = check_z_point(chev, p)
+    return invariant_vector(chev, p.x), errors
 
 
-def hamiltonian_field(chev: ChevalleyData, p: ZPoint, i: int) -> Tangent:
+def hamiltonian_field(chev: ChevalleyData, p: ZPoint, i) -> Tangent:
     """Left-trivialized Hamiltonian field of the i-th invariant:
-    (invariant gradient of x, 0)."""
-    zero = np.zeros((chev.n, chev.n), dtype=complex)
-    return Tangent(y=invariant_gradient(chev, p.x, i), z=zero)
+    (invariant gradient of x, 0); i may be given per sample of a stack."""
+    y = invariant_gradient(chev, p.x, i)
+    return Tangent(y=y, z=np.zeros_like(y))
 
 
-def flow_step(chev: ChevalleyData, t: complex, p: ZPoint, i: int) -> ZPoint:
+def flow_step(chev: ChevalleyData, t, p: ZPoint, i) -> ZPoint:
     """Time-t flow of the i-th invariant: right-translate the group part by
-    exp(t * gradient), keep the algebra part."""
+    exp(t * gradient), keep the algebra part.  For a stacked p, t and i
+    are shared or given per sample."""
     v = invariant_gradient(chev, p.x, i)
+    if per_sample(t):
+        t = np.asarray(t, dtype=complex)[:, None, None]
     return ZPoint(g=p.g @ linalg.mat_exp(t * v), x=p.x)
 
 

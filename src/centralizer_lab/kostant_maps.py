@@ -25,14 +25,16 @@ failures surface as :class:`NotInGStar` carrying the vanishing minor index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiPlusB, SingularMinor
+from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiPlusB
 from .invariants import invariant_vector, section_from_invariants
 from .lie_core import ChevalleyData, adjoint, stabilizer_residual
+from .stacks import Samples, first_errors, stacked
 
 # Spectra whose real parts are not pairwise separated by more than this
 # have no chamber form.
@@ -59,15 +61,22 @@ class GStarFactorization:
     u: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _exchange(n: int) -> np.ndarray:
+    out = np.fliplr(np.eye(n, dtype=complex))
+    out.flags.writeable = False
+    return out
+
+
 def longest_weyl_lift(chev: ChevalleyData) -> np.ndarray:
     """The lift of the longest Weyl element normalized by its adjoint
     action on the simple root vectors.
 
     For sl_n the normalization Ad(w)(e_plus[i]) = e_minus[n-1-i] forces all
     antidiagonal entries to agree, so modulo scalar the lift is the exchange
-    matrix (ones on the antidiagonal).
+    matrix (ones on the antidiagonal), shared and read-only.
     """
-    return np.fliplr(np.eye(chev.n, dtype=complex))
+    return _exchange(chev.n)
 
 
 def _check_unitriangular(u: np.ndarray) -> np.ndarray:
@@ -103,6 +112,7 @@ def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray) -> np.n
     return adjoint(u, s)
 
 
+@stacked(2)
 def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposition:
     """Inverse of :func:`conjugate_section` on the traceless points of
     xi + (upper triangular).
@@ -117,32 +127,40 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
     """
     z = linalg.as_matrix(z)
     n = chev.n
-    if z.shape[0] != n:
-        raise NotInXiPlusB(f"expected size {n}, got {z.shape[0]}")
-    scale = 1.0 + linalg.norm(z)
-    if linalg.norm(np.tril(z, -1) - chev.xi) > 1e-12 * scale:
-        raise NotInXiPlusB("strictly lower part is not the unit subdiagonal")
-    if abs(np.trace(z)) > 1e-12 * scale:
-        raise NotInXiPlusB(f"trace {np.trace(z):.3e} is not zero")
+    if z.shape[-1] != n:
+        raise NotInXiPlusB(f"expected size {n}, got {z.shape[-1]}")
+    scale = [1.0 + size for size in linalg.norm(z)]
+    off_shape = linalg.norm(np.tril(z, -1) - chev.xi)
+    run = Samples(len(z))
+    z, scale = run.drop([
+        NotInXiPlusB("strictly lower part is not the unit subdiagonal") if off > 1e-12 * sc
+        else NotInXiPlusB(f"trace {tr:.3e} is not zero") if abs(tr) > 1e-12 * sc else None
+        for off, tr, sc in zip(off_shape, np.trace(z, axis1=-2, axis2=-1).tolist(), scale)],
+        z, scale)
 
-    s = section_from_invariants(chev, invariant_vector(chev, z))
+    s, errors = section_from_invariants(chev, invariant_vector(chev, z))
+    z, scale, s = run.drop(errors, z, scale, s)
     u = unipotent_conjugator(z, s)
     # the recurrence leaves the last column of z u = u s free
     residual = linalg.norm(z @ u - u @ s)
-    if residual > 1e-10 * scale * linalg.norm(u):
-        raise NoConvergence(
-            f"section conjugator leaves residual {residual:.3e}")
-    return SectionDecomposition(u=u, s=s)
+    u, s = run.drop([
+        NoConvergence(f"section conjugator leaves residual {res:.3e}")
+        if res > 1e-10 * sc * size else None
+        for res, sc, size in zip(residual, scale, linalg.norm(u))], u, s)
+    return run.result(SectionDecomposition(u=u, s=s))
 
 
-def real_part_gap(values) -> float:
-    """Smallest pairwise distance between the real parts of the values."""
-    re = np.sort(np.real(np.asarray(values)))
-    if re.size < 2:
+def real_part_gap(values):
+    """Smallest pairwise distance between the real parts of the values, per
+    row for a stack."""
+    re = np.sort(np.asarray(values).real, axis=-1)
+    if re.shape[-1] < 2:
         return np.inf
-    return float(np.min(np.diff(re)))
+    gap = (re[..., 1:] - re[..., :-1]).min(axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
 
 
+@stacked(2)
 def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique conjugate of x of the shape xi + (diagonal with strictly
     decreasing real parts).
@@ -152,29 +170,36 @@ def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     :class:`NotInV` when the real parts are not pairwise separated by
     more than ``CHAMBER_GAP``.
     """
-    x = linalg.as_matrix(x)
-    values, _ = linalg.eig(x)
-    gap = real_part_gap(values)
-    if not gap > CHAMBER_GAP:
-        raise NotInV(f"spectrum real-part gap {gap:.3e} below {CHAMBER_GAP:.1e}")
-    ordered = values[np.argsort(-values.real)]
-    return chev.xi + np.diag(ordered)
+    (values, _), errors = linalg.eig(x)
+    ordered = values[np.arange(len(values))[:, None], np.argsort(-values.real, axis=-1)]
+    return chev.xi + linalg.diag_matrix(ordered), first_errors(errors, chamber_errors(values))
+
+
+def chamber_errors(values) -> list:
+    """Per row of a stack of spectra, :class:`NotInV` when its real parts
+    are not pairwise separated by more than ``CHAMBER_GAP``, else None."""
+    return [None if gap > CHAMBER_GAP else
+            NotInV(f"spectrum real-part gap {gap:.3e} below {CHAMBER_GAP:.1e}")
+            for gap in real_part_gap(values).tolist()]
 
 
 def unipotent_conjugator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The upper unitriangular u with Ad_u(y) = x, for x and y in xi + b
-    and conjugate, by the column recurrence of x u = u y.
+    and conjugate, by the column recurrence of x u = u y; matrix by matrix
+    for stacks.
 
     The relation is solved in columns 0..n-2; that of the last column holds
     only when x and y have one characteristic polynomial, and is not
     checked here.  For a chamber form y the strictly upper term is an
     exact zero.
     """
-    u = np.eye(len(x), dtype=complex)
-    for j in range(len(x) - 1):
-        column = u[:j + 1, j]  # entry j+1 of the next column is the unit subdiagonal's 1
-        u[:j + 1, j + 1] = (x[:j + 1, :j + 1] @ column - y[j, j] * column
-                            - u[:j + 1, :j] @ y[:j, j])
+    n = x.shape[-1]
+    u = linalg.identities(np.broadcast_shapes(x.shape, y.shape))
+    for j in range(n - 1):
+        column = u[..., :j + 1, j]  # entry j+1 of the next column is the unit subdiagonal's 1
+        u[..., :j + 1, j + 1] = (np.matvec(x[..., :j + 1, :j + 1], column)
+                                 - y[..., j, j, None] * column
+                                 - np.matvec(u[..., :j + 1, :j], y[..., :j, j]))
     return u
 
 
@@ -186,17 +211,27 @@ def chamber_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     return unipotent_conjugator(x, chamber_form(chev, x))
 
 
+@stacked(2)
 def section_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique point of the Kostant section conjugate to x in xi + b."""
-    return decompose_to_section(chev, x).s
+    dec, errors = decompose_to_section(chev, x)
+    return dec.s, errors
 
 
+@stacked(2)
 def chamber_to_section_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u conjugating the chamber form of x
     to its section form."""
-    return unipotent_conjugator(section_form(chev, x), chamber_form(chev, x))
+    x = linalg.as_matrix(x)
+    run = Samples(len(x))
+    s, errors = section_form(chev, x)
+    x, s = run.drop(errors, x, s)
+    theta, errors = chamber_form(chev, x)
+    s, theta = run.drop(errors, s, theta)
+    return run.result(unipotent_conjugator(s, theta))
 
 
+@stacked(2)
 def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
     """Factor g as w0_tilde * u_minus * torus * u, modulo scalar.
 
@@ -204,18 +239,15 @@ def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
     1..n-1 of w0_tilde^{-1} g being nonzero; a vanishing one raises
     :class:`NotInGStar` with the minor index attached.
     """
-    g = linalg.as_matrix(g)
-    w0 = longest_weyl_lift(chev)
-    translated = linalg.solve(w0, g)
-    try:
-        lower, diag, upper = linalg.gauss_ldu(translated)
-    except SingularMinor as exc:
-        raise NotInGStar(
-            f"translated Gauss factorization fails at minor {exc.index}",
-            minor_index=exc.index) from exc
-    return GStarFactorization(u_minus=lower, torus=diag, u=upper)
+    translated = linalg.solve(longest_weyl_lift(chev), linalg.as_matrix(g))
+    (lower, diag, upper), errors = linalg.gauss_ldu(translated)
+    return GStarFactorization(u_minus=lower, torus=diag, u=upper), [
+        None if exc is None else NotInGStar(
+            f"translated Gauss factorization fails at minor {exc.index}", minor_index=exc.index)
+        for exc in errors]
 
 
+@stacked(2, points=2)
 def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Conjugate theta_x by the upper unitriangular factor of g.
 
@@ -223,12 +255,19 @@ def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray) -> np.ndarray
     result lies on the same invariant level set as theta_x.
     """
     theta_x = linalg.as_matrix(theta_x)
-    moved = stabilizer_residual(g, theta_x)
-    if moved > CENTRALIZING_TOL:
-        raise NotCentralizing(
-            f"group element moves the chamber form by relative {moved:.3e}")
-    factors = gstar_factor(chev, g)
-    return adjoint(factors.u, theta_x)
+    run = Samples(len(theta_x))
+    theta_x, g = run.drop(_centralizing_errors(g, theta_x, "group element"), theta_x, g)
+    factors, errors = gstar_factor(chev, g)
+    theta_x, u = run.drop(errors, theta_x, factors.u)
+    return run.result(adjoint(u, theta_x))
+
+
+def _centralizing_errors(g: np.ndarray, theta_x: np.ndarray, what: str) -> list:
+    """:class:`NotCentralizing` for each g of a stack whose stabilizer
+    residual of theta_x exceeds ``CENTRALIZING_TOL``, else None."""
+    return [NotCentralizing(f"{what} moves the chamber form by relative {moved:.3e}")
+            if moved > CENTRALIZING_TOL else None
+            for moved in stabilizer_residual(g, theta_x)]
 
 
 @dataclass(frozen=True)
@@ -242,6 +281,7 @@ class NormalForms:
     g: np.ndarray
 
 
+@stacked(2)
 def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     """The chamber form, section form and stabilizer lift of x, and the
     lift carried to the section form, from one section decomposition.
@@ -260,26 +300,32 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     :class:`NotInV` is raised.
     """
     x = linalg.as_matrix(x)
-    y = np.diagonal(x, 1)
-    if np.any(y == 0):
-        raise ValueError("superdiagonal coordinates must be nonzero")
-    partial = np.cumprod(y)
-    if not np.all(np.isfinite(partial) & (partial != 0)):
-        raise NotInV("partial products of the root coordinates leave the floating-point range")
+    y = np.diagonal(x, 1, axis1=-2, axis2=-1)
+    partial = np.cumprod(y, axis=-1)
+    run = Samples(len(x))
+    x, y, partial = run.drop([
+        ValueError("superdiagonal coordinates must be nonzero") if zero else NotInV(
+            "partial products of the root coordinates leave the floating-point range")
+        if not in_range else None for zero, in_range in zip(
+            (y == 0).any(axis=-1).tolist(),
+            (np.isfinite(partial) & (partial != 0)).all(axis=-1).tolist())], x, y, partial)
 
-    theta_x = chamber_form(chev, x)
-    dec_x = decompose_to_section(chev, x)
-    w0_t = longest_weyl_lift(chev) @ np.diag(np.concatenate(([1.0], partial)))
-    translated = chev.xi + np.diag(np.diag(x)[::-1]) + np.diag(y[::-1], k=1)
+    theta_x, errors = chamber_form(chev, x)
+    x, y, partial, theta_x = run.drop(errors, x, y, partial, theta_x)
+    dec_x, errors = decompose_to_section(chev, x)
+    x, y, partial, theta_x, dec_x = run.drop(errors, x, y, partial, theta_x, dec_x)
+    ones = np.ones(partial.shape[:-1] + (1,))
+    w0_t = longest_weyl_lift(chev) @ linalg.diag_matrix(np.concatenate((ones, partial), axis=-1))
+    translated = (chev.xi + linalg.diag_matrix(np.diagonal(x, 0, -2, -1)[..., ::-1])
+                  + linalg.diag_matrix(y[..., ::-1], 1))
     k_tr = unipotent_conjugator(translated, theta_x)
     lift = linalg.solve(k_tr, w0_t @ unipotent_conjugator(x, theta_x))
-    moved = stabilizer_residual(lift, theta_x)
-    if moved > CENTRALIZING_TOL:
-        raise NotCentralizing(
-            f"assembled lift moves the chamber form by relative {moved:.3e}")
+    theta_x, lift, dec_x, translated, w0_t = run.drop(
+        _centralizing_errors(lift, theta_x, "assembled lift"),
+        theta_x, lift, dec_x, translated, w0_t)
     u_tr = unipotent_conjugator(translated, dec_x.s)
-    return NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
-                       g=linalg.solve(u_tr, w0_t @ dec_x.u))
+    return run.result(NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
+                                  g=linalg.solve(u_tr, w0_t @ dec_x.u)))
 
 
 def stabilizer_lift(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:

@@ -63,31 +63,34 @@ class ChevalleyData:
     _section_pinv: np.ndarray = field(repr=False)
 
     def section_point(self, coords) -> np.ndarray:
-        """xi + sum_k coords[k] * eta^(k+1), a point of the Kostant section."""
+        """xi + sum_k coords[k] * eta^(k+1), a point of the Kostant section,
+        or the stack of them for coordinates of shape (m, r)."""
         coords = np.asarray(coords, dtype=complex)
-        if coords.shape != (self.r,):
+        if coords.shape[-1:] != (self.r,):
             raise DimensionMismatch(
                 f"expected {self.r} section coordinates, got shape {coords.shape}")
-        x = self.xi.astype(complex).copy()
-        for ck, bk in zip(coords, self.centralizer_eta):
-            x = x + ck * bk
+        x = self.xi  # r >= 1 sums below make a new array
+        for k, bk in enumerate(self.centralizer_eta):
+            x = x + coords[..., k, None, None] * bk
         return x
 
     def section_coords(self, x: np.ndarray):
         """Coordinates of x on the Kostant section plus the off-section residual.
 
         Returns ``(coords, residual)`` where ``residual`` is the Frobenius
-        norm of x - xi - sum coords[k] eta^(k+1).
+        norm of x - xi - sum coords[k] eta^(k+1); for a stack x, one row of
+        coordinates and one residual per matrix.
         """
         x = linalg.as_matrix(x)
-        if x.shape[0] != self.n:
-            raise DimensionMismatch(f"expected size {self.n}, got {x.shape[0]}")
-        defect = (x - self.xi).ravel()
-        coords = self._section_pinv @ defect
-        residual = linalg.norm(self.section_point(coords) - x)
-        return coords, float(residual)
+        if x.shape[-1] != self.n:
+            raise DimensionMismatch(f"expected size {self.n}, got {x.shape[-1]}")
+        defect = (x - self.xi).reshape(x.shape[:-2] + (self.n * self.n,))
+        coords = np.matvec(self._section_pinv, defect)
+        return coords, linalg.norm(self.section_point(coords) - x)
 
     def on_section(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+        """Whether x is within ``tol``, relative to 1 + ||x||, of the
+        section."""
         _, residual = self.section_coords(x)
         return residual <= tol * (1.0 + linalg.norm(x))
 
@@ -168,17 +171,22 @@ def centralizer_basis(chev: ChevalleyData, x: np.ndarray):
 
 
 def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ad_g(x) = g x g^{-1}; insensitive to rescaling g."""
+    """Ad_g(x) = g x g^{-1}; insensitive to rescaling g.  Stacks conjugate
+    matrix by matrix."""
     g = linalg.as_matrix(g)
     return g @ x @ linalg.inv(g)
 
 
-def stabilizer_residual(g: np.ndarray, x: np.ndarray) -> float:
+def stabilizer_residual(g: np.ndarray, x: np.ndarray):
     """||g x - x g|| / (||g|| ||x||), scale-free and inverse-free, so an
-    ill-conditioned g is not charged for the rounding of g^{-1}."""
+    ill-conditioned g is not charged for the rounding of g^{-1}; the list
+    of them for stacks."""
     g = linalg.as_matrix(g)
     x = linalg.as_matrix(x)
-    return linalg.norm(g @ x - x @ g) / max(linalg.norm(g) * linalg.norm(x), 1e-300)
+    moved, size_g, size_x = linalg.norm(g @ x - x @ g), linalg.norm(g), linalg.norm(x)
+    if g.ndim == 2:
+        return moved / max(size_g * size_x, 1e-300)
+    return [mv / max(a * b, 1e-300) for mv, a, b in zip(moved, size_g, size_x)]
 
 
 def group_equal(g1: np.ndarray, g2: np.ndarray) -> bool:
@@ -199,6 +207,8 @@ def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray) -> float:
 
 
 def traceless_part(m: np.ndarray) -> np.ndarray:
-    """Projection of gl_n onto sl_n, the tangent space of the scalar quotient."""
+    """Projection of gl_n onto sl_n, the tangent space of the scalar
+    quotient, of a matrix or of each matrix of a stack."""
     m = linalg.as_matrix(m)
-    return m - (np.trace(m) / m.shape[0]) * np.eye(m.shape[0])
+    n = m.shape[-1]
+    return m - (np.trace(m, axis1=-2, axis2=-1) / n)[..., None, None] * linalg.eye(n)

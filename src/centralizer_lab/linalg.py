@@ -1,6 +1,7 @@
 """Dense complex matrix kernels for small matrices (design point n <= 8).
 
-Everything operates on square ``numpy`` arrays of ``complex128``.  The
+Everything operates on square ``numpy`` arrays of ``complex128``, one
+matrix or a stack (m, n, n) of them (see :mod:`stacks`).  The
 eigensolver and the matrix exponential are thin wrappers over LAPACK / the
 scaling-and-squaring Pade code in SciPy; the no-pivot Gauss factorization is
 written out explicitly because pivoting would destroy the unitriangular
@@ -9,10 +10,14 @@ structure the rest of the package depends on.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import scipy.linalg
 
 from .errors import NoConvergence, SingularMinor
+from .stacks import first_errors, stacked
 
 TOL_EIG = 1e-10
 TOL_MINOR = 1e-12
@@ -20,22 +25,86 @@ TOL_EXP = 1e-13
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries, n >= 2."""
+    """Coerce to a square complex matrix with finite entries, n >= 2, or to
+    a stack (m, n, n) of them."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 2:
+    if m.shape[-1] < 2:
         raise ValueError("matrices of size n >= 2 only")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
 
-def norm(a: np.ndarray) -> float:
-    """Frobenius norm, the scale used by every tolerance in the package."""
-    return float(np.linalg.norm(a))
+def _norm(flat: np.ndarray) -> float:
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def vector_norm(v):
+    """2-norm of a vector, or the list of the 2-norms of the rows of a
+    stack (m, k).
+
+    The squares of the real and the imaginary parts are summed as two dot
+    products, as ``numpy.linalg.norm`` sums them, so a stacked norm equals
+    the per-point one bit for bit.
+    """
+    v = np.asarray(v)
+    if v.ndim == 1:
+        return _norm(v)
+    if len(v) == 1:  # one sample: two plain dot products
+        return [_norm(v[0])]
+    re, im = v.real, v.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+
+
+def norm(a):
+    """Frobenius norm, the scale used by every tolerance in the package, of
+    a matrix, or the list of the norms of the matrices of a stack."""
+    a = np.asarray(a)
+    if a.ndim <= 2:
+        return _norm(a.ravel(order="K"))
+    if len(a) == 1:
+        return [_norm(a.reshape(-1))]
+    return vector_norm(a.reshape(len(a), a.shape[-2] * a.shape[-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def eye(n: int) -> np.ndarray:
+    """The complex n x n identity, shared and read-only."""
+    out = np.eye(n, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _strict_triangles(n: int):
+    """Masks of the strictly lower and strictly upper n x n triangles."""
+    below = np.tri(n, k=-1, dtype=bool)
+    return below, below.T.copy()
+
+
+def identities(shape) -> np.ndarray:
+    """A new complex array of the given shape (..., n, n) holding identity
+    matrices."""
+    out = np.empty(shape, dtype=complex)
+    out[...] = eye(shape[-1])
+    return out
+
+
+def diag_matrix(v, k: int = 0) -> np.ndarray:
+    """The complex matrix with v on its diagonal (k = 0) or superdiagonal
+    (k = 1) and zeros elsewhere, or the stack of them for rows v of a
+    stack (m, n - k)."""
+    v = np.asarray(v)
+    n = v.shape[-1] + k
+    out = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    out.reshape(v.shape[:-1] + (n * n,))[..., k::n + 1][..., :n - k] = v
+    return out
+
+
+@stacked(2)
 def eig(a: np.ndarray):
     """Eigenvalues and eigenvectors of a general complex matrix.
 
@@ -45,23 +114,33 @@ def eig(a: np.ndarray):
     exceeds ``TOL_EIG * n * ||a||``.
     """
     a = as_matrix(a)
+    errors = [None] * len(a)
     try:
         values, vectors = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-    scale = max(norm(a), 1e-300)
-    residual = norm(a @ vectors - vectors * values[np.newaxis, :])
-    if residual > TOL_EIG * scale * a.shape[0]:
-        raise NoConvergence(
-            f"eigenpair residual {residual:.3e} exceeds {TOL_EIG:.1e} * ||a||")
-    return values, vectors
+    except np.linalg.LinAlgError:  # LAPACK fails the whole stack: find the samples
+        values = np.full(a.shape[:-1], np.nan, dtype=complex)
+        vectors = np.full(a.shape, np.nan, dtype=complex)
+        for k, ak in enumerate(a):
+            try:
+                values[k], vectors[k] = np.linalg.eig(ak)
+            except np.linalg.LinAlgError as exc:
+                errors[k] = NoConvergence(f"eigensolver did not converge: {exc}")
+                values[k], vectors[k] = 0.0, np.eye(a.shape[-1])
+    n = a.shape[-1]
+    residual = norm(a @ vectors - vectors * values[..., np.newaxis, :])
+    return (values, vectors), first_errors(errors, [
+        NoConvergence(f"eigenpair residual {res:.3e} exceeds {TOL_EIG:.1e} * ||a||")
+        if res > TOL_EIG * max(size, 1e-300) * n else None
+        for res, size in zip(residual, norm(a))])
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Pade approximant."""
+    """Matrix exponential by scaling-and-squaring with a Pade approximant,
+    of a matrix or of each matrix of a stack."""
     return scipy.linalg.expm(as_matrix(a))
 
 
+@stacked(2)
 def gauss_ldu(a: np.ndarray):
     """Gauss factorization a = l d u without pivoting.
 
@@ -78,26 +157,28 @@ def gauss_ldu(a: np.ndarray):
     division.  The zero matrix raises ``SingularMinor(1)``.
     """
     a = as_matrix(a)
-    n = a.shape[0]
+    n = a.shape[-1]
     parts = np.ascontiguousarray(a).view(np.float64)  # real and imaginary parts
-    peak = np.max(np.abs(parts))
-    if peak == 0.0:
-        raise SingularMinor(1)
-    shift = -int(np.frexp(peak)[1])
-    work = np.ldexp(parts, shift).view(complex)
-    threshold = TOL_MINOR * norm(work)
-    lower = np.eye(n, dtype=complex)
-    upper = np.eye(n, dtype=complex)
-    d = np.zeros(n, dtype=complex)
-    for k in range(n - 1):
-        d[k] = work[k, k]
-        if abs(d[k]) <= threshold:
-            raise SingularMinor(k + 1)
-        lower[k + 1:, k] = work[k + 1:, k] / d[k]
-        upper[k, k + 1:] = work[k, k + 1:] / d[k]
-        work[k + 1:, k + 1:] -= np.outer(lower[k + 1:, k], work[k, k + 1:])
-    d[n - 1] = work[n - 1, n - 1]
-    return lower, np.diag(np.ldexp(d.view(np.float64), -shift).view(complex)), upper
+    peak = np.abs(parts).reshape(len(a), 2 * n * n).max(axis=1, initial=0.0)
+    shift = -np.frexp(peak)[1]
+    work = np.ldexp(parts, shift[:, None, None]).view(complex)
+    threshold = [TOL_MINOR * size for size in norm(work)]
+    below, above = _strict_triangles(n)
+    # Step k leaves column k below the pivot and row k right of it final,
+    # so l and u are those parts of work divided by the pivots.  A sample
+    # whose pivot k fails runs on into inf and NaN, which its error makes
+    # unread; the other samples are not touched.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            work[:, k + 1:, k + 1:] -= ((work[:, k + 1:, k] / work[:, k, k, None])[:, :, None]
+                                        * work[:, k, None, k + 1:])
+        d = np.diagonal(work, 0, 1, 2).copy()
+        lower = np.where(below, work / d[:, None, :], eye(n))
+        upper = np.where(above, work / d[:, :, None], eye(n))
+    errors = [next((SingularMinor(k + 1) for k, pivot in enumerate(row) if not pivot > bound), None)
+              for row, bound in zip(np.abs(d[:, :n - 1]).tolist(), threshold)]
+    scaled = np.ldexp(d.view(np.float64), -shift[:, None]).view(complex)
+    return (lower, diag_matrix(scaled), upper), errors
 
 
 def kernel_basis(a: np.ndarray) -> np.ndarray:
@@ -121,8 +202,10 @@ def kernel_basis(a: np.ndarray) -> np.ndarray:
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b for matrices a, b or stacks of them."""
     return np.linalg.solve(a, b)
 
 
 def inv(a: np.ndarray) -> np.ndarray:
+    """a^{-1} of a matrix or of each matrix of a stack."""
     return np.linalg.inv(a)

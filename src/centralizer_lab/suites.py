@@ -1,22 +1,31 @@
 """Named verification suites behind the ``check`` command.
 
-A check has one of two shapes.  Most are *sampled*: a function
-``(chev, rng, k) -> deviation`` that makes the draws and computations of
-sample ``k`` and is registered with its pinned bound and the exception
-types that count as a skipped sample.  The driver, :func:`run_check`, owns
-everything around it: the loop over samples, the running maximum, the
-sample and skip counts, the timing and the :class:`CheckResult`.  A few
-checks are *plain*: a function ``(chev, rng, samples) -> (deviation, bound,
+A check has one of two shapes.  Most are *sampled*, registered with their
+pinned bound and the exception types that count as a skipped sample.  A
+per-point sampled check is a function ``(chev, rng, k) -> deviation`` that
+makes the draws and computations of sample ``k``.  A *stacked* one, the
+Toda-path checks, is registered with a ``draw(chev, rng, k)`` that makes
+the draws of sample ``k``; its function takes the list of all draws and
+returns ``(deviations, errors)`` from one pass over the stack (see
+:mod:`stacks`): per sample a deviation, or the exception the sample
+raised.  The draws still run one at a time in sample order on the
+check's own stream, so the draw order is that of a per-point check and
+``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A few checks
+are *plain*: a function ``(chev, rng, samples) -> (deviation, bound,
 used)`` for structure constants, rank-dependent cases and checks over the
 whole sample set at once.
 
-Any other exception that escapes a check fails it with an infinite
-deviation, and the result names the exception, keeps the declared bound (a
-plain check declares none and reads 0.0) and counts the samples finished
-before it.  Each check draws from its own named random stream and the
-checks run one after another in registry order, so reports are
-deterministic for a fixed configuration.  No tolerance or bound can be set
-from outside.
+The driver, :func:`run_check`, owns everything around a sampled check: it
+folds one ordered list of per-sample outcomes, a deviation or an
+exception, for both kinds into the running maximum, the sample and skip
+counts, and the first exception that is not a skip.  A draw that raises
+ends the list with its exception.  Such an exception, or any other that
+escapes a check, fails it with an infinite deviation, and the result
+names the exception, keeps the declared bound (a plain check declares
+none and reads 0.0) and counts the samples finished before it.  Each
+check draws from its own named random stream and the checks run one
+after another in registry order, so reports are deterministic for a
+fixed configuration.  No tolerance or bound can be set from outside.
 """
 
 from __future__ import annotations
@@ -83,6 +92,7 @@ from .sampling import (
     sample_flow_domain,
     stream,
 )
+from .stacks import Samples, stack
 from .toda import (
     embed,
     embed_inverse,
@@ -106,21 +116,25 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Check:
-    """A registered check: its function, declared bound and skip exceptions."""
+    """A registered check: its function, declared bound and skip
+    exceptions, and for a stacked check the draw of one sample."""
 
     fn: object
     bound: object  # a float, a function of n, or None for a plain check
     skips: tuple
+    draw: object
 
 
 CHECKS = {}
 
 
-def _register(name, bound=None, skips=()):
+def _register(name, bound=None, skips=(), draw=None):
     """Register a sampled check with its ``bound`` and skip exceptions, or,
-    without a bound, a plain check."""
+    without a bound, a plain check.  With ``draw``, the check is stacked:
+    ``draw(chev, rng, k)`` makes the draws of sample k and the function
+    evaluates the list of all draws at once."""
     def deco(fn):
-        CHECKS[name] = Check(fn, bound, skips)
+        CHECKS[name] = Check(fn, bound, skips, draw)
         return fn
     return deco
 
@@ -130,8 +144,9 @@ class SmallRootCoordinate(Exception):
     close to the wall for the lift to be compared: the sample is skipped."""
 
 
-def _rel(a, b) -> float:
-    return linalg.norm(a - b) / (1.0 + linalg.norm(b))
+def _rel(a, b):
+    """||a - b|| / (1 + ||b||), one value per matrix for stacks."""
+    return np.divide(linalg.norm(a - b), np.add(1.0, linalg.norm(b)))
 
 
 def _random_regular(chev, rng):
@@ -512,89 +527,142 @@ def _check_cjl_pullback(chev, rng, k):
 
 # ----------------------------- toda ------------------------------------ #
 
-@_register("toda_conservation", 1e-8)
-def _check_toda_conservation(chev, rng, k):
-    p = sample_flow_domain(chev, rng)
+def _flow_point(chev, rng, k):
+    return sample_flow_domain(chev, rng)
+
+
+def _flow_point_and_label(chev, rng, k):
+    return sample_flow_domain(chev, rng), int(rng.integers(1, chev.r + 1))
+
+
+@_register("toda_conservation", 1e-8, draw=_flow_point)
+def _check_toda_conservation(chev, points):
+    p = stack(points)
     x0 = toda_matrix(chev, p)
     base = invariant_vector(chev, x0)
-    eig0 = np.sort_complex(linalg.eig(x0)[0])
-    worst = 0.0
+    (eig0, _), errors = linalg.eig(x0)
+    run = Samples(len(points))
+    p, base, eig0 = run.drop(errors, p, base, eig0)
+    eig0 = np.sort_complex(eig0)
+    worst = [0.0] * len(eig0)
     for i in range(1, chev.r + 1):
         for t in (0.1, 0.7):
-            xt = toda_matrix(chev, toda_flow(chev, i, t, p))
-            dev_f = float(np.linalg.norm(invariant_vector(chev, xt) - base))
-            eig_t = np.sort_complex(linalg.eig(xt)[0])
-            worst = max(worst, dev_f / (1.0 + float(np.linalg.norm(base))),
-                        float(np.max(np.abs(eig_t - eig0))))
-    return worst
+            q, errors = toda_flow(chev, i, t, p)
+            q, p, base, eig0, worst = run.drop(errors, q, p, base, eig0, worst)
+            xt = toda_matrix(chev, q)
+            dev_f = linalg.vector_norm(invariant_vector(chev, xt) - base)
+            (eig_t, _), errors = linalg.eig(xt)
+            eig_t, dev_f, p, base, eig0, worst = run.drop(
+                errors, eig_t, dev_f, p, base, eig0, worst)
+            dev_eig = np.max(np.abs(np.sort_complex(eig_t) - eig0), axis=-1)
+            worst = [max(w, f / (1.0 + b), float(e)) for w, f, b, e in
+                     zip(worst, dev_f, linalg.vector_norm(base), dev_eig)]
+    return run.result(np.array(worst))
 
 
-@_register("toda_flow_semigroup", 1e-8)
-def _check_toda_semigroup(chev, rng, k):
-    p = sample_flow_domain(chev, rng)
-    i = int(rng.integers(1, chev.r + 1))
+def _draw_semigroup(chev, rng, k):
+    p, i = _flow_point_and_label(chev, rng, k)
     t = complex_uniform(rng, (), scale=0.5).real
-    s = complex_uniform(rng, (), scale=0.5).real
-    lhs = toda_matrix(chev, toda_flow(chev, i, s, toda_flow(chev, i, t, p)))
-    return _rel(lhs, toda_matrix(chev, toda_flow(chev, i, t + s, p)))
+    return p, i, t, complex_uniform(rng, (), scale=0.5).real
 
 
-@_register("toda_normal_forms_constant", 1e-7)
-def _check_normal_forms_constant(chev, rng, k):
-    p = sample_flow_domain(chev, rng)
-    i = int(rng.integers(1, chev.r + 1))
-    x0 = toda_matrix(chev, p)
-    x1 = toda_matrix(chev, toda_flow(chev, i, 0.5, p))
-    return max(_rel(fn(chev, x1), fn(chev, x0))
-               for fn in (chamber_form, section_form, chamber_to_section_conjugator))
+@_register("toda_flow_semigroup", 1e-8, draw=_draw_semigroup)
+def _check_toda_semigroup(chev, drawn):
+    points, labels, t, s = map(list, zip(*drawn))
+    p, labels = stack(points), np.array(labels)
+    run = Samples(len(drawn))
+    mid, errors = toda_flow(chev, labels, t, p)
+    mid, p, labels, t, s = run.drop(errors, mid, p, labels, t, s)
+    lhs, errors = toda_flow(chev, labels, s, mid)
+    lhs, p, labels, t, s = run.drop(errors, lhs, p, labels, t, s)
+    rhs, errors = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
+    lhs, rhs = run.drop(errors, lhs, rhs)
+    return run.result(_rel(toda_matrix(chev, lhs), toda_matrix(chev, rhs)))
 
 
-@_register("toda_embed_triangle", 1e-9)
-def _check_embed_triangle(chev, rng, k):
-    p = sample_flow_domain(chev, rng)
-    zp = embed(chev, p)
+@_register("toda_normal_forms_constant", 1e-7, draw=_flow_point_and_label)
+def _check_normal_forms_constant(chev, drawn):
+    points, labels = zip(*drawn)
+    p = stack(points)
+    run = Samples(len(drawn))
+    q, errors = toda_flow(chev, np.array(labels), 0.5, p)
+    x0, q = run.drop(errors, toda_matrix(chev, p), q)
+    x1 = toda_matrix(chev, q)
+    devs = []
+    for fn in (chamber_form, section_form, chamber_to_section_conjugator):
+        f1, errors = fn(chev, x1)
+        f1, x0, x1, *devs = run.drop(errors, f1, x0, x1, *devs)
+        f0, errors = fn(chev, x0)
+        f0, f1, x0, x1, *devs = run.drop(errors, f0, f1, x0, x1, *devs)
+        devs.append(_rel(f1, f0))
+    return run.result(np.array([max(d) for d in zip(*devs)]))
+
+
+@_register("toda_embed_triangle", 1e-9, draw=_flow_point)
+def _check_embed_triangle(chev, points):
+    p = stack(points)
+    run = Samples(len(points))
+    zp, errors = embed(chev, p)
+    zp, p = run.drop(errors, zp, p)
+    values, errors = z_invariants(chev, zp)
+    values, zp, p = run.drop(errors, values, zp, p)
     base = invariant_vector(chev, toda_matrix(chev, p))
-    dev = float(np.linalg.norm(z_invariants(chev, zp) - base))
-    gstar_factor(chev, zp.g)  # image membership
-    return dev / (1.0 + float(np.linalg.norm(base)))
+    dev = np.divide(linalg.vector_norm(values - base), np.add(1.0, linalg.vector_norm(base)))
+    _, errors = gstar_factor(chev, zp.g)  # image membership
+    dev, = run.drop(errors, dev)
+    return run.result(dev)
 
 
 @_register("toda_embed_injective")
 def _check_embed_injective(chev, rng, samples):
     points = [sample_flow_domain(chev, rng) for _ in range(samples)]
-    images = [embed(chev, p) for p in points]
+    if not points:
+        return 0.0, 0.5, 0
+    images, errors = embed(chev, stack(points))
+    for exc in errors:
+        if exc is not None:
+            raise exc
     bad = 0
     for a in range(len(points)):
         for b in range(a + 1, len(points)):
             input_gap = linalg.norm(toda_matrix(chev, points[a]) - toda_matrix(chev, points[b]))
             if input_gap < 1e-6:
                 continue
-            image_gap = max(scalar_aligned_distance(images[a].g, images[b].g),
-                            _rel(images[a].x, images[b].x))
+            image_gap = max(scalar_aligned_distance(images.g[a], images.g[b]),
+                            _rel(images.x[a], images.x[b]))
             bad += image_gap < 1e-10
     return float(bad), 0.5, samples
 
 
-@_register("toda_embed_roundtrip", 1e-8)
-def _check_embed_roundtrip(chev, rng, k):
-    p = sample_flow_domain(chev, rng)
-    zp = embed(chev, p)
-    back = embed_inverse(chev, zp)
-    again = embed(chev, back)
-    return max(_rel(toda_matrix(chev, back), toda_matrix(chev, p)),
-               scalar_aligned_distance(again.g, zp.g), _rel(again.x, zp.x))
+@_register("toda_embed_roundtrip", 1e-8, draw=_flow_point)
+def _check_embed_roundtrip(chev, points):
+    p = stack(points)
+    run = Samples(len(points))
+    zp, errors = embed(chev, p)
+    zp, p = run.drop(errors, zp, p)
+    back, errors = embed_inverse(chev, zp)
+    back, zp, p = run.drop(errors, back, zp, p)
+    again, errors = embed(chev, back)
+    again, back, zp, p = run.drop(errors, again, back, zp, p)
+    dev_p = _rel(toda_matrix(chev, back), toda_matrix(chev, p))
+    dev_x = _rel(again.x, zp.x)
+    return run.result(np.array([
+        max(dp, scalar_aligned_distance(g1, g0), dx)
+        for dp, g1, g0, dx in zip(dev_p, again.g, zp.g, dev_x)]))
 
 
 # NotInGStar is a complex-time blow-up: both sides are undefined together.
-@_register("toda_intertwine_flow", 1e-7, skips=(NotInGStar,))
-def _check_intertwine_flow(chev, rng, k):
-    p = sample_flow_domain(chev, rng)
-    return intertwine_check(chev, 1 + k % chev.r, (0.4, -0.8, 0.3 + 0.2j)[k % 3], p)
+@_register("toda_intertwine_flow", 1e-7, skips=(NotInGStar,), draw=_flow_point)
+def _check_intertwine_flow(chev, points):
+    ks = range(len(points))
+    return intertwine_check(chev, [1 + k % chev.r for k in ks],
+                            [(0.4, -0.8, 0.3 + 0.2j)[k % 3] for k in ks], stack(points))
 
 
-@_register("toda_intertwine_infinitesimal", 1e-5)
-def _check_intertwine_infinitesimal(chev, rng, k):
-    return intertwine_infinitesimal(chev, 1 + k % chev.r, sample_flow_domain(chev, rng))
+@_register("toda_intertwine_infinitesimal", 1e-5, draw=_flow_point)
+def _check_intertwine_infinitesimal(chev, points):
+    return intertwine_infinitesimal(
+        chev, [1 + k % chev.r for k in range(len(points))], stack(points))
 
 
 @_register("toda_domain_fraction")
@@ -617,6 +685,34 @@ def _check_rk4(chev, rng, samples):
 
 # ----------------------------- driver ----------------------------------- #
 
+def _outcomes(check: Check, chev, rng, samples: int):
+    """Per sample, in order, its deviation or the exception it raised.
+
+    A per-point check runs sample by sample.  A stacked check draws its
+    samples one at a time first, in the order a per-point check would, and
+    evaluates them in one stacked pass; a draw that raises ends the list.
+    """
+    if check.draw is None:
+        for k in range(samples):
+            try:
+                yield check.fn(chev, rng, k)
+            except Exception as exc:
+                yield exc
+        return
+    drawn, failure = [], None
+    for k in range(samples):
+        try:
+            drawn.append(check.draw(chev, rng, k))
+        except Exception as exc:
+            failure = exc
+            break
+    if drawn:
+        devs, errors = check.fn(chev, drawn)
+        yield from (dev if exc is None else exc for dev, exc in zip(devs, errors))
+    if failure is not None:
+        yield failure
+
+
 def run_check(name: str, n: int, seed: int, samples: int,
               tols: Tolerances | None = None) -> CheckResult:
     """Run one named check; ``tols`` is accepted and ignored."""
@@ -630,13 +726,13 @@ def run_check(name: str, n: int, seed: int, samples: int,
         if bound is None:
             worst, bound, used = check.fn(chev, rng, samples)
         else:
-            for k in range(samples):
-                try:
-                    dev = check.fn(chev, rng, k)
-                except check.skips as exc:
-                    skipped[type(exc).__name__] += 1
+            for outcome in _outcomes(check, chev, rng, samples):
+                if isinstance(outcome, Exception):
+                    if not isinstance(outcome, check.skips):
+                        raise outcome
+                    skipped[type(outcome).__name__] += 1
                     continue
-                worst = max(worst, dev)
+                worst = max(worst, outcome)
                 used += 1
     except Exception as exc:  # a structural error inside a check is a failure, not a crash
         worst = float("inf")

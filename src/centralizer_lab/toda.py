@@ -24,10 +24,17 @@ import numpy as np
 
 from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
-from .errors import NoConvergence, NotInGStar, NotInV, NotInW, SingularMinor
+from .errors import NoConvergence, NotInGStar, NotInV, NotInW
 from .invariants import invariant_gradient
-from .kostant_maps import chamber_form, dress, normal_forms, unipotent_conjugator
+from .kostant_maps import (
+    chamber_errors,
+    chamber_form,
+    dress,
+    normal_forms,
+    unipotent_conjugator,
+)
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
+from .stacks import Samples, first_errors, per_sample, stacked
 
 
 @dataclass(frozen=True)
@@ -39,115 +46,158 @@ class TodaPoint:
     root_coords: np.ndarray
 
 
+@stacked(1, points=2)
 def make_toda_point(diag, root_coords) -> TodaPoint:
     diag = np.asarray(diag, dtype=complex)
     root_coords = np.asarray(root_coords, dtype=complex)
-    if diag.ndim != 1 or root_coords.shape != (diag.size - 1,):
+    if diag.ndim != 2 or root_coords.shape != (len(diag), diag.shape[1] - 1):
         raise ValueError("need n diagonal entries and n-1 superdiagonal entries")
-    if abs(np.sum(diag)) > 1e-12 * (1.0 + float(np.linalg.norm(diag))):
-        raise ValueError(f"diagonal part has trace {np.sum(diag):.3e}")
-    if np.any(root_coords == 0):
-        raise ValueError("superdiagonal coordinates must be nonzero")
-    return TodaPoint(diag=diag, root_coords=root_coords)
+    trace = np.sum(diag, axis=-1).tolist()
+    zero = (root_coords == 0).any(axis=-1).tolist()
+    return TodaPoint(diag=diag, root_coords=root_coords), [
+        ValueError(f"diagonal part has trace {tr:.3e}") if abs(tr) > 1e-12 * (1.0 + size)
+        else ValueError("superdiagonal coordinates must be nonzero") if z else None
+        for tr, size, z in zip(trace, linalg.vector_norm(diag), zero)]
 
 
 def toda_matrix(chev: ChevalleyData, p: TodaPoint) -> np.ndarray:
-    """xi + diag + superdiagonal, the matrix of a phase-space point."""
-    m = chev.xi + np.diag(p.diag.astype(complex))
-    m += np.diag(p.root_coords.astype(complex), k=1)
-    return m
+    """xi + diag + superdiagonal, the matrix of a phase-space point, or the
+    stack of them for a stacked point."""
+    n, lead = chev.n, np.shape(p.diag)[:-1]
+    entries = np.zeros(lead + (n * n,), dtype=complex)
+    entries[..., ::n + 1] = p.diag
+    entries[..., 1::n + 1] = p.root_coords
+    return chev.xi + entries.reshape(lead + (n, n))
 
 
+@stacked(2)
 def toda_point_from_matrix(chev: ChevalleyData, m: np.ndarray) -> TodaPoint:
     """Read a phase-space point off a matrix, verifying the tridiagonal
     shape (unit subdiagonal, nothing else off the three diagonals)."""
     m = linalg.as_matrix(m)
-    scale = 1.0 + linalg.norm(m)
-    structure = chev.xi + np.diag(np.diag(m)) + np.diag(np.diagonal(m, 1), k=1)
-    off = linalg.norm(m - structure)
-    if off > 1e-8 * scale:
-        raise ValueError(f"matrix is {off:.3e} away from the Toda phase space")
-    return make_toda_point(np.diag(m).copy(), np.diagonal(m, 1).copy())
+    p = TodaPoint(diag=np.diagonal(m, 0, -2, -1).copy(),
+                  root_coords=np.diagonal(m, 1, -2, -1).copy())
+    off = linalg.norm(m - toda_matrix(chev, p))
+    shape_errors = [ValueError(f"matrix is {o:.3e} away from the Toda phase space")
+                    if o > 1e-8 * (1.0 + size) else None
+                    for o, size in zip(off, linalg.norm(m))]
+    _, errors = make_toda_point(p.diag, p.root_coords)
+    return p, first_errors(shape_errors, errors)
 
 
 def in_flow_domain(chev: ChevalleyData, p: TodaPoint) -> bool:
     """Whether the chamber normal form (and hence the factorization
-    solution) exists at p, i.e. whether :func:`chamber_form` accepts it."""
-    try:
-        chamber_form(chev, toda_matrix(chev, p))
-    except NotInV:
-        return False
-    return True
+    solution) exists at p, i.e. whether its spectrum passes the real-part
+    test of :func:`chamber_form`."""
+    values, _ = linalg.eig(toda_matrix(chev, p))
+    return chamber_errors(values[None])[0] is None
 
 
-def toda_flow(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> TodaPoint:
+def _powers(values: np.ndarray, labels) -> np.ndarray:
+    """values ** i row by row, with a Python int exponent as the per-point
+    flow takes it (numpy squares an int exponent 2 in its own way)."""
+    if not per_sample(labels):
+        return values ** labels
+    out = np.empty_like(values)
+    for label in np.unique(labels):
+        out[labels == label] = values[labels == label] ** int(label)
+    return out
+
+
+@stacked(1)
+def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     """Time-t image of p under the i-th flow, by Symes' factorization, in
     substeps over which Re(t * eigenvalue^i) spreads by at most 8.
 
-    Raises :class:`NotInV` off the flow domain, :class:`NotInGStar` when a
-    tau-function (a leading minor of the exponential) vanishes, the
-    blow-up mode at complex time, with the minor index attached, and
-    :class:`NoConvergence` when a substep misses the Toda phase space.
+    For a stacked p, i and t are shared or given per sample, and each
+    sample takes its own substeps.  Raises :class:`NotInV` off the flow
+    domain, :class:`NotInGStar` when a tau-function (a leading minor of the
+    exponential) vanishes, the blow-up mode at complex time, with the minor
+    index attached, and :class:`NoConvergence` when a substep misses the
+    Toda phase space.
     """
     x = toda_matrix(chev, p)
-    values = np.diag(chamber_form(chev, x))
-    exponents = (t * values ** i).real
-    steps = max(1, math.ceil((exponents.max() - exponents.min()) / 8.0))
-    for _ in range(steps):
-        g = linalg.mat_exp((t / steps) * invariant_gradient(chev, x, i))
-        try:
-            _, _, u = linalg.gauss_ldu(g)
-        except SingularMinor as exc:
-            raise NotInGStar(f"tau-function {exc.index} of the flow vanishes",
-                             minor_index=exc.index) from exc
-        try:
-            p = toda_point_from_matrix(chev, adjoint(u, x))
-        except ValueError as exc:
-            raise NoConvergence(f"flow point left the phase space: {exc}") from exc
+    m = len(x)
+    labels = np.asarray(i) if per_sample(i) else i
+    times = list(t) if per_sample(t) else [t] * m
+    (values, _), errors = linalg.eig(x)
+    run = Samples(m)
+    x, p, values, labels, times = run.drop(
+        first_errors(errors, chamber_errors(values)), x, p, values, labels, times)
+    exponents = (np.array(times, dtype=complex)[:, None] * _powers(values, labels)).real
+    steps = [max(1, math.ceil(spread / 8.0))
+             for spread in exponents.max(axis=-1) - exponents.min(axis=-1)]
+    # each sample's substep time is divided in Python, where a complex t
+    # rounds as it does alone; numpy's complex division rounds otherwise
+    dt = np.array([tk / sk for tk, sk in zip(times, steps)], dtype=complex)[:, None, None]
+    for step in range(max(steps, default=0)):
+        g = linalg.mat_exp(dt * invariant_gradient(chev, x, labels))
+        (_, _, u), errors = linalg.gauss_ldu(g)
+        x, u, labels, dt, steps = run.drop([
+            None if exc is None else NotInGStar(
+                f"tau-function {exc.index} of the flow vanishes", minor_index=exc.index)
+            for exc in errors], x, u, labels, dt, steps)
+        p, errors = toda_point_from_matrix(chev, adjoint(u, x))
+        p, labels, dt, steps = run.drop([
+            None if exc is None else NoConvergence(f"flow point left the phase space: {exc}")
+            for exc in errors], p, labels, dt, steps)
+        done = [s == step + 1 for s in steps]
+        if all(done):
+            break
+        p, labels, dt, steps = run.finish(done, p, p, labels, dt, steps)
         x = toda_matrix(chev, p)
-    return p
+    return run.result(p)
 
 
-def toda_vector_field(chev: ChevalleyData, i: int, p: TodaPoint) -> np.ndarray:
+@stacked(1)
+def toda_vector_field(chev: ChevalleyData, i, p: TodaPoint) -> np.ndarray:
     """The i-th Toda vector field in Lax form, [(gradient f_i(x))_{>0}, x].
 
     The result is tangent to the phase space: diagonal plus superdiagonal,
     zero subdiagonal.  Residual mass outside that shape is checked and
-    truncated.
+    truncated.  For a stacked p, i is shared or given per sample.
     """
     x = toda_matrix(chev, p)
     w = bracket(np.triu(invariant_gradient(chev, x, i), 1), x)
-    shaped = np.diag(np.diag(w)) + np.diag(np.diagonal(w, 1), k=1)
-    off = linalg.norm(w - shaped)
-    if off > 1e-5 * (1.0 + linalg.norm(w)):
-        raise ValueError(f"Lax field has off-shape mass {off:.3e}")
-    return shaped
+    shaped = (linalg.diag_matrix(np.diagonal(w, 0, -2, -1))
+              + linalg.diag_matrix(np.diagonal(w, 1, -2, -1), 1))
+    return shaped, [ValueError(f"Lax field has off-shape mass {off:.3e}")
+                    if off > 1e-5 * (1.0 + size) else None
+                    for off, size in zip(linalg.norm(w - shaped), linalg.norm(w))]
 
 
+@stacked(1)
 def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
     """The canonical centralizer point of p:
     (conjugated stabilizer lift, section form)."""
-    forms = normal_forms(chev, toda_matrix(chev, p))
-    return check_z_point(chev, ZPoint(g=forms.g, x=forms.s))
+    forms, errors = normal_forms(chev, toda_matrix(chev, p))
+    run = Samples(len(errors))
+    zp, = run.drop(errors, ZPoint(g=forms.g, x=forms.s))
+    _, errors = check_z_point(chev, zp)
+    zp, = run.drop(errors, zp)
+    return run.result(zp)
 
 
+@stacked(2)
 def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
     """Constructive inverse of :func:`embed` on its image.
 
     Raises :class:`NotInW` when the spectrum has collided real parts or the
     (conjugated) group part falls outside the translated big cell.
     """
-    check_z_point(chev, zp)
-    try:
-        z = chamber_form(chev, zp.x)
-    except NotInV as exc:
-        raise NotInW(str(exc)) from exc
+    run = Samples(len(zp.g))
+    _, errors = check_z_point(chev, zp)
+    zp, = run.drop(errors, zp)
+    z, errors = chamber_form(chev, zp.x)
+    zp, z = run.drop([NotInW(str(exc)) if isinstance(exc, NotInV) else exc
+                      for exc in errors], zp, z)
     k_s = unipotent_conjugator(zp.x, z)
-    try:
-        v = dress(chev, z, linalg.solve(k_s, zp.g @ k_s))
-    except NotInGStar as exc:
-        raise NotInW(f"group part outside the embedding image: {exc}") from exc
-    return toda_point_from_matrix(chev, v)
+    v, errors = dress(chev, z, linalg.solve(k_s, zp.g @ k_s))
+    v, = run.drop([NotInW(f"group part outside the embedding image: {exc}")
+                   if isinstance(exc, NotInGStar) else exc for exc in errors], v)
+    q, errors = toda_point_from_matrix(chev, v)
+    q, = run.drop(errors, q)
+    return run.result(q)
 
 
 def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
@@ -174,35 +224,59 @@ def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
     return toda_point_from_matrix(chev, m)
 
 
-def intertwine_check(chev: ChevalleyData, i: int, t: complex, p: TodaPoint) -> float:
+@stacked(1)
+def intertwine_check(chev: ChevalleyData, i, t, p: TodaPoint) -> float:
     """Deviation between flowing then embedding and embedding then flowing.
 
     Group parts are compared modulo scalar; both sides must be defined
-    (the Toda side can raise :class:`NotInGStar` at complex time).
+    (the Toda side can raise :class:`NotInGStar` at complex time).  For a
+    stacked p, i and t are shared or given per sample.
     """
-    left = embed(chev, toda_flow(chev, i, t, p))
-    right = flow_step(chev, t, embed(chev, p), i)
-    dev_g = scalar_aligned_distance(left.g, right.g)
-    dev_x = linalg.norm(left.x - right.x) / (1.0 + linalg.norm(right.x))
-    return max(dev_g, dev_x)
+    m = len(p.diag)
+    labels = np.asarray(i) if per_sample(i) else i
+    times = list(t) if per_sample(t) else [t] * m
+    run = Samples(m)
+    moved, errors = toda_flow(chev, labels, times, p)
+    moved, p, labels, times = run.drop(errors, moved, p, labels, times)
+    left, errors = embed(chev, moved)
+    left, p, labels, times = run.drop(errors, left, p, labels, times)
+    base, errors = embed(chev, p)
+    left, base, labels, times = run.drop(errors, left, base, labels, times)
+    right = flow_step(chev, times, base, labels)
+    return run.result(np.array([
+        max(scalar_aligned_distance(g1, g2), dx / (1.0 + size))
+        for g1, g2, dx, size in zip(left.g, right.g, linalg.norm(left.x - right.x),
+                                    linalg.norm(right.x))]))
 
 
-def intertwine_infinitesimal(chev: ChevalleyData, i: int, p: TodaPoint) -> float:
+@stacked(1)
+def intertwine_infinitesimal(chev: ChevalleyData, i, p: TodaPoint) -> float:
     """Deviation between the Hamiltonian field at the embedded point and the
     central-difference pushforward, with step 1e-6, of the Toda vector field.
 
     The group-direction derivative is compared in the scalar quotient, so
-    its traceless part is the meaningful representative.
+    its traceless part is the meaningful representative.  For a stacked p,
+    i is shared or given per sample.
     """
     step = 1e-6
-    base = embed(chev, p)
-    target = hamiltonian_field(chev, base, i)
-    w = toda_vector_field(chev, i, p)
+    run = Samples(len(p.diag))
+    labels = np.asarray(i) if per_sample(i) else i
+    base, errors = embed(chev, p)
+    base, p, labels = run.drop(errors, base, p, labels)
+    w, errors = toda_vector_field(chev, labels, p)
+    base, p, labels, w = run.drop(errors, base, p, labels, w)
     m = toda_matrix(chev, p)
-    plus = embed(chev, toda_point_from_matrix(chev, m + step * w))
-    minus = embed(chev, toda_point_from_matrix(chev, m - step * w))
+    plus, errors = toda_point_from_matrix(chev, m + step * w)
+    plus, base, labels, behind = run.drop(errors, plus, base, labels, m - step * w)
+    plus, errors = embed(chev, plus)
+    plus, base, labels, behind = run.drop(errors, plus, base, labels, behind)
+    minus, errors = toda_point_from_matrix(chev, behind)
+    minus, plus, base, labels = run.drop(errors, minus, plus, base, labels)
+    minus, errors = embed(chev, minus)
+    minus, plus, base, labels = run.drop(errors, minus, plus, base, labels)
+    target = hamiltonian_field(chev, base, labels)
     y_fd = traceless_part(linalg.solve(base.g, (plus.g - minus.g) / (2.0 * step)))
     z_fd = (plus.x - minus.x) / (2.0 * step)
-    dev_y = linalg.norm(y_fd - target.y) / (1.0 + linalg.norm(target.y))
-    dev_z = linalg.norm(z_fd - target.z)
-    return max(dev_y, dev_z)
+    return run.result(np.array([
+        max(dy / (1.0 + size), dz) for dy, size, dz in
+        zip(linalg.norm(y_fd - target.y), linalg.norm(target.y), linalg.norm(z_fd - target.z))]))

@@ -1,0 +1,101 @@
+"""Stacked calls against per-point calls: a stack of m points gives, sample
+by sample, the bits or the exception of the per-point call."""
+
+import numpy as np
+import pytest
+
+from centralizer_lab.centralizer import ZPoint
+from centralizer_lab.errors import NotInGStar, NotInV
+from centralizer_lab.kostant_maps import normal_forms
+from centralizer_lab.lie_core import build_chevalley
+from centralizer_lab.sampling import sample_flow_domain, stream
+from centralizer_lab.stacks import stack
+from centralizer_lab.toda import (
+    TodaPoint,
+    embed,
+    embed_inverse,
+    make_toda_point,
+    toda_flow,
+    toda_matrix,
+)
+
+TIMES = (0.4, -0.8, 0.3 + 0.2j)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _check_sample(stacked, exc, call):
+    """The stacked result (or exception) of one sample equals its per-point
+    call bit for bit (or in type and message)."""
+    try:
+        single = call()
+    except Exception as raised:
+        assert exc is not None and type(exc) is type(raised) and str(exc) == str(raised)
+        return
+    assert exc is None, exc
+    for name in single.__dataclass_fields__:
+        assert _same_bits(getattr(stacked, name), getattr(single, name)), name
+
+
+def _sample(value, k):
+    return type(value)(*(getattr(value, name)[k] for name in value.__dataclass_fields__))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_calls_equal_per_point_calls(n):
+    chev = build_chevalley(n)
+    rng = stream(n, "stacked-vs-per-point")
+    points = [sample_flow_domain(chev, rng) for _ in range(25)]
+    p = stack(points)
+    times = [TIMES[k % 3] for k in range(25)]
+    for i in range(1, chev.r + 1):
+        flowed, errors = toda_flow(chev, i, times, p)
+        for k, point in enumerate(points):
+            _check_sample(_sample(flowed, k), errors[k],
+                          lambda: toda_flow(chev, i, times[k], point))
+    forms, errors = normal_forms(chev, toda_matrix(chev, p))
+    for k, point in enumerate(points):
+        _check_sample(_sample(forms, k), errors[k],
+                      lambda: normal_forms(chev, toda_matrix(chev, point)))
+    images, errors = embed(chev, p)
+    for k, point in enumerate(points):
+        _check_sample(_sample(images, k), errors[k], lambda: embed(chev, point))
+    assert errors == [None] * 25
+    back, errors = embed_inverse(chev, images)
+    for k in range(25):
+        _check_sample(_sample(back, k), errors[k],
+                      lambda: embed_inverse(chev, ZPoint(g=images.g[k], x=images.x[k])))
+
+
+def test_one_failed_sample_leaves_the_others_unchanged():
+    # sample 0 has the collided spectrum +-i and fails first; sample 1 (the
+    # sl_2 golden point at t = i pi / 2, where the leading minor cosh(t)
+    # vanishes) blows up a stage later; the rest are ordinary points
+    chev = build_chevalley(2)
+    rng = stream(2, "mixed-stack")
+    points = [make_toda_point([0.0, 0.0], [-1.0]), make_toda_point([0.0, 0.0], [1.0])]
+    points += [sample_flow_domain(chev, rng) for _ in range(6)]
+    times = [0.5, 1j * np.pi / 2] + [0.5] * 6
+    flowed, errors = toda_flow(chev, 1, times, stack(points))
+    assert isinstance(errors[0], NotInV)
+    assert isinstance(errors[1], NotInGStar) and errors[1].minor_index == 1
+    for k in range(8):
+        _check_sample(_sample(flowed, k), errors[k],
+                      lambda: toda_flow(chev, 1, times[k], points[k]))
+    assert errors[2:] == [None] * 6
+
+    images, errors = embed(chev, stack(points))
+    assert isinstance(errors[0], NotInV) and errors[1] is None
+    for k in range(8):
+        _check_sample(_sample(images, k), errors[k], lambda: embed(chev, points[k]))
+
+
+def test_stack_keeps_the_point_class():
+    chev = build_chevalley(3)
+    points = [sample_flow_domain(chev, stream(3, "stack-class")) for _ in range(2)]
+    p = stack(points)
+    assert isinstance(p, TodaPoint) and p.diag.shape == (2, 3) and p.root_coords.shape == (2, 2)
+    assert _same_bits(toda_matrix(chev, p)[1], toda_matrix(chev, points[1]))
