@@ -79,14 +79,6 @@ def longest_weyl_lift(chev: ChevalleyData) -> np.ndarray:
     return _exchange(chev.n)
 
 
-def _check_unitriangular(u: np.ndarray) -> np.ndarray:
-    u = linalg.as_matrix(u)
-    tol = 1e-12 * (1.0 + linalg.norm(u))
-    if linalg.norm(np.tril(u, -1)) > tol or np.max(np.abs(np.diag(u) - 1.0)) > tol:
-        raise ValueError("matrix is not upper unitriangular")
-    return u
-
-
 def unipotent_exp(q: np.ndarray) -> np.ndarray:
     """exp of a strictly triangular (nilpotent) matrix; the series stops.
 
@@ -103,13 +95,22 @@ def unipotent_exp(q: np.ndarray) -> np.ndarray:
     return out
 
 
+@stacked(2, points=2)
 def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Ad_u(s) for u upper unitriangular and s on the Kostant section."""
-    u = _check_unitriangular(u)
-    s = linalg.as_matrix(s)
-    if not chev.on_section(s, tol=1e-10):
-        raise ValueError("second argument is not on the Kostant section")
-    return adjoint(u, s)
+    """Ad_u(s) for u upper unitriangular and s on the Kostant section;
+    ValueError where u or s is not."""
+    u, s = linalg.as_matrix(u), linalg.as_matrix(s)
+    _, missed = chev.section_coords(s)  # on the section: chev.on_section's test
+    run = Samples(len(u))
+    u, s = run.drop([
+        ValueError("matrix is not upper unitriangular")
+        if low > 1e-12 * (1.0 + size) or unit > 1e-12 * (1.0 + size) else
+        ValueError("second argument is not on the Kostant section")
+        if not off <= 1e-10 * (1.0 + s_size) else None
+        for low, unit, size, off, s_size in zip(
+            linalg.norm(np.tril(u, -1)), np.abs(np.diagonal(u, 0, -2, -1) - 1.0).max(axis=-1),
+            linalg.norm(u), missed, linalg.norm(s))], u, s)
+    return run.result(adjoint(u, s))
 
 
 @stacked(2)
@@ -203,12 +204,17 @@ def unipotent_conjugator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return u
 
 
+@stacked(2)
 def chamber_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u with Ad_u(chamber_form(x)) = x."""
     x = linalg.as_matrix(x)
-    if linalg.norm(np.tril(x, -1) - chev.xi) > 1e-12 * (1.0 + linalg.norm(x)):
-        raise NotInXiPlusB("strictly lower part is not the unit subdiagonal")
-    return unipotent_conjugator(x, chamber_form(chev, x))
+    run = Samples(len(x))
+    x, = run.drop([NotInXiPlusB("strictly lower part is not the unit subdiagonal")
+                   if off > 1e-12 * (1.0 + size) else None
+                   for off, size in zip(linalg.norm(np.tril(x, -1) - chev.xi), linalg.norm(x))], x)
+    theta, errors = chamber_form(chev, x)
+    x, theta = run.drop(errors, x, theta)
+    return run.result(unipotent_conjugator(x, theta))
 
 
 @stacked(2)
@@ -237,9 +243,12 @@ def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
 
     Existence is equivalent to the leading principal minors of orders
     1..n-1 of w0_tilde^{-1} g being nonzero; a vanishing one raises
-    :class:`NotInGStar` with the minor index attached.
+    :class:`NotInGStar` with the minor index attached.  w0_tilde is the
+    exchange matrix, its own inverse, so w0_tilde^{-1} g is the row
+    reversal of g.  It is exact: a linear solve by w0_tilde gives the same
+    factors except, at most, in the sign of exact zeros.
     """
-    translated = linalg.solve(longest_weyl_lift(chev), linalg.as_matrix(g))
+    translated = linalg.as_matrix(g)[..., ::-1, :]
     (lower, diag, upper), errors = linalg.gauss_ldu(translated)
     return GStarFactorization(u_minus=lower, torus=diag, u=upper), [
         None if exc is None else NotInGStar(
@@ -328,6 +337,8 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
                                   g=linalg.solve(u_tr, w0_t @ dec_x.u)))
 
 
+@stacked(2)
 def stabilizer_lift(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The stabilizer lift of x; see :func:`normal_forms`."""
-    return normal_forms(chev, x).lift
+    forms, errors = normal_forms(chev, x)
+    return forms.lift, errors

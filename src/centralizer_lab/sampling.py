@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .centralizer import CJLPoint
 from .errors import NoConvergence
-from .invariants import invariant_gradients
+from .invariants import invariant_gradient, invariant_gradients
 from .lie_core import ChevalleyData
 from .toda import TodaPoint, in_flow_domain, make_toda_point
 
@@ -76,16 +76,30 @@ def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator) -> CJLPoint:
 def random_stabilizer_element(chev: ChevalleyData, rng: np.random.Generator,
                               x: np.ndarray) -> np.ndarray:
     """exp of a random combination of the invariant gradients of x, the
-    generic way to draw from the identity component of the stabilizer.
-
-    Each gradient's coefficient is damped to 0.5 / max(1, its norm) so the
-    exponent stays bounded independently of n.
+    generic way to draw from the identity component of the stabilizer:
+    :func:`stabilizer_elements` of the draw :func:`stabilizer_coefficients`.
     """
-    grads = invariant_gradients(chev, x)
-    total = np.zeros((chev.n, chev.n), dtype=complex)
-    for grad in grads:
-        coeff = complex_uniform(rng, ()) * (0.5 / max(1.0, linalg.norm(grad)))
-        total += coeff * grad
+    return stabilizer_elements(chev, np.asarray(x)[None],
+                               stabilizer_coefficients(chev, rng)[None])[0]
+
+
+def stabilizer_coefficients(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
+    """The r raw coefficients of a random stabilizer element, one complex
+    scalar at a time; the draws do not depend on the point."""
+    return np.array([complex_uniform(rng, ()) for _ in range(chev.r)])
+
+
+def stabilizer_elements(chev: ChevalleyData, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """exp(sum_i c_i * gradient_i(x) * 0.5 / max(1, ||gradient_i(x)||)) for
+    each matrix of a stack x (m, n, n) and row of coefficients (m, r).
+
+    The damping keeps the exponent bounded independently of n.
+    """
+    total = np.zeros(np.shape(x), dtype=complex)
+    for i in range(1, chev.r + 1):
+        grad = invariant_gradient(chev, x, i)
+        damp = [0.5 / max(1.0, size) for size in linalg.norm(grad)]
+        total += (coeffs[:, i - 1] * damp)[:, None, None] * grad
     return linalg.mat_exp(total)
 
 

@@ -3,17 +3,31 @@
 A check has one of two shapes.  Most are *sampled*, registered with their
 pinned bound and the exception types that count as a skipped sample.  A
 per-point sampled check is a function ``(chev, rng, k) -> deviation`` that
-makes the draws and computations of sample ``k``.  A *stacked* one, the
-Toda-path checks, is registered with a ``draw(chev, rng, k)`` that makes
-the draws of sample ``k``; its function takes the list of all draws and
-returns ``(deviations, errors)`` from one pass over the stack (see
+makes the draws and computations of sample ``k``.  A *stacked* one is
+registered with a ``draw(chev, rng, k)`` that makes the draws of sample
+``k``; its function takes the list of all draws and returns
+``(deviations, errors)`` from one pass over the stack (see
 :mod:`stacks`): per sample a deviation, or the exception the sample
 raised.  The draws still run one at a time in sample order on the
-check's own stream, so the draw order is that of a per-point check and
+check's own stream, and none depends on a computed value (a random
+stabilizer element is drawn as its raw coefficients and built in the
+stacked pass), so the draw order is that of a per-point check and
 ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A few checks
 are *plain*: a function ``(chev, rng, samples) -> (deviation, bound,
 used)`` for structure constants, rank-dependent cases and checks over the
 whole sample set at once.
+
+Stacked are the checks on Toda and section points: every sampled
+``toda_*`` check, the ``kostant_*`` normal-form, lift and dressing checks
+(all but ``kostant_gstar_refactor``), and ``cent_flow_preserves_points``,
+``cent_invariants_group_independent``, ``cent_hamiltonian_isotropy`` and
+``cent_flow_group_law``.  The other sampled checks stay per point: the
+``linalg_*``, ``lie_*`` and ``inv_*`` checks and
+``kostant_gstar_refactor`` make one or two small kernel calls per sample,
+and the chart checks (``cent_cjl_*``, ``cent_hamiltonian_duality_fd``)
+would need a stacked ``cjl_chart`` and ``chart_directions``, which would
+put the ``m = 1`` bookkeeping of :func:`stacks.stacked` on every
+per-point chart evaluation of the ``cjl`` command.
 
 The driver, :func:`run_check`, owns everything around a sampled check: it
 folds one ordered list of per-sample outcomes, a deviation or an
@@ -40,6 +54,7 @@ import numpy as np
 from . import linalg
 from .centralizer import (
     CJLPoint,
+    Tangent,
     ZPoint,
     chart_directions,
     cjl_chart,
@@ -90,6 +105,8 @@ from .sampling import (
     random_stabilizer_element,
     random_traceless,
     sample_flow_domain,
+    stabilizer_coefficients,
+    stabilizer_elements,
     stream,
 )
 from .stacks import Samples, stack
@@ -157,6 +174,14 @@ def _random_regular(chev, rng):
         diffs = [abs(a - b) for a, b in itertools.combinations(values, 2)]
         if min(diffs) > 1e-2:
             return x
+
+
+def _flow_point(chev, rng, k):
+    return sample_flow_domain(chev, rng)
+
+
+def _flow_point_and_label(chev, rng, k):
+    return sample_flow_domain(chev, rng), int(rng.integers(1, chev.r + 1))
 
 
 # ----------------------------- linalg ---------------------------------- #
@@ -346,70 +371,124 @@ def _random_unitriangular(chev, rng):
     return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=0.8), 1)
 
 
-@_register("kostant_section_decomposition_roundtrip", 1e-10)
-def _check_decomposition_roundtrip(chev, rng, k):
-    z = _random_xi_plus_b(chev, rng)
-    dec = decompose_to_section(chev, z)
-    u = _random_unitriangular(chev, rng)
-    s = random_section_point(chev, rng)
-    dec2 = decompose_to_section(chev, conjugate_section(chev, u, s))
-    return max(_rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u), _rel(dec2.s, s))
+def _draw_decomposition(chev, rng, k):
+    return (_random_xi_plus_b(chev, rng), _random_unitriangular(chev, rng),
+            random_section_point(chev, rng))
 
 
-@_register("kostant_chamber_form", 1e-9)
-def _check_chamber_form(chev, rng, k):
-    x = toda_matrix(chev, sample_flow_domain(chev, rng))
-    form = chamber_form(chev, x)
-    return max(float(np.linalg.norm(invariant_vector(chev, form) - invariant_vector(chev, x))),
-               _rel(chamber_form(chev, form), form))
+@_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_draw_decomposition)
+def _check_decomposition_roundtrip(chev, drawn):
+    z, u, s = map(np.array, zip(*drawn))
+    run = Samples(len(drawn))
+    dec, errors = decompose_to_section(chev, z)
+    dec, z, u, s = run.drop(errors, dec, z, u, s)
+    moved, errors = conjugate_section(chev, u, s)
+    moved, dec, z, u, s = run.drop(errors, moved, dec, z, u, s)
+    dec2, errors = decompose_to_section(chev, moved)
+    dec2, dec, z, u, s = run.drop(errors, dec2, dec, z, u, s)
+    return run.result(np.array([max(a, b, c) for a, b, c in zip(
+        _rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u), _rel(dec2.s, s))]))
 
 
-@_register("kostant_chamber_conjugator", 1e-9)
-def _check_chamber_conjugator(chev, rng, k):
-    x = toda_matrix(chev, sample_flow_domain(chev, rng))
-    return _rel(adjoint(chamber_conjugator(chev, x), chamber_form(chev, x)), x)
+@_register("kostant_chamber_form", 1e-9, draw=_flow_point)
+def _check_chamber_form(chev, points):
+    x = toda_matrix(chev, stack(points))
+    run = Samples(len(points))
+    form, errors = chamber_form(chev, x)
+    x, form = run.drop(errors, x, form)
+    dev = linalg.vector_norm(invariant_vector(chev, form) - invariant_vector(chev, x))
+    again, errors = chamber_form(chev, form)
+    again, form, dev = run.drop(errors, again, form, dev)
+    return run.result(np.array([max(a, b) for a, b in zip(dev, _rel(again, form))]))
 
 
-@_register("kostant_section_chamber_conjugator", 1e-9)
-def _check_section_chamber_conjugator(chev, rng, k):
-    x = toda_matrix(chev, sample_flow_domain(chev, rng))
-    conj = chamber_to_section_conjugator(chev, x)
-    return _rel(adjoint(conj, chamber_form(chev, x)), section_form(chev, x))
+@_register("kostant_chamber_conjugator", 1e-9, draw=_flow_point)
+def _check_chamber_conjugator(chev, points):
+    x = toda_matrix(chev, stack(points))
+    run = Samples(len(points))
+    conj, errors = chamber_conjugator(chev, x)
+    conj, x = run.drop(errors, conj, x)
+    theta_x, errors = chamber_form(chev, x)
+    theta_x, conj, x = run.drop(errors, theta_x, conj, x)
+    return run.result(_rel(adjoint(conj, theta_x), x))
 
 
-@_register("kostant_stabilizer_lift", 1e-9)
-def _check_stabilizer_lift(chev, rng, k):
-    x = toda_matrix(chev, sample_flow_domain(chev, rng))
-    theta_x = chamber_form(chev, x)
-    lift = stabilizer_lift(chev, x)
-    return max(stabilizer_residual(lift, theta_x), _rel(dress(chev, theta_x, lift), x))
+@_register("kostant_section_chamber_conjugator", 1e-9, draw=_flow_point)
+def _check_section_chamber_conjugator(chev, points):
+    x = toda_matrix(chev, stack(points))
+    run = Samples(len(points))
+    conj, errors = chamber_to_section_conjugator(chev, x)
+    conj, x = run.drop(errors, conj, x)
+    theta_x, errors = chamber_form(chev, x)
+    theta_x, conj, x = run.drop(errors, theta_x, conj, x)
+    beta_x, errors = section_form(chev, x)
+    beta_x, theta_x, conj = run.drop(errors, beta_x, theta_x, conj)
+    return run.result(_rel(adjoint(conj, theta_x), beta_x))
 
 
-@_register("kostant_lift_of_dressed_point", 1e-8, skips=(NotInGStar, SmallRootCoordinate))
-def _check_lift_of_dressed(chev, rng, k):
-    x = toda_matrix(chev, sample_flow_domain(chev, rng))
-    theta_x = chamber_form(chev, x)
-    g = random_stabilizer_element(chev, rng, theta_x)
-    y = dress(chev, theta_x, g)
-    if np.min(np.abs(np.diagonal(y, 1))) < 1e-6:
-        raise SmallRootCoordinate
-    return scalar_aligned_distance(stabilizer_lift(chev, y), g)
+@_register("kostant_stabilizer_lift", 1e-9, draw=_flow_point)
+def _check_stabilizer_lift(chev, points):
+    x = toda_matrix(chev, stack(points))
+    run = Samples(len(points))
+    theta_x, errors = chamber_form(chev, x)
+    theta_x, x = run.drop(errors, theta_x, x)
+    lift, errors = stabilizer_lift(chev, x)
+    lift, theta_x, x = run.drop(errors, lift, theta_x, x)
+    residual = stabilizer_residual(lift, theta_x)
+    dressed, errors = dress(chev, theta_x, lift)
+    dressed, residual, x = run.drop(errors, dressed, residual, x)
+    return run.result(np.array([max(a, b) for a, b in zip(residual, _rel(dressed, x))]))
 
 
-@_register("kostant_open_stabilizer_conjugation", 1e-9, skips=(NotInGStar,))
-def _check_open_stabilizer(chev, rng, k):
-    x = toda_matrix(chev, sample_flow_domain(chev, rng))
-    theta_x = chamber_form(chev, x)
-    beta_x = section_form(chev, x)
-    conj = chamber_to_section_conjugator(chev, x)
+def _draw_dressing(chev, rng, k):
+    return sample_flow_domain(chev, rng), stabilizer_coefficients(chev, rng)
+
+
+@_register("kostant_lift_of_dressed_point", 1e-8, skips=(NotInGStar, SmallRootCoordinate),
+           draw=_draw_dressing)
+def _check_lift_of_dressed(chev, drawn):
+    points, coeffs = zip(*drawn)
+    run = Samples(len(drawn))
+    theta_x, errors = chamber_form(chev, toda_matrix(chev, stack(points)))
+    theta_x, coeffs = run.drop(errors, theta_x, np.array(coeffs))
+    g = stabilizer_elements(chev, theta_x, coeffs)
+    y, errors = dress(chev, theta_x, g)
+    y, g = run.drop(errors, y, g)
+    walls = (np.abs(np.diagonal(y, 1, -2, -1)).min(axis=-1) < 1e-6).tolist()
+    y, g = run.drop([SmallRootCoordinate() if wall else None for wall in walls], y, g)
+    lift, errors = stabilizer_lift(chev, y)
+    lift, g = run.drop(errors, lift, g)
+    return run.result(np.array([scalar_aligned_distance(a, b) for a, b in zip(lift, g)]))
+
+
+def _draw_open_stabilizer(chev, rng, k):
+    return (sample_flow_domain(chev, rng), stabilizer_coefficients(chev, rng),
+            stabilizer_coefficients(chev, rng))
+
+
+@_register("kostant_open_stabilizer_conjugation", 1e-9, skips=(NotInGStar,),
+           draw=_draw_open_stabilizer)
+def _check_open_stabilizer(chev, drawn):
+    points, g_coeffs, h_coeffs = zip(*drawn)
+    x = toda_matrix(chev, stack(points))
+    run = Samples(len(drawn))
+    coeffs = np.array(g_coeffs), np.array(h_coeffs)
+    theta_x, errors = chamber_form(chev, x)
+    theta_x, x, *coeffs = run.drop(errors, theta_x, x, *coeffs)
+    beta_x, errors = section_form(chev, x)
+    beta_x, theta_x, x, *coeffs = run.drop(errors, beta_x, theta_x, x, *coeffs)
+    conj, errors = chamber_to_section_conjugator(chev, x)
+    conj, beta_x, theta_x, *coeffs = run.drop(errors, conj, beta_x, theta_x, *coeffs)
     conj_inv = linalg.inv(conj)
-    g = random_stabilizer_element(chev, rng, theta_x)
-    h = random_stabilizer_element(chev, rng, beta_x)
-    moved_g = conj @ g @ conj_inv
-    moved_h = conj_inv @ h @ conj
-    for m in (g, h, moved_g, moved_h):
-        gstar_factor(chev, m)  # the conjugation is tested on the big cell only
-    return max(stabilizer_residual(moved_g, beta_x), stabilizer_residual(moved_h, theta_x))
+    g = stabilizer_elements(chev, theta_x, coeffs[0])
+    h = stabilizer_elements(chev, beta_x, coeffs[1])
+    elements = [g, h, conj @ g @ conj_inv, conj_inv @ h @ conj]
+    for j in range(len(elements)):  # the conjugation is tested on the big cell only
+        _, errors = gstar_factor(chev, elements[j])
+        *elements, beta_x, theta_x = run.drop(errors, *elements, beta_x, theta_x)
+    moved_g, moved_h = elements[2:]
+    return run.result(np.array([max(a, b) for a, b in zip(
+        stabilizer_residual(moved_g, beta_x), stabilizer_residual(moved_h, theta_x))]))
 
 
 @_register("kostant_gstar_refactor", 1e-10)
@@ -426,46 +505,71 @@ def _check_gstar_refactor(chev, rng, k):
 
 # ----------------------------- centralizer ----------------------------- #
 
-def _random_z_point(chev, rng) -> ZPoint:
-    x = random_section_point(chev, rng)
-    return ZPoint(g=random_stabilizer_element(chev, rng, x), x=x)
+def _draw_z_point(chev, rng, k):
+    return random_section_point(chev, rng), stabilizer_coefficients(chev, rng)
 
 
-@_register("cent_flow_preserves_points", 1e-9)
-def _check_flow_preserves(chev, rng, k):
-    p = _random_z_point(chev, rng)
-    i = int(rng.integers(1, chev.r + 1))
-    t = complex_uniform(rng, ())
-    moved = flow_step(chev, t, p, i)
+def _z_points(chev, sections, coeffs) -> ZPoint:
+    """The stacked centralizer points of the drawn section points and
+    stabilizer coefficients."""
+    x = np.stack(sections)
+    return ZPoint(g=stabilizer_elements(chev, x, np.array(coeffs)), x=x)
+
+
+def _draw_z_flow(chev, rng, k):
+    return (*_draw_z_point(chev, rng, k), int(rng.integers(1, chev.r + 1)),
+            complex_uniform(rng, ()))
+
+
+@_register("cent_flow_preserves_points", 1e-9, draw=_draw_z_flow)
+def _check_flow_preserves(chev, drawn):
+    sections, coeffs, labels, times = zip(*drawn)
+    p = _z_points(chev, sections, coeffs)
+    moved = flow_step(chev, times, p, np.array(labels))
     # the algebra part must be carried unchanged
-    return max(stabilizer_residual(moved.g, moved.x), 0.0 if moved.x is p.x else 1.0)
+    carried = 0.0 if moved.x is p.x else 1.0
+    return (np.array([max(res, carried) for res in stabilizer_residual(moved.g, moved.x)]),
+            [None] * len(drawn))
 
 
 @_register("cent_moment_preimage")
 def _check_moment_preimage(chev, rng, samples):
     points = []
     for _ in range(samples):
-        p = _random_z_point(chev, rng)
-        points.append((p.g, p.x))
-        points.append((random_group_element(chev, rng), p.x))
+        x = random_section_point(chev, rng)
+        points.append((random_stabilizer_element(chev, rng, x), x))
+        points.append((random_group_element(chev, rng), x))
     report = moment_preimage_report(chev, points)
     dev = float(report.mismatches) + report.max_member_residual
     return dev, 1e-9 + 0.5, len(points)
 
 
-@_register("cent_invariants_group_independent", 1e-15)
-def _check_invariants_group_independent(chev, rng, k):
-    x = random_section_point(chev, rng)
-    p1 = ZPoint(g=random_stabilizer_element(chev, rng, x), x=x)
-    p2 = ZPoint(g=random_stabilizer_element(chev, rng, x), x=x)
-    return float(np.linalg.norm(z_invariants(chev, p1) - z_invariants(chev, p2)))
+def _draw_two_stabilizer_elements(chev, rng, k):
+    return (random_section_point(chev, rng), stabilizer_coefficients(chev, rng),
+            stabilizer_coefficients(chev, rng))
 
 
-@_register("cent_hamiltonian_isotropy", 1e-10)
-def _check_ham_isotropy(chev, rng, k):
-    p = _random_z_point(chev, rng)
+@_register("cent_invariants_group_independent", 1e-15, draw=_draw_two_stabilizer_elements)
+def _check_invariants_group_independent(chev, drawn):
+    sections, first, second = zip(*drawn)
+    p1, p2 = _z_points(chev, sections, first), _z_points(chev, sections, second)
+    run = Samples(len(drawn))
+    values1, errors = z_invariants(chev, p1)
+    values1, p2 = run.drop(errors, values1, p2)
+    values2, errors = z_invariants(chev, p2)
+    values1, values2 = run.drop(errors, values1, values2)
+    return run.result(np.array(linalg.vector_norm(values1 - values2)))
+
+
+@_register("cent_hamiltonian_isotropy", 1e-10, draw=_draw_z_point)
+def _check_ham_isotropy(chev, drawn):
+    p = _z_points(chev, *zip(*drawn))
     fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
-    return float(np.max(np.abs(symplectic_form(p.x, fields, fields))))
+    devs = []
+    for k in range(len(drawn)):  # the Gram matrix is one point's einsum
+        at_k = [Tangent(y=v.y[k], z=v.z[k]) for v in fields]
+        devs.append(float(np.max(np.abs(symplectic_form(p.x[k], at_k, at_k)))))
+    return np.array(devs), [None] * len(drawn)
 
 
 @_register("cent_hamiltonian_duality_fd", 1e-6)
@@ -500,14 +604,18 @@ def _check_cjl_rank(chev, rng, k):
     return float(sigma[-1] <= 1e-6 * sigma[0])
 
 
-@_register("cent_flow_group_law", 1e-10)
-def _check_flow_group_law(chev, rng, k):
-    p = _random_z_point(chev, rng)
-    i = int(rng.integers(1, chev.r + 1))
-    t = complex_uniform(rng, (), scale=0.7)
-    s = complex_uniform(rng, (), scale=0.7)
-    lhs = flow_step(chev, t, flow_step(chev, s, p, i), i)
-    return _rel(lhs.g, flow_step(chev, t + s, p, i).g)
+def _draw_group_law(chev, rng, k):
+    return (*_draw_z_point(chev, rng, k), int(rng.integers(1, chev.r + 1)),
+            complex_uniform(rng, (), scale=0.7), complex_uniform(rng, (), scale=0.7))
+
+
+@_register("cent_flow_group_law", 1e-10, draw=_draw_group_law)
+def _check_flow_group_law(chev, drawn):
+    sections, coeffs, labels, t, s = zip(*drawn)
+    p, labels = _z_points(chev, sections, coeffs), np.array(labels)
+    lhs = flow_step(chev, t, flow_step(chev, s, p, labels), labels)
+    rhs = flow_step(chev, [a + b for a, b in zip(t, s)], p, labels)
+    return _rel(lhs.g, rhs.g), [None] * len(drawn)
 
 
 @_register("cent_cjl_factor_order", 1e-10)
@@ -526,14 +634,6 @@ def _check_cjl_pullback(chev, rng, k):
 
 
 # ----------------------------- toda ------------------------------------ #
-
-def _flow_point(chev, rng, k):
-    return sample_flow_domain(chev, rng)
-
-
-def _flow_point_and_label(chev, rng, k):
-    return sample_flow_domain(chev, rng), int(rng.integers(1, chev.r + 1))
-
 
 @_register("toda_conservation", 1e-8, draw=_flow_point)
 def _check_toda_conservation(chev, points):

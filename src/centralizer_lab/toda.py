@@ -157,7 +157,11 @@ def toda_vector_field(chev: ChevalleyData, i, p: TodaPoint) -> np.ndarray:
     zero subdiagonal.  Residual mass outside that shape is checked and
     truncated.  For a stacked p, i is shared or given per sample.
     """
-    x = toda_matrix(chev, p)
+    return _lax_field(chev, i, toda_matrix(chev, p))
+
+
+def _lax_field(chev: ChevalleyData, i, x: np.ndarray):
+    """:func:`toda_vector_field` at a stack of phase-space matrices x."""
     w = bracket(np.triu(invariant_gradient(chev, x, i), 1), x)
     shaped = (linalg.diag_matrix(np.diagonal(w, 0, -2, -1))
               + linalg.diag_matrix(np.diagonal(w, 1, -2, -1), 1))
@@ -206,14 +210,20 @@ def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
 
     This is an independent route to the time-t point: the Lax field is
     evaluated in closed form, so agreement with :func:`toda_flow` at t_end
-    checks the factorization against the ODE it solves.
+    checks the factorization against the ODE it solves.  The field is
+    tangent to the phase space, so every stage matrix is tridiagonal with
+    unit subdiagonal and the field is taken on it directly; the end point
+    is read off by :func:`toda_point_from_matrix`.
     """
     steps = max(1, round(abs(t_end) / step))
     h = t_end / steps
-    m = toda_matrix(chev, p)
+    m = toda_matrix(chev, p)[None]
 
     def field(mat):
-        return toda_vector_field(chev, i, toda_point_from_matrix(chev, mat))
+        w, errors = _lax_field(chev, i, mat)
+        if errors[0] is not None:
+            raise errors[0]
+        return w
 
     for _ in range(steps):
         k1 = field(m)
@@ -221,7 +231,7 @@ def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
         k3 = field(m + 0.5 * h * k2)
         k4 = field(m + h * k3)
         m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return toda_point_from_matrix(chev, m)
+    return toda_point_from_matrix(chev, m[0])
 
 
 @stacked(1)

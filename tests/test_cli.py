@@ -134,19 +134,60 @@ def test_check_counts_skipped_samples(monkeypatch):
     assert result.skipped == {"SingularMinor": 4}
     assert result.samples + sum(result.skipped.values()) == 10
 
-    dressed = []
-
     def wall_or_blowup(chev, theta_x, g):
-        dressed.append(g)
-        if len(dressed) % 2:
-            raise NotInGStar()
-        return np.zeros((chev.n, chev.n), dtype=complex)  # every root coordinate 0
+        # the check dresses its whole stack at once: samples 0, 2, 4 leave
+        # the big cell, and 1 and 3 have every root coordinate 0
+        return np.zeros_like(theta_x), [None if k % 2 else NotInGStar() for k in range(len(g))]
 
     monkeypatch.setattr(suites, "dress", wall_or_blowup)
     result = run_check("kostant_lift_of_dressed_point", 3, 1, 5)
     assert result.skipped == {"NotInGStar": 3, "SmallRootCoordinate": 2}
     assert list(result.skipped) == sorted(result.skipped)
     assert result.samples == 0 and result.error is None
+
+
+def _run_with_patched_dress(monkeypatch, failure=None):
+    """kostant_lift_of_dressed_point at n=3, seed 42, where no sample is
+    skipped, with sample 3 off the big cell, sample 5 on the wall and, if
+    given, ``failure`` raised by sample 7."""
+    def dress(chev, theta_x, g):
+        y, errors = kostant_maps.dress(chev, theta_x, g)
+        errors[3] = NotInGStar("injected")
+        y[5, 0, 1] = 1e-7  # below the 1e-6 root-coordinate floor
+        if failure is not None:
+            errors[7] = failure
+        return y, errors
+
+    monkeypatch.setattr(suites, "dress", dress)
+    return run_check("kostant_lift_of_dressed_point", 3, 42, 25)
+
+
+def test_stacked_check_folds_per_sample_exceptions(monkeypatch):
+    assert run_check("kostant_lift_of_dressed_point", 3, 42, 25).samples == 25
+    result = _run_with_patched_dress(monkeypatch)
+    assert result.skipped == {"NotInGStar": 1, "SmallRootCoordinate": 1}
+    assert result.samples == 23 and result.passed and result.error is None
+    # an exception that is no skip ends the row: samples 0..6, less the skips
+    result = _run_with_patched_dress(monkeypatch, NoConvergence("injected"))
+    assert result.error == "NoConvergence: injected"
+    assert result.samples == 5 and result.max_deviation == float("inf")
+    assert result.skipped == {"NotInGStar": 1, "SmallRootCoordinate": 1}
+
+
+@pytest.mark.parametrize("name", [name for name, check in suites.CHECKS.items() if check.draw])
+def test_stacked_checks_replay_their_samples(name):
+    # draws never depend on the stack size, so run_check(name, n, seed, k)
+    # reads the running maximum of the first k outcomes of a longer run
+    check = suites.CHECKS[name]
+    outcomes = list(suites._outcomes(check, lie_core.build_chevalley(3),
+                                     sampling.stream(42, name), 6))
+    assert len(outcomes) == 6
+    for k in range(1, 7):
+        devs = [o for o in outcomes[:k] if not isinstance(o, check.skips)]
+        assert not any(isinstance(o, Exception) for o in devs), devs
+        result = run_check(name, 3, 42, k)
+        assert result.max_deviation == max([0.0] + devs)
+        assert result.samples == len(devs)
 
 
 def test_check_csv_output(tmp_path):

@@ -13,6 +13,7 @@ from centralizer_lab.errors import (
     NotInGStar,
     NotInV,
     NotInXiPlusB,
+    SingularMinor,
 )
 from centralizer_lab.invariants import invariant_vector, section_from_invariants
 from centralizer_lab.kostant_maps import (
@@ -444,6 +445,31 @@ def test_gstar_refactor_recovers_factors(n):
         assert linalg.norm(factors.u_minus - u_minus) <= 1e-10 * (1 + linalg.norm(u_minus))
         assert linalg.norm(factors.u - u) <= 1e-10 * (1 + linalg.norm(u))
         assert scalar_aligned_distance(factors.torus, torus) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gstar_factor_matches_the_solve_by_w0_up_to_signed_zeros(n):
+    # w0 is its own inverse, so the factorization reads the row reversal of
+    # g; a linear solve by w0 may differ from it only in the sign of exact
+    # zeros, which array_equal does not see.  Negative zero parts make the
+    # LAPACK solve flip signs of zeros on about a third of these inputs.
+    chev = build_chevalley(n)
+    rng = stream(44, f"gstar-zeros-{n}")
+    w0 = longest_weyl_lift(chev)
+    for _ in range(20):
+        g = complex_uniform(rng, (n, n))
+        g.real[rng.uniform(size=(n, n)) < 0.15] = -0.0
+        g.imag[rng.uniform(size=(n, n)) < 0.15] = -0.0
+        try:
+            expected = linalg.gauss_ldu(linalg.solve(w0, g))
+        except SingularMinor as exc:
+            with pytest.raises(NotInGStar) as info:
+                gstar_factor(chev, g)
+            assert info.value.minor_index == exc.index
+            continue
+        factors = gstar_factor(chev, g)
+        for got, want in zip((factors.u_minus, factors.torus, factors.u), expected):
+            assert np.array_equal(got, want)
 
 
 def _gstar_verdict(chev, g):

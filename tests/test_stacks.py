@@ -8,7 +8,14 @@ from centralizer_lab.centralizer import ZPoint
 from centralizer_lab.errors import NotInGStar, NotInV
 from centralizer_lab.kostant_maps import normal_forms
 from centralizer_lab.lie_core import build_chevalley
-from centralizer_lab.sampling import sample_flow_domain, stream
+from centralizer_lab.sampling import (
+    random_section_point,
+    random_stabilizer_element,
+    sample_flow_domain,
+    stabilizer_coefficients,
+    stabilizer_elements,
+    stream,
+)
 from centralizer_lab.stacks import stack
 from centralizer_lab.toda import (
     TodaPoint,
@@ -68,6 +75,21 @@ def test_stacked_calls_equal_per_point_calls(n):
     for k in range(25):
         _check_sample(_sample(back, k), errors[k],
                       lambda: embed_inverse(chev, ZPoint(g=images.g[k], x=images.x[k])))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_stabilizer_elements_equal_per_point_draws(n):
+    # the raw coefficients drawn one sample at a time and the stacked
+    # exponential give random_stabilizer_element's bits, damped or not
+    chev = build_chevalley(n)
+    rng = stream(n, "stabilizer-points")
+    x = np.stack([random_section_point(chev, rng, scale=1.0 + 3.0 * (k % 2)) for k in range(25)])
+    draws = stream(n, "stabilizer-draws")
+    coeffs = np.array([stabilizer_coefficients(chev, draws) for _ in range(25)])
+    elements = stabilizer_elements(chev, x, coeffs)
+    draws = stream(n, "stabilizer-draws")
+    for k in range(25):
+        assert _same_bits(elements[k], random_stabilizer_element(chev, draws, x[k]))
 
 
 def test_one_failed_sample_leaves_the_others_unchanged():
