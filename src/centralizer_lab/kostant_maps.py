@@ -34,7 +34,7 @@ from . import linalg
 from .errors import NoConvergence, NotCentralizing, NotInGStar, NotInV, NotInXiPlusB
 from .invariants import invariant_vector, section_from_invariants
 from .lie_core import ChevalleyData, adjoint, stabilizer_residual
-from .stacks import Samples, first_errors, stacked
+from .stacks import first_errors, stacked
 
 # Spectra whose real parts are not pairwise separated by more than this
 # have no chamber form.
@@ -101,16 +101,17 @@ def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray) -> np.n
     ValueError where u or s is not."""
     u, s = linalg.as_matrix(u), linalg.as_matrix(s)
     _, missed = chev.section_coords(s)  # on the section: chev.on_section's test
-    run = Samples(len(u))
-    u, s = run.drop([
+    errors = [
         ValueError("matrix is not upper unitriangular")
         if low > 1e-12 * (1.0 + size) or unit > 1e-12 * (1.0 + size) else
         ValueError("second argument is not on the Kostant section")
         if not off <= 1e-10 * (1.0 + s_size) else None
         for low, unit, size, off, s_size in zip(
             linalg.norm(np.tril(u, -1)), np.abs(np.diagonal(u, 0, -2, -1) - 1.0).max(axis=-1),
-            linalg.norm(u), missed, linalg.norm(s))], u, s)
-    return run.result(adjoint(u, s))
+            linalg.norm(u), missed, linalg.norm(s))]
+    # a failed u may be singular: those samples are conjugated by I
+    failed = np.array([exc is not None for exc in errors])[:, None, None]
+    return adjoint(np.where(failed, linalg.eye(chev.n), u), s), errors
 
 
 @stacked(2)
@@ -132,23 +133,18 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
         raise NotInXiPlusB(f"expected size {n}, got {z.shape[-1]}")
     scale = [1.0 + size for size in linalg.norm(z)]
     off_shape = linalg.norm(np.tril(z, -1) - chev.xi)
-    run = Samples(len(z))
-    z, scale = run.drop([
+    shape_errors = [
         NotInXiPlusB("strictly lower part is not the unit subdiagonal") if off > 1e-12 * sc
         else NotInXiPlusB(f"trace {tr:.3e} is not zero") if abs(tr) > 1e-12 * sc else None
-        for off, tr, sc in zip(off_shape, np.trace(z, axis1=-2, axis2=-1).tolist(), scale)],
-        z, scale)
-
+        for off, tr, sc in zip(off_shape, np.trace(z, axis1=-2, axis2=-1).tolist(), scale)]
     s, errors = section_from_invariants(chev, invariant_vector(chev, z))
-    z, scale, s = run.drop(errors, z, scale, s)
     u = unipotent_conjugator(z, s)
     # the recurrence leaves the last column of z u = u s free
     residual = linalg.norm(z @ u - u @ s)
-    u, s = run.drop([
+    return SectionDecomposition(u=u, s=s), first_errors(shape_errors, errors, [
         NoConvergence(f"section conjugator leaves residual {res:.3e}")
         if res > 1e-10 * sc * size else None
-        for res, sc, size in zip(residual, scale, linalg.norm(u))], u, s)
-    return run.result(SectionDecomposition(u=u, s=s))
+        for res, sc, size in zip(residual, scale, linalg.norm(u))])
 
 
 def real_part_gap(values):
@@ -208,13 +204,11 @@ def unipotent_conjugator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def chamber_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u with Ad_u(chamber_form(x)) = x."""
     x = linalg.as_matrix(x)
-    run = Samples(len(x))
-    x, = run.drop([NotInXiPlusB("strictly lower part is not the unit subdiagonal")
-                   if off > 1e-12 * (1.0 + size) else None
-                   for off, size in zip(linalg.norm(np.tril(x, -1) - chev.xi), linalg.norm(x))], x)
     theta, errors = chamber_form(chev, x)
-    x, theta = run.drop(errors, x, theta)
-    return run.result(unipotent_conjugator(x, theta))
+    return unipotent_conjugator(x, theta), first_errors(
+        [NotInXiPlusB("strictly lower part is not the unit subdiagonal")
+         if off > 1e-12 * (1.0 + size) else None
+         for off, size in zip(linalg.norm(np.tril(x, -1) - chev.xi), linalg.norm(x))], errors)
 
 
 @stacked(2)
@@ -228,13 +222,9 @@ def section_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
 def chamber_to_section_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """The unique upper unitriangular u conjugating the chamber form of x
     to its section form."""
-    x = linalg.as_matrix(x)
-    run = Samples(len(x))
     s, errors = section_form(chev, x)
-    x, s = run.drop(errors, x, s)
-    theta, errors = chamber_form(chev, x)
-    s, theta = run.drop(errors, s, theta)
-    return run.result(unipotent_conjugator(s, theta))
+    theta, chamber = chamber_form(chev, x)
+    return unipotent_conjugator(s, theta), first_errors(errors, chamber)
 
 
 @stacked(2)
@@ -264,11 +254,9 @@ def dress(chev: ChevalleyData, theta_x: np.ndarray, g: np.ndarray) -> np.ndarray
     result lies on the same invariant level set as theta_x.
     """
     theta_x = linalg.as_matrix(theta_x)
-    run = Samples(len(theta_x))
-    theta_x, g = run.drop(_centralizing_errors(g, theta_x, "group element"), theta_x, g)
+    moved = _centralizing_errors(g, theta_x, "group element")
     factors, errors = gstar_factor(chev, g)
-    theta_x, u = run.drop(errors, theta_x, factors.u)
-    return run.result(adjoint(u, theta_x))
+    return adjoint(factors.u, theta_x), first_errors(moved, errors)
 
 
 def _centralizing_errors(g: np.ndarray, theta_x: np.ndarray, what: str) -> list:
@@ -311,30 +299,25 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     x = linalg.as_matrix(x)
     y = np.diagonal(x, 1, axis1=-2, axis2=-1)
     partial = np.cumprod(y, axis=-1)
-    run = Samples(len(x))
-    x, y, partial = run.drop([
+    in_range = (np.isfinite(partial) & (partial != 0)).all(axis=-1)
+    range_errors = [
         ValueError("superdiagonal coordinates must be nonzero") if zero else NotInV(
             "partial products of the root coordinates leave the floating-point range")
-        if not in_range else None for zero, in_range in zip(
-            (y == 0).any(axis=-1).tolist(),
-            (np.isfinite(partial) & (partial != 0)).all(axis=-1).tolist())], x, y, partial)
-
-    theta_x, errors = chamber_form(chev, x)
-    x, y, partial, theta_x = run.drop(errors, x, y, partial, theta_x)
+        if not ok else None for zero, ok in zip((y == 0).any(axis=-1).tolist(), in_range.tolist())]
+    partial[~in_range] = 1.0  # keeps w0 t invertible where the test failed
+    theta_x, chamber = chamber_form(chev, x)
     dec_x, errors = decompose_to_section(chev, x)
-    x, y, partial, theta_x, dec_x = run.drop(errors, x, y, partial, theta_x, dec_x)
     ones = np.ones(partial.shape[:-1] + (1,))
     w0_t = longest_weyl_lift(chev) @ linalg.diag_matrix(np.concatenate((ones, partial), axis=-1))
     translated = (chev.xi + linalg.diag_matrix(np.diagonal(x, 0, -2, -1)[..., ::-1])
                   + linalg.diag_matrix(y[..., ::-1], 1))
     k_tr = unipotent_conjugator(translated, theta_x)
     lift = linalg.solve(k_tr, w0_t @ unipotent_conjugator(x, theta_x))
-    theta_x, lift, dec_x, translated, w0_t = run.drop(
-        _centralizing_errors(lift, theta_x, "assembled lift"),
-        theta_x, lift, dec_x, translated, w0_t)
     u_tr = unipotent_conjugator(translated, dec_x.s)
-    return run.result(NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
-                                  g=linalg.solve(u_tr, w0_t @ dec_x.u)))
+    return NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
+                       g=linalg.solve(u_tr, w0_t @ dec_x.u)), first_errors(
+        range_errors, chamber, errors,
+        _centralizing_errors(lift, theta_x, "assembled lift"))
 
 
 @stacked(2)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, SingularMinor
+from .errors import NoConvergence, NonFiniteEntries, SingularMinor
 from .stacks import first_errors, stacked
 
 TOL_EIG = 1e-10
@@ -26,14 +26,15 @@ TOL_EXP = 1e-13
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries, n >= 2, or to
-    a stack (m, n, n) of them."""
+    a stack (m, n, n) of them; :class:`NonFiniteEntries` (a ValueError)
+    if any entry is inf or NaN."""
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] < 2:
         raise ValueError("matrices of size n >= 2 only")
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteEntries("matrix has non-finite entries")
     return m
 
 
@@ -154,7 +155,8 @@ def gauss_ldu(a: np.ndarray):
     The elimination runs on ``a`` scaled by the power of two that brings its
     largest real or imaginary part into [0.5, 1).  The scaling is exact, and
     subnormal or huge inputs neither underflow the norm nor overflow a
-    division.  The zero matrix raises ``SingularMinor(1)``.
+    division.  The zero matrix raises ``SingularMinor(1)``.  A failed
+    sample of a stack gets identity factors.
     """
     a = as_matrix(a)
     n = a.shape[-1]
@@ -166,8 +168,8 @@ def gauss_ldu(a: np.ndarray):
     below, above = _strict_triangles(n)
     # Step k leaves column k below the pivot and row k right of it final,
     # so l and u are those parts of work divided by the pivots.  A sample
-    # whose pivot k fails runs on into inf and NaN, which its error makes
-    # unread; the other samples are not touched.
+    # whose pivot k fails runs on into inf and NaN, which its identity
+    # factors replace; the other samples are not touched.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n - 1):
             work[:, k + 1:, k + 1:] -= ((work[:, k + 1:, k] / work[:, k, k, None])[:, :, None]
@@ -178,6 +180,9 @@ def gauss_ldu(a: np.ndarray):
     errors = [next((SingularMinor(k + 1) for k, pivot in enumerate(row) if not pivot > bound), None)
               for row, bound in zip(np.abs(d[:, :n - 1]).tolist(), threshold)]
     scaled = np.ldexp(d.view(np.float64), -shift[:, None]).view(complex)
+    failed = [exc is not None for exc in errors]
+    if any(failed):
+        lower[failed], scaled[failed], upper[failed] = eye(n), 1.0, eye(n)
     return (lower, diag_matrix(scaled), upper), errors
 
 

@@ -84,6 +84,7 @@ from .kostant_maps import (
     longest_weyl_lift,
     section_form,
     stabilizer_lift,
+    unipotent_conjugator,
 )
 from .lie_core import (
     adjoint,
@@ -109,7 +110,7 @@ from .sampling import (
     stabilizer_elements,
     stream,
 )
-from .stacks import Samples, stack
+from .stacks import first_errors, stack
 from .toda import (
     embed,
     embed_inverse,
@@ -379,65 +380,50 @@ def _draw_decomposition(chev, rng, k):
 @_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_draw_decomposition)
 def _check_decomposition_roundtrip(chev, drawn):
     z, u, s = map(np.array, zip(*drawn))
-    run = Samples(len(drawn))
     dec, errors = decompose_to_section(chev, z)
-    dec, z, u, s = run.drop(errors, dec, z, u, s)
-    moved, errors = conjugate_section(chev, u, s)
-    moved, dec, z, u, s = run.drop(errors, moved, dec, z, u, s)
-    dec2, errors = decompose_to_section(chev, moved)
-    dec2, dec, z, u, s = run.drop(errors, dec2, dec, z, u, s)
-    return run.result(np.array([max(a, b, c) for a, b, c in zip(
-        _rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u), _rel(dec2.s, s))]))
+    moved, moved_errors = conjugate_section(chev, u, s)
+    dec2, errors2 = decompose_to_section(chev, moved)
+    return np.array([max(a, b, c) for a, b, c in zip(
+        _rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u), _rel(dec2.s, s))]), first_errors(
+        errors, moved_errors, errors2)
 
 
 @_register("kostant_chamber_form", 1e-9, draw=_flow_point)
 def _check_chamber_form(chev, points):
     x = toda_matrix(chev, stack(points))
-    run = Samples(len(points))
     form, errors = chamber_form(chev, x)
-    x, form = run.drop(errors, x, form)
     dev = linalg.vector_norm(invariant_vector(chev, form) - invariant_vector(chev, x))
-    again, errors = chamber_form(chev, form)
-    again, form, dev = run.drop(errors, again, form, dev)
-    return run.result(np.array([max(a, b) for a, b in zip(dev, _rel(again, form))]))
+    again, errors2 = chamber_form(chev, form)
+    return (np.array([max(a, b) for a, b in zip(dev, _rel(again, form))]),
+            first_errors(errors, errors2))
 
 
 @_register("kostant_chamber_conjugator", 1e-9, draw=_flow_point)
 def _check_chamber_conjugator(chev, points):
     x = toda_matrix(chev, stack(points))
-    run = Samples(len(points))
     conj, errors = chamber_conjugator(chev, x)
-    conj, x = run.drop(errors, conj, x)
-    theta_x, errors = chamber_form(chev, x)
-    theta_x, conj, x = run.drop(errors, theta_x, conj, x)
-    return run.result(_rel(adjoint(conj, theta_x), x))
+    theta_x, errors2 = chamber_form(chev, x)
+    return _rel(adjoint(conj, theta_x), x), first_errors(errors, errors2)
 
 
 @_register("kostant_section_chamber_conjugator", 1e-9, draw=_flow_point)
 def _check_section_chamber_conjugator(chev, points):
     x = toda_matrix(chev, stack(points))
-    run = Samples(len(points))
     conj, errors = chamber_to_section_conjugator(chev, x)
-    conj, x = run.drop(errors, conj, x)
-    theta_x, errors = chamber_form(chev, x)
-    theta_x, conj, x = run.drop(errors, theta_x, conj, x)
-    beta_x, errors = section_form(chev, x)
-    beta_x, theta_x, conj = run.drop(errors, beta_x, theta_x, conj)
-    return run.result(_rel(adjoint(conj, theta_x), beta_x))
+    theta_x, errors2 = chamber_form(chev, x)
+    beta_x, errors3 = section_form(chev, x)
+    return _rel(adjoint(conj, theta_x), beta_x), first_errors(errors, errors2, errors3)
 
 
 @_register("kostant_stabilizer_lift", 1e-9, draw=_flow_point)
 def _check_stabilizer_lift(chev, points):
     x = toda_matrix(chev, stack(points))
-    run = Samples(len(points))
     theta_x, errors = chamber_form(chev, x)
-    theta_x, x = run.drop(errors, theta_x, x)
-    lift, errors = stabilizer_lift(chev, x)
-    lift, theta_x, x = run.drop(errors, lift, theta_x, x)
-    residual = stabilizer_residual(lift, theta_x)
-    dressed, errors = dress(chev, theta_x, lift)
-    dressed, residual, x = run.drop(errors, dressed, residual, x)
-    return run.result(np.array([max(a, b) for a, b in zip(residual, _rel(dressed, x))]))
+    lift, errors2 = stabilizer_lift(chev, x)
+    dressed, errors3 = dress(chev, theta_x, lift)
+    return np.array([max(a, b) for a, b in zip(
+        stabilizer_residual(lift, theta_x), _rel(dressed, x))]), first_errors(
+        errors, errors2, errors3)
 
 
 def _draw_dressing(chev, rng, k):
@@ -448,17 +434,13 @@ def _draw_dressing(chev, rng, k):
            draw=_draw_dressing)
 def _check_lift_of_dressed(chev, drawn):
     points, coeffs = zip(*drawn)
-    run = Samples(len(drawn))
     theta_x, errors = chamber_form(chev, toda_matrix(chev, stack(points)))
-    theta_x, coeffs = run.drop(errors, theta_x, np.array(coeffs))
-    g = stabilizer_elements(chev, theta_x, coeffs)
-    y, errors = dress(chev, theta_x, g)
-    y, g = run.drop(errors, y, g)
+    g = stabilizer_elements(chev, theta_x, np.array(coeffs))
+    y, errors2 = dress(chev, theta_x, g)
     walls = (np.abs(np.diagonal(y, 1, -2, -1)).min(axis=-1) < 1e-6).tolist()
-    y, g = run.drop([SmallRootCoordinate() if wall else None for wall in walls], y, g)
-    lift, errors = stabilizer_lift(chev, y)
-    lift, g = run.drop(errors, lift, g)
-    return run.result(np.array([scalar_aligned_distance(a, b) for a, b in zip(lift, g)]))
+    lift, errors3 = stabilizer_lift(chev, y)
+    return np.array([scalar_aligned_distance(a, b) for a, b in zip(lift, g)]), first_errors(
+        errors, errors2, [SmallRootCoordinate() if wall else None for wall in walls], errors3)
 
 
 def _draw_open_stabilizer(chev, rng, k):
@@ -471,24 +453,18 @@ def _draw_open_stabilizer(chev, rng, k):
 def _check_open_stabilizer(chev, drawn):
     points, g_coeffs, h_coeffs = zip(*drawn)
     x = toda_matrix(chev, stack(points))
-    run = Samples(len(drawn))
-    coeffs = np.array(g_coeffs), np.array(h_coeffs)
     theta_x, errors = chamber_form(chev, x)
-    theta_x, x, *coeffs = run.drop(errors, theta_x, x, *coeffs)
-    beta_x, errors = section_form(chev, x)
-    beta_x, theta_x, x, *coeffs = run.drop(errors, beta_x, theta_x, x, *coeffs)
-    conj, errors = chamber_to_section_conjugator(chev, x)
-    conj, beta_x, theta_x, *coeffs = run.drop(errors, conj, beta_x, theta_x, *coeffs)
+    beta_x, errors2 = section_form(chev, x)
+    conj = unipotent_conjugator(beta_x, theta_x)
     conj_inv = linalg.inv(conj)
-    g = stabilizer_elements(chev, theta_x, coeffs[0])
-    h = stabilizer_elements(chev, beta_x, coeffs[1])
-    elements = [g, h, conj @ g @ conj_inv, conj_inv @ h @ conj]
-    for j in range(len(elements)):  # the conjugation is tested on the big cell only
-        _, errors = gstar_factor(chev, elements[j])
-        *elements, beta_x, theta_x = run.drop(errors, *elements, beta_x, theta_x)
-    moved_g, moved_h = elements[2:]
-    return run.result(np.array([max(a, b) for a, b in zip(
-        stabilizer_residual(moved_g, beta_x), stabilizer_residual(moved_h, theta_x))]))
+    g = stabilizer_elements(chev, theta_x, np.array(g_coeffs))
+    h = stabilizer_elements(chev, beta_x, np.array(h_coeffs))
+    moved_g, moved_h = conj @ g @ conj_inv, conj_inv @ h @ conj
+    # the conjugation is tested on the big cell only
+    errors = first_errors(errors, errors2, *(gstar_factor(chev, element)[1]
+                                             for element in (g, h, moved_g, moved_h)))
+    return np.array([max(a, b) for a, b in zip(
+        stabilizer_residual(moved_g, beta_x), stabilizer_residual(moved_h, theta_x))]), errors
 
 
 @_register("kostant_gstar_refactor", 1e-10)
@@ -553,12 +529,9 @@ def _draw_two_stabilizer_elements(chev, rng, k):
 def _check_invariants_group_independent(chev, drawn):
     sections, first, second = zip(*drawn)
     p1, p2 = _z_points(chev, sections, first), _z_points(chev, sections, second)
-    run = Samples(len(drawn))
     values1, errors = z_invariants(chev, p1)
-    values1, p2 = run.drop(errors, values1, p2)
-    values2, errors = z_invariants(chev, p2)
-    values1, values2 = run.drop(errors, values1, values2)
-    return run.result(np.array(linalg.vector_norm(values1 - values2)))
+    values2, errors2 = z_invariants(chev, p2)
+    return np.array(linalg.vector_norm(values1 - values2)), first_errors(errors, errors2)
 
 
 @_register("cent_hamiltonian_isotropy", 1e-10, draw=_draw_z_point)
@@ -641,23 +614,19 @@ def _check_toda_conservation(chev, points):
     x0 = toda_matrix(chev, p)
     base = invariant_vector(chev, x0)
     (eig0, _), errors = linalg.eig(x0)
-    run = Samples(len(points))
-    p, base, eig0 = run.drop(errors, p, base, eig0)
     eig0 = np.sort_complex(eig0)
     worst = [0.0] * len(eig0)
     for i in range(1, chev.r + 1):
         for t in (0.1, 0.7):
-            q, errors = toda_flow(chev, i, t, p)
-            q, p, base, eig0, worst = run.drop(errors, q, p, base, eig0, worst)
+            q, flow_errors = toda_flow(chev, i, t, p)
             xt = toda_matrix(chev, q)
             dev_f = linalg.vector_norm(invariant_vector(chev, xt) - base)
-            (eig_t, _), errors = linalg.eig(xt)
-            eig_t, dev_f, p, base, eig0, worst = run.drop(
-                errors, eig_t, dev_f, p, base, eig0, worst)
+            (eig_t, _), eig_errors = linalg.eig(xt)
+            errors = first_errors(errors, flow_errors, eig_errors)
             dev_eig = np.max(np.abs(np.sort_complex(eig_t) - eig0), axis=-1)
             worst = [max(w, f / (1.0 + b), float(e)) for w, f, b, e in
                      zip(worst, dev_f, linalg.vector_norm(base), dev_eig)]
-    return run.result(np.array(worst))
+    return np.array(worst), errors
 
 
 def _draw_semigroup(chev, rng, k):
@@ -670,47 +639,37 @@ def _draw_semigroup(chev, rng, k):
 def _check_toda_semigroup(chev, drawn):
     points, labels, t, s = map(list, zip(*drawn))
     p, labels = stack(points), np.array(labels)
-    run = Samples(len(drawn))
     mid, errors = toda_flow(chev, labels, t, p)
-    mid, p, labels, t, s = run.drop(errors, mid, p, labels, t, s)
-    lhs, errors = toda_flow(chev, labels, s, mid)
-    lhs, p, labels, t, s = run.drop(errors, lhs, p, labels, t, s)
-    rhs, errors = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
-    lhs, rhs = run.drop(errors, lhs, rhs)
-    return run.result(_rel(toda_matrix(chev, lhs), toda_matrix(chev, rhs)))
+    lhs, errors2 = toda_flow(chev, labels, s, mid)
+    rhs, errors3 = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
+    return (_rel(toda_matrix(chev, lhs), toda_matrix(chev, rhs)),
+            first_errors(errors, errors2, errors3))
 
 
 @_register("toda_normal_forms_constant", 1e-7, draw=_flow_point_and_label)
 def _check_normal_forms_constant(chev, drawn):
     points, labels = zip(*drawn)
     p = stack(points)
-    run = Samples(len(drawn))
     q, errors = toda_flow(chev, np.array(labels), 0.5, p)
-    x0, q = run.drop(errors, toda_matrix(chev, p), q)
-    x1 = toda_matrix(chev, q)
+    x0, x1 = toda_matrix(chev, p), toda_matrix(chev, q)
     devs = []
     for fn in (chamber_form, section_form, chamber_to_section_conjugator):
-        f1, errors = fn(chev, x1)
-        f1, x0, x1, *devs = run.drop(errors, f1, x0, x1, *devs)
-        f0, errors = fn(chev, x0)
-        f0, f1, x0, x1, *devs = run.drop(errors, f0, f1, x0, x1, *devs)
+        f1, errors1 = fn(chev, x1)
+        f0, errors0 = fn(chev, x0)
+        errors = first_errors(errors, errors1, errors0)
         devs.append(_rel(f1, f0))
-    return run.result(np.array([max(d) for d in zip(*devs)]))
+    return np.array([max(d) for d in zip(*devs)]), errors
 
 
 @_register("toda_embed_triangle", 1e-9, draw=_flow_point)
 def _check_embed_triangle(chev, points):
     p = stack(points)
-    run = Samples(len(points))
     zp, errors = embed(chev, p)
-    zp, p = run.drop(errors, zp, p)
-    values, errors = z_invariants(chev, zp)
-    values, zp, p = run.drop(errors, values, zp, p)
+    values, errors2 = z_invariants(chev, zp)
     base = invariant_vector(chev, toda_matrix(chev, p))
     dev = np.divide(linalg.vector_norm(values - base), np.add(1.0, linalg.vector_norm(base)))
-    _, errors = gstar_factor(chev, zp.g)  # image membership
-    dev, = run.drop(errors, dev)
-    return run.result(dev)
+    _, errors3 = gstar_factor(chev, zp.g)  # image membership
+    return dev, first_errors(errors, errors2, errors3)
 
 
 @_register("toda_embed_injective")
@@ -737,18 +696,15 @@ def _check_embed_injective(chev, rng, samples):
 @_register("toda_embed_roundtrip", 1e-8, draw=_flow_point)
 def _check_embed_roundtrip(chev, points):
     p = stack(points)
-    run = Samples(len(points))
     zp, errors = embed(chev, p)
-    zp, p = run.drop(errors, zp, p)
-    back, errors = embed_inverse(chev, zp)
-    back, zp, p = run.drop(errors, back, zp, p)
-    again, errors = embed(chev, back)
-    again, back, zp, p = run.drop(errors, again, back, zp, p)
+    back, errors2 = embed_inverse(chev, zp)
+    again, errors3 = embed(chev, back)
     dev_p = _rel(toda_matrix(chev, back), toda_matrix(chev, p))
     dev_x = _rel(again.x, zp.x)
-    return run.result(np.array([
+    return np.array([
         max(dp, scalar_aligned_distance(g1, g0), dx)
-        for dp, g1, g0, dx in zip(dev_p, again.g, zp.g, dev_x)]))
+        for dp, g1, g0, dx in zip(dev_p, again.g, zp.g, dev_x)]), first_errors(
+        errors, errors2, errors3)
 
 
 # NotInGStar is a complex-time blow-up: both sides are undefined together.

@@ -34,7 +34,7 @@ from .kostant_maps import (
     unipotent_conjugator,
 )
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
-from .stacks import Samples, first_errors, per_sample, stacked
+from .stacks import first_errors, per_sample, stacked
 
 
 @dataclass(frozen=True)
@@ -114,39 +114,50 @@ def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     domain, :class:`NotInGStar` when a tau-function (a leading minor of the
     exponential) vanishes, the blow-up mode at complex time, with the minor
     index attached, and :class:`NoConvergence` when a substep misses the
-    Toda phase space.
+    Toda phase space.  A failed sample's result is the point it had
+    reached.
     """
     x = toda_matrix(chev, p)
     m = len(x)
     labels = np.asarray(i) if per_sample(i) else i
     times = list(t) if per_sample(t) else [t] * m
     (values, _), errors = linalg.eig(x)
-    run = Samples(m)
-    x, p, values, labels, times = run.drop(
-        first_errors(errors, chamber_errors(values)), x, p, values, labels, times)
+    errors = first_errors(errors, chamber_errors(values))
     exponents = (np.array(times, dtype=complex)[:, None] * _powers(values, labels)).real
     steps = [max(1, math.ceil(spread / 8.0))
              for spread in exponents.max(axis=-1) - exponents.min(axis=-1)]
     # each sample's substep time is divided in Python, where a complex t
     # rounds as it does alone; numpy's complex division rounds otherwise
     dt = np.array([tk / sk for tk, sk in zip(times, steps)], dtype=complex)[:, None, None]
-    for step in range(max(steps, default=0)):
-        g = linalg.mat_exp(dt * invariant_gradient(chev, x, labels))
-        (_, _, u), errors = linalg.gauss_ldu(g)
-        x, u, labels, dt, steps = run.drop([
+    for step in range(max(steps)):
+        moving = [exc is None and s > step for s, exc in zip(steps, errors)]
+        if not any(moving):
+            break
+        if step:
+            x = toda_matrix(chev, p)
+        # expm takes a stack matrix by matrix, so only the moving samples
+        # are exponentiated; the others get identity factors
+        exponent = dt * invariant_gradient(chev, x, labels)
+        if all(moving):
+            g = linalg.mat_exp(exponent)
+        else:
+            g = linalg.identities(x.shape)
+            g[moving] = linalg.mat_exp(exponent[moving])
+        (_, _, u), ldu_errors = linalg.gauss_ldu(g)
+        q, point_errors = toda_point_from_matrix(chev, adjoint(u, x))
+        errors = first_errors(errors, [
             None if exc is None else NotInGStar(
                 f"tau-function {exc.index} of the flow vanishes", minor_index=exc.index)
-            for exc in errors], x, u, labels, dt, steps)
-        p, errors = toda_point_from_matrix(chev, adjoint(u, x))
-        p, labels, dt, steps = run.drop([
+            for exc in ldu_errors], [
             None if exc is None else NoConvergence(f"flow point left the phase space: {exc}")
-            for exc in errors], p, labels, dt, steps)
-        done = [s == step + 1 for s in steps]
-        if all(done):
-            break
-        p, labels, dt, steps = run.finish(done, p, p, labels, dt, steps)
-        x = toda_matrix(chev, p)
-    return run.result(p)
+            for exc in point_errors])
+        keep = [not move or exc is not None for move, exc in zip(moving, errors)]
+        if any(keep):  # a failed or finished sample keeps its point
+            keep = np.array(keep)[:, None]
+            q = TodaPoint(diag=np.where(keep, p.diag, q.diag),
+                          root_coords=np.where(keep, p.root_coords, q.root_coords))
+        p = q
+    return p, errors
 
 
 @stacked(1)
@@ -175,11 +186,9 @@ def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
     """The canonical centralizer point of p:
     (conjugated stabilizer lift, section form)."""
     forms, errors = normal_forms(chev, toda_matrix(chev, p))
-    run = Samples(len(errors))
-    zp, = run.drop(errors, ZPoint(g=forms.g, x=forms.s))
-    _, errors = check_z_point(chev, zp)
-    zp, = run.drop(errors, zp)
-    return run.result(zp)
+    zp = ZPoint(g=forms.g, x=forms.s)
+    _, z_errors = check_z_point(chev, zp)
+    return zp, first_errors(errors, z_errors)
 
 
 @stacked(2)
@@ -189,19 +198,15 @@ def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
     Raises :class:`NotInW` when the spectrum has collided real parts or the
     (conjugated) group part falls outside the translated big cell.
     """
-    run = Samples(len(zp.g))
     _, errors = check_z_point(chev, zp)
-    zp, = run.drop(errors, zp)
-    z, errors = chamber_form(chev, zp.x)
-    zp, z = run.drop([NotInW(str(exc)) if isinstance(exc, NotInV) else exc
-                      for exc in errors], zp, z)
+    z, chamber = chamber_form(chev, zp.x)
     k_s = unipotent_conjugator(zp.x, z)
-    v, errors = dress(chev, z, linalg.solve(k_s, zp.g @ k_s))
-    v, = run.drop([NotInW(f"group part outside the embedding image: {exc}")
-                   if isinstance(exc, NotInGStar) else exc for exc in errors], v)
-    q, errors = toda_point_from_matrix(chev, v)
-    q, = run.drop(errors, q)
-    return run.result(q)
+    v, dressing = dress(chev, z, linalg.solve(k_s, zp.g @ k_s))
+    q, point_errors = toda_point_from_matrix(chev, v)
+    return q, first_errors(
+        errors, [NotInW(str(exc)) if isinstance(exc, NotInV) else exc for exc in chamber],
+        [NotInW(f"group part outside the embedding image: {exc}")
+         if isinstance(exc, NotInGStar) else exc for exc in dressing], point_errors)
 
 
 def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
@@ -242,21 +247,15 @@ def intertwine_check(chev: ChevalleyData, i, t, p: TodaPoint) -> float:
     (the Toda side can raise :class:`NotInGStar` at complex time).  For a
     stacked p, i and t are shared or given per sample.
     """
-    m = len(p.diag)
-    labels = np.asarray(i) if per_sample(i) else i
-    times = list(t) if per_sample(t) else [t] * m
-    run = Samples(m)
-    moved, errors = toda_flow(chev, labels, times, p)
-    moved, p, labels, times = run.drop(errors, moved, p, labels, times)
-    left, errors = embed(chev, moved)
-    left, p, labels, times = run.drop(errors, left, p, labels, times)
-    base, errors = embed(chev, p)
-    left, base, labels, times = run.drop(errors, left, base, labels, times)
-    right = flow_step(chev, times, base, labels)
-    return run.result(np.array([
+    moved, errors = toda_flow(chev, i, t, p)
+    left, left_errors = embed(chev, moved)
+    base, base_errors = embed(chev, p)
+    right = flow_step(chev, t, base, i)
+    return np.array([
         max(scalar_aligned_distance(g1, g2), dx / (1.0 + size))
         for g1, g2, dx, size in zip(left.g, right.g, linalg.norm(left.x - right.x),
-                                    linalg.norm(right.x))]))
+                                    linalg.norm(right.x))]), first_errors(
+        errors, left_errors, base_errors)
 
 
 @stacked(1)
@@ -269,24 +268,18 @@ def intertwine_infinitesimal(chev: ChevalleyData, i, p: TodaPoint) -> float:
     i is shared or given per sample.
     """
     step = 1e-6
-    run = Samples(len(p.diag))
-    labels = np.asarray(i) if per_sample(i) else i
     base, errors = embed(chev, p)
-    base, p, labels = run.drop(errors, base, p, labels)
-    w, errors = toda_vector_field(chev, labels, p)
-    base, p, labels, w = run.drop(errors, base, p, labels, w)
+    w, field_errors = toda_vector_field(chev, i, p)
     m = toda_matrix(chev, p)
-    plus, errors = toda_point_from_matrix(chev, m + step * w)
-    plus, base, labels, behind = run.drop(errors, plus, base, labels, m - step * w)
-    plus, errors = embed(chev, plus)
-    plus, base, labels, behind = run.drop(errors, plus, base, labels, behind)
-    minus, errors = toda_point_from_matrix(chev, behind)
-    minus, plus, base, labels = run.drop(errors, minus, plus, base, labels)
-    minus, errors = embed(chev, minus)
-    minus, plus, base, labels = run.drop(errors, minus, plus, base, labels)
-    target = hamiltonian_field(chev, base, labels)
+    plus, plus_errors = toda_point_from_matrix(chev, m + step * w)
+    plus, plus_embed_errors = embed(chev, plus)
+    minus, minus_errors = toda_point_from_matrix(chev, m - step * w)
+    minus, minus_embed_errors = embed(chev, minus)
+    target = hamiltonian_field(chev, base, i)
     y_fd = traceless_part(linalg.solve(base.g, (plus.g - minus.g) / (2.0 * step)))
     z_fd = (plus.x - minus.x) / (2.0 * step)
-    return run.result(np.array([
+    return np.array([
         max(dy / (1.0 + size), dz) for dy, size, dz in
-        zip(linalg.norm(y_fd - target.y), linalg.norm(target.y), linalg.norm(z_fd - target.z))]))
+        zip(linalg.norm(y_fd - target.y), linalg.norm(target.y), linalg.norm(z_fd - target.z))
+    ]), first_errors(errors, field_errors, plus_errors, plus_embed_errors, minus_errors,
+                     minus_embed_errors)

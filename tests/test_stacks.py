@@ -4,9 +4,10 @@ by sample, the bits or the exception of the per-point call."""
 import numpy as np
 import pytest
 
+from centralizer_lab import suites
 from centralizer_lab.centralizer import ZPoint
-from centralizer_lab.errors import NotInGStar, NotInV
-from centralizer_lab.kostant_maps import normal_forms
+from centralizer_lab.errors import NonFiniteEntries, NotInGStar, NotInV, NotInW
+from centralizer_lab.kostant_maps import chamber_form, normal_forms
 from centralizer_lab.lie_core import build_chevalley
 from centralizer_lab.sampling import (
     random_section_point,
@@ -43,11 +44,16 @@ def _check_sample(stacked, exc, call):
         assert exc is not None and type(exc) is type(raised) and str(exc) == str(raised)
         return
     assert exc is None, exc
+    if isinstance(single, np.ndarray):
+        assert _same_bits(stacked, single)
+        return
     for name in single.__dataclass_fields__:
         assert _same_bits(getattr(stacked, name), getattr(single, name)), name
 
 
 def _sample(value, k):
+    if isinstance(value, np.ndarray):
+        return value[k]
     return type(value)(*(getattr(value, name)[k] for name in value.__dataclass_fields__))
 
 
@@ -109,10 +115,64 @@ def test_one_failed_sample_leaves_the_others_unchanged():
                       lambda: toda_flow(chev, 1, times[k], points[k]))
     assert errors[2:] == [None] * 6
 
+    x = toda_matrix(chev, stack(points))
+    forms, errors = normal_forms(chev, x)
+    assert isinstance(errors[0], NotInV) and errors[1:] == [None] * 7
+    for k in range(8):
+        _check_sample(_sample(forms, k), errors[k], lambda: normal_forms(chev, x[k]))
+
     images, errors = embed(chev, stack(points))
     assert isinstance(errors[0], NotInV) and errors[1] is None
     for k in range(8):
         _check_sample(_sample(images, k), errors[k], lambda: embed(chev, points[k]))
+
+    # sample 3's group part I: its reversed first minor vanishes
+    images.g[3] = np.eye(2)
+    back, errors = embed_inverse(chev, images)
+    assert isinstance(errors[3], NotInW)
+    for k in range(1, 8):
+        _check_sample(_sample(back, k), errors[k],
+                      lambda: embed_inverse(chev, ZPoint(g=images.g[k], x=images.x[k])))
+
+
+def test_one_non_finite_sample_leaves_the_others_unchanged():
+    # sample 2 has an inf root coordinate, or a NaN in its group part; it
+    # gets the per-point ValueError and the others keep their bits
+    chev = build_chevalley(4)
+    rng = stream(4, "non-finite")
+    points = [sample_flow_domain(chev, rng) for _ in range(4)]
+    images, _ = embed(chev, stack(points))
+    p = stack(points)
+    p.root_coords[2, 0] = np.inf
+    images.g[2, 0, 1] = np.nan
+    x = toda_matrix(chev, p)
+    calls = [
+        (lambda: chamber_form(chev, x), lambda k: chamber_form(chev, x[k])),
+        (lambda: toda_flow(chev, 1, 0.4, p), lambda k: toda_flow(chev, 1, 0.4, _sample(p, k))),
+        (lambda: embed(chev, p), lambda k: embed(chev, _sample(p, k))),
+        (lambda: embed_inverse(chev, images), lambda k: embed_inverse(chev, _sample(images, k))),
+    ]
+    for stacked_call, call in calls:
+        result, errors = stacked_call()
+        assert type(errors[2]) is NonFiniteEntries and isinstance(errors[2], ValueError)
+        assert str(errors[2]) == "matrix has non-finite entries"
+        assert errors[:2] + errors[3:] == [None] * 3
+        for k in range(4):
+            _check_sample(_sample(result, k), errors[k], lambda: call(k))
+
+
+def test_a_non_finite_draw_ends_a_stacked_check_after_the_samples_before_it(monkeypatch):
+    check = suites.CHECKS["toda_intertwine_flow"]
+
+    def draw(chev, rng, k):
+        p = check.draw(chev, rng, k)
+        return TodaPoint(p.diag, np.full_like(p.root_coords, np.inf)) if k == 3 else p
+
+    monkeypatch.setitem(suites.CHECKS, "toda_intertwine_flow",
+                        suites.Check(check.fn, check.bound, check.skips, draw))
+    result = suites.run_check("toda_intertwine_flow", 4, 42, 10)
+    assert result.samples == 3
+    assert result.error == "NonFiniteEntries: matrix has non-finite entries"
 
 
 def test_stack_keeps_the_point_class():
