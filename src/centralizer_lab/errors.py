@@ -73,7 +73,3 @@ class NotInW(CentralizerLabError):
 
 class InvalidZPoint(CentralizerLabError):
     """The pair (g, x) violates the universal-centralizer invariants."""
-
-
-class NonFiniteEntries(ValueError):
-    """A matrix, or a matrix of a stack, has an inf or NaN entry."""

@@ -298,13 +298,17 @@ def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
     """
     x = linalg.as_matrix(x)
     y = np.diagonal(x, 1, axis1=-2, axis2=-1)
-    partial = np.cumprod(y, axis=-1)
+    with np.errstate(over="ignore"):  # the range test below reports it
+        partial = np.cumprod(y, axis=-1)
     in_range = (np.isfinite(partial) & (partial != 0)).all(axis=-1)
     range_errors = [
         ValueError("superdiagonal coordinates must be nonzero") if zero else NotInV(
             "partial products of the root coordinates leave the floating-point range")
         if not ok else None for zero, ok in zip((y == 0).any(axis=-1).tolist(), in_range.tolist())]
-    partial[~in_range] = 1.0  # keeps w0 t invertible where the test failed
+    if not in_range.all():  # the Toda point xi + xi^T, all of whose t are 1, stands in
+        x = np.where(in_range[:, None, None], x, chev.xi + chev.xi.T)
+        y = np.diagonal(x, 1, axis1=-2, axis2=-1)
+        partial = np.cumprod(y, axis=-1)
     theta_x, chamber = chamber_form(chev, x)
     dec_x, errors = decompose_to_section(chev, x)
     ones = np.ones(partial.shape[:-1] + (1,))

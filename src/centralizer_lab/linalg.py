@@ -16,7 +16,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NonFiniteEntries, SingularMinor
+from .errors import NoConvergence, SingularMinor
 from .stacks import first_errors, stacked
 
 TOL_EIG = 1e-10
@@ -26,15 +26,14 @@ TOL_EXP = 1e-13
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries, n >= 2, or to
-    a stack (m, n, n) of them; :class:`NonFiniteEntries` (a ValueError)
-    if any entry is inf or NaN."""
+    a stack (m, n, n) of them."""
     m = np.asarray(a, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[-1] < 2:
         raise ValueError("matrices of size n >= 2 only")
     if not np.isfinite(m).all():
-        raise NonFiniteEntries("matrix has non-finite entries")
+        raise ValueError("matrix has non-finite entries")
     return m
 
 

@@ -12,7 +12,7 @@ Every stage runs on all m samples, and each folds its errors into the
 running list with :func:`first_errors`; no stage compacts the stack.  So a
 failed sample's slots hold finite, unspecified values that the later
 stages can take: the stages that fail on a sample return finite stand-ins
-there (identity factors, a kept point, partial products of 1).
+there (identity factors, a kept point, a stand-in Toda point).
 
 The :func:`stacked` decorator lets such a function take one point as well:
 that is its m = 1 call, which raises the sample's exception or returns its
@@ -22,11 +22,8 @@ result without the sample axis.  There is no second, per-point body.
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
-
-from .errors import NonFiniteEntries
 
 
 def _map(fn, value):
@@ -42,9 +39,11 @@ def _map(fn, value):
     return type(value)(*[fn(getattr(value, name)) for name in fields])
 
 
-def _arrays(value) -> list:
-    """The arrays of a point: the value itself, or the fields of a point
-    class."""
+def arrays(value) -> list:
+    """The arrays of a point: the value itself, the fields of a point
+    class, or those of each member of a tuple."""
+    if type(value) is tuple:
+        return [a for v in value for a in arrays(v)]
     fields = getattr(type(value), "__dataclass_fields__", None)
     return [value] if fields is None else [getattr(value, name) for name in fields]
 
@@ -57,11 +56,6 @@ def _first(a):
     return a[0].copy()  # a view would keep the whole stack alive
 
 
-# .running: whether a stacked call runs in this thread; the stacked calls it
-# makes leave a non-finite matrix to it
-_outermost = threading.local()
-
-
 def stacked(point_ndim: int, points: int = 1):
     """Let a function written for stacks take one point as well.
 
@@ -71,28 +65,23 @@ def stacked(point_ndim: int, points: int = 1):
     call raises the sample's exception or returns its result (the argument
     itself when the function returns its stacked argument).
 
-    When the body of the outermost stacked call of two or more samples
-    meets a non-finite matrix, the call runs again with each sample of its
-    stacked arguments that has an inf or NaN entry replaced by the first
-    finite one, and those samples get the :class:`NonFiniteEntries` of the
-    per-point call.  Since no stage compacts, nothing downstream ever sees
-    the non-finite entries.
+    When a stacked call raises a ValueError (the one :func:`linalg.as_matrix`
+    raises for an inf or NaN entry, say) and some but not all samples of
+    its stacked arguments have a non-finite entry, it runs again with each
+    of those samples replaced by the first finite one, and they get that
+    error.  Since no stage compacts, nothing downstream sees the non-finite
+    entries, and a call that does not raise tests nothing.
     """
     def deco(fn):
         @functools.wraps(fn)
         def call(*args):
             last = args[-1]
-            lead = last if type(last) is np.ndarray else _arrays(last)[0]
+            lead = last if type(last) is np.ndarray else arrays(last)[0]
             if (lead.ndim if type(lead) is np.ndarray else np.ndim(lead)) != point_ndim:
-                if len(lead) == 1 or getattr(_outermost, "running", False):
-                    return fn(*args)  # a lone sample has no finite one to stand in
-                _outermost.running = True
                 try:
                     return fn(*args)
-                except NonFiniteEntries as exc:
+                except ValueError as exc:
                     return _without_non_finite(fn, args, points, exc)
-                finally:
-                    _outermost.running = False
             tail = [_map(_one, v) for v in args[-points:]]
             result, errors = fn(*args[:-points], *tail)
             if errors[0] is not None:
@@ -109,8 +98,11 @@ def _without_non_finite(fn, args, points, exc):
     that has a non-finite entry replaced by the first finite sample, and
     ``exc``'s type and message as those samples' errors.  Re-raises
     ``exc`` when no sample, or every sample, has one."""
-    finite = np.logical_and.reduce([np.isfinite(np.reshape(a, (len(a), -1))).all(axis=1)
-                                    for value in args[-points:] for a in _arrays(value)])
+    try:
+        finite = np.logical_and.reduce([np.isfinite(np.reshape(a, (len(a), -1))).all(axis=1)
+                                        for value in args[-points:] for a in arrays(value)])
+    except (TypeError, ValueError):  # stacks of unequal lengths: the error stands
+        raise exc from None
     if finite.all() or not finite.any():
         raise exc
     good = int(np.argmax(finite))

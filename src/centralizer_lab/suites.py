@@ -110,7 +110,7 @@ from .sampling import (
     stabilizer_elements,
     stream,
 )
-from .stacks import first_errors, stack
+from .stacks import arrays, first_errors, stack
 from .toda import (
     embed,
     embed_inverse,
@@ -746,7 +746,8 @@ def _outcomes(check: Check, chev, rng, samples: int):
 
     A per-point check runs sample by sample.  A stacked check draws its
     samples one at a time first, in the order a per-point check would, and
-    evaluates them in one stacked pass; a draw that raises ends the list.
+    evaluates them in one stacked pass; a draw that raises ends the list,
+    and so does a non-finite draw where the pass raises.
     """
     if check.draw is None:
         for k in range(samples):
@@ -763,7 +764,15 @@ def _outcomes(check: Check, chev, rng, samples: int):
             failure = exc
             break
     if drawn:
-        devs, errors = check.fn(chev, drawn)
+        try:
+            devs, errors = check.fn(chev, drawn)
+        except Exception:
+            bad = next((k for k, value in enumerate(drawn)
+                        if not all(np.isfinite(a).all() for a in arrays(value))), None)
+            if bad is None:
+                raise
+            drawn, failure = drawn[:bad], ValueError("matrix has non-finite entries")
+            devs, errors = check.fn(chev, drawn) if drawn else ((), ())
         yield from (dev if exc is None else exc for dev, exc in zip(devs, errors))
     if failure is not None:
         yield failure

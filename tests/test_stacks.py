@@ -6,7 +6,7 @@ import pytest
 
 from centralizer_lab import suites
 from centralizer_lab.centralizer import ZPoint
-from centralizer_lab.errors import NonFiniteEntries, NotInGStar, NotInV, NotInW
+from centralizer_lab.errors import NotInGStar, NotInV, NotInW
 from centralizer_lab.kostant_maps import chamber_form, normal_forms
 from centralizer_lab.lie_core import build_chevalley
 from centralizer_lab.sampling import (
@@ -154,25 +154,34 @@ def test_one_non_finite_sample_leaves_the_others_unchanged():
     ]
     for stacked_call, call in calls:
         result, errors = stacked_call()
-        assert type(errors[2]) is NonFiniteEntries and isinstance(errors[2], ValueError)
-        assert str(errors[2]) == "matrix has non-finite entries"
+        assert type(errors[2]) is ValueError and str(errors[2]) == "matrix has non-finite entries"
         assert errors[:2] + errors[3:] == [None] * 3
         for k in range(4):
             _check_sample(_sample(result, k), errors[k], lambda: call(k))
 
 
-def test_a_non_finite_draw_ends_a_stacked_check_after_the_samples_before_it(monkeypatch):
-    check = suites.CHECKS["toda_intertwine_flow"]
+def _non_finite(value):
+    """A draw of the same shape with every entry inf, labels (ints) kept."""
+    if type(value) is tuple:
+        return tuple(_non_finite(v) for v in value)
+    fields = getattr(type(value), "__dataclass_fields__", None)
+    if fields is not None:
+        return type(value)(*(np.full_like(getattr(value, name), np.inf) for name in fields))
+    return value if isinstance(value, (int, np.integer)) else np.full_like(value, np.inf)
+
+
+@pytest.mark.parametrize("name", [name for name, check in suites.CHECKS.items() if check.draw])
+def test_a_non_finite_draw_ends_a_stacked_check_after_the_samples_before_it(name, monkeypatch):
+    check = suites.CHECKS[name]
 
     def draw(chev, rng, k):
-        p = check.draw(chev, rng, k)
-        return TodaPoint(p.diag, np.full_like(p.root_coords, np.inf)) if k == 3 else p
+        value = check.draw(chev, rng, k)
+        return _non_finite(value) if k == 3 else value
 
-    monkeypatch.setitem(suites.CHECKS, "toda_intertwine_flow",
-                        suites.Check(check.fn, check.bound, check.skips, draw))
-    result = suites.run_check("toda_intertwine_flow", 4, 42, 10)
-    assert result.samples == 3
-    assert result.error == "NonFiniteEntries: matrix has non-finite entries"
+    monkeypatch.setitem(suites.CHECKS, name, suites.Check(check.fn, check.bound, check.skips, draw))
+    result = suites.run_check(name, 4, 42, 10)
+    assert result.samples + sum(result.skipped.values()) == 3
+    assert result.error == "ValueError: matrix has non-finite entries"
 
 
 def test_stack_keeps_the_point_class():

@@ -26,6 +26,7 @@ from centralizer_lab.sampling import (
     sample_flow_domain,
     stream,
 )
+from centralizer_lab.stacks import stack
 from centralizer_lab.toda import (
     ZPoint,
     embed,
@@ -539,3 +540,24 @@ def test_embedding_rejects_underflowing_partial_products():
     p = make_toda_point([1.0, 0.0, -1.0], [1e-200, 1e-200])
     with pytest.raises(NotInV, match="floating-point range"):
         embed(chev, p)
+
+
+def test_embedding_rejects_overflowing_partial_products():
+    # the partial products of these two overflow; per point, and as one
+    # sample of a stack whose other samples keep their per-point bits
+    chev = build_chevalley(3)
+    p = make_toda_point([1.0, 0.0, -1.0], [1e200, 1e200])
+    x = toda_matrix(chev, p)
+    for call in (lambda: embed(chev, p), lambda: stabilizer_lift(chev, x),
+                 lambda: kostant_maps.normal_forms(chev, x)):
+        with pytest.raises(NotInV, match="floating-point range"):
+            call()
+    rng = stream(3, "overflowing-sample")
+    points = [sample_flow_domain(chev, rng) for _ in range(3)]
+    points.insert(1, p)
+    images, errors = embed(chev, stack(points))
+    assert isinstance(errors[1], NotInV) and errors[::2] == [None, None] and errors[3] is None
+    for k in (0, 2, 3):
+        single = embed(chev, points[k])
+        assert images.g[k].tobytes() == single.g.tobytes()
+        assert images.x[k].tobytes() == single.x.tobytes()
