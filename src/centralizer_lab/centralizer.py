@@ -19,11 +19,13 @@ composing the r flows from the identity fiber gives an explicit chart
 form is checked against sum(dz_i ^ df_i).  The chart's exponents are
 polynomials in s, so they commute, and its i-th flow-time direction is
 exactly the Hamiltonian field (gradient_i(s), 0).  Its section directions
-are central differences around one base chart evaluation, along each
-coordinate field df_j of the invariants on the section.  The section is
-affine, so s +/- h df_j stays on it and the z part of the j-th section
-direction is df_j exactly.  The form is evaluated on all pairs of the 2r
-directions at once, as one Gram matrix.
+run along the coordinate fields df_j of the invariants on the section,
+which is affine, so the z part of the j-th section direction is df_j
+exactly.  Their y parts are exact too: the derivative of exp at A along
+dA is the upper-right block of exp([[A, dA], [0, A]]) (Higham, Functions
+of Matrices, 2008, section 3.2; Najfeld and Havel, 1995), so one
+exponential of an (r, 2n, 2n) stack gives all r of them.  The form is
+evaluated on all pairs of the 2r directions at once, as one Gram matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import linalg
 from .errors import InvalidZPoint
@@ -40,8 +43,6 @@ from .stacks import per_sample, stacked
 
 STABILIZER_TOL = 1e-9
 SECTION_TOL = 1e-10
-# Admitted finite-difference steps of the chart pullback.
-FD_STEP_RANGE = (1e-8, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -168,12 +169,17 @@ def flow_step(chev: ChevalleyData, t, p: ZPoint, i) -> ZPoint:
     return ZPoint(g=p.g @ linalg.mat_exp(t * v), x=p.x)
 
 
-def cjl_chart(chev: ChevalleyData, c: CJLPoint) -> ZPoint:
-    """Compose the r flows starting from the identity fiber:
-    (exp(sum_i lam_i * gradient_i(s)), s)."""
+def _flow_times(chev: ChevalleyData, c: CJLPoint) -> np.ndarray:
     lam = np.asarray(c.lam, dtype=complex)
     if lam.shape != (chev.r,):
         raise ValueError(f"expected {chev.r} flow times, got shape {lam.shape}")
+    return lam
+
+
+def cjl_chart(chev: ChevalleyData, c: CJLPoint) -> ZPoint:
+    """Compose the r flows starting from the identity fiber:
+    (exp(sum_i lam_i * gradient_i(s)), s)."""
+    lam = _flow_times(chev, c)
     total = (lam[:, None, None] * np.stack(invariant_gradients(chev, c.s))).sum(axis=0)
     return ZPoint(g=linalg.mat_exp(total), x=np.asarray(c.s, dtype=complex))
 
@@ -184,34 +190,66 @@ def coordinate_fields(chev: ChevalleyData, x: np.ndarray):
     Returns matrices df_1, ..., df_r in the centralizer of eta satisfying
     d f_i (df_j) = delta_ij at the section point x.
     """
+    return _dual_fields(chev, np.stack(invariant_gradients(chev, x)))
+
+
+def _dual_fields(chev: ChevalleyData, grads: np.ndarray):
+    """The combinations df_j of eta, ..., eta^r with tr(grads[i] df_j) = delta_ij."""
     eta = np.stack(chev.centralizer_eta)
-    gram = np.einsum("iab,jba->ij", np.stack(invariant_gradients(chev, x)), eta)
+    gram = np.einsum("iab,jba->ij", grads, eta)
     return list(np.einsum("kj,kab->jab", np.linalg.inv(gram), eta))
 
 
-def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, base_g: np.ndarray,
-                              v: np.ndarray, step: float = 1e-6) -> Tangent:
-    """Central-difference pushforward of the section direction v at c,
-    along s +/- step * v; the section is affine, so both stay on it.
-    ``base_g`` is the group part of the chart at c."""
-    g_p = cjl_chart(chev, CJLPoint(c.lam, c.s + step * v)).g
-    g_m = cjl_chart(chev, CJLPoint(c.lam, c.s - step * v)).g
-    return Tangent(y=linalg.solve(base_g, (g_p - g_m) / (2.0 * step)), z=v)
+def _traceless(m: np.ndarray) -> np.ndarray:
+    n = m.shape[-1]
+    return m - (np.trace(m, axis1=-2, axis2=-1) / n)[..., None, None] * linalg.eye(n)
 
 
-def chart_directions(chev: ChevalleyData, c: CJLPoint, step: float = 1e-6) -> list:
+def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields) -> list:
+    """Exact pushforwards of the section directions ``fields`` (the
+    coordinate fields df_j) at c, left-trivialized.
+
+    Moving s along v moves the exponent A = sum_i lam_i gradient_i(s) by
+    dA = sum_i lam_i sum_{a+b=i-1} s^a v s^b, less its trace part, and the
+    group part exp(A) by the Frechet derivative L_exp(A, dA), the
+    upper-right block of exp([[A, dA], [0, A]]).  The powers s^0 .. s^r
+    are built once, every dA with stacked products, and one exponential
+    of the stack of block matrices gives every direction: its y part is
+    E11^-1 E12 of its block, its z part v itself.
+    """
+    lam = _flow_times(chev, c)
+    n, r = chev.n, chev.r
+    s = linalg.as_matrix(c.s)
+    powers = np.empty((r + 1, n, n), dtype=complex)
+    powers[0] = linalg.eye(n)
+    for i in range(1, r + 1):
+        powers[i] = powers[i - 1] @ s
+    v = np.stack(fields)
+    # sum_{a+b<r} lam_{a+b+1} s^a v s^b = sum_a s^a v q_a, q_a = sum_b lam_{a+b+1} s^b
+    q = np.einsum("ab,bxy->axy", scipy.linalg.hankel(lam), powers[:r])
+    block = np.zeros((r, 2 * n, 2 * n), dtype=complex)
+    block[:, :n, :n] = block[:, n:, n:] = np.einsum("i,iab->ab", lam, _traceless(powers[1:]))
+    block[:, :n, n:] = _traceless((powers[:r, None] @ v @ q[:, None]).sum(axis=0))
+    e = linalg.mat_exp(block)
+    y = linalg.solve(e[:, :n, :n], e[:, :n, n:])
+    return [Tangent(y=yj, z=vj) for yj, vj in zip(y, v)]
+
+
+def chart_directions(chev: ChevalleyData, c: CJLPoint) -> list:
     """Pushforwards of the 2r chart coordinate directions at c: the r flow
     times, then the r invariant coordinates on the section.
 
     The chart's exponents commute, so the i-th flow-time direction is the
-    Hamiltonian field (gradient_i(s), 0).  A section direction is a central
-    difference of the chart with the given step along the coordinate field
-    df_j, so its z part is df_j itself and d f (z) is the j-th unit vector.
+    Hamiltonian field (gradient_i(s), 0).  The section directions run along
+    the coordinate fields df_j, so d f (z) of the j-th is the j-th unit
+    vector; they are exact, from one block exponential (see
+    :func:`chart_pushforward_section`), and no chart is evaluated.
     """
-    base = cjl_chart(chev, c)
-    flows = [hamiltonian_field(chev, base, i) for i in range(1, chev.r + 1)]
-    return flows + [chart_pushforward_section(chev, c, base.g, v, step)
-                    for v in coordinate_fields(chev, c.s)]
+    # the flows and the fields read the gradients that hamiltonian_field and
+    # coordinate_fields read, bit for bit
+    grads = invariant_gradients(chev, c.s)
+    flows = [Tangent(y=y, z=np.zeros_like(y)) for y in grads]
+    return flows + chart_pushforward_section(chev, c, _dual_fields(chev, np.stack(grads)))
 
 
 @dataclass(frozen=True)
@@ -229,19 +267,19 @@ class CJLPullbackResult:
 
 
 def cjl_pullback_deviation(chev: ChevalleyData, c: CJLPoint,
-                           fd_step: float = 1e-6) -> CJLPullbackResult:
+                           fd_step=None) -> CJLPullbackResult:
     """Push the chart-coordinate basis through the chart and evaluate the
     symplectic form on all pairs, as one Gram matrix.
 
     The three exact blocks are 0, delta_ij, 0; the returned result holds the
-    maximal absolute deviation per block.  ``fd_step`` must lie in
-    ``FD_STEP_RANGE``.
+    maximal absolute deviation per block.  Every direction is exact (see
+    :func:`chart_directions`), so each block reads rounding only.
+    ``fd_step`` is accepted and ignored: it exists only because the
+    benchmark in ``perfbench/`` still passes the finite-difference step
+    that the section directions no longer take.
     """
-    lo, hi = FD_STEP_RANGE
-    if not lo <= fd_step <= hi:
-        raise ValueError(f"fd_step {fd_step:g} outside [{lo:g}, {hi:g}]")
     r = chev.r
-    dirs = chart_directions(chev, c, step=fd_step)
+    dirs = chart_directions(chev, c)
     gram = symplectic_form(c.s, dirs, dirs)
     return CJLPullbackResult(
         flow_flow=float(np.max(np.abs(gram[:r, :r]))),

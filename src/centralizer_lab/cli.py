@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .centralizer import FD_STEP_RANGE, cjl_pullback_deviation, cjl_pullback_tolerance
+from .centralizer import cjl_pullback_deviation, cjl_pullback_tolerance
 from .errors import CentralizerLabError, NotInGStar, NotInV
 from .formats import (
     dump_json,
@@ -42,8 +42,7 @@ from .sampling import random_cjl_point, stream
 from .suites import run_all
 from .toda import embed, embed_inverse, in_flow_domain, toda_flow, toda_matrix
 
-CONFIG_KEYS = frozenset({"n", "seed", "samples", "out", "format", "fd_step",
-                         "i", "t_list", "point"})
+CONFIG_KEYS = frozenset({"n", "seed", "samples", "out", "format", "i", "t_list", "point"})
 
 
 class ConfigError(Exception):
@@ -61,7 +60,6 @@ class RunConfig:
     flow_label: int = 1
     t_list: list = field(default_factory=lambda: [0.0, 0.5, 1.0])
     point: object = None
-    fd_step: float = 1e-6
 
     def validate(self):
         if not 2 <= self.n <= 8:
@@ -110,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cjl = subs.add_parser("cjl", help="chart pullback deviations")
     _add_common(p_cjl)
-    p_cjl.add_argument("--fd-step", dest="fd_step", type=float,
-                       help="finite-difference step, in [{:g}, {:g}]".format(*FD_STEP_RANGE))
     return parser
 
 
@@ -137,7 +133,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    for key in ("n", "seed", "samples", "out", "format", "fd_step"):
+    for key in ("n", "seed", "samples", "out", "format"):
         if key in file_data:
             setattr(cfg, key, file_data[key])
     if "i" in file_data:
@@ -150,7 +146,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if "point" in file_data:
         cfg.point = file_data["point"]
 
-    for key in ("n", "seed", "samples", "out", "format", "fd_step"):
+    for key in ("n", "seed", "samples", "out", "format"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -172,7 +168,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         cfg.seed = int(cfg.seed)
         cfg.samples = int(cfg.samples)
         cfg.flow_label = int(cfg.flow_label)
-        cfg.fd_step = float(cfg.fd_step)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"non-numeric configuration field: {exc}") from exc
     cfg.validate()
@@ -274,14 +269,10 @@ def cmd_embed(cfg: RunConfig) -> int:
 
 
 def cmd_cjl(cfg: RunConfig) -> int:
-    lo, hi = FD_STEP_RANGE
-    if not lo <= cfg.fd_step <= hi:
-        raise ConfigError(f"fd_step {cfg.fd_step:g} outside [{lo:g}, {hi:g}]")
     chev = build_chevalley(cfg.n)
     rng = stream(cfg.seed, "cli_cjl")
     points = [random_cjl_point(chev, rng) for _ in range(cfg.samples)]
-    results = [cjl_pullback_deviation(chev, c, fd_step=cfg.fd_step)
-               for c in points]
+    results = [cjl_pullback_deviation(chev, c) for c in points]
 
     blocks = {
         "flow_flow": max(res.flow_flow for res in results),
@@ -292,8 +283,7 @@ def cmd_cjl(cfg: RunConfig) -> int:
     tolerance = cjl_pullback_tolerance(cfg.n)
     passed = max_dev <= tolerance
     payload = {
-        "config": {"n": cfg.n, "seed": cfg.seed, "samples": cfg.samples,
-                   "fd_step": cfg.fd_step},
+        "config": {"n": cfg.n, "seed": cfg.seed, "samples": cfg.samples},
         "blocks": blocks,
         "max_deviation": max_dev,
         "tolerance": tolerance,

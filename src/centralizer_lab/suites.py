@@ -547,6 +547,10 @@ def _check_ham_isotropy(chev, drawn):
 
 @_register("cent_hamiltonian_duality_fd", 1e-6)
 def _check_ham_duality(chev, rng, k):
+    # Omega(H_i, (y, z)) = tr(grad_i z) + tr([s, grad_i] y), and grad_i
+    # commutes with s, so every entry reduces to tr(grad_i z) up to rounding:
+    # the row never reads a direction's y, and its flow half repeats
+    # cent_hamiltonian_isotropy.
     c = random_cjl_point(chev, rng)
     p = cjl_chart(chev, c)
     dirs = chart_directions(chev, c)

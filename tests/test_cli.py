@@ -221,7 +221,7 @@ def test_config_file_merges_with_flag_overrides(tmp_path):
     assert data["config"]["samples"] == 5
 
 
-@pytest.mark.parametrize("key", ["tol_chamber", "threads"])
+@pytest.mark.parametrize("key", ["tol_chamber", "threads", "fd_step"])
 def test_unknown_config_key_exits_2(tmp_path, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 2, "samples": 1, key: 1}))
