@@ -8,6 +8,10 @@ reproducible across platforms and independent between named checks.
 Complex scalars are sampled with real and imaginary parts uniform in
 [-1, 1] (times an optional scale); matrices are filled row-major, real
 plane before imaginary plane, so the draw order is part of the contract.
+Philox's stream is one fixed sequence of doubles, so the flow-domain
+samplers judge the candidates of many samples in one stacked ``eig`` and
+then rewind and consume exactly the doubles of draws made one at a time:
+the same points, bit for bit, and the same stream after.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import numpy as np
 
 from . import linalg
 from .centralizer import CJLPoint
-from .errors import NoConvergence
+from .errors import NoConvergence, NotInV
 from .invariants import invariant_gradient, invariant_gradients
+from .kostant_maps import chamber_errors
 from .lie_core import ChevalleyData
-from .toda import TodaPoint, in_flow_domain, make_toda_point
+from .stacks import first_errors
+from .toda import TodaPoint, make_toda_point, toda_matrix
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -31,8 +37,7 @@ def stream(seed: int, name: str) -> np.random.Generator:
 
 
 def complex_uniform(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
-    re = rng.uniform(-1.0, 1.0, size=shape)
-    im = rng.uniform(-1.0, 1.0, size=shape)
+    re, im = rng.uniform(-1.0, 1.0, size=(2, *shape))  # one call, real plane first
     return scale * (re + 1j * im)
 
 
@@ -114,19 +119,58 @@ def random_toda_point(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoin
     return make_toda_point(diag, coords)
 
 
-def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoint:
-    """Rejection-sample a phase-space point inside the flow domain, in at
-    most 1000 draws."""
-    for _ in range(1000):
-        p = random_toda_point(chev, rng)
-        if in_flow_domain(chev, p):
-            return p
-    raise NoConvergence("no flow-domain point found in 1000 draws")
+def _round(chev, rng, head, count, extra):
+    """Judge ``count`` candidates, drawn as if each were accepted and then
+    followed by ``extra`` doubles, and consume the doubles up to the first
+    one not accepted.  Returns the accepted ones' extras, the stacked
+    points, that candidate's exception, and the next round's head: its
+    diagonal if it has a zero root coordinate (exception None)."""
+    n, r, w = chev.n, chev.r, 2 * (chev.n + chev.r)
+    state = rng.bit_generator.state
+    rows = np.concatenate([head, rng.uniform(-1.0, 1.0, count * (w + extra) - len(head))])
+    rows = rows.reshape(count, w + extra)
+    diag = rows[:, :n] + 1j * rows[:, n:2 * n]
+    coords = rows[:, 2 * n:2 * n + r] + 1j * rows[:, 2 * n + r:w]
+    p, errors = make_toda_point(diag - np.mean(diag, axis=-1, keepdims=True), coords)
+    (values, _), eig_errors = linalg.eig(toda_matrix(chev, p))
+    verdicts = first_errors(errors, eig_errors, chamber_errors(values))
+    taken = next((k for k, exc in enumerate(verdicts) if exc is not None), count)
+    rng.bit_generator.state = state
+    rng.random(taken * (w + extra) + w * (taken < count) - len(head))
+    if taken < count and not coords[taken].all():
+        return rows[:taken, w:], p, None, rows[taken, :2 * n]
+    return rows[:taken, w:], p, verdicts[taken] if taken < count else None, np.empty(0)
 
 
-def domain_fraction(chev: ChevalleyData, rng: np.random.Generator,
-                    samples: int) -> float:
-    """Fraction of unit-box phase-space points inside the flow domain."""
-    hits = sum(in_flow_domain(chev, random_toda_point(chev, rng))
-               for _ in range(samples))
+def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator, samples=None, scalars=()):
+    """Rejection-sample a point inside the flow domain in at most 1000
+    candidates, followed by groups of ``scalars`` complex scalars drawn in
+    turn (real part first): the point, or the tuple of it and its groups.
+    With ``samples``, return ``(drawn, failure)``: the draws of up to
+    ``samples`` samples, and None or the exception that ended the list."""
+    want = 1 if samples is None else samples
+    drawn, head, tries, failure = [], np.empty(0), 0, None
+    while len(drawn) < want and failure is None:
+        tails, p, exc, head = _round(chev, rng, head, want - len(drawn), 2 * sum(scalars))
+        for k, tail in enumerate(tails):
+            point = TodaPoint(diag=p.diag[k].copy(), root_coords=p.root_coords[k].copy())
+            drawn.append((point, *np.split(tail[0::2] + 1j * tail[1::2], np.cumsum(scalars)[:-1]))
+                         if scalars else point)
+        tries = (tries if len(tails) == 0 else 0) + isinstance(exc, NotInV)
+        if tries == 1000:
+            exc = NoConvergence("no flow-domain point found in 1000 draws")
+        failure = None if isinstance(exc, NotInV) else exc
+    if samples is None and failure is not None:
+        raise failure
+    return drawn[0] if samples is None else (drawn, failure)
+
+
+def domain_fraction(chev: ChevalleyData, rng: np.random.Generator, samples: int) -> float:
+    """Fraction of the next ``samples`` candidates inside the flow domain."""
+    hits, judged, head = 0, 0, np.empty(0)
+    while judged < samples:
+        accepted, _, exc, head = _round(chev, rng, head, samples - judged, 0)
+        if exc is not None and not isinstance(exc, NotInV):
+            raise exc
+        hits, judged = hits + len(accepted), judged + len(accepted) + (exc is not None)
     return hits / samples

@@ -4,30 +4,25 @@ A check has one of two shapes.  Most are *sampled*, registered with their
 pinned bound and the exception types that count as a skipped sample.  A
 per-point sampled check is a function ``(chev, rng, k) -> deviation`` that
 makes the draws and computations of sample ``k``.  A *stacked* one is
-registered with a ``draw(chev, rng, k)`` that makes the draws of sample
-``k``; its function takes the list of all draws and returns
-``(deviations, errors)`` from one pass over the stack (see
-:mod:`stacks`): per sample a deviation, or the exception the sample
-raised.  The draws still run one at a time in sample order on the
-check's own stream, and none depends on a computed value (a random
-stabilizer element is drawn as its raw coefficients and built in the
-stacked pass), so the draw order is that of a per-point check and
-``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A few checks
-are *plain*: a function ``(chev, rng, samples) -> (deviation, bound,
-used)`` for structure constants, rank-dependent cases and checks over the
-whole sample set at once.
+registered with a ``draw(chev, rng, samples) -> (drawn, failure)``, the
+draws of the samples and the exception (or None) that ended the list, and
+its function returns ``(deviations, errors)`` for the list from one pass
+over the stack (see :mod:`stacks`).  Flow-domain points are drawn for all
+samples in one call, other draws one sample at a time; either way the
+stream is consumed as by a per-point check, and no draw depends on a
+computed value (a random stabilizer element is drawn as its raw
+coefficients), so ``run_check(name, n, seed, k + 1)`` replays sample
+``k``.  A few checks are *plain*: a function ``(chev, rng, samples) ->
+(deviation, bound, used)`` for structure constants, rank-dependent cases
+and checks over the whole sample set at once.
 
 Stacked are the checks on Toda and section points: every sampled
-``toda_*`` check, the ``kostant_*`` normal-form, lift and dressing checks
-(all but ``kostant_gstar_refactor``), and ``cent_flow_preserves_points``,
-``cent_invariants_group_independent``, ``cent_hamiltonian_isotropy`` and
-``cent_flow_group_law``.  The other sampled checks stay per point: the
-``linalg_*``, ``lie_*`` and ``inv_*`` checks and
-``kostant_gstar_refactor`` make one or two small kernel calls per sample,
-and the chart checks (``cent_cjl_*``, ``cent_hamiltonian_duality_fd``)
-would need a stacked ``cjl_chart`` and ``chart_directions``, which would
-put the ``m = 1`` bookkeeping of :func:`stacks.stacked` on every
-per-point chart evaluation of the ``cjl`` command.
+``toda_*`` check, the ``kostant_*`` checks but ``kostant_gstar_refactor``
+and the four ``cent_*`` checks that draw section points.  The other
+sampled checks make one or two small kernel calls per sample, or are
+chart checks, which would need a stacked ``cjl_chart`` and so put the
+``m = 1`` bookkeeping of :func:`stacks.stacked` on every chart
+evaluation of the ``cjl`` command.
 
 The driver, :func:`run_check`, owns everything around a sampled check: it
 folds one ordered list of per-sample outcomes, a deviation or an
@@ -149,8 +144,8 @@ CHECKS = {}
 def _register(name, bound=None, skips=(), draw=None):
     """Register a sampled check with its ``bound`` and skip exceptions, or,
     without a bound, a plain check.  With ``draw``, the check is stacked:
-    ``draw(chev, rng, k)`` makes the draws of sample k and the function
-    evaluates the list of all draws at once."""
+    ``draw(chev, rng, samples)`` makes the draws of the samples and the
+    function evaluates the list of all draws at once."""
     def deco(fn):
         CHECKS[name] = Check(fn, bound, skips, draw)
         return fn
@@ -177,11 +172,26 @@ def _random_regular(chev, rng):
             return x
 
 
-def _flow_point(chev, rng, k):
-    return sample_flow_domain(chev, rng)
+def _one_by_one(draw):
+    """A stacked check's draw, made sample by sample by ``draw(chev, rng)``."""
+    def draw_samples(chev, rng, samples):
+        drawn = []
+        try:
+            while len(drawn) < samples:
+                drawn.append(draw(chev, rng))
+        except Exception as exc:
+            return drawn, exc
+        return drawn, None
+    return draw_samples
 
 
-def _flow_point_and_label(chev, rng, k):
+def _flow_points(sets):
+    """The draw of all samples' flow-domain points, each followed by
+    ``sets`` sets of r stabilizer coefficients."""
+    return lambda chev, rng, samples: sample_flow_domain(chev, rng, samples, (chev.r,) * sets)
+
+
+def _flow_point_and_label(chev, rng):
     return sample_flow_domain(chev, rng), int(rng.integers(1, chev.r + 1))
 
 
@@ -372,12 +382,12 @@ def _random_unitriangular(chev, rng):
     return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=0.8), 1)
 
 
-def _draw_decomposition(chev, rng, k):
+def _draw_decomposition(chev, rng):
     return (_random_xi_plus_b(chev, rng), _random_unitriangular(chev, rng),
             random_section_point(chev, rng))
 
 
-@_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_draw_decomposition)
+@_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_one_by_one(_draw_decomposition))
 def _check_decomposition_roundtrip(chev, drawn):
     z, u, s = map(np.array, zip(*drawn))
     dec, errors = decompose_to_section(chev, z)
@@ -388,7 +398,7 @@ def _check_decomposition_roundtrip(chev, drawn):
         errors, moved_errors, errors2)
 
 
-@_register("kostant_chamber_form", 1e-9, draw=_flow_point)
+@_register("kostant_chamber_form", 1e-9, draw=_flow_points(0))
 def _check_chamber_form(chev, points):
     x = toda_matrix(chev, stack(points))
     form, errors = chamber_form(chev, x)
@@ -398,7 +408,7 @@ def _check_chamber_form(chev, points):
             first_errors(errors, errors2))
 
 
-@_register("kostant_chamber_conjugator", 1e-9, draw=_flow_point)
+@_register("kostant_chamber_conjugator", 1e-9, draw=_flow_points(0))
 def _check_chamber_conjugator(chev, points):
     x = toda_matrix(chev, stack(points))
     conj, errors = chamber_conjugator(chev, x)
@@ -406,7 +416,7 @@ def _check_chamber_conjugator(chev, points):
     return _rel(adjoint(conj, theta_x), x), first_errors(errors, errors2)
 
 
-@_register("kostant_section_chamber_conjugator", 1e-9, draw=_flow_point)
+@_register("kostant_section_chamber_conjugator", 1e-9, draw=_flow_points(0))
 def _check_section_chamber_conjugator(chev, points):
     x = toda_matrix(chev, stack(points))
     conj, errors = chamber_to_section_conjugator(chev, x)
@@ -415,7 +425,7 @@ def _check_section_chamber_conjugator(chev, points):
     return _rel(adjoint(conj, theta_x), beta_x), first_errors(errors, errors2, errors3)
 
 
-@_register("kostant_stabilizer_lift", 1e-9, draw=_flow_point)
+@_register("kostant_stabilizer_lift", 1e-9, draw=_flow_points(0))
 def _check_stabilizer_lift(chev, points):
     x = toda_matrix(chev, stack(points))
     theta_x, errors = chamber_form(chev, x)
@@ -426,12 +436,8 @@ def _check_stabilizer_lift(chev, points):
         errors, errors2, errors3)
 
 
-def _draw_dressing(chev, rng, k):
-    return sample_flow_domain(chev, rng), stabilizer_coefficients(chev, rng)
-
-
 @_register("kostant_lift_of_dressed_point", 1e-8, skips=(NotInGStar, SmallRootCoordinate),
-           draw=_draw_dressing)
+           draw=_flow_points(1))
 def _check_lift_of_dressed(chev, drawn):
     points, coeffs = zip(*drawn)
     theta_x, errors = chamber_form(chev, toda_matrix(chev, stack(points)))
@@ -443,13 +449,8 @@ def _check_lift_of_dressed(chev, drawn):
         errors, errors2, [SmallRootCoordinate() if wall else None for wall in walls], errors3)
 
 
-def _draw_open_stabilizer(chev, rng, k):
-    return (sample_flow_domain(chev, rng), stabilizer_coefficients(chev, rng),
-            stabilizer_coefficients(chev, rng))
-
-
 @_register("kostant_open_stabilizer_conjugation", 1e-9, skips=(NotInGStar,),
-           draw=_draw_open_stabilizer)
+           draw=_flow_points(2))
 def _check_open_stabilizer(chev, drawn):
     points, g_coeffs, h_coeffs = zip(*drawn)
     x = toda_matrix(chev, stack(points))
@@ -481,7 +482,7 @@ def _check_gstar_refactor(chev, rng, k):
 
 # ----------------------------- centralizer ----------------------------- #
 
-def _draw_z_point(chev, rng, k):
+def _draw_z_point(chev, rng):
     return random_section_point(chev, rng), stabilizer_coefficients(chev, rng)
 
 
@@ -492,12 +493,12 @@ def _z_points(chev, sections, coeffs) -> ZPoint:
     return ZPoint(g=stabilizer_elements(chev, x, np.array(coeffs)), x=x)
 
 
-def _draw_z_flow(chev, rng, k):
-    return (*_draw_z_point(chev, rng, k), int(rng.integers(1, chev.r + 1)),
+def _draw_z_flow(chev, rng):
+    return (*_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
             complex_uniform(rng, ()))
 
 
-@_register("cent_flow_preserves_points", 1e-9, draw=_draw_z_flow)
+@_register("cent_flow_preserves_points", 1e-9, draw=_one_by_one(_draw_z_flow))
 def _check_flow_preserves(chev, drawn):
     sections, coeffs, labels, times = zip(*drawn)
     p = _z_points(chev, sections, coeffs)
@@ -520,12 +521,12 @@ def _check_moment_preimage(chev, rng, samples):
     return dev, 1e-9 + 0.5, len(points)
 
 
-def _draw_two_stabilizer_elements(chev, rng, k):
-    return (random_section_point(chev, rng), stabilizer_coefficients(chev, rng),
-            stabilizer_coefficients(chev, rng))
+def _draw_two_stabilizer_elements(chev, rng):
+    return (*_draw_z_point(chev, rng), stabilizer_coefficients(chev, rng))
 
 
-@_register("cent_invariants_group_independent", 1e-15, draw=_draw_two_stabilizer_elements)
+@_register("cent_invariants_group_independent", 1e-15,
+           draw=_one_by_one(_draw_two_stabilizer_elements))
 def _check_invariants_group_independent(chev, drawn):
     sections, first, second = zip(*drawn)
     p1, p2 = _z_points(chev, sections, first), _z_points(chev, sections, second)
@@ -534,7 +535,7 @@ def _check_invariants_group_independent(chev, drawn):
     return np.array(linalg.vector_norm(values1 - values2)), first_errors(errors, errors2)
 
 
-@_register("cent_hamiltonian_isotropy", 1e-10, draw=_draw_z_point)
+@_register("cent_hamiltonian_isotropy", 1e-10, draw=_one_by_one(_draw_z_point))
 def _check_ham_isotropy(chev, drawn):
     p = _z_points(chev, *zip(*drawn))
     fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
@@ -581,12 +582,12 @@ def _check_cjl_rank(chev, rng, k):
     return float(sigma[-1] <= 1e-6 * sigma[0])
 
 
-def _draw_group_law(chev, rng, k):
-    return (*_draw_z_point(chev, rng, k), int(rng.integers(1, chev.r + 1)),
+def _draw_group_law(chev, rng):
+    return (*_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
             complex_uniform(rng, (), scale=0.7), complex_uniform(rng, (), scale=0.7))
 
 
-@_register("cent_flow_group_law", 1e-10, draw=_draw_group_law)
+@_register("cent_flow_group_law", 1e-10, draw=_one_by_one(_draw_group_law))
 def _check_flow_group_law(chev, drawn):
     sections, coeffs, labels, t, s = zip(*drawn)
     p, labels = _z_points(chev, sections, coeffs), np.array(labels)
@@ -612,7 +613,7 @@ def _check_cjl_pullback(chev, rng, k):
 
 # ----------------------------- toda ------------------------------------ #
 
-@_register("toda_conservation", 1e-8, draw=_flow_point)
+@_register("toda_conservation", 1e-8, draw=_flow_points(0))
 def _check_toda_conservation(chev, points):
     p = stack(points)
     x0 = toda_matrix(chev, p)
@@ -633,13 +634,13 @@ def _check_toda_conservation(chev, points):
     return np.array(worst), errors
 
 
-def _draw_semigroup(chev, rng, k):
-    p, i = _flow_point_and_label(chev, rng, k)
+def _draw_semigroup(chev, rng):
+    p, i = _flow_point_and_label(chev, rng)
     t = complex_uniform(rng, (), scale=0.5).real
     return p, i, t, complex_uniform(rng, (), scale=0.5).real
 
 
-@_register("toda_flow_semigroup", 1e-8, draw=_draw_semigroup)
+@_register("toda_flow_semigroup", 1e-8, draw=_one_by_one(_draw_semigroup))
 def _check_toda_semigroup(chev, drawn):
     points, labels, t, s = map(list, zip(*drawn))
     p, labels = stack(points), np.array(labels)
@@ -650,7 +651,7 @@ def _check_toda_semigroup(chev, drawn):
             first_errors(errors, errors2, errors3))
 
 
-@_register("toda_normal_forms_constant", 1e-7, draw=_flow_point_and_label)
+@_register("toda_normal_forms_constant", 1e-7, draw=_one_by_one(_flow_point_and_label))
 def _check_normal_forms_constant(chev, drawn):
     points, labels = zip(*drawn)
     p = stack(points)
@@ -665,7 +666,7 @@ def _check_normal_forms_constant(chev, drawn):
     return np.array([max(d) for d in zip(*devs)]), errors
 
 
-@_register("toda_embed_triangle", 1e-9, draw=_flow_point)
+@_register("toda_embed_triangle", 1e-9, draw=_flow_points(0))
 def _check_embed_triangle(chev, points):
     p = stack(points)
     zp, errors = embed(chev, p)
@@ -678,26 +679,25 @@ def _check_embed_triangle(chev, points):
 
 @_register("toda_embed_injective")
 def _check_embed_injective(chev, rng, samples):
-    points = [sample_flow_domain(chev, rng) for _ in range(samples)]
+    points, failure = sample_flow_domain(chev, rng, samples)
+    if failure is not None:
+        raise failure
     if not points:
         return 0.0, 0.5, 0
-    images, errors = embed(chev, stack(points))
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    bad = 0
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            input_gap = linalg.norm(toda_matrix(chev, points[a]) - toda_matrix(chev, points[b]))
-            if input_gap < 1e-6:
-                continue
-            image_gap = max(scalar_aligned_distance(images.g[a], images.g[b]),
-                            _rel(images.x[a], images.x[b]))
-            bad += image_gap < 1e-10
-    return float(bad), 0.5, samples
+    p = stack(points)
+    images, errors = embed(chev, p)
+    if any(errors):
+        raise next(exc for exc in errors if exc)
+    a, b = np.triu_indices(samples, 1)
+    x, g = toda_matrix(chev, p), images.g.reshape(samples, -1)
+    c = np.vecdot(g[a], g[b]) / np.vecdot(g[a], g[a])  # as in scalar_aligned_distance
+    image_gap = np.maximum(np.divide(linalg.vector_norm(c[:, None] * g[a] - g[b]),
+                                     linalg.vector_norm(g[b])), _rel(images.x[a], images.x[b]))
+    distinct = np.array(linalg.norm(x[a] - x[b])) >= 1e-6
+    return float(np.count_nonzero(distinct & (image_gap < 1e-10))), 0.5, samples
 
 
-@_register("toda_embed_roundtrip", 1e-8, draw=_flow_point)
+@_register("toda_embed_roundtrip", 1e-8, draw=_flow_points(0))
 def _check_embed_roundtrip(chev, points):
     p = stack(points)
     zp, errors = embed(chev, p)
@@ -712,14 +712,14 @@ def _check_embed_roundtrip(chev, points):
 
 
 # NotInGStar is a complex-time blow-up: both sides are undefined together.
-@_register("toda_intertwine_flow", 1e-7, skips=(NotInGStar,), draw=_flow_point)
+@_register("toda_intertwine_flow", 1e-7, skips=(NotInGStar,), draw=_flow_points(0))
 def _check_intertwine_flow(chev, points):
     ks = range(len(points))
     return intertwine_check(chev, [1 + k % chev.r for k in ks],
                             [(0.4, -0.8, 0.3 + 0.2j)[k % 3] for k in ks], stack(points))
 
 
-@_register("toda_intertwine_infinitesimal", 1e-5, draw=_flow_point)
+@_register("toda_intertwine_infinitesimal", 1e-5, draw=_flow_points(0))
 def _check_intertwine_infinitesimal(chev, points):
     return intertwine_infinitesimal(
         chev, [1 + k % chev.r for k in range(len(points))], stack(points))
@@ -749,9 +749,9 @@ def _outcomes(check: Check, chev, rng, samples: int):
     """Per sample, in order, its deviation or the exception it raised.
 
     A per-point check runs sample by sample.  A stacked check draws its
-    samples one at a time first, in the order a per-point check would, and
-    evaluates them in one stacked pass; a draw that raises ends the list,
-    and so does a non-finite draw where the pass raises.
+    samples first (a batch consumes the stream as sample-by-sample draws
+    do) and evaluates them in one pass; a failed draw ends the list after
+    the samples before it, as does a non-finite draw where the pass raises.
     """
     if check.draw is None:
         for k in range(samples):
@@ -760,13 +760,7 @@ def _outcomes(check: Check, chev, rng, samples: int):
             except Exception as exc:
                 yield exc
         return
-    drawn, failure = [], None
-    for k in range(samples):
-        try:
-            drawn.append(check.draw(chev, rng, k))
-        except Exception as exc:
-            failure = exc
-            break
+    drawn, failure = check.draw(chev, rng, samples)
     if drawn:
         try:
             devs, errors = check.fn(chev, drawn)

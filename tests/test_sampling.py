@@ -1,0 +1,321 @@
+"""Batched draws against draws made one at a time: the flow-domain sampler
+and the domain fraction consume the stream exactly as the sequential loops
+below do, and the checks that draw through them give the same rows."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from centralizer_lab import linalg, sampling, suites, toda
+from centralizer_lab.errors import NoConvergence, NotInV
+from centralizer_lab.lie_core import build_chevalley, scalar_aligned_distance
+from centralizer_lab.sampling import (
+    complex_uniform,
+    domain_fraction,
+    random_toda_point,
+    sample_flow_domain,
+    stream,
+)
+from centralizer_lab.stacks import stack, stacked
+from centralizer_lab.toda import in_flow_domain, toda_matrix
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _two_call_complex(rng, shape, scale=1.0):
+    """complex_uniform as two draws, the real plane first."""
+    re = rng.uniform(-1.0, 1.0, size=shape)
+    im = rng.uniform(-1.0, 1.0, size=shape)
+    return scale * (re + 1j * im)
+
+
+def _sequential_point(chev, rng):
+    """The flow-domain sampler as a loop over single candidates."""
+    for _ in range(1000):
+        p = random_toda_point(chev, rng)
+        if in_flow_domain(chev, p):
+            return p
+    raise NoConvergence("no flow-domain point found in 1000 draws")
+
+
+def _sequential_draw(chev, rng, scalars):
+    point = _sequential_point(chev, rng)
+    if not scalars:
+        return point
+    return (point, *(np.array([_two_call_complex(rng, ()) for _ in range(size)])
+                     for size in scalars))
+
+
+def _sequential_sampler(chev, rng, samples=None, scalars=()):
+    """sample_flow_domain's contract, drawn sample by sample."""
+    if samples is None:
+        return _sequential_draw(chev, rng, scalars)
+    drawn = []
+    for _ in range(samples):
+        try:
+            drawn.append(_sequential_draw(chev, rng, scalars))
+        except Exception as exc:
+            return drawn, exc
+    return drawn, None
+
+
+def _point(value):
+    """The point of a draw that may carry scalar groups."""
+    return value[0] if isinstance(value, tuple) else value
+
+
+def _sequential_fraction(chev, rng, samples):
+    """domain_fraction as a loop over single candidates."""
+    hits = sum(in_flow_domain(chev, random_toda_point(chev, rng)) for _ in range(samples))
+    return hits / samples
+
+
+def _assert_same_draws(batched, sequential):
+    (drawn, failure), (reference, failure_ref) = batched, sequential
+    assert len(drawn) == len(reference)
+    for value, ref in zip(drawn, reference):
+        value, ref = (value, ref) if isinstance(ref, tuple) else ((value,), (ref,))
+        assert len(value) == len(ref)
+        assert _same_bits(value[0].diag, ref[0].diag)
+        assert _same_bits(value[0].root_coords, ref[0].root_coords)
+        for a, b in zip(value[1:], ref[1:]):
+            assert _same_bits(a, b)
+    assert type(failure) is type(failure_ref) and str(failure) == str(failure_ref)
+
+
+def _reject_by_value(monkeypatch, reject):
+    """Judge every spectrum, batched or alone, by ``reject(values)`` on top
+    of the chamber test."""
+    def chamber_errors(values):
+        return [NotInV("forced") if reject(row) else None for row in np.asarray(values)]
+    monkeypatch.setattr(sampling, "chamber_errors", chamber_errors)
+    monkeypatch.setattr(toda, "chamber_errors", chamber_errors)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (4, 4)])
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_complex_uniform_matches_two_draws(shape, scale):
+    one, two = stream(5, "complex"), stream(5, "complex")
+    for _ in range(3):
+        value = complex_uniform(one, shape, scale)
+        reference = _two_call_complex(two, shape, scale)
+        assert type(value) is type(reference)
+        assert _same_bits(value, reference)
+    assert one.uniform() == two.uniform()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batched_sampler_matches_sequential_draws(n):
+    chev = build_chevalley(n)
+    for seed in range(4):
+        for scalars in ((), (chev.r,), (chev.r, chev.r)):
+            one, two = stream(seed, f"batch-{n}"), stream(seed, f"batch-{n}")
+            drawn = sample_flow_domain(chev, one, 25, scalars)
+            assert drawn[1] is None and len(drawn[0]) == 25
+            _assert_same_draws(drawn, _sequential_sampler(chev, two, 25, scalars))
+            assert one.uniform() == two.uniform()
+    one, two = stream(1, "single"), stream(1, "single")
+    for _ in range(3):
+        p, q = sample_flow_domain(chev, one), _sequential_point(chev, two)
+        assert _same_bits(p.diag, q.diag) and _same_bits(p.root_coords, q.root_coords)
+    assert one.uniform() == two.uniform()
+
+
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_forced_rejections_keep_the_stream(monkeypatch, n):
+    # about a third of the candidates are rejected, by their spectrum
+    _reject_by_value(monkeypatch, lambda values: int(abs(values[0].real) * 1e6) % 3 == 0)
+    chev = build_chevalley(n)
+    eig_calls = []
+    eig = linalg.eig
+    monkeypatch.setattr(linalg, "eig", lambda a: eig_calls.append(np.ndim(a)) or eig(a))
+    for scalars in ((), (chev.r, chev.r)):
+        one, two = stream(3, f"reject-{n}"), stream(3, f"reject-{n}")
+        eig_calls.clear()
+        drawn = sample_flow_domain(chev, one, 25, scalars)
+        rounds = len(eig_calls)
+        reference = _sequential_sampler(chev, two, 25, scalars)
+        rejected = len(eig_calls) - rounds - 25
+        assert rejected > 3
+        assert rounds <= 1 + rejected
+        _assert_same_draws(drawn, reference)
+        assert one.uniform() == two.uniform()
+    one, two = stream(3, f"fraction-{n}"), stream(3, f"fraction-{n}")
+    fraction = domain_fraction(chev, one, 30)
+    assert fraction == _sequential_fraction(chev, two, 30) < 1.0
+    assert one.uniform() == two.uniform()
+
+
+def test_no_convergence_after_1000_rejections(monkeypatch):
+    # only candidates 600 and 1200 of the stream are accepted: samples 0 and
+    # 1 each follow some 600 rejections, and sample 2 gives up after 1000
+    chev = build_chevalley(3)
+    rng = stream(8, "stuck")
+    candidates = [random_toda_point(chev, rng) for _ in range(1201)]
+    spectra = [linalg.eig(toda_matrix(chev, candidates[k]))[0].tobytes() for k in (600, 1200)]
+    _reject_by_value(monkeypatch, lambda values: values.tobytes() not in spectra)
+    one, two = stream(8, "stuck"), stream(8, "stuck")
+    drawn = sample_flow_domain(chev, one, 3)
+    assert len(drawn[0]) == 2 and isinstance(drawn[1], NoConvergence)
+    assert str(drawn[1]) == "no flow-domain point found in 1000 draws"
+    _assert_same_draws(drawn, _sequential_sampler(chev, two, 3))
+    assert one.uniform() == two.uniform()
+    with pytest.raises(NoConvergence, match="in 1000 draws"):
+        sample_flow_domain(chev, stream(9, "stuck"))
+
+
+def test_eigensolver_error_ends_the_draws_at_its_candidate(monkeypatch):
+    # the eigensolver fails on the candidate that would be sample 3
+    chev = build_chevalley(4)
+    bad = []
+    eig = linalg.eig
+
+    @stacked(2)
+    def failing_eig(a):
+        result, errors = eig(a)
+        return result, [NoConvergence("injected") if ak.tobytes() in bad else exc
+                        for ak, exc in zip(a, errors)]
+
+    for scalars in ((), (chev.r, chev.r)):
+        drawn = _sequential_sampler(chev, stream(2, "eig-error"), 4, scalars)[0]
+        bad[:] = [toda_matrix(chev, _point(drawn[3])).tobytes()]
+        monkeypatch.setattr(linalg, "eig", failing_eig)
+        one, two = stream(2, "eig-error"), stream(2, "eig-error")
+        drawn = sample_flow_domain(chev, one, 10, scalars)
+        assert len(drawn[0]) == 3 and str(drawn[1]) == "injected"
+        _assert_same_draws(drawn, _sequential_sampler(chev, two, 10, scalars))
+        assert one.uniform() == two.uniform()
+        monkeypatch.setattr(linalg, "eig", eig)
+    # a stacked check ends its row after the samples before the failed draw
+    points = _sequential_sampler(chev, stream(2, "eig-error"), 4)[0]
+    bad[:] = [toda_matrix(chev, points[3]).tobytes()]
+    monkeypatch.setattr(linalg, "eig", failing_eig)
+    monkeypatch.setattr(suites, "stream", lambda seed, name: stream(2, "eig-error"))
+    result = suites.run_check("kostant_chamber_form", 4, 42, 10)
+    assert result.samples == 3 and result.error == "NoConvergence: injected"
+    assert result.max_deviation == float("inf")
+
+
+class _Scripted:
+    """A generator over a fixed sequence of doubles u in [0, 1), with the
+    calls the samplers make: ``uniform(low, high, size)``, ``random(size)``
+    and a ``bit_generator.state`` that is the position in the sequence."""
+
+    def __init__(self, doubles):
+        self.doubles, self.state, self.bit_generator = doubles, 0, self
+
+    def random(self, size):
+        size = int(np.prod(size))
+        out = self.doubles[self.state:self.state + size].copy()
+        self.state += size
+        return out
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size).reshape(size)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_zero_root_coordinate_is_redrawn_alone(n):
+    # the last root coordinate of candidate 2 reads exactly 0 (u = 0.5 in
+    # both parts): the coordinates are drawn again, 2r more doubles, and the
+    # diagonal is kept
+    chev = build_chevalley(n)
+    w = 2 * (chev.n + chev.r)
+    clean = stream(n, "scripted").random(40 * w)
+
+    def with_zero(candidate):
+        doubles = clean.copy()
+        doubles[candidate + 2 * n + chev.r - 1] = 0.5  # real part of the last coordinate
+        doubles[candidate + 2 * n + 2 * chev.r - 1] = 0.5  # its imaginary part
+        return doubles
+
+    for scalars in ((), (chev.r,)):
+        doubles = with_zero(2 * (w + 2 * sum(scalars)))
+        one, two = _Scripted(doubles), _Scripted(doubles)
+        drawn = sample_flow_domain(chev, one, 5, scalars)
+        _assert_same_draws(drawn, _sequential_sampler(chev, two, 5, scalars))
+        assert one.state == two.state == 5 * (w + 2 * sum(scalars)) + 2 * chev.r
+        assert np.all(_point(drawn[0][2]).root_coords != 0)
+    one, two = _Scripted(with_zero(2 * w)), _Scripted(with_zero(2 * w))
+    assert domain_fraction(chev, one, 6) == _sequential_fraction(chev, two, 6)
+    assert one.state == two.state == 6 * w + 2 * chev.r
+
+
+def _old_embed_injective(chev, rng, samples):
+    """toda_embed_injective as a loop over pairs of points drawn one at a
+    time."""
+    points = [_sequential_point(chev, rng) for _ in range(samples)]
+    if not points:
+        return 0.0, 0.5, 0
+    images, errors = toda.embed(chev, stack(points))
+    assert errors == [None] * samples
+    bad = 0
+    for a in range(samples):
+        for b in range(a + 1, samples):
+            if linalg.norm(toda_matrix(chev, points[a]) - toda_matrix(chev, points[b])) < 1e-6:
+                continue
+            gap = max(scalar_aligned_distance(images.g[a], images.g[b]),
+                      suites._rel(images.x[a], images.x[b]))
+            bad += gap < 1e-10
+    return float(bad), 0.5, samples
+
+
+# the stacked checks whose samples are drawn in one sample_flow_domain call
+BATCHED = [name for name, check in suites.CHECKS.items()
+           if getattr(check.draw, "__qualname__", "").startswith("_flow_points.")]
+
+
+def test_batched_checks_are_the_flow_domain_ones():
+    assert len(BATCHED) == 11
+
+
+def _row(result):
+    row = dataclasses.asdict(result)
+    del row["seconds"]
+    return row
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_rows_equal_those_of_draws_made_one_at_a_time(monkeypatch, n):
+    names = BATCHED + ["toda_embed_injective", "toda_domain_fraction"]
+    rows = {name: _row(suites.run_check(name, n, 42, 6)) for name in names}
+    monkeypatch.setattr(suites, "sample_flow_domain", _sequential_sampler)
+    monkeypatch.setattr(suites, "domain_fraction", _sequential_fraction)
+    monkeypatch.setitem(suites.CHECKS, "toda_embed_injective",
+                        suites.Check(_old_embed_injective, None, (), None))
+    for name in names:
+        assert _row(suites.run_check(name, n, 42, 6)) == rows[name], name
+
+
+def _run_injective(monkeypatch, points, embed=toda.embed):
+    monkeypatch.setattr(suites, "sample_flow_domain",
+                        lambda chev, rng, samples: (points[:samples], None))
+    monkeypatch.setattr(suites, "embed", embed)
+    return suites.run_check("toda_embed_injective", 3, 42, len(points))
+
+
+def test_embed_injective_skips_a_repeated_point(monkeypatch):
+    chev = build_chevalley(3)
+    rng = stream(4, "injective")
+    points = [_sequential_point(chev, rng) for _ in range(5)]
+    result = _run_injective(monkeypatch, points[:3] + [points[1]] + points[3:])
+    assert result.passed and result.max_deviation == 0.0 and result.samples == 6
+
+
+def test_embed_injective_counts_two_points_with_one_image(monkeypatch):
+    chev = build_chevalley(3)
+    rng = stream(4, "injective")
+    points = [_sequential_point(chev, rng) for _ in range(5)]
+
+    def embed(chev, p):
+        images, errors = toda.embed(chev, p)
+        images.g[3] = 2.5j * images.g[1]  # one element of PGL_n
+        images.x[3] = images.x[1]
+        return images, errors
+
+    result = _run_injective(monkeypatch, points, embed)
+    assert not result.passed and result.max_deviation == 1.0 and result.samples == 5

@@ -174,9 +174,9 @@ def _non_finite(value):
 def test_a_non_finite_draw_ends_a_stacked_check_after_the_samples_before_it(name, monkeypatch):
     check = suites.CHECKS[name]
 
-    def draw(chev, rng, k):
-        value = check.draw(chev, rng, k)
-        return _non_finite(value) if k == 3 else value
+    def draw(chev, rng, samples):
+        drawn, failure = check.draw(chev, rng, samples)
+        return [_non_finite(value) if k == 3 else value for k, value in enumerate(drawn)], failure
 
     monkeypatch.setitem(suites.CHECKS, name, suites.Check(check.fn, check.bound, check.skips, draw))
     result = suites.run_check(name, 4, 42, 10)
