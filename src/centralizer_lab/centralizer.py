@@ -26,6 +26,10 @@ dA is the upper-right block of exp([[A, dA], [0, A]]) (Higham, Functions
 of Matrices, 2008, section 3.2; Najfeld and Havel, 1995), so one
 exponential of an (r, 2n, 2n) stack gives all r of them.  The form is
 evaluated on all pairs of the 2r directions at once, as one Gram matrix.
+
+The chart functions broadcast over a leading sample axis: m chart points
+take one exponential of an (m r, 2n, 2n) stack and one Gram matrix call,
+and a per-point call is the no-axis case of the same body.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import InvalidZPoint
@@ -69,21 +72,19 @@ class CJLPoint:
     s: np.ndarray
 
 
-def symplectic_form(x: np.ndarray, left, right) -> np.ndarray:
-    """Gram matrix of the ambient symplectic form at base algebra part x:
-    entry (a, b) is Omega(left[a], right[b]) on left-trivialized tangents,
+def symplectic_form(x: np.ndarray, left: Tangent, right: Tangent) -> np.ndarray:
+    """Gram matrix of the ambient symplectic form at base algebra part x
+    (..., n, n) on left-trivialized tangents along a direction axis,
+    (..., a, n, n) and (..., b, n, n): entry (..., a, b) is
+    Omega(left[a], right[b]),
 
         tr(y_a z_b) - tr(z_a y_b) + tr((x y_a - y_a x) y_b).
     """
-    x = linalg.as_matrix(x)
-    left_y = np.stack([v.y for v in left])
-    left_z = np.stack([v.z for v in left])
-    right_y = np.stack([v.y for v in right])
-    right_z = np.stack([v.z for v in right])
-    moved = x @ left_y - left_y @ x
-    return (np.einsum("aij,bji->ab", left_y, right_z)
-            - np.einsum("aij,bji->ab", left_z, right_y)
-            + np.einsum("aij,bji->ab", moved, right_y))
+    x = linalg.as_matrix(x)[..., None, :, :]
+    moved = x @ left.y - left.y @ x
+    return (np.einsum("...aij,...bji->...ab", left.y, right.z)
+            - np.einsum("...aij,...bji->...ab", left.z, right.y)
+            + np.einsum("...aij,...bji->...ab", moved, right.y))
 
 
 @stacked(2)
@@ -171,33 +172,44 @@ def flow_step(chev: ChevalleyData, t, p: ZPoint, i) -> ZPoint:
 
 def _flow_times(chev: ChevalleyData, c: CJLPoint) -> np.ndarray:
     lam = np.asarray(c.lam, dtype=complex)
-    if lam.shape != (chev.r,):
+    if lam.shape != np.shape(c.s)[:-2] + (chev.r,):
         raise ValueError(f"expected {chev.r} flow times, got shape {lam.shape}")
     return lam
+
+
+def _gradients(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
+    """The r invariant gradients of x along a direction axis: (..., r, n, n)."""
+    return np.stack(invariant_gradients(chev, x), axis=-3)
 
 
 def cjl_chart(chev: ChevalleyData, c: CJLPoint) -> ZPoint:
     """Compose the r flows starting from the identity fiber:
     (exp(sum_i lam_i * gradient_i(s)), s)."""
     lam = _flow_times(chev, c)
-    total = (lam[:, None, None] * np.stack(invariant_gradients(chev, c.s))).sum(axis=0)
+    total = (lam[..., None, None] * _gradients(chev, c.s)).sum(axis=-3)
     return ZPoint(g=linalg.mat_exp(total), x=np.asarray(c.s, dtype=complex))
 
 
-def coordinate_fields(chev: ChevalleyData, x: np.ndarray):
+def hamiltonian_fields(chev: ChevalleyData, x: np.ndarray) -> Tangent:
+    """The r Hamiltonian fields at algebra part x, along a direction axis."""
+    grads = _gradients(chev, x)
+    return Tangent(y=grads, z=np.zeros_like(grads))
+
+
+def coordinate_fields(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """Coordinate vector fields of the invariant coordinates on the section.
 
-    Returns matrices df_1, ..., df_r in the centralizer of eta satisfying
-    d f_i (df_j) = delta_ij at the section point x.
+    Returns matrices df_1, ..., df_r (..., r, n, n) in the centralizer of
+    eta satisfying d f_i (df_j) = delta_ij at the section point x.
     """
-    return _dual_fields(chev, np.stack(invariant_gradients(chev, x)))
+    return _dual_fields(chev, _gradients(chev, x))
 
 
-def _dual_fields(chev: ChevalleyData, grads: np.ndarray):
+def _dual_fields(chev: ChevalleyData, grads: np.ndarray) -> np.ndarray:
     """The combinations df_j of eta, ..., eta^r with tr(grads[i] df_j) = delta_ij."""
     eta = np.stack(chev.centralizer_eta)
-    gram = np.einsum("iab,jba->ij", grads, eta)
-    return list(np.einsum("kj,kab->jab", np.linalg.inv(gram), eta))
+    gram = np.einsum("...iab,jba->...ij", grads, eta)
+    return np.einsum("...kj,kab->...jab", np.linalg.inv(gram), eta)
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -205,39 +217,42 @@ def _traceless(m: np.ndarray) -> np.ndarray:
     return m - (np.trace(m, axis1=-2, axis2=-1) / n)[..., None, None] * linalg.eye(n)
 
 
-def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields) -> list:
+def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields: np.ndarray) -> Tangent:
     """Exact pushforwards of the section directions ``fields`` (the
-    coordinate fields df_j) at c, left-trivialized.
+    coordinate fields df_j, (..., r, n, n)) at c, left-trivialized.
 
     Moving s along v moves the exponent A = sum_i lam_i gradient_i(s) by
     dA = sum_i lam_i sum_{a+b=i-1} s^a v s^b, less its trace part, and the
     group part exp(A) by the Frechet derivative L_exp(A, dA), the
     upper-right block of exp([[A, dA], [0, A]]).  The powers s^0 .. s^r
     are built once, every dA with stacked products, and one exponential
-    of the stack of block matrices gives every direction: its y part is
-    E11^-1 E12 of its block, its z part v itself.
+    of the stack of all block matrices, r per chart point, gives every
+    direction: its y part is E11^-1 E12 of its block, its z part v itself.
     """
     lam = _flow_times(chev, c)
     n, r = chev.n, chev.r
     s = linalg.as_matrix(c.s)
-    powers = np.empty((r + 1, n, n), dtype=complex)
-    powers[0] = linalg.eye(n)
+    powers = np.empty(s.shape[:-2] + (r + 1, n, n), dtype=complex)
+    powers[..., 0, :, :] = linalg.eye(n)
     for i in range(1, r + 1):
-        powers[i] = powers[i - 1] @ s
-    v = np.stack(fields)
+        powers[..., i, :, :] = powers[..., i - 1, :, :] @ s
     # sum_{a+b<r} lam_{a+b+1} s^a v s^b = sum_a s^a v q_a, q_a = sum_b lam_{a+b+1} s^b
-    q = np.einsum("ab,bxy->axy", scipy.linalg.hankel(lam), powers[:r])
-    block = np.zeros((r, 2 * n, 2 * n), dtype=complex)
-    block[:, :n, :n] = block[:, n:, n:] = np.einsum("i,iab->ab", lam, _traceless(powers[1:]))
-    block[:, :n, n:] = _traceless((powers[:r, None] @ v @ q[:, None]).sum(axis=0))
-    e = linalg.mat_exp(block)
-    y = linalg.solve(e[:, :n, :n], e[:, :n, n:])
-    return [Tangent(y=yj, z=vj) for yj, vj in zip(y, v)]
+    padded = np.concatenate([lam, np.zeros_like(lam)], axis=-1)
+    hankel = padded[..., np.add.outer(range(r), range(r))]  # lam_{a+b+1}, or 0
+    q = np.einsum("...ab,...bxy->...axy", hankel, powers[..., :r, :, :])
+    block = np.zeros(s.shape[:-2] + (r, 2 * n, 2 * n), dtype=complex)
+    exponent = np.einsum("...i,...iab->...ab", lam, _traceless(powers[..., 1:, :, :]))
+    block[..., :n, :n] = block[..., n:, n:] = exponent[..., None, :, :]
+    block[..., :n, n:] = _traceless((powers[..., :r, None, :, :] @ fields[..., None, :, :, :]
+                                     @ q[..., :, None, :, :]).sum(axis=-4))
+    e = linalg.mat_exp(block.reshape(-1, 2 * n, 2 * n)).reshape(block.shape)
+    return Tangent(y=linalg.solve(e[..., :n, :n], e[..., :n, n:]), z=fields)
 
 
-def chart_directions(chev: ChevalleyData, c: CJLPoint) -> list:
-    """Pushforwards of the 2r chart coordinate directions at c: the r flow
-    times, then the r invariant coordinates on the section.
+def chart_directions(chev: ChevalleyData, c: CJLPoint) -> Tangent:
+    """Pushforwards of the 2r chart coordinate directions at c, along a
+    direction axis (..., 2r, n, n): the r flow times, then the r invariant
+    coordinates on the section.
 
     The chart's exponents commute, so the i-th flow-time direction is the
     Hamiltonian field (gradient_i(s), 0).  The section directions run along
@@ -245,31 +260,32 @@ def chart_directions(chev: ChevalleyData, c: CJLPoint) -> list:
     vector; they are exact, from one block exponential (see
     :func:`chart_pushforward_section`), and no chart is evaluated.
     """
-    # the flows and the fields read the gradients that hamiltonian_field and
-    # coordinate_fields read, bit for bit
-    grads = invariant_gradients(chev, c.s)
-    flows = [Tangent(y=y, z=np.zeros_like(y)) for y in grads]
-    return flows + chart_pushforward_section(chev, c, _dual_fields(chev, np.stack(grads)))
+    flows = hamiltonian_fields(chev, c.s)
+    section = chart_pushforward_section(chev, c, _dual_fields(chev, flows.y))
+    return Tangent(y=np.concatenate([flows.y, section.y], axis=-3),
+                   z=np.concatenate([flows.z, section.z], axis=-3))
 
 
 @dataclass(frozen=True)
 class CJLPullbackResult:
     """Deviations of the chart pullback of the symplectic form from
-    sum(dz_i ^ df_i), block by block."""
+    sum(dz_i ^ df_i), block by block: floats, or lists of them, one per
+    chart point of a stack."""
 
     flow_flow: float
     flow_section: float
     section_section: float
 
     @property
-    def max_deviation(self) -> float:
-        return max(self.flow_flow, self.flow_section, self.section_section)
+    def max_deviation(self):
+        return np.maximum(np.maximum(self.flow_flow, self.flow_section),
+                          self.section_section).tolist()
 
 
 def cjl_pullback_deviation(chev: ChevalleyData, c: CJLPoint,
                            fd_step=None) -> CJLPullbackResult:
     """Push the chart-coordinate basis through the chart and evaluate the
-    symplectic form on all pairs, as one Gram matrix.
+    symplectic form on all pairs, as one Gram matrix per chart point.
 
     The three exact blocks are 0, delta_ij, 0; the returned result holds the
     maximal absolute deviation per block.  Every direction is exact (see
@@ -281,10 +297,8 @@ def cjl_pullback_deviation(chev: ChevalleyData, c: CJLPoint,
     r = chev.r
     dirs = chart_directions(chev, c)
     gram = symplectic_form(c.s, dirs, dirs)
-    return CJLPullbackResult(
-        flow_flow=float(np.max(np.abs(gram[:r, :r]))),
-        flow_section=float(np.max(np.abs(gram[:r, r:] - np.eye(r)))),
-        section_section=float(np.max(np.abs(gram[r:, r:]))))
+    return CJLPullbackResult(*(np.max(np.abs(block), axis=(-2, -1)).tolist() for block in (
+        gram[..., :r, :r], gram[..., :r, r:] - np.eye(r), gram[..., r:, r:])))
 
 
 def cjl_pullback_tolerance(n: int) -> float:

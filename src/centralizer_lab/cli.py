@@ -271,13 +271,12 @@ def cmd_embed(cfg: RunConfig) -> int:
 def cmd_cjl(cfg: RunConfig) -> int:
     chev = build_chevalley(cfg.n)
     rng = stream(cfg.seed, "cli_cjl")
-    points = [random_cjl_point(chev, rng) for _ in range(cfg.samples)]
-    results = [cjl_pullback_deviation(chev, c) for c in points]
+    result = cjl_pullback_deviation(chev, random_cjl_point(chev, rng, cfg.samples))
 
     blocks = {
-        "flow_flow": max(res.flow_flow for res in results),
-        "flow_section": max(res.flow_section for res in results),
-        "section_section": max(res.section_section for res in results),
+        "flow_flow": max(result.flow_flow),
+        "flow_section": max(result.flow_section),
+        "section_section": max(result.section_section),
     }
     max_dev = max(blocks.values())
     tolerance = cjl_pullback_tolerance(cfg.n)

@@ -55,27 +55,33 @@ def random_group_element(chev: ChevalleyData, rng: np.random.Generator) -> np.nd
     return linalg.mat_exp(m)
 
 
-def random_section_coords(chev: ChevalleyData, rng: np.random.Generator,
-                          scale: float = 1.0) -> np.ndarray:
+def _section_scales(chev: ChevalleyData, scale: float) -> np.ndarray:
     # Higher powers of eta carry large integer entries; damp their
     # coordinates so section points stay moderately sized for every n.
-    scales = np.array([scale / max(1.0, linalg.norm(b))
-                       for b in chev.centralizer_eta])
-    return complex_uniform(rng, (chev.r,)) * scales
+    return np.array([scale / max(1.0, linalg.norm(b)) for b in chev.centralizer_eta])
 
 
 def random_section_point(chev: ChevalleyData, rng: np.random.Generator,
                          scale: float = 1.0) -> np.ndarray:
-    return chev.section_point(random_section_coords(chev, rng, scale=scale))
+    return chev.section_point(complex_uniform(rng, (chev.r,)) * _section_scales(chev, scale))
 
 
-def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator) -> CJLPoint:
-    """A chart point, its flow times damped by the invariant gradients."""
-    s = random_section_point(chev, rng, scale=0.8)
-    lam = np.zeros(chev.r, dtype=complex)
-    for i, grad in enumerate(invariant_gradients(chev, s)):
-        lam[i] = complex_uniform(rng, ()) * (0.4 / max(1.0, linalg.norm(grad)))
-    return CJLPoint(lam=lam, s=s)
+def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator, samples=None) -> CJLPoint:
+    """A chart point, its flow times damped by the invariant gradients, or
+    with ``samples`` the stack of that many.
+
+    A point takes 4r doubles: the real then the imaginary plane of its
+    section coordinates, then (real, imaginary) of each flow time.  All
+    are taken in one call, so a stack holds the points drawn one at a
+    time, bit for bit, and leaves the stream where they leave it.
+    """
+    r = chev.r
+    rows = rng.uniform(-1.0, 1.0, size=(1 if samples is None else samples, 4 * r))
+    s = chev.section_point((rows[:, :r] + 1j * rows[:, r:2 * r]) * _section_scales(chev, 0.8))
+    sizes = np.transpose([linalg.norm(grad) for grad in invariant_gradients(chev, s)])
+    damp = 0.4 / np.maximum(1.0, sizes)
+    lam = (rows[:, 2 * r::2] + 1j * rows[:, 2 * r + 1::2]) * damp
+    return CJLPoint(lam=lam, s=s) if samples is not None else CJLPoint(lam=lam[0], s=s[0])
 
 
 def random_stabilizer_element(chev: ChevalleyData, rng: np.random.Generator,
@@ -95,8 +101,14 @@ def stabilizer_coefficients(chev: ChevalleyData, rng: np.random.Generator) -> np
 
 
 def stabilizer_elements(chev: ChevalleyData, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """exp(sum_i c_i * gradient_i(x) * 0.5 / max(1, ||gradient_i(x)||)) for
-    each matrix of a stack x (m, n, n) and row of coefficients (m, r).
+    """exp of :func:`stabilizer_exponents`, for each matrix of a stack x
+    (m, n, n) and row of coefficients (m, r)."""
+    return linalg.mat_exp(stabilizer_exponents(chev, x, coeffs))
+
+
+def stabilizer_exponents(chev: ChevalleyData, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i c_i * gradient_i(x) * 0.5 / max(1, ||gradient_i(x)||) for each
+    matrix of a stack x (m, n, n) and row of coefficients (m, r).
 
     The damping keeps the exponent bounded independently of n.
     """
@@ -105,7 +117,7 @@ def stabilizer_elements(chev: ChevalleyData, x: np.ndarray, coeffs: np.ndarray) 
         grad = invariant_gradient(chev, x, i)
         damp = [0.5 / max(1.0, size) for size in linalg.norm(grad)]
         total += (coeffs[:, i - 1] * damp)[:, None, None] * grad
-    return linalg.mat_exp(total)
+    return total
 
 
 def random_toda_point(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoint:

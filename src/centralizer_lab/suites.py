@@ -7,22 +7,20 @@ makes the draws and computations of sample ``k``.  A *stacked* one is
 registered with a ``draw(chev, rng, samples) -> (drawn, failure)``, the
 draws of the samples and the exception (or None) that ended the list, and
 its function returns ``(deviations, errors)`` for the list from one pass
-over the stack (see :mod:`stacks`).  Flow-domain points are drawn for all
-samples in one call, other draws one sample at a time; either way the
-stream is consumed as by a per-point check, and no draw depends on a
-computed value (a random stabilizer element is drawn as its raw
-coefficients), so ``run_check(name, n, seed, k + 1)`` replays sample
-``k``.  A few checks are *plain*: a function ``(chev, rng, samples) ->
-(deviation, bound, used)`` for structure constants, rank-dependent cases
-and checks over the whole sample set at once.
+over the stack (see :mod:`stacks`).  Flow-domain and chart points are
+drawn for all samples in one call, other draws one sample at a time;
+either way the stream is consumed as by a per-point check, and no draw
+depends on a computed value (a random stabilizer element is drawn as its
+raw coefficients, and a chart point's damping takes no doubles), so
+``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A few checks
+are *plain*: a function ``(chev, rng, samples) -> (deviation, bound,
+used)`` for structure constants, rank-dependent cases and checks over
+the whole sample set at once.
 
-Stacked are the checks on Toda and section points: every sampled
-``toda_*`` check, the ``kostant_*`` checks but ``kostant_gstar_refactor``
-and the four ``cent_*`` checks that draw section points.  The other
-sampled checks make one or two small kernel calls per sample, or are
-chart checks, which would need a stacked ``cjl_chart`` and so put the
-``m = 1`` bookkeeping of :func:`stacks.stacked` on every chart
-evaluation of the ``cjl`` command.
+Stacked are the checks on Toda, section and chart points: every sampled
+``toda_*`` and ``cent_*`` check and the ``kostant_*`` checks but
+``kostant_gstar_refactor``.  The other sampled checks make one or two
+small kernel calls per sample.
 
 The driver, :func:`run_check`, owns everything around a sampled check: it
 folds one ordered list of per-sample outcomes, a deviation or an
@@ -49,14 +47,13 @@ import numpy as np
 from . import linalg
 from .centralizer import (
     CJLPoint,
-    Tangent,
     ZPoint,
     chart_directions,
     cjl_chart,
     cjl_pullback_deviation,
     cjl_pullback_tolerance,
     flow_step,
-    hamiltonian_field,
+    hamiltonian_fields,
     moment_preimage_report,
     symplectic_form,
     z_invariants,
@@ -103,6 +100,7 @@ from .sampling import (
     sample_flow_domain,
     stabilizer_coefficients,
     stabilizer_elements,
+    stabilizer_exponents,
     stream,
 )
 from .stacks import arrays, first_errors, stack
@@ -538,48 +536,54 @@ def _check_invariants_group_independent(chev, drawn):
 @_register("cent_hamiltonian_isotropy", 1e-10, draw=_one_by_one(_draw_z_point))
 def _check_ham_isotropy(chev, drawn):
     p = _z_points(chev, *zip(*drawn))
-    fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
-    devs = []
-    for k in range(len(drawn)):  # the Gram matrix is one point's einsum
-        at_k = [Tangent(y=v.y[k], z=v.z[k]) for v in fields]
-        devs.append(float(np.max(np.abs(symplectic_form(p.x[k], at_k, at_k)))))
-    return np.array(devs), [None] * len(drawn)
+    fields = hamiltonian_fields(chev, p.x)
+    return np.max(np.abs(symplectic_form(p.x, fields, fields)), axis=(1, 2)), [None] * len(drawn)
 
 
-@_register("cent_hamiltonian_duality_fd", 1e-6)
-def _check_ham_duality(chev, rng, k):
+def _cjl_points(chev, rng, samples):
+    """The draw of all samples' chart points in one batch."""
+    c = random_cjl_point(chev, rng, samples)
+    return [CJLPoint(lam=lam, s=s) for lam, s in zip(c.lam, c.s)], None
+
+
+@_register("cent_hamiltonian_duality_fd", 1e-6, draw=_cjl_points)
+def _check_ham_duality(chev, points):
     # Omega(H_i, (y, z)) = tr(grad_i z) + tr([s, grad_i] y), and grad_i
     # commutes with s, so every entry reduces to tr(grad_i z) up to rounding:
     # the row never reads a direction's y, and its flow half repeats
-    # cent_hamiltonian_isotropy.
-    c = random_cjl_point(chev, rng)
-    p = cjl_chart(chev, c)
+    # cent_hamiltonian_isotropy.  The fields read only the section point,
+    # so the chart is not evaluated.
+    c = stack(points)
     dirs = chart_directions(chev, c)
-    fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
-    slopes = np.array([[pairing(ham.y, v.z) for v in dirs] for ham in fields])
-    return float(np.max(np.abs(symplectic_form(p.x, fields, dirs) - slopes)))
+    fields = hamiltonian_fields(chev, c.s)
+    slopes = np.trace(fields.y[:, :, None] @ dirs.z[:, None], axis1=-2, axis2=-1)
+    return (np.max(np.abs(symplectic_form(c.s, fields, dirs) - slopes), axis=(1, 2)),
+            [None] * len(points))
 
 
-@_register("cent_cjl_surjectivity", 1e-8)
-def _check_cjl_surjectivity(chev, rng, k):
-    x = random_section_point(chev, rng)
-    grads = invariant_gradients(chev, x)
-    coeffs = np.array([complex_uniform(rng, ()) * (0.5 / max(1.0, linalg.norm(g)))
-                       for g in grads])
-    y = sum(ci * gi for ci, gi in zip(coeffs, grads))
-    basis = np.stack([gi.ravel() for gi in grads], axis=1)
-    recovered, *_ = np.linalg.lstsq(basis, y.ravel(), rcond=None)
-    rebuilt = cjl_chart(chev, CJLPoint(lam=recovered, s=x))
-    return scalar_aligned_distance(rebuilt.g, linalg.mat_exp(y))
+@_register("cent_cjl_surjectivity", 1e-8, draw=_one_by_one(_draw_z_point))
+def _check_cjl_surjectivity(chev, drawn):
+    # recover the chart coordinates of a stabilizer element from its
+    # exponent in the gradient basis, then rebuild it through the chart
+    sections, coeffs = zip(*drawn)
+    x = np.stack(sections)
+    y = stabilizer_exponents(chev, x, np.array(coeffs))
+    grads = np.stack(invariant_gradients(chev, x), axis=-1).reshape(len(x), -1, chev.r)
+    recovered = [np.linalg.lstsq(basis, target, rcond=None)[0]
+                 for basis, target in zip(grads, y.reshape(len(x), -1))]
+    rebuilt = cjl_chart(chev, CJLPoint(lam=np.array(recovered), s=x))
+    return np.array([scalar_aligned_distance(a, b) for a, b in zip(
+        rebuilt.g, linalg.mat_exp(y))]), [None] * len(drawn)
 
 
-@_register("cent_cjl_chart_rank", 0.5)
-def _check_cjl_rank(chev, rng, k):
+@_register("cent_cjl_chart_rank", 0.5, draw=_cjl_points)
+def _check_cjl_rank(chev, points):
     # Deviation is 1 when the chart Jacobian is rank-deficient, else 0.
-    dirs = chart_directions(chev, random_cjl_point(chev, rng))
-    jac = np.stack([np.concatenate([v.y.ravel(), v.z.ravel()]) for v in dirs], axis=1)
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    return float(sigma[-1] <= 1e-6 * sigma[0])
+    dirs = chart_directions(chev, stack(points))
+    m, count = dirs.y.shape[:2]
+    jac = np.concatenate([dirs.y.reshape(m, count, -1), dirs.z.reshape(m, count, -1)], axis=2)
+    sigma = np.linalg.svd(jac.transpose(0, 2, 1), compute_uv=False)
+    return (sigma[:, -1] <= 1e-6 * sigma[:, 0]).astype(float), [None] * m
 
 
 def _draw_group_law(chev, rng):
@@ -596,19 +600,26 @@ def _check_flow_group_law(chev, drawn):
     return _rel(lhs.g, rhs.g), [None] * len(drawn)
 
 
-@_register("cent_cjl_factor_order", 1e-10)
-def _check_cjl_factor_order(chev, rng, k):
-    c = random_cjl_point(chev, rng)
+def _draw_cjl_order(chev, rng):
+    return random_cjl_point(chev, rng), tuple(rng.permutation(chev.r).tolist())
+
+
+@_register("cent_cjl_factor_order", 1e-10, draw=_one_by_one(_draw_cjl_order))
+def _check_cjl_factor_order(chev, drawn):
+    points, orders = zip(*drawn)
+    c, orders = stack(points), np.array(orders)
     base = cjl_chart(chev, c)
-    p = ZPoint(g=np.eye(chev.n, dtype=complex), x=np.asarray(c.s))
-    for idx in rng.permutation(chev.r):
-        p = flow_step(chev, c.lam[idx], p, int(idx) + 1)
-    return _rel(p.g, base.g)
+    p = ZPoint(g=linalg.identities(c.s.shape), x=c.s)
+    rows = np.arange(len(drawn))
+    for idx in orders.T:  # position by position, one flow per sample
+        p = flow_step(chev, c.lam[rows, idx], p, idx + 1)
+    return _rel(p.g, base.g), [None] * len(drawn)
 
 
-@_register("cent_cjl_pullback", cjl_pullback_tolerance)
-def _check_cjl_pullback(chev, rng, k):
-    return cjl_pullback_deviation(chev, random_cjl_point(chev, rng)).max_deviation
+@_register("cent_cjl_pullback", cjl_pullback_tolerance, draw=_cjl_points)
+def _check_cjl_pullback(chev, points):
+    return (np.array(cjl_pullback_deviation(chev, stack(points)).max_deviation),
+            [None] * len(points))
 
 
 # ----------------------------- toda ------------------------------------ #

@@ -44,6 +44,16 @@ def _tangent(chev, y=None, z=None):
     return Tangent(y=zero if y is None else y, z=zero if z is None else z)
 
 
+def _along(*tangents):
+    """Tangents stacked along a direction axis, as symplectic_form takes them."""
+    return Tangent(y=np.stack([v.y for v in tangents]), z=np.stack([v.z for v in tangents]))
+
+
+def _each(dirs):
+    """The tangents of a direction axis, one by one."""
+    return [Tangent(y=y, z=z) for y, z in zip(dirs.y, dirs.z)]
+
+
 def _random_cjl(chev, rng, lam_scale=0.4):
     s = random_section_point(chev, rng, scale=0.8)
     lam = np.array([complex_uniform(rng, ()) * (lam_scale / max(1.0, linalg.norm(g)))
@@ -58,7 +68,7 @@ def test_symplectic_antisymmetry():
     rng = stream(50, "omega-antisym")
     x = random_traceless(chev, rng)
     v = Tangent(y=random_traceless(chev, rng), z=random_traceless(chev, rng))
-    assert symplectic_form(x, [v], [v])[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert symplectic_form(x, _along(v), _along(v))[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_symplectic_two_term_case():
@@ -68,8 +78,8 @@ def test_symplectic_two_term_case():
     rng = stream(51, "omega-two-term")
     y1 = random_traceless(chev, rng)
     z2 = random_traceless(chev, rng)
-    val = symplectic_form(np.zeros((3, 3)), [_tangent(chev, y=y1)],
-                          [_tangent(chev, z=z2)])
+    val = symplectic_form(np.zeros((3, 3)), _along(_tangent(chev, y=y1)),
+                          _along(_tangent(chev, z=z2)))
     assert val.shape == (1, 1)
     assert val[0, 0] == pytest.approx(pairing(y1, z2))
 
@@ -84,7 +94,7 @@ def test_symplectic_term_by_term_oracle_n2():
     term1 = np.trace(y1 @ z2)
     term2 = np.trace(y2 @ z1)
     term3 = np.trace(x @ (y1 @ y2 - y2 @ y1))
-    val = symplectic_form(x, [Tangent(y1, z1)], [Tangent(y2, z2)])
+    val = symplectic_form(x, _along(Tangent(y1, z1)), _along(Tangent(y2, z2)))
     assert val[0, 0] == pytest.approx(term1 - term2 + term3)
 
 
@@ -106,13 +116,14 @@ def test_symplectic_form_matches_pairwise_definition(n):
                 for _ in range(count)]
 
     left, right = tangents(n + 1), tangents(n - 1)
-    gram = symplectic_form(x, left, right)
+    gram = symplectic_form(x, _along(*left), _along(*right))
     assert gram.shape == (n + 1, n - 1)
     scale = 1.0 + np.max(np.abs(gram))
     for a, va in enumerate(left):
         for b, vb in enumerate(right):
             assert abs(gram[a, b] - _omega_term_by_term(x, va, vb)) <= 1e-13 * scale
-    assert np.max(np.abs(gram + symplectic_form(x, right, left).T)) <= 1e-13 * scale
+    swapped = symplectic_form(x, _along(*right), _along(*left))
+    assert np.max(np.abs(gram + swapped.T)) <= 1e-13 * scale
 
 
 # ----------------------------- moment maps ------------------------------- #
@@ -222,7 +233,7 @@ def test_hamiltonian_pairwise_isotropy():
     for _ in range(10):
         x = random_section_point(chev, rng)
         p = ZPoint(g=random_stabilizer_element(chev, rng, x), x=x)
-        fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
+        fields = _along(*(hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)))
         assert np.max(np.abs(symplectic_form(p.x, fields, fields))) <= 1e-10
 
 
@@ -235,11 +246,11 @@ def test_hamiltonian_duality_against_fd_pushforwards():
         c = _random_cjl(chev, rng)
         p = cjl_chart(chev, c)
         dirs = chart_directions(chev, c)
-        fields = [hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)]
+        fields = _along(*(hamiltonian_field(chev, p, i) for i in range(1, chev.r + 1)))
         gram = symplectic_form(p.x, fields, dirs)
         for i in range(1, chev.r + 1):
             grad = invariant_gradient(chev, p.x, i)
-            for b, v in enumerate(dirs):
+            for b, v in enumerate(_each(dirs)):
                 assert abs(gram[i - 1, b] - pairing(grad, v.z)) <= 1e-6
 
 
@@ -383,7 +394,7 @@ def test_cjl_chart_differential_full_rank():
     rng = stream(70, "chart-rank")
     for _ in range(5):
         dirs = chart_directions(chev, _random_cjl(chev, rng))
-        cols = [np.concatenate([v.y.ravel(), v.z.ravel()]) for v in dirs]
+        cols = [np.concatenate([v.y.ravel(), v.z.ravel()]) for v in _each(dirs)]
         sigma = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
         assert sigma[-1] > 1e-6 * sigma[0]
 
@@ -412,7 +423,7 @@ def test_section_directions_match_section_inverse_route(n):
     rng = stream(71, f"chart-dirs-{n}")
     for _ in range(3):
         c = random_cjl_point(chev, rng)
-        dirs = chart_directions(chev, c)
+        dirs = _each(chart_directions(chev, c))
         assert len(dirs) == 2 * chev.r
         for j, (v, field) in enumerate(zip(dirs[chev.r:], coordinate_fields(chev, c.s))):
             ref = _section_inverse_pushforward(chev, c, j)
@@ -453,7 +464,7 @@ def test_flow_directions_match_chart_differences(n):
     rng = stream(75, f"flow-dirs-{n}")
     for _ in range(3):
         c = random_cjl_point(chev, rng)
-        dirs = chart_directions(chev, c)
+        dirs = _each(chart_directions(chev, c))
         for i, v in enumerate(dirs[:chev.r]):
             ref = _flow_time_difference(chev, c, i)
             assert linalg.norm(v.y - ref.y) <= 1e-6
@@ -463,8 +474,9 @@ def test_flow_directions_match_chart_differences(n):
 @pytest.mark.parametrize("n", [2, 5])
 def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
     # one block exponential and no chart evaluation per chart_directions,
-    # and one Gram matrix per pullback; the section inverse and the
-    # invariant vector are not on the chart path
+    # and one Gram matrix per pullback, for one chart point or a stack of
+    # them; the section inverse and the invariant vector are not on the
+    # chart path
     def forbidden(*args, **kwargs):
         raise AssertionError("the chart path left the affine section")
 
@@ -474,16 +486,46 @@ def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
     monkeypatch.setattr(centralizer, "cjl_chart", forbidden)
     exps = []
     exp = linalg.mat_exp
-    monkeypatch.setattr(linalg, "mat_exp", lambda *args: exps.append(1) or exp(*args))
+    monkeypatch.setattr(linalg, "mat_exp", lambda a: exps.append(np.shape(a)) or exp(a))
     grams = []
     form = centralizer.symplectic_form
     monkeypatch.setattr(centralizer, "symplectic_form",
                         lambda *args: grams.append(1) or form(*args))
     chev = build_chevalley(n)
-    c = random_cjl_point(chev, stream(72, f"chart-count-{n}"))
-    chart_directions(chev, c)
-    assert len(exps) == 1
-    exps.clear()
-    cjl_pullback_deviation(chev, c)
-    assert len(exps) == 1
-    assert len(grams) == 1
+    rng = stream(72, f"chart-count-{n}")
+    for c, m in ((random_cjl_point(chev, rng), 1), (random_cjl_point(chev, rng, 5), 5)):
+        exps.clear()
+        grams.clear()
+        chart_directions(chev, c)
+        assert exps == [(m * chev.r, 2 * n, 2 * n)]
+        exps.clear()
+        cjl_pullback_deviation(chev, c)
+        assert exps == [(m * chev.r, 2 * n, 2 * n)]
+        assert len(grams) == 1
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_chart_calls_equal_per_point_calls(n):
+    # a stack of chart points is evaluated by the per-point body, bit for bit
+    chev = build_chevalley(n)
+    c = random_cjl_point(chev, stream(76, f"chart-stack-{n}"), 7)
+    chart, dirs = cjl_chart(chev, c), chart_directions(chev, c)
+    gram, res = symplectic_form(c.s, dirs, dirs), cjl_pullback_deviation(chev, c)
+    assert dirs.y.shape == dirs.z.shape == (7, 2 * chev.r, n, n)
+    assert gram.shape == (7, 2 * chev.r, 2 * chev.r)
+    for k in range(7):
+        ck = CJLPoint(lam=c.lam[k], s=c.s[k])
+        chart_k, dirs_k = cjl_chart(chev, ck), chart_directions(chev, ck)
+        assert _same_bits(chart.g[k], chart_k.g) and _same_bits(chart.x[k], chart_k.x)
+        assert _same_bits(dirs.y[k], dirs_k.y) and _same_bits(dirs.z[k], dirs_k.z)
+        assert _same_bits(gram[k], symplectic_form(ck.s, dirs_k, dirs_k))
+        res_k = cjl_pullback_deviation(chev, ck)
+        assert type(res_k.flow_flow) is float
+        assert (res.flow_flow[k], res.flow_section[k], res.section_section[k],
+                res.max_deviation[k]) == (res_k.flow_flow, res_k.flow_section,
+                                          res_k.section_section, res_k.max_deviation)

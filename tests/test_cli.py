@@ -190,6 +190,13 @@ def test_stacked_checks_replay_their_samples(name):
         assert result.samples == len(devs)
 
 
+def test_chart_checks_are_stacked():
+    # the replay test above runs for every chart check
+    stacked = {name for name, check in suites.CHECKS.items() if check.draw}
+    assert {"cent_hamiltonian_isotropy", "cent_hamiltonian_duality_fd", "cent_cjl_surjectivity",
+            "cent_cjl_chart_rank", "cent_cjl_factor_order", "cent_cjl_pullback"} <= stacked
+
+
 def test_check_csv_output(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["check", "--n", "2", "--seed", "4", "--samples", "5",

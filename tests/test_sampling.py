@@ -1,6 +1,7 @@
-"""Batched draws against draws made one at a time: the flow-domain sampler
-and the domain fraction consume the stream exactly as the sequential loops
-below do, and the checks that draw through them give the same rows."""
+"""Batched draws against draws made one at a time: the flow-domain sampler,
+the domain fraction and the chart-point draw consume the stream exactly as
+the sequential loops below do, and the checks that draw through them give
+the same rows."""
 
 import dataclasses
 
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 from centralizer_lab import linalg, sampling, suites, toda
+from centralizer_lab.centralizer import CJLPoint
 from centralizer_lab.errors import NoConvergence, NotInV
+from centralizer_lab.invariants import invariant_gradients
 from centralizer_lab.lie_core import build_chevalley, scalar_aligned_distance
 from centralizer_lab.sampling import (
     complex_uniform,
     domain_fraction,
+    random_cjl_point,
+    random_section_point,
     random_toda_point,
     sample_flow_domain,
     stream,
@@ -123,6 +128,32 @@ def test_batched_sampler_matches_sequential_draws(n):
         p, q = sample_flow_domain(chev, one), _sequential_point(chev, two)
         assert _same_bits(p.diag, q.diag) and _same_bits(p.root_coords, q.root_coords)
     assert one.uniform() == two.uniform()
+
+
+def _sequential_cjl_point(chev, rng):
+    """A chart point drawn a scalar at a time: its section point, then its
+    damped flow times one after another."""
+    s = random_section_point(chev, rng, scale=0.8)
+    lam = np.zeros(chev.r, dtype=complex)
+    for i, grad in enumerate(invariant_gradients(chev, s)):
+        lam[i] = _two_call_complex(rng, ()) * (0.4 / max(1.0, linalg.norm(grad)))
+    return CJLPoint(lam=lam, s=s)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batched_chart_points_match_sequential_draws(n):
+    chev = build_chevalley(n)
+    for seed in range(4):
+        one, two = stream(seed, f"chart-batch-{n}"), stream(seed, f"chart-batch-{n}")
+        c = random_cjl_point(chev, one, 25)
+        assert c.lam.shape == (25, chev.r) and c.s.shape == (25, n, n)
+        for k in range(25):
+            ref = _sequential_cjl_point(chev, two)
+            assert _same_bits(c.lam[k], ref.lam) and _same_bits(c.s[k], ref.s)
+        single = random_cjl_point(chev, one)
+        ref = _sequential_cjl_point(chev, two)
+        assert _same_bits(single.lam, ref.lam) and _same_bits(single.s, ref.s)
+        assert one.uniform() == two.uniform()
 
 
 @pytest.mark.parametrize("n", [2, 4, 7])
