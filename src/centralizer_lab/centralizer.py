@@ -41,7 +41,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidZPoint
 from .invariants import invariant_gradient, invariant_gradients, invariant_vector
-from .lie_core import ChevalleyData, adjoint, stabilizer_residual
+from .lie_core import ChevalleyData, adjoint, stabilizer_residual, traceless_part
 from .stacks import per_sample, stacked
 
 STABILIZER_TOL = 1e-9
@@ -177,22 +177,17 @@ def _flow_times(chev: ChevalleyData, c: CJLPoint) -> np.ndarray:
     return lam
 
 
-def _gradients(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
-    """The r invariant gradients of x along a direction axis: (..., r, n, n)."""
-    return np.stack(invariant_gradients(chev, x), axis=-3)
-
-
 def cjl_chart(chev: ChevalleyData, c: CJLPoint) -> ZPoint:
     """Compose the r flows starting from the identity fiber:
     (exp(sum_i lam_i * gradient_i(s)), s)."""
     lam = _flow_times(chev, c)
-    total = (lam[..., None, None] * _gradients(chev, c.s)).sum(axis=-3)
+    total = (lam[..., None, None] * invariant_gradients(chev, c.s)).sum(axis=-3)
     return ZPoint(g=linalg.mat_exp(total), x=np.asarray(c.s, dtype=complex))
 
 
 def hamiltonian_fields(chev: ChevalleyData, x: np.ndarray) -> Tangent:
     """The r Hamiltonian fields at algebra part x, along a direction axis."""
-    grads = _gradients(chev, x)
+    grads = invariant_gradients(chev, x)
     return Tangent(y=grads, z=np.zeros_like(grads))
 
 
@@ -202,7 +197,7 @@ def coordinate_fields(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     Returns matrices df_1, ..., df_r (..., r, n, n) in the centralizer of
     eta satisfying d f_i (df_j) = delta_ij at the section point x.
     """
-    return _dual_fields(chev, _gradients(chev, x))
+    return _dual_fields(chev, invariant_gradients(chev, x))
 
 
 def _dual_fields(chev: ChevalleyData, grads: np.ndarray) -> np.ndarray:
@@ -210,11 +205,6 @@ def _dual_fields(chev: ChevalleyData, grads: np.ndarray) -> np.ndarray:
     eta = np.stack(chev.centralizer_eta)
     gram = np.einsum("...iab,jba->...ij", grads, eta)
     return np.einsum("...kj,kab->...jab", np.linalg.inv(gram), eta)
-
-
-def _traceless(m: np.ndarray) -> np.ndarray:
-    n = m.shape[-1]
-    return m - (np.trace(m, axis1=-2, axis2=-1) / n)[..., None, None] * linalg.eye(n)
 
 
 def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields: np.ndarray) -> Tangent:
@@ -225,26 +215,24 @@ def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields: np.ndarr
     dA = sum_i lam_i sum_{a+b=i-1} s^a v s^b, less its trace part, and the
     group part exp(A) by the Frechet derivative L_exp(A, dA), the
     upper-right block of exp([[A, dA], [0, A]]).  The powers s^0 .. s^r
-    are built once, every dA with stacked products, and one exponential
-    of the stack of all block matrices, r per chart point, gives every
+    are the ladder of the gradients that :func:`cjl_chart` reads; every
+    dA comes from stacked products, and one exponential of the
+    stack of all block matrices, r per chart point, gives every
     direction: its y part is E11^-1 E12 of its block, its z part v itself.
     """
     lam = _flow_times(chev, c)
     n, r = chev.n, chev.r
     s = linalg.as_matrix(c.s)
-    powers = np.empty(s.shape[:-2] + (r + 1, n, n), dtype=complex)
-    powers[..., 0, :, :] = linalg.eye(n)
-    for i in range(1, r + 1):
-        powers[..., i, :, :] = powers[..., i - 1, :, :] @ s
+    powers = linalg.matrix_powers(s, r)
     # sum_{a+b<r} lam_{a+b+1} s^a v s^b = sum_a s^a v q_a, q_a = sum_b lam_{a+b+1} s^b
     padded = np.concatenate([lam, np.zeros_like(lam)], axis=-1)
     hankel = padded[..., np.add.outer(range(r), range(r))]  # lam_{a+b+1}, or 0
     q = np.einsum("...ab,...bxy->...axy", hankel, powers[..., :r, :, :])
     block = np.zeros(s.shape[:-2] + (r, 2 * n, 2 * n), dtype=complex)
-    exponent = np.einsum("...i,...iab->...ab", lam, _traceless(powers[..., 1:, :, :]))
+    exponent = np.einsum("...i,...iab->...ab", lam, traceless_part(powers[..., 1:, :, :]))
     block[..., :n, :n] = block[..., n:, n:] = exponent[..., None, :, :]
-    block[..., :n, n:] = _traceless((powers[..., :r, None, :, :] @ fields[..., None, :, :, :]
-                                     @ q[..., :, None, :, :]).sum(axis=-4))
+    block[..., :n, n:] = traceless_part((powers[..., :r, None, :, :] @ fields[..., None, :, :, :]
+                                         @ q[..., :, None, :, :]).sum(axis=-4))
     e = linalg.mat_exp(block.reshape(-1, 2 * n, 2 * n)).reshape(block.shape)
     return Tangent(y=linalg.solve(e[..., :n, :n], e[..., :n, n:]), z=fields)
 

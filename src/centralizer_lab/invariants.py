@@ -6,6 +6,9 @@ The chosen generators are the normalized power traces
 
 homogeneous of degrees 2..n and algebraically independent.  Their trace-form
 duals have the closed form  x^i - (tr x^i / n) I, which commutes with x.
+The invariants and their gradients read the powers of x from one ladder,
+:func:`linalg.matrix_powers`, so a power is the same product wherever it
+is used.
 
 Restricted to the Kostant section the map F = (f_1, ..., f_r) is a bijection
 onto C^r; its inverse is computed by degree-graded forward substitution: the
@@ -21,47 +24,33 @@ import numpy as np
 
 from . import linalg
 from .errors import NoConvergence
-from .lie_core import ChevalleyData, build_chevalley
-from .stacks import per_sample, stacked
+from .lie_core import ChevalleyData, build_chevalley, traceless_part
+from .stacks import stacked
 
 
 def invariant_vector(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """F(x) = (tr(x^2)/2, ..., tr(x^n)/n), one row per matrix of a stack."""
-    return _power_traces(linalg.as_matrix(x), chev.r)
+    powers = linalg.matrix_powers(linalg.as_matrix(x), chev.n)[..., 2:, :, :]
+    return np.trace(powers, axis1=-2, axis2=-1) / np.arange(2, chev.n + 1)
 
 
-def _power_traces(x: np.ndarray, count: int) -> np.ndarray:
-    """tr(x^(i+1)) / (i + 1) for i = 1 .. count."""
-    out = np.zeros(x.shape[:-2] + (count,), dtype=complex)
-    p = x
-    for i in range(1, count + 1):
-        p = p @ x
-        out[..., i - 1] = np.trace(p, axis1=-2, axis2=-1) / (i + 1)
-    return out
+def invariant_gradients(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
+    """Trace-form duals x^i - (tr x^i / n) I of d f_i at x, i = 1..r, along
+    an axis (..., r, n, n); traceless and commuting with x, they lie in
+    the centralizer of x."""
+    return traceless_part(linalg.matrix_powers(linalg.as_matrix(x), chev.r)[..., 1:, :, :])
 
 
 def invariant_gradient(chev: ChevalleyData, x: np.ndarray, i) -> np.ndarray:
-    """Trace-form dual of d f_i at x:  x^i - (tr x^i / n) I.
-
-    The result is traceless and commutes with x, so it lies in the
-    centralizer of x.  Index i runs over 1..r; for a stack x it may also
-    be one index per matrix.
-    """
-    labels = np.asarray(i) if per_sample(i) else None
-    if not (np.all((1 <= labels) & (labels <= chev.r)) if per_sample(i) else 1 <= i <= chev.r):
+    """The i-th of :func:`invariant_gradients`, i in 1..r; for a stack x
+    it may also be one index per matrix."""
+    labels = np.asarray(i)
+    values = labels.ravel().tolist()
+    if not all(1 <= label <= chev.r for label in values):
         raise ValueError(f"invariant index {i} outside 1..{chev.r}")
-    x = linalg.as_matrix(x)
-    if labels is None:
-        p = np.linalg.matrix_power(x, int(i))
-    else:
-        p = np.empty_like(x)
-        for label in np.unique(labels):
-            p[labels == label] = np.linalg.matrix_power(x[labels == label], int(label))
-    return p - (np.trace(p, axis1=-2, axis2=-1) / chev.n)[..., None, None] * linalg.eye(chev.n)
-
-
-def invariant_gradients(chev: ChevalleyData, x: np.ndarray):
-    return [invariant_gradient(chev, x, i) for i in range(1, chev.r + 1)]
+    powers = linalg.matrix_powers(linalg.as_matrix(x), max(values, default=1))
+    return traceless_part(powers[..., i, :, :] if labels.ndim == 0
+                          else powers[np.arange(len(labels)), labels])
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,11 +58,8 @@ def _leading_coefficients(n: int) -> np.ndarray:
     """gamma_i = tr(xi^i eta^i), the exactly-linear coefficient of the i-th
     section coordinate inside f_i."""
     chev = build_chevalley(n)
-    gammas = np.zeros(chev.r, dtype=complex)
-    xp = np.eye(n, dtype=complex)
-    for i in range(1, chev.r + 1):
-        xp = xp @ chev.xi
-        gammas[i - 1] = np.trace(xp @ chev.centralizer_eta[i - 1])
+    xi_powers = linalg.matrix_powers(chev.xi, chev.r)[1:]
+    gammas = np.trace(xi_powers @ chev.centralizer_eta, axis1=-2, axis2=-1)
     if np.any(np.abs(gammas) < 1e-12):
         raise NoConvergence("degenerate section grading coefficients")
     return gammas
@@ -95,8 +81,9 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
 
     coords = np.zeros(z.shape, dtype=complex)
     for i in range(1, chev.r + 1):
-        partial = _power_traces(chev.section_point(coords), i)
-        coords[:, i - 1] = (z[:, i - 1] - partial[:, i - 1]) / gammas[i - 1]
+        top = linalg.matrix_powers(chev.section_point(coords), i + 1)[:, i + 1]
+        partial = np.trace(top, axis1=-2, axis2=-1) / (i + 1)
+        coords[:, i - 1] = (z[:, i - 1] - partial) / gammas[i - 1]
 
     x = chev.section_point(coords)
     residual = linalg.vector_norm(invariant_vector(chev, x) - z)

@@ -125,19 +125,12 @@ def build_chevalley(n: int) -> ChevalleyData:
     c = tuple(i * (n - i) for i in range(1, n))
     eta = _freeze(sum(ci * ei for ci, ei in zip(c, e_plus)) + 0j)
 
-    powers = []
-    p = np.eye(n, dtype=complex)
-    for _ in range(r):
-        p = p @ eta
-        powers.append(_freeze(p.copy()))
-    centralizer_eta = tuple(powers)
-
-    section_matrix = np.stack([b.ravel() for b in centralizer_eta], axis=1)
-    section_pinv = _freeze(np.linalg.pinv(section_matrix))
+    eta_powers = _freeze(linalg.matrix_powers(eta, r)[1:])
+    section_pinv = _freeze(np.linalg.pinv(eta_powers.reshape(r, n * n).T))
 
     return ChevalleyData(
         n=n, r=r, e_plus=e_plus, e_minus=e_minus, h=h, xi=xi, eta=eta, c=c,
-        centralizer_eta=centralizer_eta, _section_pinv=section_pinv)
+        centralizer_eta=tuple(eta_powers), _section_pinv=section_pinv)
 
 
 def pairing(x: np.ndarray, y: np.ndarray) -> complex:
@@ -208,7 +201,7 @@ def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray) -> float:
 
 def traceless_part(m: np.ndarray) -> np.ndarray:
     """Projection of gl_n onto sl_n, the tangent space of the scalar
-    quotient, of a matrix or of each matrix of a stack."""
-    m = linalg.as_matrix(m)
+    quotient, of a matrix or of each matrix of an array (..., n, n)."""
+    m = np.asarray(m, dtype=complex)
     n = m.shape[-1]
     return m - (np.trace(m, axis1=-2, axis2=-1) / n)[..., None, None] * linalg.eye(n)

@@ -134,6 +134,18 @@ def eig(a: np.ndarray):
         for res, size in zip(residual, norm(a))])
 
 
+def matrix_powers(x: np.ndarray, k: int) -> np.ndarray:
+    """x^0 .. x^k of a matrix or of each matrix of a stack, along a new axis
+    (..., k + 1, n, n): x^1 is x itself, each later power the one before it
+    times x, so a shorter ladder is a prefix of a longer one, bit for bit."""
+    x = np.asarray(x, dtype=complex)
+    out = np.empty(x.shape[:-2] + (k + 1,) + x.shape[-2:], dtype=complex)
+    out[..., 0, :, :] = eye(x.shape[-1])
+    for i in range(1, k + 1):
+        out[..., i, :, :] = x if i == 1 else out[..., i - 1, :, :] @ x
+    return out
+
+
 def mat_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a Pade approximant,
     of a matrix or of each matrix of a stack."""

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .centralizer import CJLPoint
 from .errors import NoConvergence, NotInV
-from .invariants import invariant_gradient, invariant_gradients
+from .invariants import invariant_gradients
 from .kostant_maps import chamber_errors
 from .lie_core import ChevalleyData
 from .stacks import first_errors
@@ -78,8 +78,8 @@ def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator, samples=None
     r = chev.r
     rows = rng.uniform(-1.0, 1.0, size=(1 if samples is None else samples, 4 * r))
     s = chev.section_point((rows[:, :r] + 1j * rows[:, r:2 * r]) * _section_scales(chev, 0.8))
-    sizes = np.transpose([linalg.norm(grad) for grad in invariant_gradients(chev, s)])
-    damp = 0.4 / np.maximum(1.0, sizes)
+    grads = invariant_gradients(chev, s).reshape(-1, chev.n, chev.n)
+    damp = 0.4 / np.maximum(1.0, np.reshape(linalg.norm(grads), (-1, r)))
     lam = (rows[:, 2 * r::2] + 1j * rows[:, 2 * r + 1::2]) * damp
     return CJLPoint(lam=lam, s=s) if samples is not None else CJLPoint(lam=lam[0], s=s[0])
 
@@ -101,22 +101,22 @@ def stabilizer_coefficients(chev: ChevalleyData, rng: np.random.Generator) -> np
 
 
 def stabilizer_elements(chev: ChevalleyData, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """exp of :func:`stabilizer_exponents`, for each matrix of a stack x
-    (m, n, n) and row of coefficients (m, r)."""
-    return linalg.mat_exp(stabilizer_exponents(chev, x, coeffs))
+    """exp of :func:`stabilizer_exponents` at the invariant gradients of
+    each matrix of a stack x (m, n, n), with a row of coefficients (m, r)."""
+    return linalg.mat_exp(stabilizer_exponents(invariant_gradients(chev, x), coeffs))
 
 
-def stabilizer_exponents(chev: ChevalleyData, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_i c_i * gradient_i(x) * 0.5 / max(1, ||gradient_i(x)||) for each
-    matrix of a stack x (m, n, n) and row of coefficients (m, r).
+def stabilizer_exponents(grads: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i c_i * grads_i * 0.5 / max(1, ||grads_i||), the terms added in
+    order of i, for each stack of gradients (m, r, n, n) (see
+    :func:`invariant_gradients`) and row of coefficients (m, r).
 
     The damping keeps the exponent bounded independently of n.
     """
-    total = np.zeros(np.shape(x), dtype=complex)
-    for i in range(1, chev.r + 1):
-        grad = invariant_gradient(chev, x, i)
-        damp = [0.5 / max(1.0, size) for size in linalg.norm(grad)]
-        total += (coeffs[:, i - 1] * damp)[:, None, None] * grad
+    total = np.zeros(grads.shape[:1] + grads.shape[2:], dtype=complex)
+    for i in range(grads.shape[1]):
+        damp = [0.5 / max(1.0, size) for size in linalg.norm(grads[:, i])]
+        total += (coeffs[:, i] * damp)[:, None, None] * grads[:, i]
     return total
 
 

@@ -24,9 +24,10 @@ small kernel calls per sample.
 
 The driver, :func:`run_check`, owns everything around a sampled check: it
 folds one ordered list of per-sample outcomes, a deviation or an
-exception, for both kinds into the running maximum, the sample and skip
-counts, and the first exception that is not a skip.  A draw that raises
-ends the list with its exception.  Such an exception, or any other that
+exception, for both kinds into the running maximum (NaN once a deviation
+is NaN, which fails the check), the sample and skip counts, and the first
+exception that is not a skip.  A draw that raises ends the list with its
+exception.  Such an exception, or any other that
 escapes a check, fails it with an infinite deviation, and the result
 names the exception, keeps the declared bound (a plain check declares
 none and reads 0.0) and counts the samples finished before it.  Each
@@ -60,7 +61,6 @@ from .centralizer import (
 )
 from .errors import NotInGStar, SingularMinor
 from .invariants import (
-    invariant_gradient,
     invariant_gradients,
     invariant_vector,
     section_from_invariants,
@@ -314,8 +314,8 @@ def _check_inv_invariance(chev, rng, k):
 def _check_gradient_centralizes(chev, rng, k):
     x = random_traceless(chev, rng)
     size = max(linalg.norm(x), 1e-12)
-    return max(linalg.norm(bracket(x, invariant_gradient(chev, x, i))) / size ** i
-               for i in range(1, chev.r + 1))
+    return max(linalg.norm(bracket(x, grad)) / size ** i
+               for i, grad in enumerate(invariant_gradients(chev, x), 1))
 
 
 @_register("inv_gradient_equivariance", 1e-9)
@@ -323,8 +323,8 @@ def _check_gradient_equivariance(chev, rng, k):
     x = random_traceless(chev, rng)
     g = random_group_element(chev, rng)
     y = adjoint(g, x)
-    return max(_rel(adjoint(g, invariant_gradient(chev, x, i)), invariant_gradient(chev, y, i))
-               for i in range(1, chev.r + 1))
+    return max(_rel(adjoint(g, a), b)
+               for a, b in zip(invariant_gradients(chev, x), invariant_gradients(chev, y)))
 
 
 @_register("inv_gradient_independent_on_section", 0.5)
@@ -352,9 +352,8 @@ def _check_gradient_fd(chev, rng, k):
     z = random_traceless(chev, rng)
     f_p = invariant_vector(chev, x + h * z)
     f_m = invariant_vector(chev, x - h * z)
-    return max(abs((f_p[i - 1] - f_m[i - 1]) / (2.0 * h)
-                   - pairing(invariant_gradient(chev, x, i), z))
-               for i in range(1, chev.r + 1))
+    return max(abs((f_p[i] - f_m[i]) / (2.0 * h) - pairing(grad, z))
+               for i, grad in enumerate(invariant_gradients(chev, x)))
 
 
 # ----------------------------- kostant maps ---------------------------- #
@@ -567,10 +566,11 @@ def _check_cjl_surjectivity(chev, drawn):
     # exponent in the gradient basis, then rebuild it through the chart
     sections, coeffs = zip(*drawn)
     x = np.stack(sections)
-    y = stabilizer_exponents(chev, x, np.array(coeffs))
-    grads = np.stack(invariant_gradients(chev, x), axis=-1).reshape(len(x), -1, chev.r)
+    grads = invariant_gradients(chev, x)
+    y = stabilizer_exponents(grads, np.array(coeffs))
+    bases = grads.reshape(len(x), chev.r, -1).transpose(0, 2, 1)  # (m, n^2, r)
     recovered = [np.linalg.lstsq(basis, target, rcond=None)[0]
-                 for basis, target in zip(grads, y.reshape(len(x), -1))]
+                 for basis, target in zip(bases, y.reshape(len(x), -1))]
     rebuilt = cjl_chart(chev, CJLPoint(lam=np.array(recovered), s=x))
     return np.array([scalar_aligned_distance(a, b) for a, b in zip(
         rebuilt.g, linalg.mat_exp(y))]), [None] * len(drawn)
@@ -762,7 +762,7 @@ def _outcomes(check: Check, chev, rng, samples: int):
     A per-point check runs sample by sample.  A stacked check draws its
     samples first (a batch consumes the stream as sample-by-sample draws
     do) and evaluates them in one pass; a failed draw ends the list after
-    the samples before it, as does a non-finite draw where the pass raises.
+    the samples before it, as does a draw with a non-finite entry.
     """
     if check.draw is None:
         for k in range(samples):
@@ -772,16 +772,13 @@ def _outcomes(check: Check, chev, rng, samples: int):
                 yield exc
         return
     drawn, failure = check.draw(chev, rng, samples)
+    finite = np.ones(len(drawn), dtype=bool)
+    for column in zip(*map(arrays, drawn)):  # each array of the draws, stacked
+        finite &= np.isfinite(np.reshape(column, (len(drawn), -1))).all(axis=1)
+    if not finite.all():
+        drawn, failure = drawn[:np.argmin(finite)], ValueError("matrix has non-finite entries")
     if drawn:
-        try:
-            devs, errors = check.fn(chev, drawn)
-        except Exception:
-            bad = next((k for k, value in enumerate(drawn)
-                        if not all(np.isfinite(a).all() for a in arrays(value))), None)
-            if bad is None:
-                raise
-            drawn, failure = drawn[:bad], ValueError("matrix has non-finite entries")
-            devs, errors = check.fn(chev, drawn) if drawn else ((), ())
+        devs, errors = check.fn(chev, drawn)
         yield from (dev if exc is None else exc for dev, exc in zip(devs, errors))
     if failure is not None:
         yield failure
@@ -806,7 +803,7 @@ def run_check(name: str, n: int, seed: int, samples: int,
                         raise outcome
                     skipped[type(outcome).__name__] += 1
                     continue
-                worst = max(worst, outcome)
+                worst = np.maximum(worst, outcome)
                 used += 1
     except Exception as exc:  # a structural error inside a check is a failure, not a crash
         worst = float("inf")

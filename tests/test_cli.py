@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -172,6 +173,24 @@ def test_stacked_check_folds_per_sample_exceptions(monkeypatch):
     assert result.error == "NoConvergence: injected"
     assert result.samples == 5 and result.max_deviation == float("inf")
     assert result.skipped == {"NotInGStar": 1, "SmallRootCoordinate": 1}
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_nan_deviation_fails_the_row(monkeypatch, bad):
+    check = suites.CHECKS["cent_cjl_pullback"]
+
+    def with_nan(chev, drawn):
+        devs, errors = check.fn(chev, drawn)
+        devs = np.array(devs, dtype=float)
+        devs[bad] = np.nan
+        return devs, errors
+
+    monkeypatch.setitem(suites.CHECKS, "cent_cjl_pullback", dataclasses.replace(check, fn=with_nan))
+    result = run_check("cent_cjl_pullback", 3, 42, 5)
+    assert not result.passed and result.samples == 5 and result.error is None
+    assert np.isnan(result.max_deviation)
+    report = Report(config={}, checks=(result,))
+    assert json.loads(dump_json(report.to_json_obj()))["checks"][0]["max_deviation"] is None
 
 
 @pytest.mark.parametrize("name", [name for name, check in suites.CHECKS.items() if check.draw])
@@ -449,6 +468,13 @@ def test_no_tolerance_keywords():
     for fn, names in PINNED_KEYWORDS.items():
         assert not set(inspect.signature(fn).parameters) & names, fn.__qualname__
     assert dataclasses.fields(Tolerances) == ()
+
+
+def test_no_matrix_power_in_src():
+    # every power of a matrix comes from one ladder, linalg.matrix_powers
+    src = Path(__file__).resolve().parents[1] / "src"
+    for path in src.rglob("*.py"):
+        assert not re.search(r"matrix_power\b", path.read_text()), path.name
 
 
 # ----------------------------- benchmark hooks --------------------------- #

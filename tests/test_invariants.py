@@ -4,6 +4,7 @@ import pytest
 from centralizer_lab import linalg
 from centralizer_lab.errors import NoConvergence, NotInV
 from centralizer_lab.invariants import (
+    _leading_coefficients,
     invariant_gradient,
     invariant_gradients,
     invariant_vector,
@@ -148,3 +149,34 @@ def test_in_chamber_image_shape_check():
     chev = build_chevalley(3)
     with pytest.raises(ValueError):
         section_from_invariants(chev, np.array([1.0]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_invariant_gradient_indexes_the_gradients(n):
+    # one ladder: the i-th gradient is the same product, bit for bit,
+    # whether alone, among all r, per point or stacked with per-sample labels
+    chev = build_chevalley(n)
+    rng = stream(n, "gradient-ladder")
+    x = np.stack([random_traceless(chev, rng) for _ in range(6)])
+    grads = invariant_gradients(chev, x)
+    assert grads.shape == (6, chev.r, n, n)
+    for k in range(6):
+        assert np.array_equal(invariant_gradients(chev, x[k]), grads[k])
+        for i in range(1, chev.r + 1):
+            assert np.array_equal(invariant_gradient(chev, x[k], i), grads[k, i - 1])
+    labels = [1 + k % chev.r for k in range(6)]
+    assert np.array_equal(invariant_gradient(chev, x, labels),
+                          grads[np.arange(6), np.array(labels) - 1])
+    assert np.array_equal(invariant_gradient(chev, x, chev.r), grads[:, -1])
+    with pytest.raises(ValueError):
+        invariant_gradient(chev, x, [0] + labels[1:])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_leading_coefficients_equal_the_product_loop(n):
+    chev = build_chevalley(n)
+    gammas, xp = [], np.eye(n, dtype=complex)
+    for i in range(1, n):
+        xp = xp @ chev.xi
+        gammas.append(np.trace(xp @ chev.centralizer_eta[i - 1]))
+    assert _leading_coefficients(n).tobytes() == np.array(gammas).tobytes()

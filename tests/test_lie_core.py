@@ -90,6 +90,16 @@ def test_eta_is_regular(n):
         assert linalg.norm(bracket(chev.eta, b)) == 0.0
 
 
+@pytest.mark.parametrize("n", ALL_N)
+def test_centralizer_eta_equals_the_product_loop(n):
+    chev = build_chevalley(n)
+    p = np.eye(n, dtype=complex)
+    for k in range(chev.r):
+        p = p @ chev.eta
+        assert chev.centralizer_eta[k].tobytes() == p.tobytes()
+    assert not any(b.flags.writeable for b in chev.centralizer_eta)
+
+
 def test_pairing_examples():
     chev = build_chevalley(2)
     e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
