@@ -190,13 +190,17 @@ def group_equal(g1: np.ndarray, g2: np.ndarray) -> bool:
     return linalg.norm(m - scalar) <= 1e-9 * max(linalg.norm(m), 1e-300)
 
 
-def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray) -> float:
-    """min over scalars c of ||c g1 - g2|| / ||g2||, the PGL_n deviation."""
+def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray):
+    """min over scalars c of ||c g1 - g2|| / ||g2||, the PGL_n deviation;
+    one value per matrix for stacks."""
     g1 = linalg.as_matrix(g1)
     g2 = linalg.as_matrix(g2)
-    denom = np.vdot(g1, g1)
-    c = np.vdot(g1, g2) / denom if abs(denom) > 0 else 0.0
-    return linalg.norm(c * g1 - g2) / max(linalg.norm(g2), 1e-300)
+    flat = g1.shape[:-2] + (g1.shape[-1] ** 2,)  # not -1: a stack may be empty
+    f1, f2 = g1.reshape(flat), g2.reshape(flat)
+    denom = np.vecdot(f1, f1)
+    c = np.divide(np.vecdot(f1, f2), denom, out=np.zeros_like(denom), where=denom != 0)
+    return np.divide(linalg.norm(c[..., None, None] * g1 - g2),
+                     np.maximum(linalg.norm(g2), 1e-300))
 
 
 def traceless_part(m: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ A function that can fail on one sample takes stacks and returns
 ``(result, errors)``: the result stacked like its input, and per sample
 either None or the exception that sample raised, of the type and with the
 message the per-point call raises.  One failed sample never stops the
-others.
+others, with one exception: a stacked argument with an inf or NaN entry in
+any sample makes the whole call raise ValueError("matrix has non-finite
+entries"), as :func:`linalg.as_matrix` does.
 
 Every stage runs on all m samples, and each folds its errors into the
 running list with :func:`first_errors`; no stage compacts the stack.  So a
@@ -64,13 +66,6 @@ def stacked(point_ndim: int, points: int = 1):
     is per point: those arguments get a sample axis of length 1, and the
     call raises the sample's exception or returns its result (the argument
     itself when the function returns its stacked argument).
-
-    When a stacked call raises a ValueError (the one :func:`linalg.as_matrix`
-    raises for an inf or NaN entry, say) and some but not all samples of
-    its stacked arguments have a non-finite entry, it runs again with each
-    of those samples replaced by the first finite one, and they get that
-    error.  Since no stage compacts, nothing downstream sees the non-finite
-    entries, and a call that does not raise tests nothing.
     """
     def deco(fn):
         @functools.wraps(fn)
@@ -78,10 +73,7 @@ def stacked(point_ndim: int, points: int = 1):
             last = args[-1]
             lead = last if type(last) is np.ndarray else arrays(last)[0]
             if (lead.ndim if type(lead) is np.ndarray else np.ndim(lead)) != point_ndim:
-                try:
-                    return fn(*args)
-                except ValueError as exc:
-                    return _without_non_finite(fn, args, points, exc)
+                return fn(*args)
             tail = [_map(_one, v) for v in args[-points:]]
             result, errors = fn(*args[:-points], *tail)
             if errors[0] is not None:
@@ -91,29 +83,6 @@ def stacked(point_ndim: int, points: int = 1):
             return _map(_first, result)
         return call
     return deco
-
-
-def _without_non_finite(fn, args, points, exc):
-    """fn's result on ``args`` with every sample of the stacked arguments
-    that has a non-finite entry replaced by the first finite sample, and
-    ``exc``'s type and message as those samples' errors.  Re-raises
-    ``exc`` when no sample, or every sample, has one."""
-    try:
-        finite = np.logical_and.reduce([np.isfinite(np.reshape(a, (len(a), -1))).all(axis=1)
-                                        for value in args[-points:] for a in arrays(value)])
-    except (TypeError, ValueError):  # stacks of unequal lengths: the error stands
-        raise exc from None
-    if finite.all() or not finite.any():
-        raise exc
-    good = int(np.argmax(finite))
-
-    def replace(a):
-        a = np.array(a)  # a copy: the caller's stack is left as it is
-        a[~finite] = a[good]
-        return a
-
-    result, errors = fn(*args[:-points], *[_map(replace, v) for v in args[-points:]])
-    return result, [e if ok else type(exc)(*exc.args) for ok, e in zip(finite.tolist(), errors)]
 
 
 def per_sample(value) -> bool:

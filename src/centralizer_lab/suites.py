@@ -25,9 +25,10 @@ small kernel calls per sample.
 The driver, :func:`run_check`, owns everything around a sampled check: it
 folds one ordered list of per-sample outcomes, a deviation or an
 exception, for both kinds into the running maximum (NaN once a deviation
-is NaN, which fails the check), the sample and skip counts, and the first
-exception that is not a skip.  A draw that raises ends the list with its
-exception.  Such an exception, or any other that
+is NaN, which fails the check; a check combines the parts of a deviation
+with ``np.maximum``, so a NaN part is not dropped), the sample and skip
+counts, and the first exception that is not a skip.  A draw that raises
+ends the list with its exception.  Such an exception, or any other that
 escapes a check, fails it with an infinite deviation, and the result
 names the exception, keeps the declared bound (a plain check declares
 none and reads 0.0) and counts the samples finished before it.  Each
@@ -249,14 +250,13 @@ def _check_ldu_roundtrip(chev, rng, k):
 
 @_register("lie_sl2_triple")
 def _check_sl2_triple(chev, rng, samples):
-    dev = max(linalg.norm(bracket(chev.h, chev.xi) - 2 * chev.xi),
-              linalg.norm(bracket(chev.h, chev.eta) + 2 * chev.eta),
-              linalg.norm(bracket(chev.xi, chev.eta) - chev.h))
+    parts = [linalg.norm(bracket(chev.h, chev.xi) - 2 * chev.xi),
+             linalg.norm(bracket(chev.h, chev.eta) + 2 * chev.eta),
+             linalg.norm(bracket(chev.xi, chev.eta) - chev.h)]
     for i in range(chev.r):
         alpha_h = chev.h[i, i] - chev.h[i + 1, i + 1]
-        dev = max(dev, abs(alpha_h + 2.0))
-        dev = max(dev, abs(pairing(chev.e_plus[i], chev.e_minus[i]) - 1.0))
-    return dev, 1e-14, 1
+        parts += [abs(alpha_h + 2.0), abs(pairing(chev.e_plus[i], chev.e_minus[i]) - 1.0)]
+    return np.max(parts), 1e-14, 1
 
 
 @_register("lie_centralizer_dimension", 0.5)
@@ -296,7 +296,7 @@ def _check_scalar_quotient(chev, rng, k):
     while abs(scalar) < 0.1:
         scalar = complex_uniform(rng, ())
     equal = group_equal(g, scalar * g) and group_equal(scalar * g, g)
-    return max(_rel(adjoint(scalar * g, x), adjoint(g, x)), 0.0 if equal else 1.0)
+    return np.maximum(_rel(adjoint(scalar * g, x), adjoint(g, x)), 0.0 if equal else 1.0)
 
 
 # ----------------------------- invariants ------------------------------ #
@@ -314,8 +314,8 @@ def _check_inv_invariance(chev, rng, k):
 def _check_gradient_centralizes(chev, rng, k):
     x = random_traceless(chev, rng)
     size = max(linalg.norm(x), 1e-12)
-    return max(linalg.norm(bracket(x, grad)) / size ** i
-               for i, grad in enumerate(invariant_gradients(chev, x), 1))
+    return np.max([linalg.norm(bracket(x, grad)) / size ** i
+                   for i, grad in enumerate(invariant_gradients(chev, x), 1)])
 
 
 @_register("inv_gradient_equivariance", 1e-9)
@@ -323,8 +323,8 @@ def _check_gradient_equivariance(chev, rng, k):
     x = random_traceless(chev, rng)
     g = random_group_element(chev, rng)
     y = adjoint(g, x)
-    return max(_rel(adjoint(g, a), b)
-               for a, b in zip(invariant_gradients(chev, x), invariant_gradients(chev, y)))
+    return np.max([_rel(adjoint(g, a), b)
+                   for a, b in zip(invariant_gradients(chev, x), invariant_gradients(chev, y))])
 
 
 @_register("inv_gradient_independent_on_section", 0.5)
@@ -352,8 +352,8 @@ def _check_gradient_fd(chev, rng, k):
     z = random_traceless(chev, rng)
     f_p = invariant_vector(chev, x + h * z)
     f_m = invariant_vector(chev, x - h * z)
-    return max(abs((f_p[i] - f_m[i]) / (2.0 * h) - pairing(grad, z))
-               for i, grad in enumerate(invariant_gradients(chev, x)))
+    return np.max([abs((f_p[i] - f_m[i]) / (2.0 * h) - pairing(grad, z))
+                   for i, grad in enumerate(invariant_gradients(chev, x))])
 
 
 # ----------------------------- kostant maps ---------------------------- #
@@ -361,12 +361,8 @@ def _check_gradient_fd(chev, rng, k):
 @_register("kostant_longest_weyl_ad")
 def _check_longest_weyl(chev, rng, samples):
     w0 = longest_weyl_lift(chev)
-    dev = 0.0
-    for i in range(chev.r):
-        lhs = adjoint(w0, chev.e_plus[i])
-        rhs = chev.e_minus[chev.r - 1 - i]
-        dev = max(dev, linalg.norm(lhs - rhs))
-    return dev, 1e-14, 1
+    return np.max([linalg.norm(adjoint(w0, chev.e_plus[i]) - chev.e_minus[chev.r - 1 - i])
+                   for i in range(chev.r)]), 1e-14, 1
 
 
 def _random_xi_plus_b(chev, rng):
@@ -390,9 +386,8 @@ def _check_decomposition_roundtrip(chev, drawn):
     dec, errors = decompose_to_section(chev, z)
     moved, moved_errors = conjugate_section(chev, u, s)
     dec2, errors2 = decompose_to_section(chev, moved)
-    return np.array([max(a, b, c) for a, b, c in zip(
-        _rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u), _rel(dec2.s, s))]), first_errors(
-        errors, moved_errors, errors2)
+    return np.maximum.reduce([_rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u),
+                              _rel(dec2.s, s)]), first_errors(errors, moved_errors, errors2)
 
 
 @_register("kostant_chamber_form", 1e-9, draw=_flow_points(0))
@@ -401,8 +396,7 @@ def _check_chamber_form(chev, points):
     form, errors = chamber_form(chev, x)
     dev = linalg.vector_norm(invariant_vector(chev, form) - invariant_vector(chev, x))
     again, errors2 = chamber_form(chev, form)
-    return (np.array([max(a, b) for a, b in zip(dev, _rel(again, form))]),
-            first_errors(errors, errors2))
+    return np.maximum(dev, _rel(again, form)), first_errors(errors, errors2)
 
 
 @_register("kostant_chamber_conjugator", 1e-9, draw=_flow_points(0))
@@ -428,9 +422,8 @@ def _check_stabilizer_lift(chev, points):
     theta_x, errors = chamber_form(chev, x)
     lift, errors2 = stabilizer_lift(chev, x)
     dressed, errors3 = dress(chev, theta_x, lift)
-    return np.array([max(a, b) for a, b in zip(
-        stabilizer_residual(lift, theta_x), _rel(dressed, x))]), first_errors(
-        errors, errors2, errors3)
+    return (np.maximum(stabilizer_residual(lift, theta_x), _rel(dressed, x)),
+            first_errors(errors, errors2, errors3))
 
 
 @_register("kostant_lift_of_dressed_point", 1e-8, skips=(NotInGStar, SmallRootCoordinate),
@@ -442,7 +435,7 @@ def _check_lift_of_dressed(chev, drawn):
     y, errors2 = dress(chev, theta_x, g)
     walls = (np.abs(np.diagonal(y, 1, -2, -1)).min(axis=-1) < 1e-6).tolist()
     lift, errors3 = stabilizer_lift(chev, y)
-    return np.array([scalar_aligned_distance(a, b) for a, b in zip(lift, g)]), first_errors(
+    return scalar_aligned_distance(lift, g), first_errors(
         errors, errors2, [SmallRootCoordinate() if wall else None for wall in walls], errors3)
 
 
@@ -461,8 +454,8 @@ def _check_open_stabilizer(chev, drawn):
     # the conjugation is tested on the big cell only
     errors = first_errors(errors, errors2, *(gstar_factor(chev, element)[1]
                                              for element in (g, h, moved_g, moved_h)))
-    return np.array([max(a, b) for a, b in zip(
-        stabilizer_residual(moved_g, beta_x), stabilizer_residual(moved_h, theta_x))]), errors
+    return np.maximum(stabilizer_residual(moved_g, beta_x),
+                      stabilizer_residual(moved_h, theta_x)), errors
 
 
 @_register("kostant_gstar_refactor", 1e-10)
@@ -473,8 +466,8 @@ def _check_gstar_refactor(chev, rng, k):
     t_diag += np.sign(t_diag.real + 1e-12) * 0.5  # keep away from zero
     torus = np.diag(t_diag)
     factors = gstar_factor(chev, longest_weyl_lift(chev) @ u_minus @ torus @ u)
-    return max(_rel(factors.u_minus, u_minus), _rel(factors.u, u),
-               scalar_aligned_distance(factors.torus, torus))
+    return np.max([_rel(factors.u_minus, u_minus), _rel(factors.u, u),
+                   scalar_aligned_distance(factors.torus, torus)])
 
 
 # ----------------------------- centralizer ----------------------------- #
@@ -502,8 +495,7 @@ def _check_flow_preserves(chev, drawn):
     moved = flow_step(chev, times, p, np.array(labels))
     # the algebra part must be carried unchanged
     carried = 0.0 if moved.x is p.x else 1.0
-    return (np.array([max(res, carried) for res in stabilizer_residual(moved.g, moved.x)]),
-            [None] * len(drawn))
+    return np.maximum(stabilizer_residual(moved.g, moved.x), carried), [None] * len(drawn)
 
 
 @_register("cent_moment_preimage")
@@ -572,8 +564,7 @@ def _check_cjl_surjectivity(chev, drawn):
     recovered = [np.linalg.lstsq(basis, target, rcond=None)[0]
                  for basis, target in zip(bases, y.reshape(len(x), -1))]
     rebuilt = cjl_chart(chev, CJLPoint(lam=np.array(recovered), s=x))
-    return np.array([scalar_aligned_distance(a, b) for a, b in zip(
-        rebuilt.g, linalg.mat_exp(y))]), [None] * len(drawn)
+    return scalar_aligned_distance(rebuilt.g, linalg.mat_exp(y)), [None] * len(drawn)
 
 
 @_register("cent_cjl_chart_rank", 0.5, draw=_cjl_points)
@@ -631,7 +622,8 @@ def _check_toda_conservation(chev, points):
     base = invariant_vector(chev, x0)
     (eig0, _), errors = linalg.eig(x0)
     eig0 = np.sort_complex(eig0)
-    worst = [0.0] * len(eig0)
+    size = np.add(1.0, linalg.vector_norm(base))
+    worst = np.zeros(len(eig0))
     for i in range(1, chev.r + 1):
         for t in (0.1, 0.7):
             q, flow_errors = toda_flow(chev, i, t, p)
@@ -640,9 +632,8 @@ def _check_toda_conservation(chev, points):
             (eig_t, _), eig_errors = linalg.eig(xt)
             errors = first_errors(errors, flow_errors, eig_errors)
             dev_eig = np.max(np.abs(np.sort_complex(eig_t) - eig0), axis=-1)
-            worst = [max(w, f / (1.0 + b), float(e)) for w, f, b, e in
-                     zip(worst, dev_f, linalg.vector_norm(base), dev_eig)]
-    return np.array(worst), errors
+            worst = np.maximum.reduce([worst, np.divide(dev_f, size), dev_eig])
+    return worst, errors
 
 
 def _draw_semigroup(chev, rng):
@@ -674,7 +665,7 @@ def _check_normal_forms_constant(chev, drawn):
         f0, errors0 = fn(chev, x0)
         errors = first_errors(errors, errors1, errors0)
         devs.append(_rel(f1, f0))
-    return np.array([max(d) for d in zip(*devs)]), errors
+    return np.maximum.reduce(devs), errors
 
 
 @_register("toda_embed_triangle", 1e-9, draw=_flow_points(0))
@@ -700,10 +691,9 @@ def _check_embed_injective(chev, rng, samples):
     if any(errors):
         raise next(exc for exc in errors if exc)
     a, b = np.triu_indices(samples, 1)
-    x, g = toda_matrix(chev, p), images.g.reshape(samples, -1)
-    c = np.vecdot(g[a], g[b]) / np.vecdot(g[a], g[a])  # as in scalar_aligned_distance
-    image_gap = np.maximum(np.divide(linalg.vector_norm(c[:, None] * g[a] - g[b]),
-                                     linalg.vector_norm(g[b])), _rel(images.x[a], images.x[b]))
+    x = toda_matrix(chev, p)
+    image_gap = np.maximum(scalar_aligned_distance(images.g[a], images.g[b]),
+                           _rel(images.x[a], images.x[b]))
     distinct = np.array(linalg.norm(x[a] - x[b])) >= 1e-6
     return float(np.count_nonzero(distinct & (image_gap < 1e-10))), 0.5, samples
 
@@ -716,10 +706,8 @@ def _check_embed_roundtrip(chev, points):
     again, errors3 = embed(chev, back)
     dev_p = _rel(toda_matrix(chev, back), toda_matrix(chev, p))
     dev_x = _rel(again.x, zp.x)
-    return np.array([
-        max(dp, scalar_aligned_distance(g1, g0), dx)
-        for dp, g1, g0, dx in zip(dev_p, again.g, zp.g, dev_x)]), first_errors(
-        errors, errors2, errors3)
+    dev_g = scalar_aligned_distance(again.g, zp.g)
+    return np.maximum.reduce([dev_p, dev_g, dev_x]), first_errors(errors, errors2, errors3)
 
 
 # NotInGStar is a complex-time blow-up: both sides are undefined together.
@@ -762,7 +750,8 @@ def _outcomes(check: Check, chev, rng, samples: int):
     A per-point check runs sample by sample.  A stacked check draws its
     samples first (a batch consumes the stream as sample-by-sample draws
     do) and evaluates them in one pass; a failed draw ends the list after
-    the samples before it, as does a draw with a non-finite entry.
+    the samples before it, as does a draw with a non-finite entry (a
+    stacked call raises for a whole stack with one).
     """
     if check.draw is None:
         for k in range(samples):

@@ -251,11 +251,9 @@ def intertwine_check(chev: ChevalleyData, i, t, p: TodaPoint) -> float:
     left, left_errors = embed(chev, moved)
     base, base_errors = embed(chev, p)
     right = flow_step(chev, t, base, i)
-    return np.array([
-        max(scalar_aligned_distance(g1, g2), dx / (1.0 + size))
-        for g1, g2, dx, size in zip(left.g, right.g, linalg.norm(left.x - right.x),
-                                    linalg.norm(right.x))]), first_errors(
-        errors, left_errors, base_errors)
+    dx = np.divide(linalg.norm(left.x - right.x), np.add(1.0, linalg.norm(right.x)))
+    return (np.maximum(scalar_aligned_distance(left.g, right.g), dx),
+            first_errors(errors, left_errors, base_errors))
 
 
 @stacked(1)
@@ -278,8 +276,6 @@ def intertwine_infinitesimal(chev: ChevalleyData, i, p: TodaPoint) -> float:
     target = hamiltonian_field(chev, base, i)
     y_fd = traceless_part(linalg.solve(base.g, (plus.g - minus.g) / (2.0 * step)))
     z_fd = (plus.x - minus.x) / (2.0 * step)
-    return np.array([
-        max(dy / (1.0 + size), dz) for dy, size, dz in
-        zip(linalg.norm(y_fd - target.y), linalg.norm(target.y), linalg.norm(z_fd - target.z))
-    ]), first_errors(errors, field_errors, plus_errors, plus_embed_errors, minus_errors,
-                     minus_embed_errors)
+    dy = np.divide(linalg.norm(y_fd - target.y), np.add(1.0, linalg.norm(target.y)))
+    return np.maximum(dy, linalg.norm(z_fd - target.z)), first_errors(
+        errors, field_errors, plus_errors, plus_embed_errors, minus_errors, minus_embed_errors)

@@ -193,6 +193,76 @@ def test_nan_deviation_fails_the_row(monkeypatch, bad):
     assert json.loads(dump_json(report.to_json_obj()))["checks"][0]["max_deviation"] is None
 
 
+def _assert_nan_row(name):
+    result = run_check(name, 3, 42, 5)
+    assert np.isnan(result.max_deviation) and not result.passed
+
+
+# A NaN in any part of a sample's deviation, not only its first, fails the row.
+
+def test_nan_in_a_two_array_maximum_fails_the_row(monkeypatch):
+    # kostant_chamber_form: the invariant gap, then the NaN refold gap
+    monkeypatch.setattr(suites, "_rel", lambda a, b: np.full(len(a), np.nan))
+    _assert_nan_row("kostant_chamber_form")
+
+
+def test_nan_in_a_three_way_maximum_fails_the_row(monkeypatch):
+    # toda_embed_roundtrip: the point gap, the NaN group gap, the algebra gap
+    monkeypatch.setattr(suites, "scalar_aligned_distance",
+                        lambda g1, g2: np.full(np.shape(g1)[:-2], np.nan))
+    _assert_nan_row("toda_embed_roundtrip")
+
+
+def test_nan_in_lie_sl2_triple_fails_the_row(monkeypatch):
+    # the brackets, then the NaN pairings of the root vectors
+    monkeypatch.setattr(suites, "pairing", lambda x, y: complex("nan"))
+    _assert_nan_row("lie_sl2_triple")
+
+
+def test_nan_in_kostant_longest_weyl_ad_fails_the_row(monkeypatch):
+    # the second root vector's image is NaN
+    calls = []
+
+    def adjoint(g, x):
+        calls.append(x)
+        moved = lie_core.adjoint(g, x)
+        return np.full_like(moved, np.nan) if len(calls) == 2 else moved
+
+    monkeypatch.setattr(suites, "adjoint", adjoint)
+    _assert_nan_row("kostant_longest_weyl_ad")
+
+
+def test_nan_in_a_per_point_maximum_fails_the_row(monkeypatch):
+    # inv_gradient_centralizes: the second gradient is NaN
+    def gradients(chev, x):
+        grads = invariants.invariant_gradients(chev, x).copy()
+        grads[1] = np.nan
+        return grads
+
+    monkeypatch.setattr(suites, "invariant_gradients", gradients)
+    _assert_nan_row("inv_gradient_centralizes")
+
+
+def test_nan_in_intertwine_check_fails_the_row(monkeypatch):
+    # the group gap, then the NaN algebra gap of the flowed embedding
+    def flow_step(chev, t, p, i):
+        moved = centralizer.flow_step(chev, t, p, i)
+        return centralizer.ZPoint(g=moved.g, x=np.full_like(moved.x, np.nan))
+
+    monkeypatch.setattr(toda, "flow_step", flow_step)
+    _assert_nan_row("toda_intertwine_flow")
+
+
+def test_nan_in_intertwine_infinitesimal_fails_the_row(monkeypatch):
+    # the group-direction gap, then the NaN algebra-direction gap
+    def hamiltonian_field(chev, p, i):
+        field = centralizer.hamiltonian_field(chev, p, i)
+        return centralizer.Tangent(y=field.y, z=np.full_like(field.z, np.nan))
+
+    monkeypatch.setattr(toda, "hamiltonian_field", hamiltonian_field)
+    _assert_nan_row("toda_intertwine_infinitesimal")
+
+
 @pytest.mark.parametrize("name", [name for name, check in suites.CHECKS.items() if check.draw])
 def test_stacked_checks_replay_their_samples(name):
     # draws never depend on the stack size, so run_check(name, n, seed, k)

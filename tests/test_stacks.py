@@ -8,7 +8,7 @@ from centralizer_lab import suites
 from centralizer_lab.centralizer import ZPoint
 from centralizer_lab.errors import NotInGStar, NotInV, NotInW
 from centralizer_lab.kostant_maps import chamber_form, normal_forms
-from centralizer_lab.lie_core import build_chevalley
+from centralizer_lab.lie_core import build_chevalley, scalar_aligned_distance
 from centralizer_lab.sampling import (
     random_section_point,
     random_stabilizer_element,
@@ -81,6 +81,10 @@ def test_stacked_calls_equal_per_point_calls(n):
     for k in range(25):
         _check_sample(_sample(back, k), errors[k],
                       lambda: embed_inverse(chev, ZPoint(g=images.g[k], x=images.x[k])))
+    distances = scalar_aligned_distance(images.g, images.g[::-1])
+    for k in range(25):
+        assert _same_bits(distances[k], scalar_aligned_distance(images.g[k], images.g[24 - k]))
+    assert scalar_aligned_distance(images.g[:0], images.g[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -135,9 +139,9 @@ def test_one_failed_sample_leaves_the_others_unchanged():
                       lambda: embed_inverse(chev, ZPoint(g=images.g[k], x=images.x[k])))
 
 
-def test_one_non_finite_sample_leaves_the_others_unchanged():
-    # sample 2 has an inf root coordinate, or a NaN in its group part; it
-    # gets the per-point ValueError and the others keep their bits
+def test_a_non_finite_sample_fails_the_whole_stack():
+    # sample 2 has an inf root coordinate, or a NaN in its group part: the
+    # stacked call raises the per-point ValueError for the whole stack
     chev = build_chevalley(4)
     rng = stream(4, "non-finite")
     points = [sample_flow_domain(chev, rng) for _ in range(4)]
@@ -147,17 +151,17 @@ def test_one_non_finite_sample_leaves_the_others_unchanged():
     images.g[2, 0, 1] = np.nan
     x = toda_matrix(chev, p)
     calls = [
-        (lambda: chamber_form(chev, x), lambda k: chamber_form(chev, x[k])),
-        (lambda: toda_flow(chev, 1, 0.4, p), lambda k: toda_flow(chev, 1, 0.4, _sample(p, k))),
-        (lambda: embed(chev, p), lambda k: embed(chev, _sample(p, k))),
-        (lambda: embed_inverse(chev, images), lambda k: embed_inverse(chev, _sample(images, k))),
+        (lambda: chamber_form(chev, x), lambda: chamber_form(chev, x[2])),
+        (lambda: toda_flow(chev, 1, 0.4, p), lambda: toda_flow(chev, 1, 0.4, _sample(p, 2))),
+        (lambda: embed(chev, p), lambda: embed(chev, _sample(p, 2))),
+        (lambda: embed_inverse(chev, images), lambda: embed_inverse(chev, _sample(images, 2))),
     ]
     for stacked_call, call in calls:
-        result, errors = stacked_call()
-        assert type(errors[2]) is ValueError and str(errors[2]) == "matrix has non-finite entries"
-        assert errors[:2] + errors[3:] == [None] * 3
-        for k in range(4):
-            _check_sample(_sample(result, k), errors[k], lambda: call(k))
+        for each in (stacked_call, call):
+            with pytest.raises(ValueError) as raised:
+                each()
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == "matrix has non-finite entries"
 
 
 def _non_finite(value):
