@@ -30,6 +30,7 @@ from .formats import (
     dump_json,
     fmt_complex,
     group_to_json,
+    json_float,
     matrix_to_json,
     parse_time_list,
     toda_point_from_json,
@@ -273,18 +274,16 @@ def cmd_cjl(cfg: RunConfig) -> int:
     rng = stream(cfg.seed, "cli_cjl")
     result = cjl_pullback_deviation(chev, random_cjl_point(chev, rng, cfg.samples))
 
-    blocks = {
-        "flow_flow": max(result.flow_flow),
-        "flow_section": max(result.flow_section),
-        "section_section": max(result.section_section),
-    }
-    max_dev = max(blocks.values())
+    # np.max keeps a NaN deviation, which then fails the run
+    blocks = {name: np.max(getattr(result, name))
+              for name in ("flow_flow", "flow_section", "section_section")}
+    max_dev = np.max(list(blocks.values()))
     tolerance = cjl_pullback_tolerance(cfg.n)
-    passed = max_dev <= tolerance
+    passed = bool(max_dev <= tolerance)
     payload = {
         "config": {"n": cfg.n, "seed": cfg.seed, "samples": cfg.samples},
-        "blocks": blocks,
-        "max_deviation": max_dev,
+        "blocks": {name: json_float(value) for name, value in blocks.items()},
+        "max_deviation": json_float(max_dev),
         "tolerance": tolerance,
         "passed": passed,
     }

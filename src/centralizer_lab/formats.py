@@ -26,6 +26,11 @@ def fmt_complex(z: complex) -> str:
     return f"{fmt_float(z.real)}{sign}{fmt_float(abs(z.imag))}j"
 
 
+def json_float(x):
+    """x, or None (JSON ``null``) where x is infinite or NaN."""
+    return float(x) if np.isfinite(x) else None
+
+
 def complex_to_pair(z: complex):
     z = complex(z)
     return [z.real, z.imag]

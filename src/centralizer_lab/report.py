@@ -10,10 +10,9 @@ exception that failed a check, or None.  JSON writes a non-finite
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .formats import fmt_float
+from .formats import fmt_float, json_float
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class Report:
     def to_json_obj(self) -> dict:
         checks = [{
             "name": c.name,
-            "max_deviation": c.max_deviation if math.isfinite(c.max_deviation) else None,
+            "max_deviation": json_float(c.max_deviation),
             "tolerance": c.tolerance,
             "passed": c.passed,
             "samples": c.samples,

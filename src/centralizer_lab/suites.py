@@ -1,32 +1,26 @@
 """Named verification suites behind the ``check`` command.
 
-A check has one of two shapes.  Most are *sampled*, registered with their
-pinned bound and the exception types that count as a skipped sample.  A
-per-point sampled check is a function ``(chev, rng, k) -> deviation`` that
-makes the draws and computations of sample ``k``.  A *stacked* one is
-registered with a ``draw(chev, rng, samples) -> (drawn, failure)``, the
-draws of the samples and the exception (or None) that ended the list, and
-its function returns ``(deviations, errors)`` for the list from one pass
-over the stack (see :mod:`stacks`).  Flow-domain and chart points are
-drawn for all samples in one call, other draws one sample at a time;
-either way the stream is consumed as by a per-point check, and no draw
-depends on a computed value (a random stabilizer element is drawn as its
-raw coefficients, and a chart point's damping takes no doubles), so
-``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A few checks
-are *plain*: a function ``(chev, rng, samples) -> (deviation, bound,
-used)`` for structure constants, rank-dependent cases and checks over
-the whole sample set at once.
+A check is *sampled* or *plain*.  A sampled check is registered with its
+pinned bound, the exception types that count as a skipped sample, and a
+``draw(chev, rng, samples) -> (drawn, failure)``: the samples' draws, a
+value or a tuple of values each, and the exception (or None) that ended
+the list.  Its function takes the draws as stacked columns, one per
+position of the tuple (Python scalars such as flow times and labels stay
+lists), and returns ``(deviations, errors)`` from one pass over the stack
+(see :mod:`stacks`), with ``errors`` None where no sample can fail.  A
+draw may compute (``linalg_eig_reconstruct`` and
+``lie_centralizer_dimension`` reject candidates by ``eig``), but no draw
+depends on another sample or on the number of samples, and a batched
+draw consumes the stream as draws made one at a time do, so
+``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A plain check
+is a function ``(chev, rng, samples) -> (deviation, bound, used)``, for
+structure constants, rank-dependent cases and checks over the whole
+sample set at once.
 
-Stacked are the checks on Toda, section and chart points: every sampled
-``toda_*`` and ``cent_*`` check and the ``kostant_*`` checks but
-``kostant_gstar_refactor``.  The other sampled checks make one or two
-small kernel calls per sample.
-
-The driver, :func:`run_check`, owns everything around a sampled check: it
-folds one ordered list of per-sample outcomes, a deviation or an
-exception, for both kinds into the running maximum (NaN once a deviation
-is NaN, which fails the check; a check combines the parts of a deviation
-with ``np.maximum``, so a NaN part is not dropped), the sample and skip
+The driver, :func:`run_check`, folds the ordered per-sample outcomes, a
+deviation or an exception, into the running maximum (NaN once a
+deviation is NaN, which fails the check; a check combines the parts of a
+deviation with ``np.maximum``, which keeps a NaN), the sample and skip
 counts, and the first exception that is not a skip.  A draw that raises
 ends the list with its exception.  Such an exception, or any other that
 escapes a check, fails it with an infinite deviation, and the result
@@ -129,7 +123,7 @@ class Tolerances:
 @dataclass(frozen=True)
 class Check:
     """A registered check: its function, declared bound and skip
-    exceptions, and for a stacked check the draw of one sample."""
+    exceptions, and for a sampled check the draw of its samples."""
 
     fn: object
     bound: object  # a float, a function of n, or None for a plain check
@@ -141,10 +135,9 @@ CHECKS = {}
 
 
 def _register(name, bound=None, skips=(), draw=None):
-    """Register a sampled check with its ``bound`` and skip exceptions, or,
-    without a bound, a plain check.  With ``draw``, the check is stacked:
-    ``draw(chev, rng, samples)`` makes the draws of the samples and the
-    function evaluates the list of all draws at once."""
+    """Register a sampled check with its ``bound``, skip exceptions and
+    ``draw(chev, rng, samples)``, which makes the draws of the samples that
+    the function evaluates at once, or, without a bound, a plain check."""
     def deco(fn):
         CHECKS[name] = Check(fn, bound, skips, draw)
         return fn
@@ -172,7 +165,7 @@ def _random_regular(chev, rng):
 
 
 def _one_by_one(draw):
-    """A stacked check's draw, made sample by sample by ``draw(chev, rng)``."""
+    """A check's draw, made sample by sample by ``draw(chev, rng)``."""
     def draw_samples(chev, rng, samples):
         drawn = []
         try:
@@ -196,54 +189,71 @@ def _flow_point_and_label(chev, rng):
 
 # ----------------------------- linalg ---------------------------------- #
 
-@_register("linalg_eig_reconstruct", 1e-9)
-def _check_eig_reconstruct(chev, rng, k):
+def _draw_well_conditioned(chev, rng):
     while True:
         a = complex_uniform(rng, (chev.n, chev.n))
-        values, vectors = linalg.eig(a)
+        _, vectors = linalg.eig(a)
         if np.linalg.cond(vectors) < 1e6:
-            break
-    recon = vectors @ np.diag(values) @ linalg.inv(vectors)
-    return linalg.norm(recon - a) / linalg.norm(a)
+            return a
 
 
-@_register("linalg_exp_inverse", 1e-12)
-def _check_exp_inverse(chev, rng, k):
+@_register("linalg_eig_reconstruct", 1e-9, draw=_one_by_one(_draw_well_conditioned))
+def _check_eig_reconstruct(chev, a):
+    (values, vectors), errors = linalg.eig(a)
+    recon = vectors @ linalg.diag_matrix(values) @ linalg.inv(vectors)
+    return np.divide(linalg.norm(recon - a), linalg.norm(a)), errors
+
+
+def _draw_exp_argument(chev, rng):
     a = random_traceless(chev, rng)
     a *= rng.uniform(0.0, 5.0) / max(linalg.norm(a), 1e-12)
-    return linalg.norm(linalg.mat_exp(a) @ linalg.mat_exp(-a) - np.eye(chev.n))
+    return a
 
 
-@_register("linalg_exp_taylor_oracle", linalg.TOL_EXP)
-def _check_exp_taylor(chev, rng, k):
-    # Independent oracle for the exponential contract: for small arguments
-    # the truncated series is accurate to machine precision.
+@_register("linalg_exp_inverse", 1e-12, draw=_one_by_one(_draw_exp_argument))
+def _check_exp_inverse(chev, a):
+    return linalg.norm(linalg.mat_exp(a) @ linalg.mat_exp(-a) - np.eye(chev.n)), None
+
+
+def _draw_small_argument(chev, rng):
     a = random_traceless(chev, rng)
     a *= 0.5 / max(linalg.norm(a), 1e-12)
-    series = np.eye(chev.n, dtype=complex)
-    term = np.eye(chev.n, dtype=complex)
+    return a
+
+
+@_register("linalg_exp_taylor_oracle", linalg.TOL_EXP, draw=_one_by_one(_draw_small_argument))
+def _check_exp_taylor(chev, a):
+    # Independent oracle for the exponential contract: for small arguments
+    # the truncated series is accurate to machine precision.
+    series = term = linalg.identities(a.shape)
     for j in range(1, 26):
         term = term @ a / j
         series = series + term
     out = linalg.mat_exp(a)
-    return linalg.norm(out - series) / linalg.norm(out)
+    return np.divide(linalg.norm(out - series), linalg.norm(out)), None
 
 
-@_register("linalg_exp_commuting", 1e-10)
-def _check_exp_commuting(chev, rng, k):
+def _draw_unit_argument(chev, rng):
     a = random_traceless(chev, rng)
     a /= max(linalg.norm(a), 1e-12)
+    return a
+
+
+@_register("linalg_exp_commuting", 1e-10, draw=_one_by_one(_draw_unit_argument))
+def _check_exp_commuting(chev, a):
     p = a + 0.3 * (a @ a)
     q = 0.5 * a - 0.2 * (a @ a)
-    assert linalg.norm(bracket(p, q)) < 1e-13 * (1 + linalg.norm(p) * linalg.norm(q))
-    return _rel(linalg.mat_exp(p + q), linalg.mat_exp(p) @ linalg.mat_exp(q))
+    commute = [gap < 1e-13 * (1 + size_p * size_q) for gap, size_p, size_q
+               in zip(linalg.norm(bracket(p, q)), linalg.norm(p), linalg.norm(q))]
+    return (_rel(linalg.mat_exp(p + q), linalg.mat_exp(p) @ linalg.mat_exp(q)),
+            [None if ok else AssertionError() for ok in commute])
 
 
-@_register("linalg_ldu_roundtrip", 1e-12, skips=(SingularMinor,))
-def _check_ldu_roundtrip(chev, rng, k):
-    a = complex_uniform(rng, (chev.n, chev.n))
-    lower, diag, upper = linalg.gauss_ldu(a)
-    return linalg.norm(lower @ diag @ upper - a) / linalg.norm(a)
+@_register("linalg_ldu_roundtrip", 1e-12, skips=(SingularMinor,),
+           draw=_one_by_one(lambda chev, rng: complex_uniform(rng, (chev.n, chev.n))))
+def _check_ldu_roundtrip(chev, a):
+    (lower, diag, upper), errors = linalg.gauss_ldu(a)
+    return np.divide(linalg.norm(lower @ diag @ upper - a), linalg.norm(a)), errors
 
 
 # ----------------------------- lie core -------------------------------- #
@@ -259,24 +269,26 @@ def _check_sl2_triple(chev, rng, samples):
     return np.max(parts), 1e-14, 1
 
 
-@_register("lie_centralizer_dimension", 0.5)
-def _check_centralizer_dimension(chev, rng, k):
+@_register("lie_centralizer_dimension", 0.5, draw=_one_by_one(
+    lambda chev, rng: (_random_regular(chev, rng), random_section_point(chev, rng))))
+def _check_centralizer_dimension(chev, x, s):
     # Deviation is the number of the sample's two points whose centralizer
     # does not have dimension r.
-    x = _random_regular(chev, rng)
-    bad = len(centralizer_basis(chev, x)) != chev.r
-    s = random_section_point(chev, rng)
-    return float(bad + (len(centralizer_basis(chev, s)) != chev.r))
+    return [float((len(centralizer_basis(chev, a)) != chev.r)
+                  + (len(centralizer_basis(chev, b)) != chev.r)) for a, b in zip(x, s)], None
 
 
-@_register("lie_pairing_ad_invariance", 1e-10)
-def _check_pairing_invariance(chev, rng, k):
-    x = random_traceless(chev, rng)
-    y = random_traceless(chev, rng)
-    g = random_group_element(chev, rng)
-    base = pairing(x, y)
-    moved = pairing(adjoint(g, x), adjoint(g, y))
-    return abs(moved - base) / (1.0 + abs(base))
+def _pairings(x, y) -> np.ndarray:
+    """The trace forms tr(x y) of two stacks, matrix by matrix (see
+    :func:`pairing`)."""
+    return np.trace(x @ y, axis1=-2, axis2=-1)
+
+
+@_register("lie_pairing_ad_invariance", 1e-10, draw=_one_by_one(lambda chev, rng: (
+    random_traceless(chev, rng), random_traceless(chev, rng), random_group_element(chev, rng))))
+def _check_pairing_invariance(chev, x, y, g):
+    base, moved = _pairings(x, y).tolist(), _pairings(adjoint(g, x), adjoint(g, y)).tolist()
+    return [abs(b - a) / (1.0 + abs(a)) for a, b in zip(base, moved)], None
 
 
 @_register("lie_torus_gram_nondegenerate")
@@ -288,72 +300,75 @@ def _check_torus_gram(chev, rng, samples):
     return (0.0 if det > 1e-8 else 1.0), 0.5, 1
 
 
-@_register("lie_group_scalar_quotient", 1e-12)
-def _check_scalar_quotient(chev, rng, k):
+def _draw_scalar_quotient(chev, rng):
     g = random_group_element(chev, rng)
     x = random_traceless(chev, rng)
     scalar = complex_uniform(rng, ())
     while abs(scalar) < 0.1:
         scalar = complex_uniform(rng, ())
-    equal = group_equal(g, scalar * g) and group_equal(scalar * g, g)
-    return np.maximum(_rel(adjoint(scalar * g, x), adjoint(g, x)), 0.0 if equal else 1.0)
+    return g, x, scalar
+
+
+@_register("lie_group_scalar_quotient", 1e-12, draw=_one_by_one(_draw_scalar_quotient))
+def _check_scalar_quotient(chev, g, x, scalars):
+    scaled = np.array(scalars)[:, None, None] * g
+    apart = [0.0 if group_equal(a, b) and group_equal(b, a) else 1.0 for a, b in zip(g, scaled)]
+    return np.maximum(_rel(adjoint(scaled, x), adjoint(g, x)), apart), None
 
 
 # ----------------------------- invariants ------------------------------ #
 
-@_register("inv_conjugation_invariance", 1e-9)
-def _check_inv_invariance(chev, rng, k):
-    x = random_traceless(chev, rng)
-    g = random_group_element(chev, rng)
+def _traceless_and_group(chev, rng):
+    return random_traceless(chev, rng), random_group_element(chev, rng)
+
+
+@_register("inv_conjugation_invariance", 1e-9, draw=_one_by_one(_traceless_and_group))
+def _check_inv_invariance(chev, x, g):
     base = invariant_vector(chev, x)
     moved = invariant_vector(chev, adjoint(g, x))
-    return float(np.linalg.norm(moved - base)) / (1.0 + float(np.linalg.norm(base)))
+    return np.divide(linalg.vector_norm(moved - base),
+                     np.add(1.0, linalg.vector_norm(base))), None
 
 
-@_register("inv_gradient_centralizes", 1e-12)
-def _check_gradient_centralizes(chev, rng, k):
-    x = random_traceless(chev, rng)
-    size = max(linalg.norm(x), 1e-12)
-    return np.max([linalg.norm(bracket(x, grad)) / size ** i
-                   for i, grad in enumerate(invariant_gradients(chev, x), 1)])
+@_register("inv_gradient_centralizes", 1e-12, draw=_one_by_one(random_traceless))
+def _check_gradient_centralizes(chev, x):
+    sizes = [max(size, 1e-12) for size in linalg.norm(x)]
+    grads = invariant_gradients(chev, x)
+    return np.max([[gap / size ** i for gap, size in zip(linalg.norm(bracket(x, grad)), sizes)]
+                   for i, grad in enumerate(grads.swapaxes(0, 1), 1)], axis=0), None
 
 
-@_register("inv_gradient_equivariance", 1e-9)
-def _check_gradient_equivariance(chev, rng, k):
-    x = random_traceless(chev, rng)
-    g = random_group_element(chev, rng)
-    y = adjoint(g, x)
-    return np.max([_rel(adjoint(g, a), b)
-                   for a, b in zip(invariant_gradients(chev, x), invariant_gradients(chev, y))])
+@_register("inv_gradient_equivariance", 1e-9, draw=_one_by_one(_traceless_and_group))
+def _check_gradient_equivariance(chev, x, g):
+    grads, moved = invariant_gradients(chev, x), invariant_gradients(chev, adjoint(g, x))
+    return np.max([_rel(adjoint(g, grads[:, i]), moved[:, i]) for i in range(chev.r)], axis=0), None
 
 
-@_register("inv_gradient_independent_on_section", 0.5)
-def _check_gradient_independence(chev, rng, k):
+@_register("inv_gradient_independent_on_section", 0.5, draw=_one_by_one(random_section_point))
+def _check_gradient_independence(chev, s):
     # Deviation is 1 when the gradients are dependent at the sample, else 0.
-    s = random_section_point(chev, rng)
     grads = invariant_gradients(chev, s)
-    gram = np.array([[pairing(a, b) for b in grads] for a in grads])
-    scale = np.prod([max(linalg.norm(g), 1e-12) for g in grads])
-    return float(abs(np.linalg.det(gram)) <= 1e-10 * scale)
+    gram = _pairings(grads[:, :, None], grads[:, None])
+    sizes = np.reshape(linalg.norm(grads.reshape(-1, chev.n, chev.n)), grads.shape[:2])
+    scale = np.prod(np.maximum(sizes, 1e-12), axis=1)
+    return [float(abs(det) <= 1e-10 * size) for det, size in zip(np.linalg.det(gram), scale)], None
 
 
-@_register("inv_section_roundtrip", 1e-10)
-def _check_section_roundtrip(chev, rng, k):
-    z = complex_uniform(rng, (chev.r,), scale=1.5)
-    x = section_from_invariants(chev, z)
-    dev = float(np.linalg.norm(invariant_vector(chev, x) - z))
-    return dev / (1.0 + float(np.linalg.norm(z)))
+@_register("inv_section_roundtrip", 1e-10, draw=_one_by_one(
+    lambda chev, rng: complex_uniform(rng, (chev.r,), scale=1.5)))
+def _check_section_roundtrip(chev, z):
+    x, errors = section_from_invariants(chev, z)
+    return np.divide(linalg.vector_norm(invariant_vector(chev, x) - z),
+                     np.add(1.0, linalg.vector_norm(z))), errors
 
 
-@_register("inv_gradient_fd", 1e-6)
-def _check_gradient_fd(chev, rng, k):
+@_register("inv_gradient_fd", 1e-6, draw=_one_by_one(
+    lambda chev, rng: (random_traceless(chev, rng), random_traceless(chev, rng))))
+def _check_gradient_fd(chev, x, z):
     h = 1e-6
-    x = random_traceless(chev, rng)
-    z = random_traceless(chev, rng)
-    f_p = invariant_vector(chev, x + h * z)
-    f_m = invariant_vector(chev, x - h * z)
-    return np.max([abs((f_p[i] - f_m[i]) / (2.0 * h) - pairing(grad, z))
-                   for i, grad in enumerate(invariant_gradients(chev, x))])
+    slopes = (invariant_vector(chev, x + h * z) - invariant_vector(chev, x - h * z)) / (2.0 * h)
+    gaps = slopes - _pairings(invariant_gradients(chev, x), z[:, None])
+    return np.max([[abs(gap) for gap in row] for row in gaps], axis=1), None
 
 
 # ----------------------------- kostant maps ---------------------------- #
@@ -375,14 +390,10 @@ def _random_unitriangular(chev, rng):
     return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=0.8), 1)
 
 
-def _draw_decomposition(chev, rng):
-    return (_random_xi_plus_b(chev, rng), _random_unitriangular(chev, rng),
-            random_section_point(chev, rng))
-
-
-@_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_one_by_one(_draw_decomposition))
-def _check_decomposition_roundtrip(chev, drawn):
-    z, u, s = map(np.array, zip(*drawn))
+@_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_one_by_one(lambda chev, rng: (
+    _random_xi_plus_b(chev, rng), _random_unitriangular(chev, rng),
+    random_section_point(chev, rng))))
+def _check_decomposition_roundtrip(chev, z, u, s):
     dec, errors = decompose_to_section(chev, z)
     moved, moved_errors = conjugate_section(chev, u, s)
     dec2, errors2 = decompose_to_section(chev, moved)
@@ -391,8 +402,8 @@ def _check_decomposition_roundtrip(chev, drawn):
 
 
 @_register("kostant_chamber_form", 1e-9, draw=_flow_points(0))
-def _check_chamber_form(chev, points):
-    x = toda_matrix(chev, stack(points))
+def _check_chamber_form(chev, p):
+    x = toda_matrix(chev, p)
     form, errors = chamber_form(chev, x)
     dev = linalg.vector_norm(invariant_vector(chev, form) - invariant_vector(chev, x))
     again, errors2 = chamber_form(chev, form)
@@ -400,16 +411,16 @@ def _check_chamber_form(chev, points):
 
 
 @_register("kostant_chamber_conjugator", 1e-9, draw=_flow_points(0))
-def _check_chamber_conjugator(chev, points):
-    x = toda_matrix(chev, stack(points))
+def _check_chamber_conjugator(chev, p):
+    x = toda_matrix(chev, p)
     conj, errors = chamber_conjugator(chev, x)
     theta_x, errors2 = chamber_form(chev, x)
     return _rel(adjoint(conj, theta_x), x), first_errors(errors, errors2)
 
 
 @_register("kostant_section_chamber_conjugator", 1e-9, draw=_flow_points(0))
-def _check_section_chamber_conjugator(chev, points):
-    x = toda_matrix(chev, stack(points))
+def _check_section_chamber_conjugator(chev, p):
+    x = toda_matrix(chev, p)
     conj, errors = chamber_to_section_conjugator(chev, x)
     theta_x, errors2 = chamber_form(chev, x)
     beta_x, errors3 = section_form(chev, x)
@@ -417,8 +428,8 @@ def _check_section_chamber_conjugator(chev, points):
 
 
 @_register("kostant_stabilizer_lift", 1e-9, draw=_flow_points(0))
-def _check_stabilizer_lift(chev, points):
-    x = toda_matrix(chev, stack(points))
+def _check_stabilizer_lift(chev, p):
+    x = toda_matrix(chev, p)
     theta_x, errors = chamber_form(chev, x)
     lift, errors2 = stabilizer_lift(chev, x)
     dressed, errors3 = dress(chev, theta_x, lift)
@@ -428,10 +439,9 @@ def _check_stabilizer_lift(chev, points):
 
 @_register("kostant_lift_of_dressed_point", 1e-8, skips=(NotInGStar, SmallRootCoordinate),
            draw=_flow_points(1))
-def _check_lift_of_dressed(chev, drawn):
-    points, coeffs = zip(*drawn)
-    theta_x, errors = chamber_form(chev, toda_matrix(chev, stack(points)))
-    g = stabilizer_elements(chev, theta_x, np.array(coeffs))
+def _check_lift_of_dressed(chev, p, coeffs):
+    theta_x, errors = chamber_form(chev, toda_matrix(chev, p))
+    g = stabilizer_elements(chev, theta_x, coeffs)
     y, errors2 = dress(chev, theta_x, g)
     walls = (np.abs(np.diagonal(y, 1, -2, -1)).min(axis=-1) < 1e-6).tolist()
     lift, errors3 = stabilizer_lift(chev, y)
@@ -441,15 +451,14 @@ def _check_lift_of_dressed(chev, drawn):
 
 @_register("kostant_open_stabilizer_conjugation", 1e-9, skips=(NotInGStar,),
            draw=_flow_points(2))
-def _check_open_stabilizer(chev, drawn):
-    points, g_coeffs, h_coeffs = zip(*drawn)
-    x = toda_matrix(chev, stack(points))
+def _check_open_stabilizer(chev, p, g_coeffs, h_coeffs):
+    x = toda_matrix(chev, p)
     theta_x, errors = chamber_form(chev, x)
     beta_x, errors2 = section_form(chev, x)
     conj = unipotent_conjugator(beta_x, theta_x)
     conj_inv = linalg.inv(conj)
-    g = stabilizer_elements(chev, theta_x, np.array(g_coeffs))
-    h = stabilizer_elements(chev, beta_x, np.array(h_coeffs))
+    g = stabilizer_elements(chev, theta_x, g_coeffs)
+    h = stabilizer_elements(chev, beta_x, h_coeffs)
     moved_g, moved_h = conj @ g @ conj_inv, conj_inv @ h @ conj
     # the conjugation is tested on the big cell only
     errors = first_errors(errors, errors2, *(gstar_factor(chev, element)[1]
@@ -458,16 +467,19 @@ def _check_open_stabilizer(chev, drawn):
                       stabilizer_residual(moved_h, theta_x)), errors
 
 
-@_register("kostant_gstar_refactor", 1e-10)
-def _check_gstar_refactor(chev, rng, k):
+def _draw_gstar_factors(chev, rng):
     u_minus = _random_unitriangular(chev, rng).T.copy()
     u = _random_unitriangular(chev, rng)
     t_diag = complex_uniform(rng, (chev.n,))
     t_diag += np.sign(t_diag.real + 1e-12) * 0.5  # keep away from zero
-    torus = np.diag(t_diag)
-    factors = gstar_factor(chev, longest_weyl_lift(chev) @ u_minus @ torus @ u)
-    return np.max([_rel(factors.u_minus, u_minus), _rel(factors.u, u),
-                   scalar_aligned_distance(factors.torus, torus)])
+    return u_minus, u, np.diag(t_diag)
+
+
+@_register("kostant_gstar_refactor", 1e-10, draw=_one_by_one(_draw_gstar_factors))
+def _check_gstar_refactor(chev, u_minus, u, torus):
+    factors, errors = gstar_factor(chev, longest_weyl_lift(chev) @ u_minus @ torus @ u)
+    return np.maximum.reduce([_rel(factors.u_minus, u_minus), _rel(factors.u, u),
+                              scalar_aligned_distance(factors.torus, torus)]), errors
 
 
 # ----------------------------- centralizer ----------------------------- #
@@ -476,26 +488,20 @@ def _draw_z_point(chev, rng):
     return random_section_point(chev, rng), stabilizer_coefficients(chev, rng)
 
 
-def _z_points(chev, sections, coeffs) -> ZPoint:
-    """The stacked centralizer points of the drawn section points and
-    stabilizer coefficients."""
-    x = np.stack(sections)
-    return ZPoint(g=stabilizer_elements(chev, x, np.array(coeffs)), x=x)
+def _z_points(chev, x, coeffs) -> ZPoint:
+    """The centralizer points of a stack of section points and their rows
+    of stabilizer coefficients."""
+    return ZPoint(g=stabilizer_elements(chev, x, coeffs), x=x)
 
 
-def _draw_z_flow(chev, rng):
-    return (*_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
-            complex_uniform(rng, ()))
-
-
-@_register("cent_flow_preserves_points", 1e-9, draw=_one_by_one(_draw_z_flow))
-def _check_flow_preserves(chev, drawn):
-    sections, coeffs, labels, times = zip(*drawn)
-    p = _z_points(chev, sections, coeffs)
-    moved = flow_step(chev, times, p, np.array(labels))
+@_register("cent_flow_preserves_points", 1e-9, draw=_one_by_one(lambda chev, rng: (
+    *_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)), complex_uniform(rng, ()))))
+def _check_flow_preserves(chev, x, coeffs, labels, times):
+    p = _z_points(chev, x, coeffs)
+    moved = flow_step(chev, times, p, labels)
     # the algebra part must be carried unchanged
     carried = 0.0 if moved.x is p.x else 1.0
-    return np.maximum(stabilizer_residual(moved.g, moved.x), carried), [None] * len(drawn)
+    return np.maximum(stabilizer_residual(moved.g, moved.x), carried), None
 
 
 @_register("cent_moment_preimage")
@@ -510,25 +516,20 @@ def _check_moment_preimage(chev, rng, samples):
     return dev, 1e-9 + 0.5, len(points)
 
 
-def _draw_two_stabilizer_elements(chev, rng):
-    return (*_draw_z_point(chev, rng), stabilizer_coefficients(chev, rng))
-
-
-@_register("cent_invariants_group_independent", 1e-15,
-           draw=_one_by_one(_draw_two_stabilizer_elements))
-def _check_invariants_group_independent(chev, drawn):
-    sections, first, second = zip(*drawn)
-    p1, p2 = _z_points(chev, sections, first), _z_points(chev, sections, second)
+@_register("cent_invariants_group_independent", 1e-15, draw=_one_by_one(lambda chev, rng: (
+    *_draw_z_point(chev, rng), stabilizer_coefficients(chev, rng))))
+def _check_invariants_group_independent(chev, x, first, second):
+    p1, p2 = _z_points(chev, x, first), _z_points(chev, x, second)
     values1, errors = z_invariants(chev, p1)
     values2, errors2 = z_invariants(chev, p2)
-    return np.array(linalg.vector_norm(values1 - values2)), first_errors(errors, errors2)
+    return linalg.vector_norm(values1 - values2), first_errors(errors, errors2)
 
 
 @_register("cent_hamiltonian_isotropy", 1e-10, draw=_one_by_one(_draw_z_point))
-def _check_ham_isotropy(chev, drawn):
-    p = _z_points(chev, *zip(*drawn))
-    fields = hamiltonian_fields(chev, p.x)
-    return np.max(np.abs(symplectic_form(p.x, fields, fields)), axis=(1, 2)), [None] * len(drawn)
+def _check_ham_isotropy(chev, x, coeffs):
+    # the form reads only the algebra part of the drawn points
+    fields = hamiltonian_fields(chev, x)
+    return np.max(np.abs(symplectic_form(x, fields, fields)), axis=(1, 2)), None
 
 
 def _cjl_points(chev, rng, samples):
@@ -538,86 +539,71 @@ def _cjl_points(chev, rng, samples):
 
 
 @_register("cent_hamiltonian_duality_fd", 1e-6, draw=_cjl_points)
-def _check_ham_duality(chev, points):
+def _check_ham_duality(chev, c):
     # Omega(H_i, (y, z)) = tr(grad_i z) + tr([s, grad_i] y), and grad_i
     # commutes with s, so every entry reduces to tr(grad_i z) up to rounding:
     # the row never reads a direction's y, and its flow half repeats
     # cent_hamiltonian_isotropy.  The fields read only the section point,
     # so the chart is not evaluated.
-    c = stack(points)
     dirs = chart_directions(chev, c)
     fields = hamiltonian_fields(chev, c.s)
     slopes = np.trace(fields.y[:, :, None] @ dirs.z[:, None], axis1=-2, axis2=-1)
-    return (np.max(np.abs(symplectic_form(c.s, fields, dirs) - slopes), axis=(1, 2)),
-            [None] * len(points))
+    return np.max(np.abs(symplectic_form(c.s, fields, dirs) - slopes), axis=(1, 2)), None
 
 
 @_register("cent_cjl_surjectivity", 1e-8, draw=_one_by_one(_draw_z_point))
-def _check_cjl_surjectivity(chev, drawn):
+def _check_cjl_surjectivity(chev, x, coeffs):
     # recover the chart coordinates of a stabilizer element from its
     # exponent in the gradient basis, then rebuild it through the chart
-    sections, coeffs = zip(*drawn)
-    x = np.stack(sections)
     grads = invariant_gradients(chev, x)
-    y = stabilizer_exponents(grads, np.array(coeffs))
+    y = stabilizer_exponents(grads, coeffs)
     bases = grads.reshape(len(x), chev.r, -1).transpose(0, 2, 1)  # (m, n^2, r)
     recovered = [np.linalg.lstsq(basis, target, rcond=None)[0]
                  for basis, target in zip(bases, y.reshape(len(x), -1))]
     rebuilt = cjl_chart(chev, CJLPoint(lam=np.array(recovered), s=x))
-    return scalar_aligned_distance(rebuilt.g, linalg.mat_exp(y)), [None] * len(drawn)
+    return scalar_aligned_distance(rebuilt.g, linalg.mat_exp(y)), None
 
 
 @_register("cent_cjl_chart_rank", 0.5, draw=_cjl_points)
-def _check_cjl_rank(chev, points):
+def _check_cjl_rank(chev, c):
     # Deviation is 1 when the chart Jacobian is rank-deficient, else 0.
-    dirs = chart_directions(chev, stack(points))
+    dirs = chart_directions(chev, c)
     m, count = dirs.y.shape[:2]
     jac = np.concatenate([dirs.y.reshape(m, count, -1), dirs.z.reshape(m, count, -1)], axis=2)
     sigma = np.linalg.svd(jac.transpose(0, 2, 1), compute_uv=False)
-    return (sigma[:, -1] <= 1e-6 * sigma[:, 0]).astype(float), [None] * m
+    return (sigma[:, -1] <= 1e-6 * sigma[:, 0]).astype(float), None
 
 
-def _draw_group_law(chev, rng):
-    return (*_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
-            complex_uniform(rng, (), scale=0.7), complex_uniform(rng, (), scale=0.7))
-
-
-@_register("cent_flow_group_law", 1e-10, draw=_one_by_one(_draw_group_law))
-def _check_flow_group_law(chev, drawn):
-    sections, coeffs, labels, t, s = zip(*drawn)
-    p, labels = _z_points(chev, sections, coeffs), np.array(labels)
+@_register("cent_flow_group_law", 1e-10, draw=_one_by_one(lambda chev, rng: (
+    *_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
+    complex_uniform(rng, (), scale=0.7), complex_uniform(rng, (), scale=0.7))))
+def _check_flow_group_law(chev, x, coeffs, labels, t, s):
+    p = _z_points(chev, x, coeffs)
     lhs = flow_step(chev, t, flow_step(chev, s, p, labels), labels)
     rhs = flow_step(chev, [a + b for a, b in zip(t, s)], p, labels)
-    return _rel(lhs.g, rhs.g), [None] * len(drawn)
+    return _rel(lhs.g, rhs.g), None
 
 
-def _draw_cjl_order(chev, rng):
-    return random_cjl_point(chev, rng), tuple(rng.permutation(chev.r).tolist())
-
-
-@_register("cent_cjl_factor_order", 1e-10, draw=_one_by_one(_draw_cjl_order))
-def _check_cjl_factor_order(chev, drawn):
-    points, orders = zip(*drawn)
-    c, orders = stack(points), np.array(orders)
+@_register("cent_cjl_factor_order", 1e-10, draw=_one_by_one(lambda chev, rng: (
+    random_cjl_point(chev, rng), tuple(rng.permutation(chev.r).tolist()))))
+def _check_cjl_factor_order(chev, c, orders):
     base = cjl_chart(chev, c)
     p = ZPoint(g=linalg.identities(c.s.shape), x=c.s)
-    rows = np.arange(len(drawn))
+    rows = np.arange(len(orders))
     for idx in orders.T:  # position by position, one flow per sample
         p = flow_step(chev, c.lam[rows, idx], p, idx + 1)
-    return _rel(p.g, base.g), [None] * len(drawn)
+    return _rel(p.g, base.g), None
 
 
 @_register("cent_cjl_pullback", cjl_pullback_tolerance, draw=_cjl_points)
-def _check_cjl_pullback(chev, points):
-    return (np.array(cjl_pullback_deviation(chev, stack(points)).max_deviation),
-            [None] * len(points))
+def _check_cjl_pullback(chev, c):
+    return cjl_pullback_deviation(chev, c).max_deviation, None
 
 
 # ----------------------------- toda ------------------------------------ #
 
 @_register("toda_conservation", 1e-8, draw=_flow_points(0))
-def _check_toda_conservation(chev, points):
-    p = stack(points)
+def _check_toda_conservation(chev, p):
     x0 = toda_matrix(chev, p)
     base = invariant_vector(chev, x0)
     (eig0, _), errors = linalg.eig(x0)
@@ -643,9 +629,7 @@ def _draw_semigroup(chev, rng):
 
 
 @_register("toda_flow_semigroup", 1e-8, draw=_one_by_one(_draw_semigroup))
-def _check_toda_semigroup(chev, drawn):
-    points, labels, t, s = map(list, zip(*drawn))
-    p, labels = stack(points), np.array(labels)
+def _check_toda_semigroup(chev, p, labels, t, s):
     mid, errors = toda_flow(chev, labels, t, p)
     lhs, errors2 = toda_flow(chev, labels, s, mid)
     rhs, errors3 = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
@@ -654,10 +638,8 @@ def _check_toda_semigroup(chev, drawn):
 
 
 @_register("toda_normal_forms_constant", 1e-7, draw=_one_by_one(_flow_point_and_label))
-def _check_normal_forms_constant(chev, drawn):
-    points, labels = zip(*drawn)
-    p = stack(points)
-    q, errors = toda_flow(chev, np.array(labels), 0.5, p)
+def _check_normal_forms_constant(chev, p, labels):
+    q, errors = toda_flow(chev, labels, 0.5, p)
     x0, x1 = toda_matrix(chev, p), toda_matrix(chev, q)
     devs = []
     for fn in (chamber_form, section_form, chamber_to_section_conjugator):
@@ -669,8 +651,7 @@ def _check_normal_forms_constant(chev, drawn):
 
 
 @_register("toda_embed_triangle", 1e-9, draw=_flow_points(0))
-def _check_embed_triangle(chev, points):
-    p = stack(points)
+def _check_embed_triangle(chev, p):
     zp, errors = embed(chev, p)
     values, errors2 = z_invariants(chev, zp)
     base = invariant_vector(chev, toda_matrix(chev, p))
@@ -699,8 +680,7 @@ def _check_embed_injective(chev, rng, samples):
 
 
 @_register("toda_embed_roundtrip", 1e-8, draw=_flow_points(0))
-def _check_embed_roundtrip(chev, points):
-    p = stack(points)
+def _check_embed_roundtrip(chev, p):
     zp, errors = embed(chev, p)
     back, errors2 = embed_inverse(chev, zp)
     again, errors3 = embed(chev, back)
@@ -712,16 +692,15 @@ def _check_embed_roundtrip(chev, points):
 
 # NotInGStar is a complex-time blow-up: both sides are undefined together.
 @_register("toda_intertwine_flow", 1e-7, skips=(NotInGStar,), draw=_flow_points(0))
-def _check_intertwine_flow(chev, points):
-    ks = range(len(points))
+def _check_intertwine_flow(chev, p):
+    ks = range(len(p.diag))
     return intertwine_check(chev, [1 + k % chev.r for k in ks],
-                            [(0.4, -0.8, 0.3 + 0.2j)[k % 3] for k in ks], stack(points))
+                            [(0.4, -0.8, 0.3 + 0.2j)[k % 3] for k in ks], p)
 
 
 @_register("toda_intertwine_infinitesimal", 1e-5, draw=_flow_points(0))
-def _check_intertwine_infinitesimal(chev, points):
-    return intertwine_infinitesimal(
-        chev, [1 + k % chev.r for k in range(len(points))], stack(points))
+def _check_intertwine_infinitesimal(chev, p):
+    return intertwine_infinitesimal(chev, [1 + k % chev.r for k in range(len(p.diag))], p)
 
 
 @_register("toda_domain_fraction")
@@ -744,22 +723,23 @@ def _check_rk4(chev, rng, samples):
 
 # ----------------------------- driver ----------------------------------- #
 
+def _columns(drawn) -> list:
+    """The draws of the samples as stacked columns, one per position of a
+    draw's tuple: arrays and points stacked, Python scalars in a list."""
+    parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
+    return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
+            for part in parts]
+
+
 def _outcomes(check: Check, chev, rng, samples: int):
     """Per sample, in order, its deviation or the exception it raised.
 
-    A per-point check runs sample by sample.  A stacked check draws its
-    samples first (a batch consumes the stream as sample-by-sample draws
-    do) and evaluates them in one pass; a failed draw ends the list after
-    the samples before it, as does a draw with a non-finite entry (a
-    stacked call raises for a whole stack with one).
+    The check draws its samples first (a batch consumes the stream as
+    sample-by-sample draws do) and evaluates their columns in one pass; a
+    failed draw ends the list after the samples before it, as does a draw
+    with a non-finite entry (a stacked call raises for a whole stack with
+    one).
     """
-    if check.draw is None:
-        for k in range(samples):
-            try:
-                yield check.fn(chev, rng, k)
-            except Exception as exc:
-                yield exc
-        return
     drawn, failure = check.draw(chev, rng, samples)
     finite = np.ones(len(drawn), dtype=bool)
     for column in zip(*map(arrays, drawn)):  # each array of the draws, stacked
@@ -767,8 +747,9 @@ def _outcomes(check: Check, chev, rng, samples: int):
     if not finite.all():
         drawn, failure = drawn[:np.argmin(finite)], ValueError("matrix has non-finite entries")
     if drawn:
-        devs, errors = check.fn(chev, drawn)
-        yield from (dev if exc is None else exc for dev, exc in zip(devs, errors))
+        devs, errors = check.fn(chev, *_columns(drawn))
+        yield from (dev if exc is None else exc
+                    for dev, exc in zip(devs, errors or [None] * len(drawn)))
     if failure is not None:
         yield failure
 

@@ -121,13 +121,11 @@ def test_failed_check_writes_strict_json(tmp_path, monkeypatch):
 
 def test_check_counts_skipped_samples(monkeypatch):
     real_ldu = linalg.gauss_ldu
-    calls = []
 
     def every_third_singular(a):
-        calls.append(a)
-        if len(calls) % 3 == 1:
-            raise SingularMinor(1)
-        return real_ldu(a)
+        # the check factors its whole stack at once: samples 0, 3, 6, 9 fail
+        factors, errors = real_ldu(a)
+        return factors, [SingularMinor(1) if k % 3 == 0 else exc for k, exc in enumerate(errors)]
 
     monkeypatch.setattr(linalg, "gauss_ldu", every_third_singular)
     result = run_check("linalg_ldu_roundtrip", 3, 1, 10)
@@ -179,8 +177,8 @@ def test_stacked_check_folds_per_sample_exceptions(monkeypatch):
 def test_nan_deviation_fails_the_row(monkeypatch, bad):
     check = suites.CHECKS["cent_cjl_pullback"]
 
-    def with_nan(chev, drawn):
-        devs, errors = check.fn(chev, drawn)
+    def with_nan(chev, *columns):
+        devs, errors = check.fn(chev, *columns)
         devs = np.array(devs, dtype=float)
         devs[bad] = np.nan
         return devs, errors
@@ -233,10 +231,10 @@ def test_nan_in_kostant_longest_weyl_ad_fails_the_row(monkeypatch):
 
 
 def test_nan_in_a_per_point_maximum_fails_the_row(monkeypatch):
-    # inv_gradient_centralizes: the second gradient is NaN
+    # inv_gradient_centralizes: the second gradient of every sample is NaN
     def gradients(chev, x):
         grads = invariants.invariant_gradients(chev, x).copy()
-        grads[1] = np.nan
+        grads[:, 1] = np.nan
         return grads
 
     monkeypatch.setattr(suites, "invariant_gradients", gradients)
@@ -279,11 +277,13 @@ def test_stacked_checks_replay_their_samples(name):
         assert result.samples == len(devs)
 
 
-def test_chart_checks_are_stacked():
-    # the replay test above runs for every chart check
-    stacked = {name for name, check in suites.CHECKS.items() if check.draw}
-    assert {"cent_hamiltonian_isotropy", "cent_hamiltonian_duality_fd", "cent_cjl_surjectivity",
-            "cent_cjl_chart_rank", "cent_cjl_factor_order", "cent_cjl_pullback"} <= stacked
+def test_every_sampled_check_draws_its_samples():
+    # a check with a bound is sampled and has a draw, so the replay test
+    # above and the non-finite-draw test in test_stacks run for all of them;
+    # a plain check has neither
+    checks = suites.CHECKS.values()
+    assert all((check.bound is None) == (check.draw is None) for check in checks)
+    assert sum(check.draw is not None for check in checks) == 38
 
 
 def test_check_csv_output(tmp_path):
@@ -461,6 +461,28 @@ def test_cjl_deterministic_bytes(tmp_path):
     assert main(["cjl", "--n", "3", "--seed", "5", "--out", str(out1)]) == 0
     assert main(["cjl", "--n", "3", "--seed", "5", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_cjl_nan_deviation_fails_and_writes_strict_json(tmp_path, monkeypatch, capsys, bad):
+    def with_nan(chev, c):
+        result = centralizer.cjl_pullback_deviation(chev, c)
+        flow_flow = list(result.flow_flow)
+        flow_flow[bad] = float("nan")
+        return dataclasses.replace(result, flow_flow=flow_flow)
+
+    monkeypatch.setattr(cli, "cjl_pullback_deviation", with_nan)
+    out = tmp_path / "cjl.json"
+    assert main(["cjl", "--n", "3", "--samples", "4", "--seed", "42", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("FAIL")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["passed"] is False and data["max_deviation"] is None
+    assert data["blocks"]["flow_flow"] is None
+    assert data["blocks"]["section_section"] <= data["tolerance"]
 
 
 def test_cjl_bad_fd_step_exits_2():
