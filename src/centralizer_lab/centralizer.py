@@ -202,9 +202,8 @@ def coordinate_fields(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
 
 def _dual_fields(chev: ChevalleyData, grads: np.ndarray) -> np.ndarray:
     """The combinations df_j of eta, ..., eta^r with tr(grads[i] df_j) = delta_ij."""
-    eta = np.stack(chev.centralizer_eta)
-    gram = np.einsum("...iab,jba->...ij", grads, eta)
-    return np.einsum("...kj,kab->...jab", np.linalg.inv(gram), eta)
+    gram = np.einsum("...iab,jba->...ij", grads, chev.centralizer_eta)
+    return np.einsum("...kj,kab->...jab", np.linalg.inv(gram), chev.centralizer_eta)
 
 
 def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields: np.ndarray) -> Tangent:

@@ -6,11 +6,11 @@ Subcommands:
   embed   embed a phase-space point into the centralizer, JSON out
   cjl     chart pullback deviations over random chart points
 
-Common flags: --n --seed --samples --config <json> --out <path>
---format json|csv.  A config file holds the same fields as the flags, under
-the keys in CONFIG_KEYS.  Every tolerance is pinned in the library: no flag
-or config key sets one.  Exit code 2 signals a usage or input error, an
-unknown flag or config key included.
+SETTINGS is the one table of settings.  Each command offers --config <json>
+and the flags of the settings it reads; a config file may hold any setting
+under its key.  Every tolerance is pinned in the library: no flag or config
+key sets one.  Exit code 2 signals a usage or input error, an unknown flag
+or config key included.
 Every command runs on one thread: checks and samples are evaluated one
 after another, each check on its own named random stream.
 """
@@ -20,7 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -29,57 +30,74 @@ from .errors import CentralizerLabError, NotInGStar, NotInV
 from .formats import (
     dump_json,
     fmt_complex,
-    group_to_json,
     json_float,
-    matrix_to_json,
     parse_time_list,
+    to_json,
     toda_point_from_json,
-    toda_point_to_json,
-    vector_to_json,
 )
 from .invariants import invariant_vector
 from .lie_core import build_chevalley
 from .sampling import random_cjl_point, stream
+from .stacks import stack
 from .suites import run_all
 from .toda import embed, embed_inverse, in_flow_domain, toda_flow, toda_matrix
-
-CONFIG_KEYS = frozenset({"n", "seed", "samples", "out", "format", "i", "t_list", "point"})
 
 
 class ConfigError(Exception):
     """Malformed configuration or input; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 2
-    seed: int = 42
-    samples: int = 25
-    out: str | None = None
-    format: str | None = None
-    flow_label: int = 1
-    t_list: list = field(default_factory=lambda: [0.0, 0.5, 1.0])
-    point: object = None
-
-    def validate(self):
-        if not 2 <= self.n <= 8:
-            raise ConfigError(f"n = {self.n} outside supported range 2..8")
-        if self.samples < 1:
-            raise ConfigError("samples must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
-        if self.command in ("flow",) and not 1 <= self.flow_label <= self.n - 1:
-            raise ConfigError(f"flow label {self.flow_label} outside 1..{self.n - 1}")
+def _as_given(value):
+    return value
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int, help="matrix size, 2..8")
-    sub.add_argument("--seed", type=int, help="64-bit unsigned stream seed")
-    sub.add_argument("--samples", type=int, help="samples per check")
-    sub.add_argument("--config", help="JSON file with the same fields as the flags")
-    sub.add_argument("--out", help="write the structured output to this path")
-    sub.add_argument("--format", choices=("json", "csv"))
+def _read_format(value):
+    if value not in (None, "json", "csv"):
+        raise ValueError(f"{value!r} is neither json nor csv")
+    return value
+
+
+def _read_point(value):
+    """A phase-space point's JSON object, from JSON text or @file."""
+    if not isinstance(value, str):
+        return value
+    if value.startswith("@"):
+        with open(value[1:], "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    return json.loads(value)
+
+
+# read takes the flag's text, a config file's value or the default
+Setting = namedtuple("Setting", "flag help read default commands")
+
+
+_ALL = ("check", "flow", "embed", "cjl")
+SETTINGS = {
+    "n": Setting("--n", "matrix size, 2..8", int, 2, _ALL),
+    "seed": Setting("--seed", "64-bit unsigned stream seed", int, 42, ("check", "cjl")),
+    "samples": Setting("--samples", "samples per check", int, 25, ("check", "cjl")),
+    "out": Setting("--out", "write the structured output to this path", _as_given, None, _ALL),
+    "format": Setting("--format", "json or csv", _read_format, None, ("check", "flow")),
+    "i": Setting("--i", "flow label, 1..n-1", int, 1, ("flow",)),
+    "t_list": Setting("--t", 'comma-separated times, e.g. "0,0.5,0.3+0.2j"', parse_time_list,
+                      [0.0, 0.5, 1.0], ("flow",)),
+    "point": Setting("--point", "phase-space point as JSON, or @file", _read_point, None,
+                     ("flow", "embed")),
+}
+
+
+RunConfig = make_dataclass("RunConfig", ["command", *SETTINGS], frozen=True)
+
+
+def _validate(cfg: RunConfig):
+    if not 2 <= cfg.n <= 8:
+        raise ConfigError(f"n = {cfg.n} outside supported range 2..8")
+    if cfg.samples < 1:
+        raise ConfigError("samples must be >= 1")
+    if not 0 <= cfg.seed < 2 ** 64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+    if cfg.command == "flow" and not 1 <= cfg.i <= cfg.n - 1:
+        raise ConfigError(f"flow label {cfg.i} outside 1..{cfg.n - 1}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,89 +107,47 @@ def build_parser() -> argparse.ArgumentParser:
                     "centralizer integrable system, and the embedding "
                     "between them, with executable verification suites.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_check = subs.add_parser("check", help="run all verification suites")
-    _add_common(p_check)
-
-    p_flow = subs.add_parser("flow", help="evaluate a Toda flow trajectory")
-    _add_common(p_flow)
-    p_flow.add_argument("--i", dest="flow_label", type=int,
-                        help="flow label, 1..n-1")
-    p_flow.add_argument("--t", dest="t_text",
-                        help='comma-separated times, e.g. "0,0.5,0.3+0.2j"')
-    p_flow.add_argument("--point", dest="point_text",
-                        help="phase-space point as JSON, or @file")
-
-    p_embed = subs.add_parser("embed", help="embed a point into the centralizer")
-    _add_common(p_embed)
-    p_embed.add_argument("--point", dest="point_text",
-                         help="phase-space point as JSON, or @file")
-
-    p_cjl = subs.add_parser("cjl", help="chart pullback deviations")
-    _add_common(p_cjl)
+    for command, (_, help_text) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for key, setting in SETTINGS.items():
+            if command in setting.commands:
+                sub.add_argument(setting.flag, dest=key, help=setting.help,
+                                 type=int if setting.read is int else None)
+        sub.add_argument("--config", help="JSON file holding settings under their keys")
     return parser
 
 
-def _read_point_text(text: str):
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(SETTINGS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return data
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_data = {}
-    if getattr(args, "config", None):
+    """Each setting's flag, else its config file value, else its default,
+    passed through its reader."""
+    file_data = _read_config_file(args.config) if args.config else {}
+    values = {}
+    for key, setting in SETTINGS.items():
+        flag_text = getattr(args, key, None)
+        if flag_text is not None:
+            source, value = setting.flag, flag_text
+        else:
+            source, value = f"config {key}", file_data.get(key, setting.default)
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(file_data) - CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    for key in ("n", "seed", "samples", "out", "format"):
-        if key in file_data:
-            setattr(cfg, key, file_data[key])
-    if "i" in file_data:
-        cfg.flow_label = file_data["i"]
-    if "t_list" in file_data:
-        try:
-            cfg.t_list = [complex(t) for t in file_data["t_list"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad t_list in config: {exc}") from exc
-    if "point" in file_data:
-        cfg.point = file_data["point"]
-
-    for key in ("n", "seed", "samples", "out", "format"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "flow_label", None) is not None:
-        cfg.flow_label = args.flow_label
-    if getattr(args, "t_text", None):
-        try:
-            cfg.t_list = parse_time_list(args.t_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad --t value: {exc}") from exc
-    if getattr(args, "point_text", None):
-        try:
-            cfg.point = _read_point_text(args.point_text)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad --point value: {exc}") from exc
-
-    try:
-        cfg.n = int(cfg.n)
-        cfg.seed = int(cfg.seed)
-        cfg.samples = int(cfg.samples)
-        cfg.flow_label = int(cfg.flow_label)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"non-numeric configuration field: {exc}") from exc
-    cfg.validate()
+            values[key] = setting.read(value)
+        except (OSError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {source} value: {exc}") from exc
+    cfg = RunConfig(command=args.command, **values)
+    _validate(cfg)
     return cfg
 
 
@@ -186,15 +162,18 @@ def _emit(cfg: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def _require_point(cfg: RunConfig):
+def _require_point(cfg: RunConfig, chev):
+    """The run's phase-space point, which must lie in the flow domain."""
     if cfg.point is None:
         raise ConfigError("this command needs --point (or point in --config)")
     try:
         p = toda_point_from_json(cfg.point)
-    except (ValueError, TypeError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad phase-space point: {exc}") from exc
     if len(p.diag) != cfg.n:
         raise ConfigError(f"point has size {len(p.diag)}, config says n={cfg.n}")
+    if not in_flow_domain(chev, p):
+        raise ConfigError("point is outside the flow domain")
     return p
 
 
@@ -203,55 +182,43 @@ def cmd_check(cfg: RunConfig) -> int:
     for line in report.lines():
         print(line)
     if cfg.out:
-        if (cfg.format or "json") == "csv":
-            _emit(cfg, report.to_csv())
-        else:
-            _emit(cfg, dump_json(report.to_json_obj()))
+        _emit(cfg, report.to_csv() if cfg.format == "csv" else dump_json(report.to_json_obj()))
     return 0 if report.passed else 1
 
 
 def cmd_flow(cfg: RunConfig) -> int:
     chev = build_chevalley(cfg.n)
-    p0 = _require_point(cfg)
-    if not in_flow_domain(chev, p0):
-        raise ConfigError("initial point is outside the flow domain")
+    p0 = _require_point(cfg, chev)
 
     header = (["t"]
               + [f"diag_{k + 1}" for k in range(cfg.n)]
               + [f"root_coord_{k + 1}" for k in range(cfg.n - 1)]
               + [f"invariant_{k + 1}" for k in range(cfg.n - 1)]
               + ["status"])
+    points, errors = toda_flow(chev, cfg.i, cfg.t_list, stack([p0] * len(cfg.t_list)))
+    values = invariant_vector(chev, toda_matrix(chev, points))
     rows = []
-    blew_up = False
-    for t in cfg.t_list:
-        try:
-            pt = toda_flow(chev, cfg.flow_label, t, p0)
-        except CentralizerLabError as exc:
+    for t, diag, root_coords, invariants, exc in zip(
+            cfg.t_list, points.diag, points.root_coords, values, errors):
+        if exc is None:
+            rows.append([fmt_complex(z) for z in (t, *diag, *root_coords, *invariants)]
+                        + ["ok"])
+        else:
             status = (f"NotInGStar({exc.minor_index})" if isinstance(exc, NotInGStar)
                       else type(exc).__name__)
             rows.append([fmt_complex(t)] + [""] * (3 * cfg.n - 2) + [status])
-            blew_up = True
-            continue
-        values = invariant_vector(chev, toda_matrix(chev, pt))
-        rows.append([fmt_complex(t)]
-                    + [fmt_complex(z) for z in pt.diag]
-                    + [fmt_complex(z) for z in pt.root_coords]
-                    + [fmt_complex(z) for z in values]
-                    + ["ok"])
 
     if (cfg.format or "csv") == "json":
         _emit(cfg, dump_json({"columns": header, "rows": rows}))
     else:
         lines = [",".join(header)] + [",".join(row) for row in rows]
         _emit(cfg, "\n".join(lines) + "\n")
-    return 1 if blew_up else 0
+    return 0 if all(exc is None for exc in errors) else 1
 
 
 def cmd_embed(cfg: RunConfig) -> int:
     chev = build_chevalley(cfg.n)
-    p0 = _require_point(cfg)
-    if not in_flow_domain(chev, p0):
-        raise ConfigError("point is outside the flow domain")
+    p0 = _require_point(cfg, chev)
     zp = embed(chev, p0)
     back = embed_inverse(chev, zp)
     m0 = toda_matrix(chev, p0)
@@ -259,10 +226,10 @@ def cmd_embed(cfg: RunConfig) -> int:
                   / (1.0 + np.linalg.norm(m0)))
     payload = {
         "n": cfg.n,
-        "point": toda_point_to_json(p0),
-        "g": group_to_json(zp.g),
-        "x": matrix_to_json(zp.x),
-        "invariants": vector_to_json(invariant_vector(chev, zp.x)),
+        "point": {"diag": to_json(p0.diag), "root_coords": to_json(p0.root_coords)},
+        "g": {"matrix": to_json(zp.g), "mod_scalar": True},
+        "x": to_json(zp.x),
+        "invariants": to_json(invariant_vector(chev, zp.x)),
         "roundtrip_error": error,
     }
     _emit(cfg, dump_json(payload))
@@ -296,6 +263,14 @@ def cmd_cjl(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
+COMMANDS = {
+    "check": (cmd_check, "run all verification suites"),
+    "flow": (cmd_flow, "evaluate a Toda flow trajectory"),
+    "embed": (cmd_embed, "embed a point into the centralizer"),
+    "cjl": (cmd_cjl, "chart pullback deviations"),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -304,9 +279,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = load_config(args)
-        handler = {"check": cmd_check, "flow": cmd_flow,
-                   "embed": cmd_embed, "cjl": cmd_cjl}[cfg.command]
-        return handler(cfg)
+        return COMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,41 +31,30 @@ def json_float(x):
     return float(x) if np.isfinite(x) else None
 
 
-def complex_to_pair(z: complex):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def complex_from_obj(obj) -> complex:
+    """A finite complex number from [re, im], a number or a text such as
+    "0.3+0.2j"."""
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, str):
-        return complex(obj.replace(" ", ""))
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise ValueError(f"cannot read a complex number from {obj!r}")
+        z = complex(float(obj[0]), float(obj[1]))
+    elif isinstance(obj, str):
+        z = complex(obj.replace(" ", ""))
+    elif isinstance(obj, (int, float)):
+        z = complex(obj)
+    else:
+        raise ValueError(f"cannot read a complex number from {obj!r}")
+    if not np.isfinite(z):
+        raise ValueError(f"{obj!r} is not finite")
+    return z
 
 
-def vector_to_json(v):
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=complex)]
+def to_json(a):
+    """A complex vector or matrix as nested lists of [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def vector_from_json(obj) -> np.ndarray:
     return np.array([complex_from_obj(z) for z in obj], dtype=complex)
-
-
-def matrix_to_json(m):
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in m]
-
-
-def group_to_json(g):
-    return {"matrix": matrix_to_json(g), "mod_scalar": True}
-
-
-def toda_point_to_json(p):
-    return {"diag": vector_to_json(p.diag),
-            "root_coords": vector_to_json(p.root_coords)}
 
 
 def toda_point_from_json(obj):
@@ -81,13 +70,12 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
-def parse_time_list(text: str):
-    """Comma-separated complex times, e.g. "0,0.5,0.3+0.2j"."""
-    values = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            values.append(complex(part))
-    if not values:
+def parse_time_list(value):
+    """Finite complex times: comma-separated text such as "0,0.5,0.3+0.2j",
+    whose empty parts are skipped, or a list of such numbers."""
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    times = [complex_from_obj(t) for t in value]
+    if not times:
         raise ValueError("empty time list")
-    return values
+    return times

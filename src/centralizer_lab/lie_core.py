@@ -47,8 +47,9 @@ class ChevalleyData:
       xi:              regular nilpotent, sum of the e_minus.
       eta:             sl_2-partner of xi, sum of c[i] * e_plus[i].
       c:               integer coefficients c_i = i (n - i).
-      centralizer_eta: basis eta, eta^2, ..., eta^r of the centralizer of eta;
-                       the Kostant section is xi + span(centralizer_eta).
+      centralizer_eta: basis eta, eta^2, ..., eta^r of the centralizer of eta,
+                       one (r, n, n) array; the Kostant section is
+                       xi + span(centralizer_eta).
     """
 
     n: int
@@ -59,20 +60,20 @@ class ChevalleyData:
     xi: np.ndarray
     eta: np.ndarray
     c: tuple
-    centralizer_eta: tuple
+    centralizer_eta: np.ndarray
     _section_pinv: np.ndarray = field(repr=False)
 
     def section_point(self, coords) -> np.ndarray:
         """xi + sum_k coords[k] * eta^(k+1), a point of the Kostant section,
-        or the stack of them for coordinates of shape (m, r)."""
+        or the stack of them for coordinates of shape (m, r).  The powers of
+        eta lie on disjoint superdiagonals, so each entry of the product
+        has at most one nonzero term and the sum is exact."""
         coords = np.asarray(coords, dtype=complex)
         if coords.shape[-1:] != (self.r,):
             raise DimensionMismatch(
                 f"expected {self.r} section coordinates, got shape {coords.shape}")
-        x = self.xi  # r >= 1 sums below make a new array
-        for k, bk in enumerate(self.centralizer_eta):
-            x = x + coords[..., k, None, None] * bk
-        return x
+        terms = coords @ self.centralizer_eta.reshape(self.r, self.n * self.n)
+        return self.xi + terms.reshape(coords.shape[:-1] + (self.n, self.n))
 
     def section_coords(self, x: np.ndarray):
         """Coordinates of x on the Kostant section plus the off-section residual.
@@ -130,7 +131,7 @@ def build_chevalley(n: int) -> ChevalleyData:
 
     return ChevalleyData(
         n=n, r=r, e_plus=e_plus, e_minus=e_minus, h=h, xi=xi, eta=eta, c=c,
-        centralizer_eta=tuple(eta_powers), _section_pinv=section_pinv)
+        centralizer_eta=eta_powers, _section_pinv=section_pinv)
 
 
 def pairing(x: np.ndarray, y: np.ndarray) -> complex:

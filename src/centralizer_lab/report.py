@@ -10,7 +10,7 @@ exception that failed a check, or None.  JSON writes a non-finite
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .formats import fmt_float, json_float
 
@@ -51,27 +51,21 @@ class Report:
         return out
 
     def to_json_obj(self) -> dict:
-        checks = [{
-            "name": c.name,
-            "max_deviation": json_float(c.max_deviation),
-            "tolerance": c.tolerance,
-            "passed": c.passed,
-            "samples": c.samples,
-            "skipped": c.skipped,
-            "error": c.error,
-            "seconds": c.seconds,
-        } for c in self.checks]
+        checks = [{**asdict(c), "max_deviation": json_float(c.max_deviation)}
+                  for c in self.checks]
         return {"config": self.config, "checks": checks, "passed": self.passed}
 
     def to_csv(self) -> str:
-        header = ["name", "max_deviation", "tolerance", "passed", "samples", "skipped",
-                  "error", "seconds"]
-        rows = [",".join(header)]
+        rows = [",".join(f.name for f in fields(CheckResult))]
         for c in self.checks:
             # the error cell holds the type only, since a message may hold a comma
-            row = [c.name, fmt_float(c.max_deviation), fmt_float(c.tolerance),
-                   "true" if c.passed else "false", str(c.samples),
-                   str(sum(c.skipped.values())), (c.error or "").partition(":")[0],
-                   fmt_float(c.seconds)]
-            rows.append(",".join(row))
+            cells = {**asdict(c), "skipped": sum(c.skipped.values()),
+                     "error": (c.error or "").partition(":")[0]}
+            rows.append(",".join(_csv_cell(value) for value in cells.values()))
         return "\n".join(rows) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return fmt_float(value) if isinstance(value, float) else str(value)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib.util
 import inspect
@@ -529,6 +530,59 @@ def test_tolerance_flag_exits_2(command):
     args = COMMAND_ARGS[command]
     assert main(args) == 0
     assert main(args + ["--tol.minor", "1e-3"]) == 2
+
+
+# Flags that a command never read are not offered; the config file still
+# takes every setting, and a command ignores those it does not read.
+@pytest.mark.parametrize("command, flag", [
+    ("embed", ["--format", "csv"]), ("cjl", ["--format", "csv"]),
+    ("flow", ["--samples", "3"]), ("flow", ["--seed", "1"]),
+    ("embed", ["--samples", "3"]), ("embed", ["--seed", "1"]),
+])
+def test_flag_a_command_does_not_read_exits_2(command, flag):
+    args = COMMAND_ARGS[command]
+    assert main(args) == 0
+    assert main(args + flag) == 2
+
+
+def test_config_file_takes_every_setting(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "seed": 1, "samples": 3, "out": str(tmp_path / "e.json"),
+                               "format": "csv", "i": 1, "t_list": [0, "0.5"],
+                               "point": json.loads(GOLDEN_POINT)}))
+    assert set(json.loads(cfg.read_text())) == set(cli.SETTINGS)
+    for command in COMMAND_ARGS:
+        assert main([command, "--config", str(cfg)]) == 0
+
+
+def _command_flags(parser):
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [flag for action in sub._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")]
+            for name, sub in subs.choices.items()}
+
+
+def test_readme_lists_each_commands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {name: re.findall(r"`(--[\w-]+)`", flags)
+              for name, flags in re.findall(r"^- `(\w+)`: (.*)$", readme, re.M)}
+    assert listed == _command_flags(cli.build_parser())
+
+
+@pytest.mark.parametrize("args, config", [
+    (["flow", "--n", "2", "--t", "0,inf", "--point", GOLDEN_POINT], None),
+    (["flow", "--n", "2", "--t", "nan", "--point", GOLDEN_POINT], None),
+    (["flow", "--n", "2", "--point", GOLDEN_POINT], {"t_list": ["inf"]}),
+    (["embed", "--n", "2", "--point", '{"diag": [["nan",0],[0,0]], "root_coords": [[1,0]]}'], None),
+    (["flow", "--n", "2", "--point", '{"diag": [[0,0],[0,0]], "root_coords": [["inf",0]]}'], None),
+])
+def test_non_finite_input_exits_2(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = args + ["--config", str(path)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # Keywords that only one value reached, now constants where they are applied.

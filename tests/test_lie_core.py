@@ -18,6 +18,7 @@ from centralizer_lab.lie_core import (
     traceless_part,
 )
 from centralizer_lab.sampling import (
+    complex_uniform,
     random_group_element,
     random_section_point,
     random_traceless,
@@ -98,6 +99,20 @@ def test_centralizer_eta_equals_the_product_loop(n):
         p = p @ chev.eta
         assert chev.centralizer_eta[k].tobytes() == p.tobytes()
     assert not any(b.flags.writeable for b in chev.centralizer_eta)
+
+
+@pytest.mark.parametrize("n", ALL_N)
+def test_section_point_equals_the_sum_loop(n):
+    # the powers of eta lie on disjoint superdiagonals, so one product sums
+    # them exactly
+    chev = build_chevalley(n)
+    rng = stream(n, "section-point")
+    coords = complex_uniform(rng, (6, chev.r)) * 10.0 ** rng.integers(-150, 150, (6, 1))
+    x = chev.xi
+    for k in range(chev.r):
+        x = x + coords[:, k, None, None] * chev.centralizer_eta[k]
+    assert chev.section_point(coords).tobytes() == x.tobytes()
+    assert chev.section_point(coords[0]).tobytes() == x[0].tobytes()
 
 
 def test_pairing_examples():
