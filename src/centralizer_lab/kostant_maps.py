@@ -39,7 +39,7 @@ from .stacks import first_errors, stacked
 # Spectra whose real parts are not pairwise separated by more than this
 # have no chamber form.
 CHAMBER_GAP = 1e-9
-# Largest stabilizer residual of theta_x that dress and normal_forms accept.
+# Largest stabilizer residual of theta_x that dress and stabilizer_lift accept.
 CENTRALIZING_TOL = 1e-8
 
 
@@ -267,65 +267,45 @@ def _centralizing_errors(g: np.ndarray, theta_x: np.ndarray, what: str) -> list:
             for moved in stabilizer_residual(g, theta_x)]
 
 
-@dataclass(frozen=True)
-class NormalForms:
-    """Normal forms of a Toda point x: chamber form theta, section form s,
-    stabilizer lift, and g, the lift carried to s (Ad_g(s) = s)."""
-
-    theta: np.ndarray
-    s: np.ndarray
-    lift: np.ndarray
-    g: np.ndarray
-
-
-@stacked(2)
-def normal_forms(chev: ChevalleyData, x: np.ndarray) -> NormalForms:
-    """The chamber form, section form and stabilizer lift of x, and the
-    lift carried to the section form, from one section decomposition.
-
-    The lift (the element of the translated big cell that centralizes
-    theta = chamber_form(x) and dresses it to x) is K_tr^{-1} w0 t K_x, with
-    K_x, K_tr the chamber conjugators of x and of Ad_{w0 t}(x), the point
-    with reversed coordinates (t: partial products of the superdiagonal).
-    With x = Ad_{u_x}(s) and u_tr the section conjugator of the reversed
-    point, the lift carried to s is u_tr^{-1} w0 t u_x.  Every conjugator
-    is a :func:`unipotent_conjugator` recurrence.  x must be in the Toda
-    phase space.
-
-    The embedding is restricted to points whose partial products t are
-    finite and nonzero in floating point: where they overflow or underflow,
-    :class:`NotInV` is raised.
-    """
+def weyl_translation(chev: ChevalleyData, x: np.ndarray):
+    """``(x, w0 t, reversed point), errors`` for a stack x of Toda points, with
+    t = diag(1, partial products of the superdiagonal); the reversed point
+    Ad_{w0 t}(x) is x with its coordinates reversed.  Where the partial
+    products overflow or underflow, :class:`NotInV` is raised and the Toda
+    point xi + xi^T, all of whose partial products are 1, stands in."""
     x = linalg.as_matrix(x)
     y = np.diagonal(x, 1, axis1=-2, axis2=-1)
     with np.errstate(over="ignore"):  # the range test below reports it
         partial = np.cumprod(y, axis=-1)
     in_range = (np.isfinite(partial) & (partial != 0)).all(axis=-1)
-    range_errors = [
+    errors = [
         ValueError("superdiagonal coordinates must be nonzero") if zero else NotInV(
             "partial products of the root coordinates leave the floating-point range")
         if not ok else None for zero, ok in zip((y == 0).any(axis=-1).tolist(), in_range.tolist())]
-    if not in_range.all():  # the Toda point xi + xi^T, all of whose t are 1, stands in
+    if not in_range.all():
         x = np.where(in_range[:, None, None], x, chev.xi + chev.xi.T)
         y = np.diagonal(x, 1, axis1=-2, axis2=-1)
         partial = np.cumprod(y, axis=-1)
-    theta_x, chamber = chamber_form(chev, x)
-    dec_x, errors = decompose_to_section(chev, x)
     ones = np.ones(partial.shape[:-1] + (1,))
     w0_t = longest_weyl_lift(chev) @ linalg.diag_matrix(np.concatenate((ones, partial), axis=-1))
-    translated = (chev.xi + linalg.diag_matrix(np.diagonal(x, 0, -2, -1)[..., ::-1])
+    reversed_x = (chev.xi + linalg.diag_matrix(np.diagonal(x, 0, -2, -1)[..., ::-1])
                   + linalg.diag_matrix(y[..., ::-1], 1))
-    k_tr = unipotent_conjugator(translated, theta_x)
-    lift = linalg.solve(k_tr, w0_t @ unipotent_conjugator(x, theta_x))
-    u_tr = unipotent_conjugator(translated, dec_x.s)
-    return NormalForms(theta=theta_x, s=dec_x.s, lift=lift,
-                       g=linalg.solve(u_tr, w0_t @ dec_x.u)), first_errors(
-        range_errors, chamber, errors,
-        _centralizing_errors(lift, theta_x, "assembled lift"))
+    return (x, w0_t, reversed_x), errors
+
+
+def carried_lift(w0_t, reversed_x, y, u) -> np.ndarray:
+    """u_rev^{-1} w0 t u for a normal form y of x, Ad_u(y) = x, and u_rev the
+    conjugator of the reversed point to y: the stabilizer lift at the chamber
+    form, and that lift carried to s at the section form s."""
+    return linalg.solve(unipotent_conjugator(reversed_x, y), w0_t @ u)
 
 
 @stacked(2)
 def stabilizer_lift(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
-    """The stabilizer lift of x; see :func:`normal_forms`."""
-    forms, errors = normal_forms(chev, x)
-    return forms.lift, errors
+    """The element of the translated big cell that centralizes theta =
+    chamber_form(x) and dresses it to x, for x in the Toda phase space:
+    :func:`carried_lift` at theta, K_rev^{-1} w0 t K_x."""
+    (x, w0_t, reversed_x), errors = weyl_translation(chev, x)
+    theta, chamber = chamber_form(chev, x)
+    lift = carried_lift(w0_t, reversed_x, theta, unipotent_conjugator(x, theta))
+    return lift, first_errors(errors, chamber, _centralizing_errors(lift, theta, "assembled lift"))

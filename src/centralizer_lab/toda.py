@@ -8,11 +8,12 @@ exp(t * gradient f_i(x)) = l d u (unit lower, diagonal, unit upper, no
 pivoting), the time-t point is u x u^{-1}, and a vanishing leading minor
 (tau-function) of the exponential is the blow-up of the flow.
 
-The embedding sends x to (d * lift * d^{-1}, section form of x) where d
-conjugates the chamber form to the section form; its image is the open
-subset of the centralizer with regular-real-part spectrum and group part
-in the translated big cell.  The inverse dresses the chamber form by the
-group part, Kostant's route to the same flows.
+The embedding sends x to (u_rev^{-1} w0 t u_x, s): s is the section form
+of x, u_x and u_rev its conjugators to x and to the reversed point, t the
+partial products of the superdiagonal.  Its image is the open subset of
+the centralizer with regular-real-part spectrum and group part in the
+translated big cell.  The inverse dresses the chamber form by the group
+part, Kostant's route to the same flows.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW
 from .invariants import invariant_gradient
 from .kostant_maps import (
+    carried_lift,
     chamber_errors,
     chamber_form,
+    decompose_to_section,
     dress,
-    normal_forms,
     unipotent_conjugator,
+    weyl_translation,
 )
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
 from .stacks import first_errors, per_sample, stacked
@@ -113,22 +116,25 @@ def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     sample takes its own substeps.  Raises :class:`NotInV` off the flow
     domain, :class:`NotInGStar` when a tau-function (a leading minor of the
     exponential) vanishes, the blow-up mode at complex time, with the minor
-    index attached, and :class:`NoConvergence` when a substep misses the
-    Toda phase space.  A failed sample's result is the point it had
-    reached.
+    index attached, and :class:`NoConvergence` when the substep count is
+    not finite or a substep misses the Toda phase space.  A failed sample's
+    result is the point it had reached.
     """
     x = toda_matrix(chev, p)
     m = len(x)
     labels = np.asarray(i) if per_sample(i) else i
     times = list(t) if per_sample(t) else [t] * m
     (values, _), errors = linalg.eig(x)
-    errors = first_errors(errors, chamber_errors(values))
-    exponents = (np.array(times, dtype=complex)[:, None] * _powers(values, labels)).real
-    steps = [max(1, math.ceil(spread / 8.0))
-             for spread in exponents.max(axis=-1) - exponents.min(axis=-1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a spread that is not finite fails
+        exponents = (np.array(times, dtype=complex)[:, None] * _powers(values, labels)).real
+        spreads = (exponents.max(axis=-1) - exponents.min(axis=-1)).tolist()
+    steps = [max(1, math.ceil(s / 8.0)) if math.isfinite(s) else 0 for s in spreads]
+    errors = first_errors(errors, chamber_errors(values), [None if sk else NoConvergence(
+        f"flow time {tk} has no finite substep count") for tk, sk in zip(times, steps)])
     # each sample's substep time is divided in Python, where a complex t
     # rounds as it does alone; numpy's complex division rounds otherwise
-    dt = np.array([tk / sk for tk, sk in zip(times, steps)], dtype=complex)[:, None, None]
+    dt = np.array([tk / sk if sk else 0 for tk, sk in zip(times, steps)],
+                  dtype=complex)[:, None, None]
     for step in range(max(steps)):
         moving = [exc is None and s > step for s, exc in zip(steps, errors)]
         if not any(moving):
@@ -183,12 +189,14 @@ def _lax_field(chev: ChevalleyData, i, x: np.ndarray):
 
 @stacked(1)
 def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
-    """The canonical centralizer point of p:
-    (conjugated stabilizer lift, section form)."""
-    forms, errors = normal_forms(chev, toda_matrix(chev, p))
-    zp = ZPoint(g=forms.g, x=forms.s)
+    """The canonical centralizer point of p, (u_rev^{-1} w0 t u_x, s): see
+    :func:`weyl_translation` and :func:`carried_lift`."""
+    (x, w0_t, reversed_x), errors = weyl_translation(chev, toda_matrix(chev, p))
+    _, chamber = chamber_form(chev, x)  # NotInV off the flow domain
+    dec, section = decompose_to_section(chev, x)
+    zp = ZPoint(g=carried_lift(w0_t, reversed_x, dec.s, dec.u), x=dec.s)
     _, z_errors = check_z_point(chev, zp)
-    return zp, first_errors(errors, z_errors)
+    return zp, first_errors(errors, chamber, section, z_errors)
 
 
 @stacked(2)

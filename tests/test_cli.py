@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -376,6 +377,19 @@ def test_flow_blowup_marks_row_and_exits_1(tmp_path):
     assert len(lines[2].split(",")) == len(lines[0].split(","))
 
 
+def test_flow_overflowing_time_marks_row_and_exits_1(tmp_path):
+    # at t = 1e308 the substep count is not a finite number: that row
+    # fails, the others flow as before
+    out = tmp_path / "overflow.csv"
+    code = main(["flow", "--n", "2", "--i", "1", "--t", "0.5,1e308",
+                 "--point", GOLDEN_POINT, "--out", str(out)])
+    assert code == 1
+    lines = out.read_text().strip().splitlines()
+    assert lines[1].endswith("ok")
+    assert lines[2].endswith("NoConvergence")
+    assert len(lines[2].split(",")) == len(lines[0].split(","))
+
+
 def test_flow_bad_label_exits_2():
     assert main(["flow", "--n", "2", "--i", "5", "--t", "0",
                  "--point", GOLDEN_POINT]) == 2
@@ -621,6 +635,17 @@ def test_no_matrix_power_in_src():
     src = Path(__file__).resolve().parents[1] / "src"
     for path in src.rglob("*.py"):
         assert not re.search(r"matrix_power\b", path.read_text()), path.name
+
+
+def test_no_private_name_imported_across_modules():
+    # a name shared by two modules is public: no "from .x import _name"
+    src = Path(__file__).resolve().parents[1] / "src"
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("centralizer_lab")):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name}: {private}"
 
 
 # ----------------------------- benchmark hooks --------------------------- #

@@ -7,7 +7,7 @@ import pytest
 from centralizer_lab import suites
 from centralizer_lab.centralizer import ZPoint
 from centralizer_lab.errors import NotInGStar, NotInV, NotInW
-from centralizer_lab.kostant_maps import chamber_form, normal_forms
+from centralizer_lab.kostant_maps import chamber_form, stabilizer_lift
 from centralizer_lab.lie_core import build_chevalley, scalar_aligned_distance
 from centralizer_lab.sampling import (
     random_section_point,
@@ -69,10 +69,10 @@ def test_stacked_calls_equal_per_point_calls(n):
         for k, point in enumerate(points):
             _check_sample(_sample(flowed, k), errors[k],
                           lambda: toda_flow(chev, i, times[k], point))
-    forms, errors = normal_forms(chev, toda_matrix(chev, p))
+    lifts, errors = stabilizer_lift(chev, toda_matrix(chev, p))
     for k, point in enumerate(points):
-        _check_sample(_sample(forms, k), errors[k],
-                      lambda: normal_forms(chev, toda_matrix(chev, point)))
+        _check_sample(lifts[k], errors[k],
+                      lambda: stabilizer_lift(chev, toda_matrix(chev, point)))
     images, errors = embed(chev, p)
     for k, point in enumerate(points):
         _check_sample(_sample(images, k), errors[k], lambda: embed(chev, point))
@@ -120,10 +120,10 @@ def test_one_failed_sample_leaves_the_others_unchanged():
     assert errors[2:] == [None] * 6
 
     x = toda_matrix(chev, stack(points))
-    forms, errors = normal_forms(chev, x)
+    lifts, errors = stabilizer_lift(chev, x)
     assert isinstance(errors[0], NotInV) and errors[1:] == [None] * 7
     for k in range(8):
-        _check_sample(_sample(forms, k), errors[k], lambda: normal_forms(chev, x[k]))
+        _check_sample(lifts[k], errors[k], lambda: stabilizer_lift(chev, x[k]))
 
     images, errors = embed(chev, stack(points))
     assert isinstance(errors[0], NotInV) and errors[1] is None

@@ -409,6 +409,30 @@ def test_flows_read_no_normal_forms(monkeypatch):
     assert len(calls) == 1
 
 
+def test_embed_and_lift_build_only_their_own_forms(monkeypatch):
+    # embed conjugates to the section form alone (the section conjugator of
+    # x and of the reversed point), stabilizer_lift to the chamber form alone
+    chev = build_chevalley(4)
+    p = sample_flow_domain(chev, stream(11, "own_forms"))
+    calls = []
+
+    def counting(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("decompose_to_section", "unipotent_conjugator"):
+        wrapped = counting(name, getattr(kostant_maps, name))
+        monkeypatch.setattr(kostant_maps, name, wrapped)
+        monkeypatch.setattr(toda, name, wrapped, raising=False)
+    embed(chev, p)
+    assert calls.count("unipotent_conjugator") == 2
+    calls.clear()
+    stabilizer_lift(chev, toda_matrix(chev, p))
+    assert "decompose_to_section" not in calls
+
+
 @pytest.mark.parametrize("n", [2, 4, 7, 8])
 def test_embed_defining_properties(n):
     # the section part is the section form, the group part stabilizes it at
@@ -456,6 +480,25 @@ def test_flow_off_phase_space_raises_no_convergence(monkeypatch, chev2, golden):
         toda_flow(chev2, 1, 0.5, golden)
 
 
+@pytest.mark.parametrize("t", [float("inf"), 1e308, float("nan")])
+def test_flow_with_no_finite_substep_count_raises_no_convergence(chev2, golden, t):
+    # Re(t * eigenvalue) spreads beyond the floating-point range
+    with pytest.raises(NoConvergence, match="no finite substep count"):
+        toda_flow(chev2, 1, t, golden)
+
+
+def test_flow_overflowing_sample_leaves_the_others_unchanged(chev2, golden):
+    times = [0.5, 1e308, -0.25]
+    flowed, errors = toda_flow(chev2, 1, times, stack([golden] * 3))
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], NoConvergence)
+    assert flowed.root_coords[1].tobytes() == golden.root_coords.tobytes()  # the point it had
+    for k in (0, 2):
+        single = toda_flow(chev2, 1, times[k], golden)
+        assert flowed.diag[k].tobytes() == single.diag.tobytes()
+        assert flowed.root_coords[k].tobytes() == single.root_coords.tobytes()
+
+
 # ----------------------------- two routes to the flow -------------------- #
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -483,9 +526,11 @@ def test_symes_flow_matches_dressing(n):
         p = sample_flow_domain(chev, rng)
         i = 1 + k % chev.r
         t = rng.uniform(-1.0, 1.0)
-        forms = kostant_maps.normal_forms(chev, toda_matrix(chev, p))
-        moved = forms.lift @ linalg.mat_exp(t * invariants.invariant_gradient(chev, forms.theta, i))
-        expected = kostant_maps.dress(chev, forms.theta, moved)
+        x = toda_matrix(chev, p)
+        theta = chamber_form(chev, x)
+        moved = stabilizer_lift(chev, x) @ linalg.mat_exp(
+            t * invariants.invariant_gradient(chev, theta, i))
+        expected = kostant_maps.dress(chev, theta, moved)
         got = toda_matrix(chev, toda_flow(chev, i, t, p))
         assert linalg.norm(got - expected) <= 1e-8 * (1 + linalg.norm(expected))
 
@@ -548,8 +593,7 @@ def test_embedding_rejects_overflowing_partial_products():
     chev = build_chevalley(3)
     p = make_toda_point([1.0, 0.0, -1.0], [1e200, 1e200])
     x = toda_matrix(chev, p)
-    for call in (lambda: embed(chev, p), lambda: stabilizer_lift(chev, x),
-                 lambda: kostant_maps.normal_forms(chev, x)):
+    for call in (lambda: embed(chev, p), lambda: stabilizer_lift(chev, x)):
         with pytest.raises(NotInV, match="floating-point range"):
             call()
     rng = stream(3, "overflowing-sample")
@@ -557,7 +601,12 @@ def test_embedding_rejects_overflowing_partial_products():
     points.insert(1, p)
     images, errors = embed(chev, stack(points))
     assert isinstance(errors[1], NotInV) and errors[::2] == [None, None] and errors[3] is None
+    lifts, lift_errors = stabilizer_lift(chev, toda_matrix(chev, stack(points)))
+    assert isinstance(lift_errors[1], NotInV) and lift_errors[::2] == [None, None]
+    assert lift_errors[3] is None
     for k in (0, 2, 3):
         single = embed(chev, points[k])
         assert images.g[k].tobytes() == single.g.tobytes()
         assert images.x[k].tobytes() == single.x.tobytes()
+        lift = stabilizer_lift(chev, toda_matrix(chev, points[k]))
+        assert lifts[k].tobytes() == lift.tobytes()
