@@ -116,33 +116,25 @@ class MomentPreimageReport:
         return self.mismatches == 0
 
 
-def moment_preimage_report(chev: ChevalleyData, points) -> MomentPreimageReport:
-    """Check both inclusions on a sample of (g, x) pairs.
+def moment_preimage_report(chev: ChevalleyData, g, x) -> MomentPreimageReport:
+    """Check both inclusions on a sample of (g, x) pairs, stacks (m, n, n).
 
     Membership in the centralizer is the stabilizer condition; membership
-    in the preimage asks that both moment values land in (a sign flip of)
-    the section.  Both are decided at ``STABILIZER_TOL``.  The two
-    predicates must agree on every sample.
+    in the preimage asks that both moment values, Ad_g(x) and -x, land in
+    (a sign flip of) the section, as -x does when x is on it.  Both are
+    decided at ``STABILIZER_TOL``, and must agree on every sample.
     """
-    tol = STABILIZER_TOL
-    total = z_members = pre_members = mismatches = 0
-    max_res = 0.0
-    for g, x in points:
-        total += 1
-        mu_l, mu_r = adjoint(g, x), -x
-        on_sec = chev.on_section(x, tol=tol)
-        in_z = on_sec and stabilizer_residual(g, x) <= tol
-        in_pre = on_sec and chev.on_section(mu_l, tol=tol) and chev.on_section(-mu_r, tol=tol)
-        z_members += in_z
-        pre_members += in_pre
-        if in_z != in_pre:
-            mismatches += 1
-        if in_z:
-            max_res = max(max_res, stabilizer_residual(g, x),
-                          chev.section_coords(mu_l)[1] / max(linalg.norm(mu_l), 1e-300))
-    return MomentPreimageReport(total=total, centralizer_members=z_members,
-                                preimage_members=pre_members, mismatches=mismatches,
-                                max_member_residual=max_res)
+    tol, g, x = STABILIZER_TOL, linalg.as_matrix(g), linalg.as_matrix(x)
+    mu_l = adjoint(g, x)
+    (_, off_x), (_, off_mu) = chev.section_coords(x), chev.section_coords(mu_l)
+    size_mu, residual = np.array(linalg.norm(mu_l)), np.array(stabilizer_residual(g, x))
+    on_sec = np.array(off_x) <= tol * np.add(1.0, linalg.norm(x))
+    in_z, in_pre = on_sec & (residual <= tol), on_sec & (np.array(off_mu) <= tol * (1.0 + size_mu))
+    member_res = np.maximum(residual, np.array(off_mu) / np.maximum(size_mu, 1e-300))
+    return MomentPreimageReport(total=len(x), centralizer_members=int(in_z.sum()),
+                                preimage_members=int(in_pre.sum()),
+                                mismatches=int(np.count_nonzero(in_z != in_pre)),
+                                max_member_residual=float(np.max(member_res[in_z], initial=0.0)))
 
 
 @stacked(2)

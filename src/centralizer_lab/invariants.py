@@ -44,13 +44,13 @@ def invariant_gradients(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
 def invariant_gradient(chev: ChevalleyData, x: np.ndarray, i) -> np.ndarray:
     """The i-th of :func:`invariant_gradients`, i in 1..r; for a stack x
     it may also be one index per matrix."""
+    if np.ndim(i) == 0 and 1 <= i <= chev.r:  # one label: the ladder up to x^i
+        return traceless_part(functools.reduce(np.matmul, [linalg.as_matrix(x)] * int(i)))
     labels = np.asarray(i)
-    values = labels.ravel().tolist()
-    if not all(1 <= label <= chev.r for label in values):
+    if not all(1 <= label <= chev.r for label in labels.ravel().tolist()):
         raise ValueError(f"invariant index {i} outside 1..{chev.r}")
-    powers = linalg.matrix_powers(linalg.as_matrix(x), max(values, default=1))
-    return traceless_part(powers[..., i, :, :] if labels.ndim == 0
-                          else powers[np.arange(len(labels)), labels])
+    powers = linalg.matrix_powers(linalg.as_matrix(x), labels.max(initial=1))
+    return traceless_part(powers[np.arange(len(labels)), labels])
 
 
 @functools.lru_cache(maxsize=None)

@@ -147,21 +147,28 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def centralizer_basis(chev: ChevalleyData, x: np.ndarray):
-    """Numerical basis of the centralizer {y in sl_n : [x, y] = 0}.
+def _commutator_rows(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
+    """kron(x, I) - kron(I, x^T), y -> [x, y] on row-major vec(y), and one
+    more row ||x|| vec(I) for tr y = 0, for each matrix of a stack x."""
+    eye = linalg.eye(chev.n)[None]
+    trace_rows = np.maximum(linalg.norm(x), 1e-300)[:, None, None] * eye.reshape(1, 1, -1)
+    return np.concatenate([np.kron(x, eye) - np.kron(eye, x.swapaxes(1, 2)), trace_rows], axis=1)
 
-    The null space of y -> [x, y] on row-major vec(y), which is
-    kron(x, I) - kron(I, x^T), with one more row ||x|| vec(I) for tr y = 0;
-    scaled by ||x||, that row leaves the rank decision unchanged when x is
-    rescaled, and its 1e-300 floor gives the zero matrix all of sl_n.
-    """
-    x = linalg.as_matrix(x)
-    n = chev.n
-    eye = np.eye(n)
-    trace_row = max(linalg.norm(x), 1e-300) * eye.reshape(1, n * n)
-    kernel = linalg.kernel_basis(
-        np.vstack([np.kron(x, eye) - np.kron(eye, x.T), trace_row]))
-    return [kernel[:, k].reshape(n, n) for k in range(kernel.shape[1])]
+
+def centralizer_basis(chev: ChevalleyData, x: np.ndarray):
+    """Numerical basis of the centralizer {y in sl_n : [x, y] = 0}, the
+    null space of the commutator rows of x.  Scaled by ||x||, the trace row
+    leaves the rank decision unchanged when x is rescaled, and its 1e-300
+    floor gives the zero matrix all of sl_n."""
+    kernel = linalg.kernel_basis(_commutator_rows(chev, linalg.as_matrix(x)[None])[0])
+    return [kernel[:, k].reshape(chev.n, chev.n) for k in range(kernel.shape[1])]
+
+
+def centralizer_dimension(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
+    """:func:`centralizer_basis`'s rank decision for each matrix of a stack
+    x, on one values-only SVD (its values match the full SVD's to rounding)."""
+    sigma = np.linalg.svd(_commutator_rows(chev, linalg.as_matrix(x)), compute_uv=False)
+    return np.count_nonzero(sigma < 1e-10 * sigma[:, :1], axis=1)
 
 
 def adjoint(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -183,12 +190,11 @@ def stabilizer_residual(g: np.ndarray, x: np.ndarray):
     return [mv / max(a * b, 1e-300) for mv, a, b in zip(moved, size_g, size_x)]
 
 
-def group_equal(g1: np.ndarray, g2: np.ndarray) -> bool:
+def group_equal(g1: np.ndarray, g2: np.ndarray):
     """Equality in PGL_n: g1 g2^{-1} is within 1e-9 (relative) of a scalar
-    matrix."""
+    matrix; one verdict per matrix for stacks."""
     m = linalg.as_matrix(g1) @ linalg.inv(g2)
-    scalar = (np.trace(m) / m.shape[0]) * np.eye(m.shape[0])
-    return linalg.norm(m - scalar) <= 1e-9 * max(linalg.norm(m), 1e-300)
+    return np.less_equal(linalg.norm(traceless_part(m)), 1e-9 * np.maximum(linalg.norm(m), 1e-300))
 
 
 def scalar_aligned_distance(g1: np.ndarray, g2: np.ndarray):

@@ -8,10 +8,12 @@ reproducible across platforms and independent between named checks.
 Complex scalars are sampled with real and imaginary parts uniform in
 [-1, 1] (times an optional scale); matrices are filled row-major, real
 plane before imaginary plane, so the draw order is part of the contract.
-Philox's stream is one fixed sequence of doubles, so the flow-domain
-samplers judge the candidates of many samples in one stacked ``eig`` and
-then rewind and consume exactly the doubles of draws made one at a time:
-the same points, bit for bit, and the same stream after.
+Philox's stream is one fixed sequence of doubles, which ``rng.uniform(low,
+high)`` maps by u -> low + (high - low) u: a draw of fixed layout maps all
+its samples' doubles, taken in one call, by :func:`blocks`, and the
+flow-domain samplers judge the candidates of many samples in one stacked
+``eig``, then rewind and consume exactly the doubles of draws made one at
+a time.  Both give those draws' values bit for bit, and their stream after.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .centralizer import CJLPoint
 from .errors import NoConvergence, NotInV
 from .invariants import invariant_gradients
 from .kostant_maps import chamber_errors
-from .lie_core import ChevalleyData
+from .lie_core import ChevalleyData, traceless_part
 from .stacks import first_errors
 from .toda import TodaPoint, make_toda_point, toda_matrix
 
@@ -39,6 +41,35 @@ def stream(seed: int, name: str) -> np.random.Generator:
 def complex_uniform(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
     re, im = rng.uniform(-1.0, 1.0, size=(2, *shape))  # one call, real plane first
     return scale * (re + 1j * im)
+
+
+def complex_rows(u: np.ndarray, shape, scale: float) -> np.ndarray:
+    """:func:`complex_uniform` of each row of doubles u (m, 2 * size) in
+    [0, 1), real plane first: the stack (m, *shape)."""
+    re, im = np.moveaxis(-1.0 + 2.0 * u.reshape(len(u), 2, *shape), 1, 0)
+    return scale * (re + 1j * im)
+
+
+def blocks(chev: ChevalleyData) -> dict:
+    """The blocks of fixed-layout draws by name: the doubles one sample
+    takes, and the map of all samples' rows of them (m, width) to the
+    stacked values of the per-sample draw named beside it."""
+    n, r = chev.n, chev.r
+
+    def traceless(u):
+        return traceless_part(complex_rows(u, (n, n), 1.0))
+
+    def clipped(u):  # random_group_element's exponent, clipped to norm at most 1
+        m = traceless(u)
+        return m / np.maximum(linalg.norm(m), 1.0)[:, None, None]
+    return {"matrix": (2 * n * n, lambda u: complex_rows(u, (n, n), 1.0)),  # complex_uniform
+            "traceless": (2 * n * n, traceless),  # random_traceless
+            "exponent": (2 * n * n, clipped),
+            "section": (2 * r, lambda u: chev.section_point(  # random_section_point
+                complex_rows(u, (r,), 1.0) * _section_scales(chev, 1.0))),
+            # stabilizer_coefficients: r scalars, each real then imaginary part
+            "coefficients": (2 * r, lambda u: complex_rows(u.reshape(-1, 2), (), 1.0)
+                             .reshape(-1, r))}
 
 
 def random_traceless(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
@@ -156,25 +187,28 @@ def _round(chev, rng, head, count, extra):
 
 def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator, samples=None, scalars=()):
     """Rejection-sample a point inside the flow domain in at most 1000
-    candidates, followed by groups of ``scalars`` complex scalars drawn in
-    turn (real part first): the point, or the tuple of it and its groups.
-    With ``samples``, return ``(drawn, failure)``: the draws of up to
-    ``samples`` samples, and None or the exception that ended the list."""
-    want = 1 if samples is None else samples
-    drawn, head, tries, failure = [], np.empty(0), 0, None
-    while len(drawn) < want and failure is None:
-        tails, p, exc, head = _round(chev, rng, head, want - len(drawn), 2 * sum(scalars))
-        for k, tail in enumerate(tails):
-            point = TodaPoint(diag=p.diag[k].copy(), root_coords=p.root_coords[k].copy())
-            drawn.append((point, *np.split(tail[0::2] + 1j * tail[1::2], np.cumsum(scalars)[:-1]))
-                         if scalars else point)
-        tries = (tries if len(tails) == 0 else 0) + isinstance(exc, NotInV)
+    candidates.  With ``samples``, return ``(columns, failure)``: the stack
+    of up to ``samples`` points, for each size in ``scalars`` the stack
+    (m, size) of the complex scalars drawn after each point in turn (real
+    part first), and None or the exception that ended the draws."""
+    want, extra = 1 if samples is None else samples, 2 * sum(scalars)
+    diag, coords = np.empty((want, chev.n), complex), np.empty((want, chev.r), complex)
+    tails, count, head, tries, failure = np.empty((want, extra)), 0, np.empty(0), 0, None
+    while count < want and failure is None:
+        tail, p, exc, head = _round(chev, rng, head, want - count, extra)
+        span, taken = slice(count, count + len(tail)), slice(len(tail))
+        diag[span], coords[span], tails[span] = p.diag[taken], p.root_coords[taken], tail
+        count, tries = span.stop, (tries if len(tail) == 0 else 0) + isinstance(exc, NotInV)
         if tries == 1000:
             exc = NoConvergence("no flow-domain point found in 1000 draws")
         failure = None if isinstance(exc, NotInV) else exc
-    if samples is None and failure is not None:
-        raise failure
-    return drawn[0] if samples is None else (drawn, failure)
+    if samples is None:
+        if failure is not None:
+            raise failure
+        return TodaPoint(diag=diag[0], root_coords=coords[0])
+    values = tails[:count, 0::2] + 1j * tails[:count, 1::2]
+    groups = np.split(values, np.cumsum(scalars)[:-1], axis=1) if scalars else []
+    return [TodaPoint(diag=diag[:count], root_coords=coords[:count]), *groups], failure
 
 
 def domain_fraction(chev: ChevalleyData, rng: np.random.Generator, samples: int) -> float:

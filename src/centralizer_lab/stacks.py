@@ -28,13 +28,13 @@ import functools
 import numpy as np
 
 
-def _map(fn, value):
+def map_arrays(fn, value):
     """fn applied to a value (an array, list or scalar), or to each array
     of a tuple or point class of them."""
     if type(value) is np.ndarray:
         return fn(value)
     if type(value) is tuple:
-        return tuple([_map(fn, v) for v in value])
+        return tuple([map_arrays(fn, v) for v in value])
     fields = getattr(type(value), "__dataclass_fields__", None)
     if fields is None:
         return fn(value)
@@ -74,13 +74,13 @@ def stacked(point_ndim: int, points: int = 1):
             lead = last if type(last) is np.ndarray else arrays(last)[0]
             if (lead.ndim if type(lead) is np.ndarray else np.ndim(lead)) != point_ndim:
                 return fn(*args)
-            tail = [_map(_one, v) for v in args[-points:]]
+            tail = [map_arrays(_one, v) for v in args[-points:]]
             result, errors = fn(*args[:-points], *tail)
             if errors[0] is not None:
                 raise errors[0]
             if result is tail[-1]:  # a check that passes returns its argument
                 return last
-            return _map(_first, result)
+            return map_arrays(_first, result)
         return call
     return deco
 

@@ -2,20 +2,19 @@
 
 A check is *sampled* or *plain*.  A sampled check is registered with its
 pinned bound, the exception types that count as a skipped sample, and a
-``draw(chev, rng, samples) -> (drawn, failure)``: the samples' draws, a
-value or a tuple of values each, and the exception (or None) that ended
-the list.  Its function takes the draws as stacked columns, one per
-position of the tuple (Python scalars such as flow times and labels stay
-lists), and returns ``(deviations, errors)`` from one pass over the stack
-(see :mod:`stacks`), with ``errors`` None where no sample can fail.  A
-draw may compute (``linalg_eig_reconstruct`` and
-``lie_centralizer_dimension`` reject candidates by ``eig``), but no draw
-depends on another sample or on the number of samples, and a batched
-draw consumes the stream as draws made one at a time do, so
-``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A plain check
-is a function ``(chev, rng, samples) -> (deviation, bound, used)``, for
-structure constants, rank-dependent cases and checks over the whole
-sample set at once.
+``draw(chev, rng, samples) -> (columns, failure)``: the samples' values
+as stacked columns (Python scalars such as flow times and labels in
+lists), and the exception (or None) that ended them.  Its function takes
+the columns and returns ``(deviations, errors)`` from one pass over the
+stack (see :mod:`stacks`), with ``errors`` None where no sample can fail.
+A draw of fixed layout takes all its samples' doubles in one call; one
+that rejects candidates or takes integers from the stream is made sample
+by sample and stacked.  No draw depends on another sample or on the
+number of samples, and each consumes the stream as draws made one at a
+time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
+plain check is a function ``(chev, rng, samples) -> (deviation, bound,
+used)``, for structure constants, rank-dependent cases and checks over
+the whole sample set at once.
 
 The driver, :func:`run_check`, folds the ordered per-sample outcomes, a
 deviation or an exception, into the running maximum (NaN once a
@@ -77,20 +76,21 @@ from .lie_core import (
     adjoint,
     bracket,
     build_chevalley,
-    centralizer_basis,
+    centralizer_dimension,
     group_equal,
     pairing,
     scalar_aligned_distance,
     stabilizer_residual,
+    traceless_part,
 )
 from .report import CheckResult, Report
 from .sampling import (
+    blocks,
+    complex_rows,
     complex_uniform,
     domain_fraction,
     random_cjl_point,
-    random_group_element,
     random_section_point,
-    random_stabilizer_element,
     random_traceless,
     sample_flow_domain,
     stabilizer_coefficients,
@@ -98,7 +98,7 @@ from .sampling import (
     stabilizer_exponents,
     stream,
 )
-from .stacks import arrays, first_errors, stack
+from .stacks import arrays, first_errors, map_arrays, stack
 from .toda import (
     embed,
     embed_inverse,
@@ -165,16 +165,45 @@ def _random_regular(chev, rng):
 
 
 def _one_by_one(draw):
-    """A check's draw, made sample by sample by ``draw(chev, rng)``."""
+    """A check's draw made sample by sample by ``draw(chev, rng)``, stacked
+    into columns, one per position of a tuple; Python scalars stay lists."""
     def draw_samples(chev, rng, samples):
-        drawn = []
+        drawn, failure = [], None
         try:
             while len(drawn) < samples:
                 drawn.append(draw(chev, rng))
         except Exception as exc:
-            return drawn, exc
-        return drawn, None
+            failure = exc
+        parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
+        return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
+                for part in parts], failure
     return draw_samples
+
+
+def _blocks(chev) -> dict:
+    """:func:`sampling.blocks` and the checks' own, each built from
+    complex_uniform or ``rng.uniform``."""
+    n, r = chev.n, chev.r
+    return {**blocks(chev),
+            "xi_plus_b": (2 * n * n, lambda u: chev.xi + traceless_part(
+                np.triu(complex_rows(u, (n, n), 1.0)))),
+            "unitriangular": (2 * n * n, lambda u: linalg.eye(n) + np.triu(
+                complex_rows(u, (n, n), 0.8), 1)),
+            "torus": (2 * n, lambda u: linalg.diag_matrix(  # diagonal kept away from zero
+                (t := complex_rows(u, (n,), 1.0)) + np.sign(t.real + 1e-12) * 0.5)),
+            "invariants": (2 * r, lambda u: complex_rows(u, (r,), 1.5)),
+            "length": (1, lambda u: 5.0 * u[:, 0])}  # rng.uniform(0, 5)
+
+
+def _fixed(*names):
+    """A draw of fixed layout: each sample takes the doubles of the named
+    blocks in order, all samples' from one ``rng.random`` call."""
+    def draw(chev, rng, samples):
+        layout = list(map(_blocks(chev).get, names))
+        cuts = np.cumsum([width for width, _ in layout])
+        rows = np.split(rng.random((samples, cuts[-1])), cuts[:-1], axis=1)
+        return [convert(part) for (_, convert), part in zip(layout, rows)], None
+    return draw
 
 
 def _flow_points(sets):
@@ -204,27 +233,17 @@ def _check_eig_reconstruct(chev, a):
     return np.divide(linalg.norm(recon - a), linalg.norm(a)), errors
 
 
-def _draw_exp_argument(chev, rng):
-    a = random_traceless(chev, rng)
-    a *= rng.uniform(0.0, 5.0) / max(linalg.norm(a), 1e-12)
-    return a
-
-
-@_register("linalg_exp_inverse", 1e-12, draw=_one_by_one(_draw_exp_argument))
-def _check_exp_inverse(chev, a):
+@_register("linalg_exp_inverse", 1e-12, draw=_fixed("traceless", "length"))
+def _check_exp_inverse(chev, a, length):
+    a = a * (length / np.maximum(linalg.norm(a), 1e-12))[:, None, None]
     return linalg.norm(linalg.mat_exp(a) @ linalg.mat_exp(-a) - np.eye(chev.n)), None
 
 
-def _draw_small_argument(chev, rng):
-    a = random_traceless(chev, rng)
-    a *= 0.5 / max(linalg.norm(a), 1e-12)
-    return a
-
-
-@_register("linalg_exp_taylor_oracle", linalg.TOL_EXP, draw=_one_by_one(_draw_small_argument))
+@_register("linalg_exp_taylor_oracle", linalg.TOL_EXP, draw=_fixed("traceless"))
 def _check_exp_taylor(chev, a):
     # Independent oracle for the exponential contract: for small arguments
     # the truncated series is accurate to machine precision.
+    a = a * (0.5 / np.maximum(linalg.norm(a), 1e-12))[:, None, None]
     series = term = linalg.identities(a.shape)
     for j in range(1, 26):
         term = term @ a / j
@@ -233,14 +252,9 @@ def _check_exp_taylor(chev, a):
     return np.divide(linalg.norm(out - series), linalg.norm(out)), None
 
 
-def _draw_unit_argument(chev, rng):
-    a = random_traceless(chev, rng)
-    a /= max(linalg.norm(a), 1e-12)
-    return a
-
-
-@_register("linalg_exp_commuting", 1e-10, draw=_one_by_one(_draw_unit_argument))
+@_register("linalg_exp_commuting", 1e-10, draw=_fixed("traceless"))
 def _check_exp_commuting(chev, a):
+    a = a / np.maximum(linalg.norm(a), 1e-12)[:, None, None]
     p = a + 0.3 * (a @ a)
     q = 0.5 * a - 0.2 * (a @ a)
     commute = [gap < 1e-13 * (1 + size_p * size_q) for gap, size_p, size_q
@@ -249,8 +263,7 @@ def _check_exp_commuting(chev, a):
             [None if ok else AssertionError() for ok in commute])
 
 
-@_register("linalg_ldu_roundtrip", 1e-12, skips=(SingularMinor,),
-           draw=_one_by_one(lambda chev, rng: complex_uniform(rng, (chev.n, chev.n))))
+@_register("linalg_ldu_roundtrip", 1e-12, skips=(SingularMinor,), draw=_fixed("matrix"))
 def _check_ldu_roundtrip(chev, a):
     (lower, diag, upper), errors = linalg.gauss_ldu(a)
     return np.divide(linalg.norm(lower @ diag @ upper - a), linalg.norm(a)), errors
@@ -274,8 +287,8 @@ def _check_sl2_triple(chev, rng, samples):
 def _check_centralizer_dimension(chev, x, s):
     # Deviation is the number of the sample's two points whose centralizer
     # does not have dimension r.
-    return [float((len(centralizer_basis(chev, a)) != chev.r)
-                  + (len(centralizer_basis(chev, b)) != chev.r)) for a, b in zip(x, s)], None
+    dims = centralizer_dimension(chev, np.concatenate([x, s])).reshape(2, len(x))
+    return np.count_nonzero(dims != chev.r, axis=0).astype(float), None
 
 
 def _pairings(x, y) -> np.ndarray:
@@ -284,9 +297,9 @@ def _pairings(x, y) -> np.ndarray:
     return np.trace(x @ y, axis1=-2, axis2=-1)
 
 
-@_register("lie_pairing_ad_invariance", 1e-10, draw=_one_by_one(lambda chev, rng: (
-    random_traceless(chev, rng), random_traceless(chev, rng), random_group_element(chev, rng))))
-def _check_pairing_invariance(chev, x, y, g):
+@_register("lie_pairing_ad_invariance", 1e-10, draw=_fixed("traceless", "traceless", "exponent"))
+def _check_pairing_invariance(chev, x, y, exponent):
+    g = linalg.mat_exp(exponent)
     base, moved = _pairings(x, y).tolist(), _pairings(adjoint(g, x), adjoint(g, y)).tolist()
     return [abs(b - a) / (1.0 + abs(a)) for a, b in zip(base, moved)], None
 
@@ -301,7 +314,8 @@ def _check_torus_gram(chev, rng, samples):
 
 
 def _draw_scalar_quotient(chev, rng):
-    g = random_group_element(chev, rng)
+    width, exponents = blocks(chev)["exponent"]
+    g = exponents(rng.random((1, width)))[0]  # the draws of random_group_element
     x = random_traceless(chev, rng)
     scalar = complex_uniform(rng, ())
     while abs(scalar) < 0.1:
@@ -310,27 +324,25 @@ def _draw_scalar_quotient(chev, rng):
 
 
 @_register("lie_group_scalar_quotient", 1e-12, draw=_one_by_one(_draw_scalar_quotient))
-def _check_scalar_quotient(chev, g, x, scalars):
+def _check_scalar_quotient(chev, exponent, x, scalars):
+    g = linalg.mat_exp(exponent)
     scaled = np.array(scalars)[:, None, None] * g
-    apart = [0.0 if group_equal(a, b) and group_equal(b, a) else 1.0 for a, b in zip(g, scaled)]
+    apart = ~(group_equal(g, scaled) & group_equal(scaled, g))
     return np.maximum(_rel(adjoint(scaled, x), adjoint(g, x)), apart), None
 
 
 # ----------------------------- invariants ------------------------------ #
 
-def _traceless_and_group(chev, rng):
-    return random_traceless(chev, rng), random_group_element(chev, rng)
-
-
-@_register("inv_conjugation_invariance", 1e-9, draw=_one_by_one(_traceless_and_group))
-def _check_inv_invariance(chev, x, g):
+@_register("inv_conjugation_invariance", 1e-9, draw=_fixed("traceless", "exponent"))
+def _check_inv_invariance(chev, x, exponent):
+    g = linalg.mat_exp(exponent)
     base = invariant_vector(chev, x)
     moved = invariant_vector(chev, adjoint(g, x))
     return np.divide(linalg.vector_norm(moved - base),
                      np.add(1.0, linalg.vector_norm(base))), None
 
 
-@_register("inv_gradient_centralizes", 1e-12, draw=_one_by_one(random_traceless))
+@_register("inv_gradient_centralizes", 1e-12, draw=_fixed("traceless"))
 def _check_gradient_centralizes(chev, x):
     sizes = [max(size, 1e-12) for size in linalg.norm(x)]
     grads = invariant_gradients(chev, x)
@@ -338,13 +350,14 @@ def _check_gradient_centralizes(chev, x):
                    for i, grad in enumerate(grads.swapaxes(0, 1), 1)], axis=0), None
 
 
-@_register("inv_gradient_equivariance", 1e-9, draw=_one_by_one(_traceless_and_group))
-def _check_gradient_equivariance(chev, x, g):
+@_register("inv_gradient_equivariance", 1e-9, draw=_fixed("traceless", "exponent"))
+def _check_gradient_equivariance(chev, x, exponent):
+    g = linalg.mat_exp(exponent)
     grads, moved = invariant_gradients(chev, x), invariant_gradients(chev, adjoint(g, x))
     return np.max([_rel(adjoint(g, grads[:, i]), moved[:, i]) for i in range(chev.r)], axis=0), None
 
 
-@_register("inv_gradient_independent_on_section", 0.5, draw=_one_by_one(random_section_point))
+@_register("inv_gradient_independent_on_section", 0.5, draw=_fixed("section"))
 def _check_gradient_independence(chev, s):
     # Deviation is 1 when the gradients are dependent at the sample, else 0.
     grads = invariant_gradients(chev, s)
@@ -354,16 +367,14 @@ def _check_gradient_independence(chev, s):
     return [float(abs(det) <= 1e-10 * size) for det, size in zip(np.linalg.det(gram), scale)], None
 
 
-@_register("inv_section_roundtrip", 1e-10, draw=_one_by_one(
-    lambda chev, rng: complex_uniform(rng, (chev.r,), scale=1.5)))
+@_register("inv_section_roundtrip", 1e-10, draw=_fixed("invariants"))
 def _check_section_roundtrip(chev, z):
     x, errors = section_from_invariants(chev, z)
     return np.divide(linalg.vector_norm(invariant_vector(chev, x) - z),
                      np.add(1.0, linalg.vector_norm(z))), errors
 
 
-@_register("inv_gradient_fd", 1e-6, draw=_one_by_one(
-    lambda chev, rng: (random_traceless(chev, rng), random_traceless(chev, rng))))
+@_register("inv_gradient_fd", 1e-6, draw=_fixed("traceless", "traceless"))
 def _check_gradient_fd(chev, x, z):
     h = 1e-6
     slopes = (invariant_vector(chev, x + h * z) - invariant_vector(chev, x - h * z)) / (2.0 * h)
@@ -380,19 +391,8 @@ def _check_longest_weyl(chev, rng, samples):
                    for i in range(chev.r)]), 1e-14, 1
 
 
-def _random_xi_plus_b(chev, rng):
-    upper = np.triu(complex_uniform(rng, (chev.n, chev.n)))
-    upper -= (np.trace(upper) / chev.n) * np.eye(chev.n)
-    return chev.xi + upper
-
-
-def _random_unitriangular(chev, rng):
-    return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=0.8), 1)
-
-
-@_register("kostant_section_decomposition_roundtrip", 1e-10, draw=_one_by_one(lambda chev, rng: (
-    _random_xi_plus_b(chev, rng), _random_unitriangular(chev, rng),
-    random_section_point(chev, rng))))
+@_register("kostant_section_decomposition_roundtrip", 1e-10,
+           draw=_fixed("xi_plus_b", "unitriangular", "section"))
 def _check_decomposition_roundtrip(chev, z, u, s):
     dec, errors = decompose_to_section(chev, z)
     moved, moved_errors = conjugate_section(chev, u, s)
@@ -467,16 +467,10 @@ def _check_open_stabilizer(chev, p, g_coeffs, h_coeffs):
                       stabilizer_residual(moved_h, theta_x)), errors
 
 
-def _draw_gstar_factors(chev, rng):
-    u_minus = _random_unitriangular(chev, rng).T.copy()
-    u = _random_unitriangular(chev, rng)
-    t_diag = complex_uniform(rng, (chev.n,))
-    t_diag += np.sign(t_diag.real + 1e-12) * 0.5  # keep away from zero
-    return u_minus, u, np.diag(t_diag)
-
-
-@_register("kostant_gstar_refactor", 1e-10, draw=_one_by_one(_draw_gstar_factors))
+@_register("kostant_gstar_refactor", 1e-10,
+           draw=_fixed("unitriangular", "unitriangular", "torus"))
 def _check_gstar_refactor(chev, u_minus, u, torus):
+    u_minus = u_minus.swapaxes(1, 2).copy()  # lower unitriangular
     factors, errors = gstar_factor(chev, longest_weyl_lift(chev) @ u_minus @ torus @ u)
     return np.maximum.reduce([_rel(factors.u_minus, u_minus), _rel(factors.u, u),
                               scalar_aligned_distance(factors.torus, torus)]), errors
@@ -506,18 +500,15 @@ def _check_flow_preserves(chev, x, coeffs, labels, times):
 
 @_register("cent_moment_preimage")
 def _check_moment_preimage(chev, rng, samples):
-    points = []
-    for _ in range(samples):
-        x = random_section_point(chev, rng)
-        points.append((random_stabilizer_element(chev, rng, x), x))
-        points.append((random_group_element(chev, rng), x))
-    report = moment_preimage_report(chev, points)
-    dev = float(report.mismatches) + report.max_member_residual
-    return dev, 1e-9 + 0.5, len(points)
+    # each sample: a section point, a stabilizer element of it, a group element
+    (x, coeffs, exponents), _ = _fixed("section", "coefficients", "exponent")(chev, rng, samples)
+    g = np.concatenate([stabilizer_elements(chev, x, coeffs), linalg.mat_exp(exponents)])
+    report = moment_preimage_report(chev, g, np.concatenate([x, x]))
+    return float(report.mismatches) + report.max_member_residual, 1e-9 + 0.5, len(g)
 
 
-@_register("cent_invariants_group_independent", 1e-15, draw=_one_by_one(lambda chev, rng: (
-    *_draw_z_point(chev, rng), stabilizer_coefficients(chev, rng))))
+@_register("cent_invariants_group_independent", 1e-15,
+           draw=_fixed("section", "coefficients", "coefficients"))
 def _check_invariants_group_independent(chev, x, first, second):
     p1, p2 = _z_points(chev, x, first), _z_points(chev, x, second)
     values1, errors = z_invariants(chev, p1)
@@ -525,7 +516,7 @@ def _check_invariants_group_independent(chev, x, first, second):
     return linalg.vector_norm(values1 - values2), first_errors(errors, errors2)
 
 
-@_register("cent_hamiltonian_isotropy", 1e-10, draw=_one_by_one(_draw_z_point))
+@_register("cent_hamiltonian_isotropy", 1e-10, draw=_fixed("section", "coefficients"))
 def _check_ham_isotropy(chev, x, coeffs):
     # the form reads only the algebra part of the drawn points
     fields = hamiltonian_fields(chev, x)
@@ -534,8 +525,7 @@ def _check_ham_isotropy(chev, x, coeffs):
 
 def _cjl_points(chev, rng, samples):
     """The draw of all samples' chart points in one batch."""
-    c = random_cjl_point(chev, rng, samples)
-    return [CJLPoint(lam=lam, s=s) for lam, s in zip(c.lam, c.s)], None
+    return [random_cjl_point(chev, rng, samples)], None
 
 
 @_register("cent_hamiltonian_duality_fd", 1e-6, draw=_cjl_points)
@@ -551,7 +541,7 @@ def _check_ham_duality(chev, c):
     return np.max(np.abs(symplectic_form(c.s, fields, dirs) - slopes), axis=(1, 2)), None
 
 
-@_register("cent_cjl_surjectivity", 1e-8, draw=_one_by_one(_draw_z_point))
+@_register("cent_cjl_surjectivity", 1e-8, draw=_fixed("section", "coefficients"))
 def _check_cjl_surjectivity(chev, x, coeffs):
     # recover the chart coordinates of a stabilizer element from its
     # exponent in the gradient basis, then rebuild it through the chart
@@ -662,12 +652,11 @@ def _check_embed_triangle(chev, p):
 
 @_register("toda_embed_injective")
 def _check_embed_injective(chev, rng, samples):
-    points, failure = sample_flow_domain(chev, rng, samples)
+    [p], failure = sample_flow_domain(chev, rng, samples)
     if failure is not None:
         raise failure
-    if not points:
+    if not len(p.diag):
         return 0.0, 0.5, 0
-    p = stack(points)
     images, errors = embed(chev, p)
     if any(errors):
         raise next(exc for exc in errors if exc)
@@ -723,33 +712,25 @@ def _check_rk4(chev, rng, samples):
 
 # ----------------------------- driver ----------------------------------- #
 
-def _columns(drawn) -> list:
-    """The draws of the samples as stacked columns, one per position of a
-    draw's tuple: arrays and points stacked, Python scalars in a list."""
-    parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
-    return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
-            for part in parts]
-
-
 def _outcomes(check: Check, chev, rng, samples: int):
     """Per sample, in order, its deviation or the exception it raised.
 
-    The check draws its samples first (a batch consumes the stream as
-    sample-by-sample draws do) and evaluates their columns in one pass; a
-    failed draw ends the list after the samples before it, as does a draw
-    with a non-finite entry (a stacked call raises for a whole stack with
-    one).
-    """
-    drawn, failure = check.draw(chev, rng, samples)
-    finite = np.ones(len(drawn), dtype=bool)
-    for column in zip(*map(arrays, drawn)):  # each array of the draws, stacked
-        finite &= np.isfinite(np.reshape(column, (len(drawn), -1))).all(axis=1)
+    The check draws its samples' columns, then evaluates them in one pass.
+    A failed draw ends the list after the samples before it, as does a
+    sample with a non-finite entry (a stacked call raises for a whole
+    stack with one)."""
+    columns, failure = check.draw(chev, rng, samples)
+    count = len(arrays(columns[0])[0]) if columns else 0
+    finite = np.ones(count, dtype=bool)
+    for part in arrays(tuple(columns)):  # each array of each column
+        finite &= np.isfinite(part).all(axis=tuple(range(1, np.ndim(part))))
     if not finite.all():
-        drawn, failure = drawn[:np.argmin(finite)], ValueError("matrix has non-finite entries")
-    if drawn:
-        devs, errors = check.fn(chev, *_columns(drawn))
+        count, failure = int(np.argmin(finite)), ValueError("matrix has non-finite entries")
+        columns = [map_arrays(lambda part: part[:count], column) for column in columns]
+    if count:
+        devs, errors = check.fn(chev, *columns)
         yield from (dev if exc is None else exc
-                    for dev, exc in zip(devs, errors or [None] * len(drawn)))
+                    for dev, exc in zip(devs, errors or [None] * count))
     if failure is not None:
         yield failure
 

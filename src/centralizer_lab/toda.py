@@ -18,6 +18,7 @@ part, Kostant's route to the same flows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,11 +178,17 @@ def toda_vector_field(chev: ChevalleyData, i, p: TodaPoint) -> np.ndarray:
     return _lax_field(chev, i, toda_matrix(chev, p))
 
 
+@functools.lru_cache(maxsize=None)
+def _lax_masks(n: int):
+    """The strict upper triangle and the diagonal-superdiagonal band, n x n."""
+    return np.tri(n, k=-1, dtype=bool).T, np.tri(n, k=1, dtype=bool) & np.tri(n, dtype=bool).T
+
+
 def _lax_field(chev: ChevalleyData, i, x: np.ndarray):
     """:func:`toda_vector_field` at a stack of phase-space matrices x."""
-    w = bracket(np.triu(invariant_gradient(chev, x, i), 1), x)
-    shaped = (linalg.diag_matrix(np.diagonal(w, 0, -2, -1))
-              + linalg.diag_matrix(np.diagonal(w, 1, -2, -1), 1))
+    upper, band = _lax_masks(chev.n)
+    w = bracket(np.where(upper, invariant_gradient(chev, x, i), 0), x)
+    shaped = np.where(band, w, 0)
     return shaped, [ValueError(f"Lax field has off-shape mass {off:.3e}")
                     if off > 1e-5 * (1.0 + size) else None
                     for off, size in zip(linalg.norm(w - shaped), linalg.norm(w))]

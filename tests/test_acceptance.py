@@ -194,7 +194,7 @@ def test_criterion_5_moment_preimage():
             s = random_section_point(chev, rng)
             points.append((random_stabilizer_element(chev, rng, s), s))
             points.append((random_group_element(chev, rng), s))
-        report = moment_preimage_report(chev, points)
+        report = moment_preimage_report(chev, *map(np.array, zip(*points)))
         ok = (report.mismatches == 0 and report.total == 200
               and report.max_member_residual <= 1e-9)
         all_pass = all_pass and ok

@@ -136,8 +136,8 @@ def test_moment_maps():
     s = random_section_point(chev, rng)
     g = random_stabilizer_element(chev, rng, s)
     assert linalg.norm(adjoint(g, s) - s) <= 1e-9 * linalg.norm(s)
-    report = moment_preimage_report(chev, [(np.eye(3), s), (g, s),
-                                           (random_group_element(chev, rng), s)])
+    report = moment_preimage_report(chev, np.array([np.eye(3), g, random_group_element(chev, rng)]),
+                                    np.array([s, s, s]))
     assert (report.centralizer_members, report.preimage_members) == (2, 2)
     assert report.mismatches == 0
 
@@ -172,7 +172,7 @@ def test_moment_preimage_report():
         s = random_section_point(chev, rng)
         points.append((random_stabilizer_element(chev, rng, s), s))
         points.append((random_group_element(chev, rng), s))
-    report = moment_preimage_report(chev, points)
+    report = moment_preimage_report(chev, *map(np.array, zip(*points)))
     assert report.total == 100
     assert report.mismatches == 0
     assert report.centralizer_members == report.preimage_members

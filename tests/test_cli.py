@@ -4,7 +4,10 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -614,7 +617,6 @@ PINNED_KEYWORDS = {
     Report.to_json_obj: {"include_timing"},
     Report.to_csv: {"include_timing"},
     toda.intertwine_infinitesimal: {"step"},
-    suites._random_unitriangular: {"scale"},
 }
 
 
@@ -646,6 +648,19 @@ def test_no_private_name_imported_across_modules():
                     node.level or (node.module or "").startswith("centralizer_lab")):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name}: {private}"
+
+
+def test_import_builds_nothing():
+    # the benchmark's set-up time runs every module body: importing the
+    # command line builds no structure data and no identity matrix
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import centralizer_lab.cli\n"
+            "from centralizer_lab import lie_core, linalg\n"
+            "print(lie_core.build_chevalley.cache_info().currsize,"
+            " linalg.eye.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.split() == ["0", "0"]
 
 
 # ----------------------------- benchmark hooks --------------------------- #

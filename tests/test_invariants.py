@@ -167,9 +167,12 @@ def test_invariant_gradient_indexes_the_gradients(n):
     labels = [1 + k % chev.r for k in range(6)]
     assert np.array_equal(invariant_gradient(chev, x, labels),
                           grads[np.arange(6), np.array(labels) - 1])
-    assert np.array_equal(invariant_gradient(chev, x, chev.r), grads[:, -1])
+    for label in (chev.r, np.int64(chev.r), np.array(chev.r)):  # one label, three types
+        assert np.array_equal(invariant_gradient(chev, x, label), grads[:, -1])
     with pytest.raises(ValueError):
         invariant_gradient(chev, x, [0] + labels[1:])
+    with pytest.raises(ValueError):
+        invariant_gradient(chev, x, chev.r + 1)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

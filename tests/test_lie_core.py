@@ -11,6 +11,7 @@ from centralizer_lab.lie_core import (
     bracket,
     build_chevalley,
     centralizer_basis,
+    centralizer_dimension,
     group_equal,
     pairing,
     scalar_aligned_distance,
@@ -198,6 +199,10 @@ def test_centralizer_basis_of_regular_points_at_every_scale(n):
             for b in basis:
                 assert abs(np.trace(b)) <= 1e-10
                 assert linalg.norm(bracket(y, b)) <= 1e-10 * linalg.norm(y)
+    # the stacked count makes the same decisions, the zero matrix and eta included
+    stack = np.array([c * x for x in points for c in (1e-8, 1.0, 1e8)] + [np.zeros((n, n)), chev.eta])
+    assert centralizer_dimension(chev, stack).tolist() == [len(centralizer_basis(chev, y))
+                                                           for y in stack]
 
 
 def test_centralizer_dimension_seeded():
@@ -231,6 +236,10 @@ def test_group_equality_mod_scalar():
         assert group_equal(0.5 * lam * g, lam * g)  # transitivity witness
         if scalar_aligned_distance(g, h) > 1e-3:
             assert not group_equal(g, h)
+        # a stack gets one verdict per pair, each the per-point one
+        pairs = [(g, lam * g), (lam * g, g), (g, h)]
+        assert group_equal(*map(np.array, zip(*pairs))).tolist() == [group_equal(a, b)
+                                                                     for a, b in pairs]
         # the adjoint action cannot see the scalar at all
         x = random_traceless(chev, rng)
         assert linalg.norm(adjoint(lam * g, x) - adjoint(g, x)) <= 1e-12 * linalg.norm(x)

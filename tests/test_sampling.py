@@ -1,7 +1,7 @@
-"""Batched draws against draws made one at a time: the flow-domain sampler,
-the domain fraction and the chart-point draw consume the stream exactly as
-the sequential loops below do, and the checks that draw through them give
-the same rows."""
+"""Batched draws against draws made one at a time: the fixed-layout draws,
+the flow-domain sampler, the domain fraction and the chart-point draw
+consume the stream exactly as the sequential loops below do, and the
+checks that draw through them give the same rows."""
 
 import dataclasses
 
@@ -17,12 +17,15 @@ from centralizer_lab.sampling import (
     complex_uniform,
     domain_fraction,
     random_cjl_point,
+    random_group_element,
     random_section_point,
     random_toda_point,
+    random_traceless,
     sample_flow_domain,
+    stabilizer_coefficients,
     stream,
 )
-from centralizer_lab.stacks import stack, stacked
+from centralizer_lab.stacks import arrays, stack, stacked
 from centralizer_lab.toda import in_flow_domain, toda_matrix
 
 
@@ -56,21 +59,23 @@ def _sequential_draw(chev, rng, scalars):
 
 
 def _sequential_sampler(chev, rng, samples=None, scalars=()):
-    """sample_flow_domain's contract, drawn sample by sample."""
+    """sample_flow_domain's contract, drawn sample by sample and then
+    stacked into its columns."""
     if samples is None:
         return _sequential_draw(chev, rng, scalars)
-    drawn = []
-    for _ in range(samples):
-        try:
+    drawn, failure = [], None
+    try:
+        while len(drawn) < samples:
             drawn.append(_sequential_draw(chev, rng, scalars))
-        except Exception as exc:
-            return drawn, exc
-    return drawn, None
-
-
-def _point(value):
-    """The point of a draw that may carry scalar groups."""
-    return value[0] if isinstance(value, tuple) else value
+    except Exception as exc:
+        failure = exc
+    rows = [value if scalars else (value,) for value in drawn]
+    columns = [toda.TodaPoint(
+        diag=np.array([row[0].diag for row in rows], dtype=complex).reshape(-1, chev.n),
+        root_coords=np.array([row[0].root_coords for row in rows], dtype=complex).reshape(-1, chev.r))]
+    columns += [np.array([row[1 + g] for row in rows], dtype=complex).reshape(-1, size)
+                for g, size in enumerate(scalars)]
+    return columns, failure
 
 
 def _sequential_fraction(chev, rng, samples):
@@ -80,14 +85,10 @@ def _sequential_fraction(chev, rng, samples):
 
 
 def _assert_same_draws(batched, sequential):
-    (drawn, failure), (reference, failure_ref) = batched, sequential
-    assert len(drawn) == len(reference)
-    for value, ref in zip(drawn, reference):
-        value, ref = (value, ref) if isinstance(ref, tuple) else ((value,), (ref,))
-        assert len(value) == len(ref)
-        assert _same_bits(value[0].diag, ref[0].diag)
-        assert _same_bits(value[0].root_coords, ref[0].root_coords)
-        for a, b in zip(value[1:], ref[1:]):
+    (columns, failure), (reference, failure_ref) = batched, sequential
+    assert len(columns) == len(reference)
+    for column, ref in zip(columns, reference):
+        for a, b in zip(arrays(column), arrays(ref)):
             assert _same_bits(a, b)
     assert type(failure) is type(failure_ref) and str(failure) == str(failure_ref)
 
@@ -120,7 +121,7 @@ def test_batched_sampler_matches_sequential_draws(n):
         for scalars in ((), (chev.r,), (chev.r, chev.r)):
             one, two = stream(seed, f"batch-{n}"), stream(seed, f"batch-{n}")
             drawn = sample_flow_domain(chev, one, 25, scalars)
-            assert drawn[1] is None and len(drawn[0]) == 25
+            assert drawn[1] is None and len(drawn[0][0].diag) == 25
             _assert_same_draws(drawn, _sequential_sampler(chev, two, 25, scalars))
             assert one.uniform() == two.uniform()
     one, two = stream(1, "single"), stream(1, "single")
@@ -191,7 +192,7 @@ def test_no_convergence_after_1000_rejections(monkeypatch):
     _reject_by_value(monkeypatch, lambda values: values.tobytes() not in spectra)
     one, two = stream(8, "stuck"), stream(8, "stuck")
     drawn = sample_flow_domain(chev, one, 3)
-    assert len(drawn[0]) == 2 and isinstance(drawn[1], NoConvergence)
+    assert len(drawn[0][0].diag) == 2 and isinstance(drawn[1], NoConvergence)
     assert str(drawn[1]) == "no flow-domain point found in 1000 draws"
     _assert_same_draws(drawn, _sequential_sampler(chev, two, 3))
     assert one.uniform() == two.uniform()
@@ -213,17 +214,17 @@ def test_eigensolver_error_ends_the_draws_at_its_candidate(monkeypatch):
 
     for scalars in ((), (chev.r, chev.r)):
         drawn = _sequential_sampler(chev, stream(2, "eig-error"), 4, scalars)[0]
-        bad[:] = [toda_matrix(chev, _point(drawn[3])).tobytes()]
+        bad[:] = [toda_matrix(chev, drawn[0])[3].tobytes()]
         monkeypatch.setattr(linalg, "eig", failing_eig)
         one, two = stream(2, "eig-error"), stream(2, "eig-error")
         drawn = sample_flow_domain(chev, one, 10, scalars)
-        assert len(drawn[0]) == 3 and str(drawn[1]) == "injected"
+        assert len(drawn[0][0].diag) == 3 and str(drawn[1]) == "injected"
         _assert_same_draws(drawn, _sequential_sampler(chev, two, 10, scalars))
         assert one.uniform() == two.uniform()
         monkeypatch.setattr(linalg, "eig", eig)
     # a stacked check ends its row after the samples before the failed draw
-    points = _sequential_sampler(chev, stream(2, "eig-error"), 4)[0]
-    bad[:] = [toda_matrix(chev, points[3]).tobytes()]
+    points = _sequential_sampler(chev, stream(2, "eig-error"), 4)[0][0]
+    bad[:] = [toda_matrix(chev, points)[3].tobytes()]
     monkeypatch.setattr(linalg, "eig", failing_eig)
     monkeypatch.setattr(suites, "stream", lambda seed, name: stream(2, "eig-error"))
     result = suites.run_check("kostant_chamber_form", 4, 42, 10)
@@ -270,7 +271,7 @@ def test_zero_root_coordinate_is_redrawn_alone(n):
         drawn = sample_flow_domain(chev, one, 5, scalars)
         _assert_same_draws(drawn, _sequential_sampler(chev, two, 5, scalars))
         assert one.state == two.state == 5 * (w + 2 * sum(scalars)) + 2 * chev.r
-        assert np.all(_point(drawn[0][2]).root_coords != 0)
+        assert np.all(drawn[0][0].root_coords[2] != 0)
     one, two = _Scripted(with_zero(2 * w)), _Scripted(with_zero(2 * w))
     assert domain_fraction(chev, one, 6) == _sequential_fraction(chev, two, 6)
     assert one.state == two.state == 6 * w + 2 * chev.r
@@ -324,7 +325,7 @@ def test_rows_equal_those_of_draws_made_one_at_a_time(monkeypatch, n):
 
 def _run_injective(monkeypatch, points, embed=toda.embed):
     monkeypatch.setattr(suites, "sample_flow_domain",
-                        lambda chev, rng, samples: (points[:samples], None))
+                        lambda chev, rng, samples: ([stack(points[:samples])], None))
     monkeypatch.setattr(suites, "embed", embed)
     return suites.run_check("toda_embed_injective", 3, 42, len(points))
 
@@ -350,3 +351,88 @@ def test_embed_injective_counts_two_points_with_one_image(monkeypatch):
 
     result = _run_injective(monkeypatch, points, embed)
     assert not result.passed and result.max_deviation == 1.0 and result.samples == 5
+
+
+def _matrix(chev, rng):
+    return complex_uniform(rng, (chev.n, chev.n))
+
+
+def _xi_plus_b(chev, rng):
+    upper = np.triu(complex_uniform(rng, (chev.n, chev.n)))
+    upper -= (np.trace(upper) / chev.n) * np.eye(chev.n)
+    return chev.xi + upper
+
+
+def _unitriangular(chev, rng):
+    return np.eye(chev.n) + np.triu(complex_uniform(rng, (chev.n, chev.n), scale=0.8), 1)
+
+
+def _torus(chev, rng):
+    t_diag = complex_uniform(rng, (chev.n,))
+    t_diag += np.sign(t_diag.real + 1e-12) * 0.5  # keep away from zero
+    return np.diag(t_diag)
+
+
+# Per fixed-layout draw, the per-sample draws each sample makes in turn, one
+# per column; a group element's column holds its exponent.
+FIXED = {
+    "linalg_exp_inverse": (random_traceless, lambda chev, rng: rng.uniform(0.0, 5.0)),
+    "linalg_exp_taylor_oracle": (random_traceless,),
+    "linalg_exp_commuting": (random_traceless,),
+    "linalg_ldu_roundtrip": (_matrix,),
+    "lie_pairing_ad_invariance": (random_traceless, random_traceless, random_group_element),
+    "inv_conjugation_invariance": (random_traceless, random_group_element),
+    "inv_gradient_centralizes": (random_traceless,),
+    "inv_gradient_equivariance": (random_traceless, random_group_element),
+    "inv_gradient_independent_on_section": (random_section_point,),
+    "inv_section_roundtrip": (lambda chev, rng: complex_uniform(rng, (chev.r,), 1.5),),
+    "inv_gradient_fd": (random_traceless, random_traceless),
+    "kostant_section_decomposition_roundtrip": (_xi_plus_b, _unitriangular, random_section_point),
+    "kostant_gstar_refactor": (_unitriangular, _unitriangular, _torus),
+    "cent_invariants_group_independent": (random_section_point, stabilizer_coefficients,
+                                          stabilizer_coefficients),
+    "cent_hamiltonian_isotropy": (random_section_point, stabilizer_coefficients),
+    "cent_cjl_surjectivity": (random_section_point, stabilizer_coefficients),
+    "cent_moment_preimage": (random_section_point, stabilizer_coefficients, random_group_element),
+}
+
+
+class _Counted:
+    """A generator that counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_fixed_layout_draws_equal_per_sample_draws(n):
+    chev = build_chevalley(n)
+    draws = {name: suites.CHECKS[name].draw for name in FIXED}
+    draws["cent_moment_preimage"] = suites._fixed("section", "coefficients", "exponent")
+    for name, per_sample in FIXED.items():
+        one, two = _Counted(stream(n, name)), stream(n, name)
+        columns, failure = draws[name](chev, one, 7)
+        assert failure is None and len(columns) == len(per_sample) and one.calls == 1
+        for k in range(7):
+            for column, draw in zip(columns, per_sample):
+                value = column[k]
+                if draw is random_group_element:
+                    value = linalg.mat_exp(value)
+                assert _same_bits(value, draw(chev, two)), (name, k)
+        assert one.rng.uniform() == two.uniform()
+
+
+def test_fixed_layout_draws_are_the_ones_without_rejection_or_integers():
+    one_by_one = {name for name, check in suites.CHECKS.items()
+                  if getattr(check.draw, "__qualname__", "").startswith("_one_by_one.")}
+    assert one_by_one == {
+        "linalg_eig_reconstruct", "lie_centralizer_dimension", "lie_group_scalar_quotient",
+        "cent_flow_preserves_points", "cent_flow_group_law", "cent_cjl_factor_order",
+        "toda_flow_semigroup", "toda_normal_forms_constant"}
+    fixed = {name for name, check in suites.CHECKS.items()
+             if getattr(check.draw, "__qualname__", "").startswith("_fixed.")}
+    assert fixed == set(FIXED) - {"cent_moment_preimage"}

@@ -164,14 +164,18 @@ def test_a_non_finite_sample_fails_the_whole_stack():
             assert str(raised.value) == "matrix has non-finite entries"
 
 
-def _non_finite(value):
-    """A draw of the same shape with every entry inf, labels (ints) kept."""
-    if type(value) is tuple:
-        return tuple(_non_finite(v) for v in value)
-    fields = getattr(type(value), "__dataclass_fields__", None)
+def _non_finite(column, k):
+    """A column with sample k's entries all inf, labels (integers) kept."""
+    fields = getattr(type(column), "__dataclass_fields__", None)
     if fields is not None:
-        return type(value)(*(np.full_like(getattr(value, name), np.inf) for name in fields))
-    return value if isinstance(value, (int, np.integer)) else np.full_like(value, np.inf)
+        return type(column)(*(_non_finite(getattr(column, name), k) for name in fields))
+    if type(column) is list:
+        return [v if j != k or isinstance(v, int) else np.inf for j, v in enumerate(column)]
+    if column.dtype.kind in "iu":
+        return column
+    out = column.copy()
+    out[k] = np.inf
+    return out
 
 
 @pytest.mark.parametrize("name", [name for name, check in suites.CHECKS.items() if check.draw])
@@ -179,8 +183,8 @@ def test_a_non_finite_draw_ends_a_stacked_check_after_the_samples_before_it(name
     check = suites.CHECKS[name]
 
     def draw(chev, rng, samples):
-        drawn, failure = check.draw(chev, rng, samples)
-        return [_non_finite(value) if k == 3 else value for k, value in enumerate(drawn)], failure
+        columns, failure = check.draw(chev, rng, samples)
+        return [_non_finite(column, 3) for column in columns], failure
 
     monkeypatch.setitem(suites.CHECKS, name, suites.Check(check.fn, check.bound, check.skips, draw))
     result = suites.run_check(name, 4, 42, 10)
