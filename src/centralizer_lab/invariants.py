@@ -31,7 +31,7 @@ from .stacks import stacked
 def invariant_vector(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     """F(x) = (tr(x^2)/2, ..., tr(x^n)/n), one row per matrix of a stack."""
     powers = linalg.matrix_powers(linalg.as_matrix(x), chev.n)[..., 2:, :, :]
-    return np.trace(powers, axis1=-2, axis2=-1) / np.arange(2, chev.n + 1)
+    return powers.diagonal(0, -2, -1).sum(-1) / np.arange(2, chev.n + 1)
 
 
 def invariant_gradients(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
@@ -79,13 +79,13 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
         raise ValueError(f"expected {chev.r} invariant values, got shape {z.shape[1:]}")
     gammas = _leading_coefficients(chev.n)
 
-    coords = np.zeros(z.shape, dtype=complex)
+    x = chev.section_point(np.zeros(z.shape, dtype=complex))
     for i in range(1, chev.r + 1):
-        top = linalg.matrix_powers(chev.section_point(coords), i + 1)[:, i + 1]
-        partial = np.trace(top, axis1=-2, axis2=-1) / (i + 1)
-        coords[:, i - 1] = (z[:, i - 1] - partial) / gammas[i - 1]
-
-    x = chev.section_point(coords)
+        # the top power as the ladder forms it; a coordinate's term adds to
+        # x exactly, so x is section_point of the coordinates found so far
+        top = functools.reduce(np.matmul, [x] * (i + 1))
+        coord = (z[:, i - 1] - top.diagonal(0, -2, -1).sum(-1) / (i + 1)) / gammas[i - 1]
+        x = x + coord[:, None, None] * chev.centralizer_eta[i - 1]
     residual = linalg.vector_norm(invariant_vector(chev, x) - z)
     return x, [
         NoConvergence(f"section inversion residual {res:.3e} exceeds {1e-10 * (1.0 + size):.3e} "

@@ -132,11 +132,11 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
     if z.shape[-1] != n:
         raise NotInXiPlusB(f"expected size {n}, got {z.shape[-1]}")
     scale = [1.0 + size for size in linalg.norm(z)]
-    off_shape = linalg.norm(np.tril(z, -1) - chev.xi)
+    off_shape = linalg.norm(np.where(linalg.strict_triangles(n)[0], z, 0) - chev.xi)
     shape_errors = [
         NotInXiPlusB("strictly lower part is not the unit subdiagonal") if off > 1e-12 * sc
         else NotInXiPlusB(f"trace {tr:.3e} is not zero") if abs(tr) > 1e-12 * sc else None
-        for off, tr, sc in zip(off_shape, np.trace(z, axis1=-2, axis2=-1).tolist(), scale)]
+        for off, tr, sc in zip(off_shape, z.diagonal(0, -2, -1).sum(-1).tolist(), scale)]
     s, errors = section_from_invariants(chev, invariant_vector(chev, z))
     u = unipotent_conjugator(z, s)
     # the recurrence leaves the last column of z u = u s free
@@ -167,8 +167,8 @@ def chamber_form(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     :class:`NotInV` when the real parts are not pairwise separated by
     more than ``CHAMBER_GAP``.
     """
-    (values, _), errors = linalg.eig(x)
-    ordered = values[np.arange(len(values))[:, None], np.argsort(-values.real, axis=-1)]
+    values, errors = linalg.eigvals(x)
+    ordered = values[np.arange(len(values))[:, None], (-values.real).argsort(-1)]
     return chev.xi + linalg.diag_matrix(ordered), first_errors(errors, chamber_errors(values))
 
 
@@ -274,9 +274,9 @@ def weyl_translation(chev: ChevalleyData, x: np.ndarray):
     products overflow or underflow, :class:`NotInV` is raised and the Toda
     point xi + xi^T, all of whose partial products are 1, stands in."""
     x = linalg.as_matrix(x)
-    y = np.diagonal(x, 1, axis1=-2, axis2=-1)
+    y = x.diagonal(1, -2, -1)
     with np.errstate(over="ignore"):  # the range test below reports it
-        partial = np.cumprod(y, axis=-1)
+        partial = y.cumprod(-1)
     in_range = (np.isfinite(partial) & (partial != 0)).all(axis=-1)
     errors = [
         ValueError("superdiagonal coordinates must be nonzero") if zero else NotInV(
@@ -284,11 +284,11 @@ def weyl_translation(chev: ChevalleyData, x: np.ndarray):
         if not ok else None for zero, ok in zip((y == 0).any(axis=-1).tolist(), in_range.tolist())]
     if not in_range.all():
         x = np.where(in_range[:, None, None], x, chev.xi + chev.xi.T)
-        y = np.diagonal(x, 1, axis1=-2, axis2=-1)
-        partial = np.cumprod(y, axis=-1)
+        y = x.diagonal(1, -2, -1)
+        partial = y.cumprod(-1)
     ones = np.ones(partial.shape[:-1] + (1,))
     w0_t = longest_weyl_lift(chev) @ linalg.diag_matrix(np.concatenate((ones, partial), axis=-1))
-    reversed_x = (chev.xi + linalg.diag_matrix(np.diagonal(x, 0, -2, -1)[..., ::-1])
+    reversed_x = (chev.xi + linalg.diag_matrix(x.diagonal(0, -2, -1)[..., ::-1])
                   + linalg.diag_matrix(y[..., ::-1], 1))
     return (x, w0_t, reversed_x), errors
 

@@ -215,4 +215,4 @@ def traceless_part(m: np.ndarray) -> np.ndarray:
     quotient, of a matrix or of each matrix of an array (..., n, n)."""
     m = np.asarray(m, dtype=complex)
     n = m.shape[-1]
-    return m - (np.trace(m, axis1=-2, axis2=-1) / n)[..., None, None] * linalg.eye(n)
+    return m - (m.diagonal(0, -2, -1).sum(-1) / n)[..., None, None] * linalg.eye(n)

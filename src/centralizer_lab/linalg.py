@@ -2,10 +2,11 @@
 
 Everything operates on square ``numpy`` arrays of ``complex128``, one
 matrix or a stack (m, n, n) of them (see :mod:`stacks`).  The
-eigensolver and the matrix exponential are thin wrappers over LAPACK / the
-scaling-and-squaring Pade code in SciPy; the no-pivot Gauss factorization is
-written out explicitly because pivoting would destroy the unitriangular
-structure the rest of the package depends on.
+eigensolvers, :func:`eigvals` for spectra and :func:`eig` for eigenpairs,
+and the matrix exponential wrap LAPACK / the scaling-and-squaring Pade code
+in SciPy; the no-pivot Gauss factorization is written out explicitly
+because pivoting would destroy the unitriangular structure the rest of the
+package depends on.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def eye(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _strict_triangles(n: int):
+def strict_triangles(n: int):
     """Masks of the strictly lower and strictly upper n x n triangles."""
     below = np.tri(n, k=-1, dtype=bool)
     return below, below.T.copy()
@@ -134,6 +135,25 @@ def eig(a: np.ndarray):
         for res, size in zip(residual, norm(a))])
 
 
+@stacked(2)
+def eigvals(a: np.ndarray):
+    """The eigenvalues of :func:`eig`, bit for bit, without the eigenvectors
+    and their residual test; :class:`NoConvergence` (and zeros, in a stack)
+    where LAPACK does not converge."""
+    a = as_matrix(a)
+    errors = [None] * len(a)
+    try:
+        return np.linalg.eigvals(a), errors
+    except np.linalg.LinAlgError:  # LAPACK fails the whole stack: find the samples
+        values = np.zeros(a.shape[:-1], dtype=complex)
+        for k, ak in enumerate(a):
+            try:
+                values[k] = np.linalg.eigvals(ak)
+            except np.linalg.LinAlgError as exc:
+                errors[k] = NoConvergence(f"eigensolver did not converge: {exc}")
+        return values, errors
+
+
 def matrix_powers(x: np.ndarray, k: int) -> np.ndarray:
     """x^0 .. x^k of a matrix or of each matrix of a stack, along a new axis
     (..., k + 1, n, n): x^1 is x itself, each later power the one before it
@@ -176,17 +196,17 @@ def gauss_ldu(a: np.ndarray):
     shift = -np.frexp(peak)[1]
     work = np.ldexp(parts, shift[:, None, None]).view(complex)
     threshold = [TOL_MINOR * size for size in norm(work)]
-    below, above = _strict_triangles(n)
-    # Step k leaves column k below the pivot and row k right of it final,
-    # so l and u are those parts of work divided by the pivots.  A sample
-    # whose pivot k fails runs on into inf and NaN, which its identity
-    # factors replace; the other samples are not touched.
+    below, above = strict_triangles(n)
+    # Step k divides column k below the pivot by it, l's column, and leaves
+    # row k right of it final, u's row times the pivot.  A sample whose
+    # pivot k fails runs on into inf and NaN, which its identity factors
+    # replace; the other samples are not touched.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n - 1):
-            work[:, k + 1:, k + 1:] -= ((work[:, k + 1:, k] / work[:, k, k, None])[:, :, None]
-                                        * work[:, k, None, k + 1:])
-        d = np.diagonal(work, 0, 1, 2).copy()
-        lower = np.where(below, work / d[:, None, :], eye(n))
+            work[:, k + 1:, k] /= work[:, k, k, None]
+            work[:, k + 1:, k + 1:] -= work[:, k + 1:, k, None] * work[:, k, None, k + 1:]
+        d = work.diagonal(0, 1, 2).copy()
+        lower = np.where(below, work, eye(n))
         upper = np.where(above, work / d[:, :, None], eye(n))
     errors = [next((SingularMinor(k + 1) for k, pivot in enumerate(row) if not pivot > bound), None)
               for row, bound in zip(np.abs(d[:, :n - 1]).tolist(), threshold)]

@@ -12,7 +12,7 @@ Philox's stream is one fixed sequence of doubles, which ``rng.uniform(low,
 high)`` maps by u -> low + (high - low) u: a draw of fixed layout maps all
 its samples' doubles, taken in one call, by :func:`blocks`, and the
 flow-domain samplers judge the candidates of many samples in one stacked
-``eig``, then rewind and consume exactly the doubles of draws made one at
+``eigvals``, then rewind and consume exactly the doubles of draws made one at
 a time.  Both give those draws' values bit for bit, and their stream after.
 """
 
@@ -175,7 +175,7 @@ def _round(chev, rng, head, count, extra):
     diag = rows[:, :n] + 1j * rows[:, n:2 * n]
     coords = rows[:, 2 * n:2 * n + r] + 1j * rows[:, 2 * n + r:w]
     p, errors = make_toda_point(diag - np.mean(diag, axis=-1, keepdims=True), coords)
-    (values, _), eig_errors = linalg.eig(toda_matrix(chev, p))
+    values, eig_errors = linalg.eigvals(toda_matrix(chev, p))
     verdicts = first_errors(errors, eig_errors, chamber_errors(values))
     taken = next((k for k, exc in enumerate(verdicts) if exc is not None), count)
     rng.bit_generator.state = state

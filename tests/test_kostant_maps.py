@@ -201,6 +201,16 @@ def test_chamber_form_rejects_equal_real_parts():
         chamber_form(chev, rotation)
 
 
+def test_chamber_form_reads_values_where_eigenpairs_fail():
+    # the spectrum {0, 1} is well separated, but LAPACK returns e_1 as the
+    # eigenvector of 0: eig's pair check fails, the values are right
+    chev = build_chevalley(2)
+    point = np.array([[0.0, 6.3e-248], [1.0, 1.0]])
+    assert np.allclose(chamber_form(chev, point), chev.xi + np.diag([1.0, 0.0]), atol=1e-15)
+    with pytest.raises(NoConvergence, match="eigenpair residual"):
+        linalg.eig(point)
+
+
 def test_chamber_form_preserves_invariants():
     chev = build_chevalley(4)
     rng = stream(35, "chamber-invariants")

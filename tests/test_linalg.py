@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from centralizer_lab import linalg
-from centralizer_lab.errors import SingularMinor
+from centralizer_lab.errors import NoConvergence, SingularMinor
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -48,6 +48,29 @@ def test_eig_reconstruction_seeded():
             continue
         recon = vectors @ np.diag(values) @ np.linalg.inv(vectors)
         assert linalg.norm(recon - a) <= 1e-9 * linalg.norm(a)
+
+
+def test_eigvals_fail_sample_by_sample(monkeypatch):
+    # LAPACK refuses the whole stack; only the sample it refuses alone fails
+    bad = np.diag([2.0, -2.0])
+    matrices = np.stack([np.diag([1.0, -1.0]), bad, np.array([[0.0, 1.0], [1.0, 0.0]])]) + 0j
+    eigvals = np.linalg.eigvals
+
+    def failing(a):
+        if any(np.array_equal(ak, bad) for ak in np.reshape(a, (-1, 2, 2))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    values, errors = linalg.eigvals(matrices)
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], NoConvergence)
+    assert str(errors[1]) == "eigensolver did not converge: Eigenvalues did not converge"
+    assert values[0].tobytes() == eigvals(matrices[0]).tobytes()
+    assert values[2].tobytes() == eigvals(matrices[2]).tobytes()
+    assert not values[1].any()
+    with pytest.raises(NoConvergence, match="did not converge"):
+        linalg.eigvals(bad)
 
 
 def test_mat_exp_zero():

@@ -9,7 +9,9 @@ from centralizer_lab.centralizer import ZPoint
 from centralizer_lab.errors import NotInGStar, NotInV, NotInW
 from centralizer_lab.kostant_maps import chamber_form, stabilizer_lift
 from centralizer_lab.lie_core import build_chevalley, scalar_aligned_distance
+from centralizer_lab.linalg import eig, eigvals
 from centralizer_lab.sampling import (
+    complex_uniform,
     random_section_point,
     random_stabilizer_element,
     sample_flow_domain,
@@ -63,6 +65,14 @@ def test_stacked_calls_equal_per_point_calls(n):
     rng = stream(n, "stacked-vs-per-point")
     points = [sample_flow_domain(chev, rng) for _ in range(25)]
     p = stack(points)
+    # the spectra without eigenvectors are eig's values, stacked and alone,
+    # on Toda points and on points of xi + b
+    for x in (toda_matrix(chev, p), chev.xi + np.triu(complex_uniform(rng, (25, n, n)))):
+        values, errors = eigvals(x)
+        (eig_values, _), eig_errors = eig(x)
+        assert _same_bits(values, eig_values) and errors == eig_errors == [None] * 25
+        for k in range(25):
+            assert _same_bits(eigvals(x[k]), values[k]) and _same_bits(eig(x[k])[0], values[k])
     times = [TIMES[k % 3] for k in range(25)]
     for i in range(1, chev.r + 1):
         flowed, errors = toda_flow(chev, i, times, p)

@@ -473,6 +473,29 @@ def test_in_flow_domain_reads_the_spectrum(monkeypatch, n):
     assert [in_flow_domain(chev, p) for p in points] == expected
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_toda_path_computes_no_eigenvectors(monkeypatch, n):
+    # the domain test, the flows, both embeddings, the chamber form and the
+    # sampler read spectra alone, per point and stacked
+    chev = build_chevalley(n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigenvector solver was called")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    rng = stream(13, "no-eigenvectors")
+    (p,), failure = sample_flow_domain(chev, rng, 4)
+    point = sample_flow_domain(chev, rng)
+    assert failure is None and in_flow_domain(chev, point)
+    zp = embed(chev, toda_flow(chev, chev.r, 0.2, point))
+    embed_inverse(chev, zp)
+    _, errors = toda_flow(chev, 1, [0.1, -0.2, 0.3, 0.4j], p)
+    images, embed_errors = embed(chev, p)
+    _, inverse_errors = embed_inverse(chev, images)
+    _, chamber_errors = chamber_form(chev, toda_matrix(chev, p))
+    assert errors + embed_errors + inverse_errors + chamber_errors == [None] * 16
+
+
 def test_flow_off_phase_space_raises_no_convergence(monkeypatch, chev2, golden):
     monkeypatch.setattr(toda, "adjoint",
                         lambda g, x: np.broadcast_to([[0.0, 1.0], [2.0, 0.0]], np.shape(x)))
