@@ -44,13 +44,19 @@ def invariant_gradients(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
 def invariant_gradient(chev: ChevalleyData, x: np.ndarray, i) -> np.ndarray:
     """The i-th of :func:`invariant_gradients`, i in 1..r; for a stack x
     it may also be one index per matrix."""
+    return traceless_part(gradient_power(chev, x, i))
+
+
+def gradient_power(chev: ChevalleyData, x: np.ndarray, i) -> np.ndarray:
+    """x^i, the power whose traceless part is :func:`invariant_gradient`,
+    as the ladder forms it; i as there."""
     if np.ndim(i) == 0 and 1 <= i <= chev.r:  # one label: the ladder up to x^i
-        return traceless_part(functools.reduce(np.matmul, [linalg.as_matrix(x)] * int(i)))
+        return functools.reduce(np.matmul, [linalg.as_matrix(x)] * int(i))
     labels = np.asarray(i)
     if not all(1 <= label <= chev.r for label in labels.ravel().tolist()):
         raise ValueError(f"invariant index {i} outside 1..{chev.r}")
     powers = linalg.matrix_powers(linalg.as_matrix(x), labels.max(initial=1))
-    return traceless_part(powers[np.arange(len(labels)), labels])
+    return powers[np.arange(len(labels)), labels]
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,12 +7,19 @@ and the matrix exponential wrap LAPACK / the scaling-and-squaring Pade code
 in SciPy; the no-pivot Gauss factorization is written out explicitly
 because pivoting would destroy the unitriangular structure the rest of the
 package depends on.
+
+The flow domain, the chamber form and the Toda substeps all read the
+spectrum of the same point, so :func:`eigvals` keeps the spectra of the
+last ``SPECTRUM_MEMO`` stacks it solved without an error, keyed by the
+stack's shape and bytes, and hands out copies; :func:`forget_spectra`
+empties the memo.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +30,9 @@ from .stacks import first_errors, stacked
 TOL_EIG = 1e-10
 TOL_MINOR = 1e-12
 TOL_EXP = 1e-13
+SPECTRUM_MEMO = 8  # stacks whose spectra eigvals keeps
+
+_spectra = OrderedDict()  # (shape, bytes) of a stack -> its spectra, least recent first
 
 
 def as_matrix(a) -> np.ndarray:
@@ -135,15 +145,31 @@ def eig(a: np.ndarray):
         for res, size in zip(residual, norm(a))])
 
 
+def forget_spectra() -> None:
+    """Empty the spectrum memo of :func:`eigvals`."""
+    _spectra.clear()
+
+
 @stacked(2)
 def eigvals(a: np.ndarray):
     """The eigenvalues of :func:`eig`, bit for bit, without the eigenvectors
     and their residual test; :class:`NoConvergence` (and zeros, in a stack)
-    where LAPACK does not converge."""
+    where LAPACK does not converge.
+
+    A stack solved before without an error, and among the last
+    ``SPECTRUM_MEMO`` such stacks, is not solved again: its spectra are
+    copied from the memo.  A stack with a failed sample is solved anew on
+    every call.
+    """
     a = as_matrix(a)
+    key = (a.shape, a.tobytes())
+    kept = _spectra.get(key)
+    if kept is not None:
+        _spectra.move_to_end(key)
+        return kept.copy(), [None] * len(a)
     errors = [None] * len(a)
     try:
-        return np.linalg.eigvals(a), errors
+        values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError:  # LAPACK fails the whole stack: find the samples
         values = np.zeros(a.shape[:-1], dtype=complex)
         for k, ak in enumerate(a):
@@ -151,7 +177,11 @@ def eigvals(a: np.ndarray):
                 values[k] = np.linalg.eigvals(ak)
             except np.linalg.LinAlgError as exc:
                 errors[k] = NoConvergence(f"eigensolver did not converge: {exc}")
-        return values, errors
+    if errors.count(None) == len(errors):
+        _spectra[key] = values.copy()
+        if len(_spectra) > SPECTRUM_MEMO:
+            _spectra.popitem(last=False)
+    return values, errors
 
 
 def matrix_powers(x: np.ndarray, k: int) -> np.ndarray:

@@ -12,12 +12,17 @@ Philox's stream is one fixed sequence of doubles, which ``rng.uniform(low,
 high)`` maps by u -> low + (high - low) u: a draw of fixed layout maps all
 its samples' doubles, taken in one call, by :func:`blocks`, and the
 flow-domain samplers judge the candidates of many samples in one stacked
-``eigvals``, then rewind and consume exactly the doubles of draws made one at
-a time.  Both give those draws' values bit for bit, and their stream after.
+``eigvals`` (:func:`flow_candidates`), then rewind and consume exactly the
+doubles of draws made one at a time.  Both give those draws' values bit
+for bit, and their stream after.  The checks whose draws take a flow label
+after each point judge their points the same way: each sample proposes
+its first candidate (:func:`flow_candidate`) and its label with the real
+generator.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -27,7 +32,7 @@ from .centralizer import CJLPoint
 from .errors import NoConvergence, NotInV
 from .invariants import invariant_gradients
 from .kostant_maps import chamber_errors
-from .lie_core import ChevalleyData, traceless_part
+from .lie_core import ChevalleyData, build_chevalley, traceless_part
 from .stacks import first_errors
 from .toda import TodaPoint, make_toda_point, toda_matrix
 
@@ -66,7 +71,7 @@ def blocks(chev: ChevalleyData) -> dict:
             "traceless": (2 * n * n, traceless),  # random_traceless
             "exponent": (2 * n * n, clipped),
             "section": (2 * r, lambda u: chev.section_point(  # random_section_point
-                complex_rows(u, (r,), 1.0) * _section_scales(chev, 1.0))),
+                complex_rows(u, (r,), 1.0) * _section_scales(chev.n, 1.0))),
             # stabilizer_coefficients: r scalars, each real then imaginary part
             "coefficients": (2 * r, lambda u: complex_rows(u.reshape(-1, 2), (), 1.0)
                              .reshape(-1, r))}
@@ -86,15 +91,18 @@ def random_group_element(chev: ChevalleyData, rng: np.random.Generator) -> np.nd
     return linalg.mat_exp(m)
 
 
-def _section_scales(chev: ChevalleyData, scale: float) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _section_scales(n: int, scale: float) -> np.ndarray:
     # Higher powers of eta carry large integer entries; damp their
     # coordinates so section points stay moderately sized for every n.
-    return np.array([scale / max(1.0, linalg.norm(b)) for b in chev.centralizer_eta])
+    out = np.array([scale / max(1.0, linalg.norm(b)) for b in build_chevalley(n).centralizer_eta])
+    out.flags.writeable = False
+    return out
 
 
 def random_section_point(chev: ChevalleyData, rng: np.random.Generator,
                          scale: float = 1.0) -> np.ndarray:
-    return chev.section_point(complex_uniform(rng, (chev.r,)) * _section_scales(chev, scale))
+    return chev.section_point(complex_uniform(rng, (chev.r,)) * _section_scales(chev.n, scale))
 
 
 def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator, samples=None) -> CJLPoint:
@@ -108,7 +116,7 @@ def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator, samples=None
     """
     r = chev.r
     rows = rng.uniform(-1.0, 1.0, size=(1 if samples is None else samples, 4 * r))
-    s = chev.section_point((rows[:, :r] + 1j * rows[:, r:2 * r]) * _section_scales(chev, 0.8))
+    s = chev.section_point((rows[:, :r] + 1j * rows[:, r:2 * r]) * _section_scales(chev.n, 0.8))
     grads = invariant_gradients(chev, s).reshape(-1, chev.n, chev.n)
     damp = 0.4 / np.maximum(1.0, np.reshape(linalg.norm(grads), (-1, r)))
     lam = (rows[:, 2 * r::2] + 1j * rows[:, 2 * r + 1::2]) * damp
@@ -162,25 +170,42 @@ def random_toda_point(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoin
     return make_toda_point(diag, coords)
 
 
+def flow_candidate(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
+    """The doubles of one flow-domain candidate, the draws that
+    :func:`sample_flow_domain` makes for a point whose first candidate is
+    accepted: the real then the imaginary parts of the diagonal, then of
+    the root coordinates, each in [-1, 1)."""
+    return rng.uniform(-1.0, 1.0, 2 * (chev.n + chev.r))
+
+
+def flow_candidates(chev: ChevalleyData, rows: np.ndarray):
+    """The stacked Toda points of candidate rows (m, 2(n + r)) (see
+    :func:`flow_candidate`, the diagonal recentred to trace zero) and, per
+    candidate, None if it lies in the flow domain, else the exception that
+    rejects it."""
+    n, r = chev.n, chev.r
+    diag = rows[:, :n] + 1j * rows[:, n:2 * n]
+    coords = rows[:, 2 * n:2 * n + r] + 1j * rows[:, 2 * n + r:2 * (n + r)]
+    p, errors = make_toda_point(diag - np.mean(diag, axis=-1, keepdims=True), coords)
+    values, eig_errors = linalg.eigvals(toda_matrix(chev, p))
+    return p, first_errors(errors, eig_errors, chamber_errors(values))
+
+
 def _round(chev, rng, head, count, extra):
     """Judge ``count`` candidates, drawn as if each were accepted and then
     followed by ``extra`` doubles, and consume the doubles up to the first
     one not accepted.  Returns the accepted ones' extras, the stacked
     points, that candidate's exception, and the next round's head: its
     diagonal if it has a zero root coordinate (exception None)."""
-    n, r, w = chev.n, chev.r, 2 * (chev.n + chev.r)
+    n, w = chev.n, 2 * (chev.n + chev.r)
     state = rng.bit_generator.state
     rows = np.concatenate([head, rng.uniform(-1.0, 1.0, count * (w + extra) - len(head))])
     rows = rows.reshape(count, w + extra)
-    diag = rows[:, :n] + 1j * rows[:, n:2 * n]
-    coords = rows[:, 2 * n:2 * n + r] + 1j * rows[:, 2 * n + r:w]
-    p, errors = make_toda_point(diag - np.mean(diag, axis=-1, keepdims=True), coords)
-    values, eig_errors = linalg.eigvals(toda_matrix(chev, p))
-    verdicts = first_errors(errors, eig_errors, chamber_errors(values))
+    p, verdicts = flow_candidates(chev, rows[:, :w])
     taken = next((k for k, exc in enumerate(verdicts) if exc is not None), count)
     rng.bit_generator.state = state
     rng.random(taken * (w + extra) + w * (taken < count) - len(head))
-    if taken < count and not coords[taken].all():
+    if taken < count and not p.root_coords[taken].all():
         return rows[:taken, w:], p, None, rows[taken, :2 * n]
     return rows[:taken, w:], p, verdicts[taken] if taken < count else None, np.empty(0)
 

@@ -99,6 +99,18 @@ def stack(points):
     return type(points[0])(*(np.stack([getattr(p, name) for p in points]) for name in fields))
 
 
+def concatenate(stacks):
+    """One stack of consecutive stacks: lists, arrays or point classes."""
+    first = stacks[0]
+    if type(first) is list:
+        return [value for part in stacks for value in part]
+    fields = getattr(type(first), "__dataclass_fields__", None)
+    if fields is None:
+        return np.concatenate(stacks)
+    return type(first)(*(np.concatenate([getattr(part, name) for part in stacks])
+                         for name in fields))
+
+
 def first_errors(*stages) -> list:
     """Per sample, the first exception over stages run in order on the
     same samples, or None."""

@@ -8,10 +8,13 @@ lists), and the exception (or None) that ended them.  Its function takes
 the columns and returns ``(deviations, errors)`` from one pass over the
 stack (see :mod:`stacks`), with ``errors`` None where no sample can fail.
 A draw of fixed layout takes all its samples' doubles in one call; one
-that rejects candidates or takes integers from the stream is made sample
-by sample and stacked.  No draw depends on another sample or on the
-number of samples, and each consumes the stream as draws made one at a
-time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
+whose cost is a candidate test proposes every remaining sample with the
+generator, judges the proposals in one stacked pass and draws only a
+rejected sample alone, after rewinding to it (:func:`_judged`); the
+others that reject candidates or take integers from the stream are made
+sample by sample and stacked.  No draw depends on another sample or on
+the number of samples, and each consumes the stream as draws made one at
+a time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
 plain check is a function ``(chev, rng, samples) -> (deviation, bound,
 used)``, for structure constants, rank-dependent cases and checks over
 the whole sample set at once.
@@ -25,14 +28,15 @@ ends the list with its exception.  Such an exception, or any other that
 escapes a check, fails it with an infinite deviation, and the result
 names the exception, keeps the declared bound (a plain check declares
 none and reads 0.0) and counts the samples finished before it.  Each
-check draws from its own named random stream and the checks run one
+check draws from its own named random stream, starts from an empty
+spectrum memo (see :func:`linalg.eigvals`), and the checks run one
 after another in registry order, so reports are deterministic for a
 fixed configuration.  No tolerance or bound can be set from outside.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -89,6 +93,8 @@ from .sampling import (
     complex_rows,
     complex_uniform,
     domain_fraction,
+    flow_candidate,
+    flow_candidates,
     random_cjl_point,
     random_section_point,
     random_traceless,
@@ -98,7 +104,7 @@ from .sampling import (
     stabilizer_exponents,
     stream,
 )
-from .stacks import arrays, first_errors, map_arrays, stack
+from .stacks import arrays, concatenate, first_errors, map_arrays, stack
 from .toda import (
     embed,
     embed_inverse,
@@ -154,19 +160,32 @@ def _rel(a, b):
     return np.divide(linalg.norm(a - b), np.add(1.0, linalg.norm(b)))
 
 
+def _separated(values) -> list:
+    """Per row of a stack of spectra, whether its eigenvalues lie pairwise
+    more than 1e-2 apart."""
+    a, b = np.triu_indices(values.shape[-1], 1)
+    return (np.abs(values[:, a] - values[:, b]).min(axis=-1) > 1e-2).tolist()
+
+
 def _random_regular(chev, rng):
     """Random traceless matrix with well-separated eigenvalues."""
     while True:
         x = random_traceless(chev, rng)
-        values = linalg.eigvals(x)
-        diffs = [abs(a - b) for a, b in itertools.combinations(values, 2)]
-        if min(diffs) > 1e-2:
+        if _separated(linalg.eigvals(x)[None])[0]:
             return x
 
 
+def _columns(drawn) -> list:
+    """Per-sample draws stacked into columns, one per position of a tuple;
+    Python scalars stay lists."""
+    parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
+    return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
+            for part in parts]
+
+
 def _one_by_one(draw):
-    """A check's draw made sample by sample by ``draw(chev, rng)``, stacked
-    into columns, one per position of a tuple; Python scalars stay lists."""
+    """A check's draw made sample by sample by ``draw(chev, rng)`` and
+    stacked into columns."""
     def draw_samples(chev, rng, samples):
         drawn, failure = [], None
         try:
@@ -174,9 +193,46 @@ def _one_by_one(draw):
                 drawn.append(draw(chev, rng))
         except Exception as exc:
             failure = exc
-        parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
-        return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
-                for part in parts], failure
+        return _columns(drawn), failure
+    return draw_samples
+
+
+def _judged(draw, propose, judge):
+    """``_one_by_one(draw)`` for a draw that rejects candidates, with the
+    candidates of all remaining samples judged in one stacked pass.
+
+    ``propose(chev, rng)`` makes the generator calls that ``draw`` makes
+    when its first candidate is accepted, and returns that sample's draw;
+    ``judge(chev, *columns)`` takes the columns of the proposals and returns
+    the columns of their samples as ``draw`` returns them, and per proposal
+    whether ``draw`` accepts it.  The proposals are kept up to the first
+    one not accepted.  For that sample the generator is rewound to the
+    round's start, the kept proposals are made again and ``draw`` runs;
+    then the next round starts.  So the columns, the failure and the
+    stream after are those of ``_one_by_one(draw)``, bit for bit: Philox's
+    state holds its buffered 32-bit half, so integer draws replay too.
+    """
+    def draw_samples(chev, rng, samples):
+        chunks, count, failure = [], 0, None
+        while count < samples and failure is None:
+            state = rng.bit_generator.state
+            proposed = [propose(chev, rng) for _ in range(samples - count)]
+            columns, accepted = judge(chev, *_columns(proposed))
+            kept = accepted.index(False) if False in accepted else len(accepted)
+            if kept:
+                chunks.append([map_arrays(lambda part: part[:kept], column) for column in columns])
+                count += kept
+            if kept < len(proposed):  # draw the sample not accepted alone
+                rng.bit_generator.state = state
+                for _ in range(kept):
+                    propose(chev, rng)
+                columns, failure = _one_by_one(draw)(chev, rng, 1)
+                if failure is None:
+                    chunks.append(columns)
+                    count += 1
+        if len(chunks) == 1:
+            return chunks[0], failure
+        return [concatenate(parts) for parts in zip(*chunks)], failure
     return draw_samples
 
 
@@ -212,25 +268,50 @@ def _flow_points(sets):
     return lambda chev, rng, samples: sample_flow_domain(chev, rng, samples, (chev.r,) * sets)
 
 
-def _flow_point_and_label(chev, rng):
-    return sample_flow_domain(chev, rng), int(rng.integers(1, chev.r + 1))
+def _flow_point_and_label(chev, rng, point=sample_flow_domain):
+    return point(chev, rng), int(rng.integers(1, chev.r + 1))
+
+
+def _flow_points_judged(draw):
+    """:func:`_judged` for a per-sample draw whose first value is a
+    flow-domain point drawn by its ``point`` argument: the proposal takes
+    that point's first candidate (:func:`sampling.flow_candidate`)."""
+    def judge(chev, rows, *rest):
+        p, verdicts = flow_candidates(chev, rows)
+        return [p, *rest], [exc is None for exc in verdicts]
+    return _judged(draw, functools.partial(draw, point=flow_candidate), judge)
 
 
 # ----------------------------- linalg ---------------------------------- #
 
+def _conditioned(vectors) -> list:
+    """Per matrix of a stack of eigenvectors, whether its condition number
+    is below 1e6."""
+    return (np.linalg.cond(vectors) < 1e6).tolist()
+
+
 def _draw_well_conditioned(chev, rng):
+    """A random matrix with well-conditioned eigenvectors, and its eigenpairs."""
     while True:
         a = complex_uniform(rng, (chev.n, chev.n))
-        _, vectors = linalg.eig(a)
-        if np.linalg.cond(vectors) < 1e6:
-            return a
+        values, vectors = linalg.eig(a)
+        if _conditioned(vectors[None])[0]:
+            return a, values, vectors
 
 
-@_register("linalg_eig_reconstruct", 1e-9, draw=_one_by_one(_draw_well_conditioned))
-def _check_eig_reconstruct(chev, a):
+def _judge_conditioned(chev, a):
     (values, vectors), errors = linalg.eig(a)
+    return [a, values, vectors], [exc is None and ok
+                                  for exc, ok in zip(errors, _conditioned(vectors))]
+
+
+@_register("linalg_eig_reconstruct", 1e-9, draw=_judged(
+    _draw_well_conditioned, lambda chev, rng: complex_uniform(rng, (chev.n, chev.n)),
+    _judge_conditioned))
+def _check_eig_reconstruct(chev, a, values, vectors):
+    # the eigenpairs are the draw's, which judged each matrix by them
     recon = vectors @ linalg.diag_matrix(values) @ linalg.inv(vectors)
-    return np.divide(linalg.norm(recon - a), linalg.norm(a)), errors
+    return np.divide(linalg.norm(recon - a), linalg.norm(a)), None
 
 
 @_register("linalg_exp_inverse", 1e-12, draw=_fixed("traceless", "length"))
@@ -282,8 +363,15 @@ def _check_sl2_triple(chev, rng, samples):
     return np.max(parts), 1e-14, 1
 
 
-@_register("lie_centralizer_dimension", 0.5, draw=_one_by_one(
-    lambda chev, rng: (_random_regular(chev, rng), random_section_point(chev, rng))))
+def _judge_regular(chev, x, s):
+    values, errors = linalg.eigvals(x)
+    return [x, s], [exc is None and ok for exc, ok in zip(errors, _separated(values))]
+
+
+@_register("lie_centralizer_dimension", 0.5, draw=_judged(
+    lambda chev, rng: (_random_regular(chev, rng), random_section_point(chev, rng)),
+    lambda chev, rng: (random_traceless(chev, rng), random_section_point(chev, rng)),
+    _judge_regular))
 def _check_centralizer_dimension(chev, x, s):
     # Deviation is the number of the sample's two points whose centralizer
     # does not have dimension r.
@@ -612,13 +700,13 @@ def _check_toda_conservation(chev, p):
     return worst, errors
 
 
-def _draw_semigroup(chev, rng):
-    p, i = _flow_point_and_label(chev, rng)
+def _draw_semigroup(chev, rng, point=sample_flow_domain):
+    p, i = _flow_point_and_label(chev, rng, point)
     t = complex_uniform(rng, (), scale=0.5).real
     return p, i, t, complex_uniform(rng, (), scale=0.5).real
 
 
-@_register("toda_flow_semigroup", 1e-8, draw=_one_by_one(_draw_semigroup))
+@_register("toda_flow_semigroup", 1e-8, draw=_flow_points_judged(_draw_semigroup))
 def _check_toda_semigroup(chev, p, labels, t, s):
     mid, errors = toda_flow(chev, labels, t, p)
     lhs, errors2 = toda_flow(chev, labels, s, mid)
@@ -627,7 +715,7 @@ def _check_toda_semigroup(chev, p, labels, t, s):
             first_errors(errors, errors2, errors3))
 
 
-@_register("toda_normal_forms_constant", 1e-7, draw=_one_by_one(_flow_point_and_label))
+@_register("toda_normal_forms_constant", 1e-7, draw=_flow_points_judged(_flow_point_and_label))
 def _check_normal_forms_constant(chev, p, labels):
     q, errors = toda_flow(chev, labels, 0.5, p)
     x0, x1 = toda_matrix(chev, p), toda_matrix(chev, q)
@@ -737,7 +825,10 @@ def _outcomes(check: Check, chev, rng, samples: int):
 
 def run_check(name: str, n: int, seed: int, samples: int,
               tols: Tolerances | None = None) -> CheckResult:
-    """Run one named check; ``tols`` is accepted and ignored."""
+    """Run one named check; ``tols`` is accepted and ignored.  The check
+    starts from an empty spectrum memo (see :func:`linalg.eigvals`), so no
+    spectrum solved before it serves it."""
+    linalg.forget_spectra()
     check = CHECKS[name]
     chev = build_chevalley(n)
     rng = stream(seed, name)

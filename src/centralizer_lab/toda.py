@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW
-from .invariants import invariant_gradient
+from .invariants import gradient_power, invariant_gradient
 from .kostant_maps import (
     carried_lift,
     chamber_errors,
@@ -185,7 +185,9 @@ def _lax_masks(n: int):
 def _lax_field(chev: ChevalleyData, i, x: np.ndarray):
     """:func:`toda_vector_field` at a stack of phase-space matrices x."""
     upper, band = _lax_masks(chev.n)
-    w = bracket(np.where(upper, invariant_gradient(chev, x, i), 0), x)
+    # the gradient's trace shift only moves the diagonal, which the strict
+    # upper triangle drops: take the triangle of x^i itself
+    w = bracket(np.where(upper, gradient_power(chev, x, i), 0), x)
     shaped = np.where(band, w, 0)
     return shaped, [ValueError(f"Lax field has off-shape mass {off:.3e}")
                     if off > 1e-5 * (1.0 + size) else None

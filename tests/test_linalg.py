@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from centralizer_lab import linalg
+from centralizer_lab import linalg, suites
 from centralizer_lab.errors import NoConvergence, SingularMinor
 
 
@@ -52,6 +52,7 @@ def test_eig_reconstruction_seeded():
 
 def test_eigvals_fail_sample_by_sample(monkeypatch):
     # LAPACK refuses the whole stack; only the sample it refuses alone fails
+    linalg.forget_spectra()  # a spectrum kept from before would bypass the patch
     bad = np.diag([2.0, -2.0])
     matrices = np.stack([np.diag([1.0, -1.0]), bad, np.array([[0.0, 1.0], [1.0, 0.0]])]) + 0j
     eigvals = np.linalg.eigvals
@@ -71,6 +72,91 @@ def test_eigvals_fail_sample_by_sample(monkeypatch):
     assert not values[1].any()
     with pytest.raises(NoConvergence, match="did not converge"):
         linalg.eigvals(bad)
+
+
+def _counting_eigvals(monkeypatch, fails=lambda a: False):
+    """Count the stacks that reach np.linalg.eigvals, which raises where
+    ``fails(a)``; the spectrum memo starts empty."""
+    linalg.forget_spectra()
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        if fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_eigvals_memo_gives_the_solved_bits(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1, 1, (6, n, n)) + 1j * rng.uniform(-1, 1, (6, n, n))
+    fresh = np.linalg.eigvals(x)
+    calls = _counting_eigvals(monkeypatch)
+    for _ in range(2):  # solved, then served by the memo
+        values, errors = linalg.eigvals(x)
+        assert values.tobytes() == fresh.tobytes() and errors == [None] * 6
+        for k in (0, 5):
+            assert linalg.eigvals(x[k]).tobytes() == fresh[k].tobytes()
+    assert calls == [(6, n, n), (1, n, n), (1, n, n)]
+    # a returned array is the caller's own: changing it leaves the memo intact
+    values, errors = linalg.eigvals(x)
+    values[:] = 0
+    errors[0] = NoConvergence("changed")
+    again, errors = linalg.eigvals(x)
+    assert again.tobytes() == fresh.tobytes() and errors == [None] * 6
+    single = linalg.eigvals(x[5])
+    single[0] = 7.0
+    assert linalg.eigvals(x[5]).tobytes() == fresh[5].tobytes()
+    assert len(calls) == 3
+
+
+def test_eigvals_memo_keeps_the_last_stacks(monkeypatch):
+    calls = _counting_eigvals(monkeypatch)
+    stacks = [np.diag([k + 1.0, -k - 1.0])[None] for k in range(linalg.SPECTRUM_MEMO + 1)]
+    for a in stacks:
+        linalg.eigvals(a)
+    assert len(calls) == linalg.SPECTRUM_MEMO + 1
+    linalg.eigvals(stacks[-1])  # kept
+    assert len(calls) == linalg.SPECTRUM_MEMO + 1
+    linalg.eigvals(stacks[0])  # the least recent one was dropped
+    assert len(calls) == linalg.SPECTRUM_MEMO + 2
+    # the key is the shape and the bytes: a reshaped or changed stack is new
+    linalg.eigvals(np.concatenate(stacks[1:3]))
+    linalg.eigvals(stacks[1] + 1e-300)
+    assert len(calls) == linalg.SPECTRUM_MEMO + 4
+
+
+def test_eigvals_memo_keeps_no_failed_solve(monkeypatch):
+    bad = np.diag([2.0, -2.0]) + 0j
+    calls = _counting_eigvals(
+        monkeypatch, lambda a: any(np.array_equal(ak, bad) for ak in np.reshape(a, (-1, 2, 2))))
+    matrices = np.stack([np.diag([1.0, -1.0]), bad]) + 0j
+    for _ in range(2):
+        _, errors = linalg.eigvals(matrices)
+        assert errors[0] is None and isinstance(errors[1], NoConvergence)
+        with pytest.raises(NoConvergence):
+            linalg.eigvals(bad)
+    # each call tried the stack and then its samples; the failed ones again
+    assert calls == [(2, 2, 2), (2, 2), (2, 2), (1, 2, 2), (2, 2)] * 2
+
+
+def test_no_spectrum_serves_a_later_check(monkeypatch):
+    # each check starts from an empty memo, so a repeated check or command
+    # solves every spectrum it solved the first time
+    calls = _counting_eigvals(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert suites.run_check("toda_flow_semigroup", 3, 42, 5).passed
+        counts.append(len(calls))
+        calls.clear()
+        suites.run_all(2, 42, 3)
+        counts.append(len(calls))
+    assert counts[:2] == counts[2:] and min(counts) > 0
 
 
 def test_mat_exp_zero():

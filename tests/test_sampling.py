@@ -25,7 +25,7 @@ from centralizer_lab.sampling import (
     stabilizer_coefficients,
     stream,
 )
-from centralizer_lab.stacks import arrays, stack, stacked
+from centralizer_lab.stacks import arrays, map_arrays, stack, stacked
 from centralizer_lab.toda import in_flow_domain, toda_matrix
 
 
@@ -427,12 +427,117 @@ def test_fixed_layout_draws_equal_per_sample_draws(n):
 
 
 def test_fixed_layout_draws_are_the_ones_without_rejection_or_integers():
-    one_by_one = {name for name, check in suites.CHECKS.items()
-                  if getattr(check.draw, "__qualname__", "").startswith("_one_by_one.")}
-    assert one_by_one == {
-        "linalg_eig_reconstruct", "lie_centralizer_dimension", "lie_group_scalar_quotient",
-        "cent_flow_preserves_points", "cent_flow_group_law", "cent_cjl_factor_order",
-        "toda_flow_semigroup", "toda_normal_forms_constant"}
-    fixed = {name for name, check in suites.CHECKS.items()
-             if getattr(check.draw, "__qualname__", "").startswith("_fixed.")}
-    assert fixed == set(FIXED) - {"cent_moment_preimage"}
+    def drawn_by(maker):
+        return {name for name, check in suites.CHECKS.items()
+                if getattr(check.draw, "__qualname__", "").startswith(maker + ".")}
+    assert drawn_by("_one_by_one") == {
+        "lie_group_scalar_quotient", "cent_flow_preserves_points", "cent_flow_group_law",
+        "cent_cjl_factor_order"}
+    assert drawn_by("_judged") == set(JUDGED)
+    assert drawn_by("_fixed") == set(FIXED) - {"cent_moment_preimage"}
+
+
+# Per draw that judges all samples' candidates in one pass, the per-sample
+# draw whose _one_by_one it must equal.
+JUDGED = {
+    "linalg_eig_reconstruct": suites._draw_well_conditioned,
+    "lie_centralizer_dimension": lambda chev, rng: (suites._random_regular(chev, rng),
+                                                    random_section_point(chev, rng)),
+    "toda_flow_semigroup": suites._draw_semigroup,
+    "toda_normal_forms_constant": suites._flow_point_and_label,
+}
+
+
+def _assert_same_judged(chev, name, seed, samples):
+    """The judged draw and _one_by_one of its per-sample draw give the same
+    columns and failure, and leave the stream at the same place, integer
+    buffer included."""
+    one, two = stream(seed, name), stream(seed, name)
+    drawn = suites.CHECKS[name].draw(chev, one, samples)
+    _assert_same_draws(drawn, suites._one_by_one(JUDGED[name])(chev, two, samples))
+    assert one.random(2).tobytes() == two.random(2).tobytes()
+    assert one.integers(1, 9, 5).tolist() == two.integers(1, 9, 5).tolist()
+    return drawn
+
+
+def _judged_matrix(chev, name, columns, k):
+    """Sample k's matrix that the draw judges."""
+    if name.startswith("toda"):
+        return toda_matrix(chev, map_arrays(lambda part: part[k], columns[0]))
+    return columns[0][k]
+
+
+def _judged_bytes(chev, name, columns, k):
+    """The bytes of what the verdict reads for sample k: the eigenvectors
+    of linalg_eig_reconstruct's matrix, else the spectrum."""
+    if name == "linalg_eig_reconstruct":
+        return columns[2][k].tobytes()
+    return linalg.eigvals(_judged_matrix(chev, name, columns, k)).tobytes()
+
+
+def _force_rejections(monkeypatch, name, targets):
+    """Reject every candidate, batched or alone, whose verdict reads bytes
+    in ``targets``."""
+    def rejecting(verdict):
+        return lambda rows: [ok and row.tobytes() not in targets
+                             for ok, row in zip(verdict(rows), rows)]
+    if name == "linalg_eig_reconstruct":
+        monkeypatch.setattr(suites, "_conditioned", rejecting(suites._conditioned))
+    elif name == "lie_centralizer_dimension":
+        monkeypatch.setattr(suites, "_separated", rejecting(suites._separated))
+    else:
+        _reject_by_value(monkeypatch, lambda row: row.tobytes() in targets)
+
+
+def _inject_failures(monkeypatch, targets):
+    """Both eigensolvers fail with NoConvergence("injected") on the
+    matrices whose bytes are in ``targets``."""
+    for solver in ("eig", "eigvals"):
+        @stacked(2)
+        def failing(a, solve=getattr(linalg, solver)):
+            result, errors = solve(a)
+            return result, [NoConvergence("injected") if ak.tobytes() in targets else exc
+                            for ak, exc in zip(np.asarray(a, dtype=complex), errors)]
+        monkeypatch.setattr(linalg, solver, failing)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_judged_draws_equal_draws_made_one_at_a_time(n):
+    chev = build_chevalley(n)
+    for name in JUDGED:
+        for seed in (42, 1):
+            columns, failure = _assert_same_judged(chev, name, seed, 25)
+            assert failure is None and len(arrays(columns[0])[0]) == 25
+            if name == "linalg_eig_reconstruct":  # the eigenpairs the check reads
+                (values, vectors), errors = linalg.eig(columns[0])
+                assert errors == [None] * 25
+                assert _same_bits(values, columns[1]) and _same_bits(vectors, columns[2])
+    assert suites.CHECKS["toda_flow_semigroup"].draw(chev, stream(1, "none"), 0) == ([], None)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_judged_draws_replay_rejections_and_failures(monkeypatch, n):
+    chev = build_chevalley(n)
+    for name, draw in JUDGED.items():
+        columns, _ = suites._one_by_one(draw)(chev, stream(n, name), 7)
+        for k in (0, 3, 6):  # the first, a middle and the last sample
+            target = _judged_bytes(chev, name, columns, k)
+            with monkeypatch.context() as patch:
+                _force_rejections(patch, name, {target})
+                drawn, failure = _assert_same_judged(chev, name, n, 7)
+            assert failure is None and _judged_bytes(chev, name, drawn, k) != target, (name, k)
+            with monkeypatch.context() as patch:
+                _inject_failures(patch, {_judged_matrix(chev, name, columns, k).tobytes()})
+                drawn, failure = _assert_same_judged(chev, name, n, 7)
+            assert str(failure) == "injected" and (k == 0) == (drawn == []), (name, k)
+            assert k == 0 or len(arrays(drawn[0])[0]) == k
+
+
+def test_section_scales_are_computed_once():
+    for n in (2, 8):
+        chev = build_chevalley(n)
+        for scale in (1.0, 0.8):
+            scales = sampling._section_scales(n, scale)
+            assert scales is sampling._section_scales(n, scale) and not scales.flags.writeable
+            assert scales.tolist() == [scale / max(1.0, linalg.norm(b))
+                                       for b in chev.centralizer_eta]

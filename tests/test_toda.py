@@ -15,6 +15,7 @@ from centralizer_lab.kostant_maps import (
     stabilizer_lift,
 )
 from centralizer_lab.lie_core import (
+    bracket,
     build_chevalley,
     group_equal,
     scalar_aligned_distance,
@@ -523,6 +524,20 @@ def test_flow_overflowing_sample_leaves_the_others_unchanged(chev2, golden):
 
 
 # ----------------------------- two routes to the flow -------------------- #
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_lax_field_takes_the_triangle_of_the_power(n):
+    # the gradient's trace shift sits on the diagonal, which the strict
+    # upper triangle drops: the field is the one built from the gradient
+    chev = build_chevalley(n)
+    x = toda_matrix(chev, sample_flow_domain(chev, stream(n, f"lax-triangle-{n}"), 6)[0][0])
+    upper, band = toda._lax_masks(n)
+    labels = [1 + k % chev.r for k in range(6)]
+    for i in [*range(1, chev.r + 1), labels]:
+        w = bracket(np.where(upper, invariants.invariant_gradient(chev, x, i), 0), x)
+        field, errors = toda._lax_field(chev, i, x)
+        assert field.tobytes() == np.where(band, w, 0).tobytes() and errors == [None] * 6
+
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_lax_field_matches_flow_difference(n):
