@@ -8,16 +8,17 @@ reproducible across platforms and independent between named checks.
 Complex scalars are sampled with real and imaginary parts uniform in
 [-1, 1] (times an optional scale); matrices are filled row-major, real
 plane before imaginary plane, so the draw order is part of the contract.
-Philox's stream is one fixed sequence of doubles, which ``rng.uniform(low,
-high)`` maps by u -> low + (high - low) u: a draw of fixed layout maps all
-its samples' doubles, taken in one call, by :func:`blocks`, and the
-flow-domain samplers judge the candidates of many samples in one stacked
-``eigvals`` (:func:`flow_candidates`), then rewind and consume exactly the
-doubles of draws made one at a time.  Both give those draws' values bit
-for bit, and their stream after.  The checks whose draws take a flow label
-after each point judge their points the same way: each sample proposes
-its first candidate (:func:`flow_candidate`) and its label with the real
-generator.
+
+A check's draw, ``(chev, rng, samples) -> (columns, failure)``, gives its
+samples' values as stacked columns and the exception (or None) that ended
+them, and consumes the stream exactly as per-sample draws made one at a
+time do, bit for bit.  Philox's stream is one fixed sequence of doubles,
+which ``rng.uniform(low, high)`` maps by u -> low + (high - low) u: a
+draw of fixed layout (:func:`fixed`) takes all its samples' doubles in
+one call and maps them by :func:`blocks`; a draw whose candidates are
+rejected (:func:`judged`) proposes every remaining sample, judges the
+proposals in one stacked pass, and rewinds to draw only a rejected sample
+alone; the other draws are made sample by sample (:func:`one_by_one`).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import NoConvergence, NotInV
 from .invariants import invariant_gradients
 from .kostant_maps import chamber_errors
 from .lie_core import ChevalleyData, build_chevalley, traceless_part
-from .stacks import first_errors
-from .toda import TodaPoint, make_toda_point, toda_matrix
+from .stacks import concatenate, first_errors, map_arrays, stack
+from .toda import TodaPoint, in_flow_domain, make_toda_point, toda_matrix
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -58,7 +59,8 @@ def complex_rows(u: np.ndarray, shape, scale: float) -> np.ndarray:
 def blocks(chev: ChevalleyData) -> dict:
     """The blocks of fixed-layout draws by name: the doubles one sample
     takes, and the map of all samples' rows of them (m, width) to the
-    stacked values of the per-sample draw named beside it."""
+    stacked values of the per-sample draw named beside it, each built from
+    complex_uniform or ``rng.uniform``."""
     n, r = chev.n, chev.r
 
     def traceless(u):
@@ -74,7 +76,89 @@ def blocks(chev: ChevalleyData) -> dict:
                 complex_rows(u, (r,), 1.0) * _section_scales(chev.n, 1.0))),
             # stabilizer_coefficients: r scalars, each real then imaginary part
             "coefficients": (2 * r, lambda u: complex_rows(u.reshape(-1, 2), (), 1.0)
-                             .reshape(-1, r))}
+                             .reshape(-1, r)),
+            "candidate": (2 * (n + r), lambda u: -1.0 + 2.0 * u),  # flow_candidate
+            "scalar": (2, lambda u: complex_rows(u, (), 1.0)),
+            "xi_plus_b": (2 * n * n, lambda u: chev.xi + traceless_part(
+                np.triu(complex_rows(u, (n, n), 1.0)))),
+            "unitriangular": (2 * n * n, lambda u: linalg.eye(n) + np.triu(
+                complex_rows(u, (n, n), 0.8), 1)),
+            "torus": (2 * n, lambda u: linalg.diag_matrix(  # diagonal kept away from zero
+                (t := complex_rows(u, (n,), 1.0)) + np.sign(t.real + 1e-12) * 0.5)),
+            "invariants": (2 * r, lambda u: complex_rows(u, (r,), 1.5)),
+            "length": (1, lambda u: 5.0 * u[:, 0])}  # rng.uniform(0, 5)
+
+
+def fixed(*names):
+    """A draw of fixed layout: each sample takes the doubles of the named
+    blocks in order, all samples' from one ``rng.random`` call."""
+    def draw(chev, rng, samples):
+        layout = list(map(blocks(chev).get, names))
+        cuts = np.cumsum([width for width, _ in layout])
+        rows = np.split(rng.random((samples, cuts[-1])), cuts[:-1], axis=1)
+        return [convert(part) for (_, convert), part in zip(layout, rows)], None
+    return draw
+
+
+def _columns(drawn) -> list:
+    """Per-sample draws stacked into columns, one per position of a tuple;
+    Python scalars stay lists."""
+    parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
+    return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
+            for part in parts]
+
+
+def one_by_one(draw):
+    """A check's draw made sample by sample by ``draw(chev, rng)`` and
+    stacked into columns."""
+    def draw_samples(chev, rng, samples):
+        drawn, failure = [], None
+        try:
+            while len(drawn) < samples:
+                drawn.append(draw(chev, rng))
+        except Exception as exc:
+            failure = exc
+        return _columns(drawn), failure
+    return draw_samples
+
+
+def judged(draw, propose, judge):
+    """``one_by_one(draw)`` for a per-sample draw that rejects candidates,
+    with the candidates of all remaining samples judged in one stacked pass.
+
+    ``propose(chev, rng, k)`` is a draw of k proposals: the generator calls
+    that ``draw`` makes for each sample whose first candidate is accepted,
+    as :func:`fixed` blocks when they take only doubles, else by
+    ``one_by_one`` of a per-sample proposal.  ``judge(chev, *columns)``
+    takes the proposals' columns and returns the columns of their samples
+    as ``draw`` gives them, and per proposal whether ``draw`` accepts it.
+    The proposals are kept up to the first one not accepted.  For that
+    sample the generator is rewound to the round's start, the kept
+    proposals are made again and ``draw`` runs alone; then the next round
+    starts.  So the columns, the failure and the stream after are those of
+    ``one_by_one(draw)``, bit for bit: Philox's state holds its buffered
+    32-bit half, so integer draws replay too.
+    """
+    def draw_samples(chev, rng, samples):
+        chunks, count, failure = [], 0, None
+        while count < samples and failure is None:
+            state = rng.bit_generator.state
+            columns, accepted = judge(chev, *propose(chev, rng, samples - count)[0])
+            kept = accepted.index(False) if False in accepted else len(accepted)
+            if kept:
+                chunks.append([map_arrays(lambda part: part[:kept], column) for column in columns])
+                count += kept
+            if kept < len(accepted):  # draw the sample not accepted alone
+                rng.bit_generator.state = state
+                propose(chev, rng, kept)
+                columns, failure = one_by_one(draw)(chev, rng, 1)
+                if failure is None:
+                    chunks.append(columns)
+                    count += 1
+        if len(chunks) == 1:
+            return chunks[0], failure
+        return [concatenate(parts) for parts in zip(*chunks)], failure
+    return draw_samples
 
 
 def random_traceless(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
@@ -191,57 +275,33 @@ def flow_candidates(chev: ChevalleyData, rows: np.ndarray):
     return p, first_errors(errors, eig_errors, chamber_errors(values))
 
 
-def _round(chev, rng, head, count, extra):
-    """Judge ``count`` candidates, drawn as if each were accepted and then
-    followed by ``extra`` doubles, and consume the doubles up to the first
-    one not accepted.  Returns the accepted ones' extras, the stacked
-    points, that candidate's exception, and the next round's head: its
-    diagonal if it has a zero root coordinate (exception None)."""
-    n, w = chev.n, 2 * (chev.n + chev.r)
-    state = rng.bit_generator.state
-    rows = np.concatenate([head, rng.uniform(-1.0, 1.0, count * (w + extra) - len(head))])
-    rows = rows.reshape(count, w + extra)
-    p, verdicts = flow_candidates(chev, rows[:, :w])
-    taken = next((k for k, exc in enumerate(verdicts) if exc is not None), count)
-    rng.bit_generator.state = state
-    rng.random(taken * (w + extra) + w * (taken < count) - len(head))
-    if taken < count and not p.root_coords[taken].all():
-        return rows[:taken, w:], p, None, rows[taken, :2 * n]
-    return rows[:taken, w:], p, verdicts[taken] if taken < count else None, np.empty(0)
-
-
-def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator, samples=None, scalars=()):
+def sample_flow_domain(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoint:
     """Rejection-sample a point inside the flow domain in at most 1000
-    candidates.  With ``samples``, return ``(columns, failure)``: the stack
-    of up to ``samples`` points, for each size in ``scalars`` the stack
-    (m, size) of the complex scalars drawn after each point in turn (real
-    part first), and None or the exception that ended the draws."""
-    want, extra = 1 if samples is None else samples, 2 * sum(scalars)
-    diag, coords = np.empty((want, chev.n), complex), np.empty((want, chev.r), complex)
-    tails, count, head, tries, failure = np.empty((want, extra)), 0, np.empty(0), 0, None
-    while count < want and failure is None:
-        tail, p, exc, head = _round(chev, rng, head, want - count, extra)
-        span, taken = slice(count, count + len(tail)), slice(len(tail))
-        diag[span], coords[span], tails[span] = p.diag[taken], p.root_coords[taken], tail
-        count, tries = span.stop, (tries if len(tail) == 0 else 0) + isinstance(exc, NotInV)
-        if tries == 1000:
-            exc = NoConvergence("no flow-domain point found in 1000 draws")
-        failure = None if isinstance(exc, NotInV) else exc
-    if samples is None:
-        if failure is not None:
-            raise failure
-        return TodaPoint(diag=diag[0], root_coords=coords[0])
-    values = tails[:count, 0::2] + 1j * tails[:count, 1::2]
-    groups = np.split(values, np.cumsum(scalars)[:-1], axis=1) if scalars else []
-    return [TodaPoint(diag=diag[:count], root_coords=coords[:count]), *groups], failure
+    candidates."""
+    for _ in range(1000):
+        p = random_toda_point(chev, rng)
+        if in_flow_domain(chev, p):
+            return p
+    raise NoConvergence("no flow-domain point found in 1000 draws")
+
+
+def _judge_memberships(chev, rows):
+    """Per candidate, whether it lies in the flow domain, and whether that
+    is :func:`in_flow_domain`'s verdict on it: a candidate with a zero root
+    coordinate or an eigensolver error is drawn alone."""
+    _, verdicts = flow_candidates(chev, rows)
+    return [[exc is None for exc in verdicts]], [
+        exc is None or isinstance(exc, NotInV) for exc in verdicts]
+
+
+# per candidate, whether it lies in the flow domain
+_memberships = judged(lambda chev, rng: in_flow_domain(chev, random_toda_point(chev, rng)),
+                      fixed("candidate"), _judge_memberships)
 
 
 def domain_fraction(chev: ChevalleyData, rng: np.random.Generator, samples: int) -> float:
     """Fraction of the next ``samples`` candidates inside the flow domain."""
-    hits, judged, head = 0, 0, np.empty(0)
-    while judged < samples:
-        accepted, _, exc, head = _round(chev, rng, head, samples - judged, 0)
-        if exc is not None and not isinstance(exc, NotInV):
-            raise exc
-        hits, judged = hits + len(accepted), judged + len(accepted) + (exc is not None)
-    return hits / samples
+    columns, failure = _memberships(chev, rng, samples)
+    if failure is not None:
+        raise failure
+    return sum(columns[0]) / samples

@@ -7,14 +7,11 @@ as stacked columns (Python scalars such as flow times and labels in
 lists), and the exception (or None) that ended them.  Its function takes
 the columns and returns ``(deviations, errors)`` from one pass over the
 stack (see :mod:`stacks`), with ``errors`` None where no sample can fail.
-A draw of fixed layout takes all its samples' doubles in one call; one
-whose cost is a candidate test proposes every remaining sample with the
-generator, judges the proposals in one stacked pass and draws only a
-rejected sample alone, after rewinding to it (:func:`_judged`); the
-others that reject candidates or take integers from the stream are made
-sample by sample and stacked.  No draw depends on another sample or on
-the number of samples, and each consumes the stream as draws made one at
-a time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
+A draw is built by the combinators of :mod:`sampling`: of fixed layout
+when it takes only doubles and rejects nothing, judged when it rejects
+candidates, else sample by sample.  No draw depends on another sample or
+on the number of samples, and each consumes the stream as draws made one
+at a time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
 plain check is a function ``(chev, rng, samples) -> (deviation, bound,
 used)``, for structure constants, rank-dependent cases and checks over
 the whole sample set at once.
@@ -90,11 +87,13 @@ from .lie_core import (
 from .report import CheckResult, Report
 from .sampling import (
     blocks,
-    complex_rows,
     complex_uniform,
     domain_fraction,
+    fixed,
     flow_candidate,
     flow_candidates,
+    judged,
+    one_by_one,
     random_cjl_point,
     random_section_point,
     random_traceless,
@@ -104,7 +103,7 @@ from .sampling import (
     stabilizer_exponents,
     stream,
 )
-from .stacks import arrays, concatenate, first_errors, map_arrays, stack
+from .stacks import arrays, first_errors, map_arrays
 from .toda import (
     embed,
     embed_inverse,
@@ -175,97 +174,21 @@ def _random_regular(chev, rng):
             return x
 
 
-def _columns(drawn) -> list:
-    """Per-sample draws stacked into columns, one per position of a tuple;
-    Python scalars stay lists."""
-    parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
-    return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
-            for part in parts]
-
-
-def _one_by_one(draw):
-    """A check's draw made sample by sample by ``draw(chev, rng)`` and
-    stacked into columns."""
-    def draw_samples(chev, rng, samples):
-        drawn, failure = [], None
-        try:
-            while len(drawn) < samples:
-                drawn.append(draw(chev, rng))
-        except Exception as exc:
-            failure = exc
-        return _columns(drawn), failure
-    return draw_samples
-
-
-def _judged(draw, propose, judge):
-    """``_one_by_one(draw)`` for a draw that rejects candidates, with the
-    candidates of all remaining samples judged in one stacked pass.
-
-    ``propose(chev, rng)`` makes the generator calls that ``draw`` makes
-    when its first candidate is accepted, and returns that sample's draw;
-    ``judge(chev, *columns)`` takes the columns of the proposals and returns
-    the columns of their samples as ``draw`` returns them, and per proposal
-    whether ``draw`` accepts it.  The proposals are kept up to the first
-    one not accepted.  For that sample the generator is rewound to the
-    round's start, the kept proposals are made again and ``draw`` runs;
-    then the next round starts.  So the columns, the failure and the
-    stream after are those of ``_one_by_one(draw)``, bit for bit: Philox's
-    state holds its buffered 32-bit half, so integer draws replay too.
-    """
-    def draw_samples(chev, rng, samples):
-        chunks, count, failure = [], 0, None
-        while count < samples and failure is None:
-            state = rng.bit_generator.state
-            proposed = [propose(chev, rng) for _ in range(samples - count)]
-            columns, accepted = judge(chev, *_columns(proposed))
-            kept = accepted.index(False) if False in accepted else len(accepted)
-            if kept:
-                chunks.append([map_arrays(lambda part: part[:kept], column) for column in columns])
-                count += kept
-            if kept < len(proposed):  # draw the sample not accepted alone
-                rng.bit_generator.state = state
-                for _ in range(kept):
-                    propose(chev, rng)
-                columns, failure = _one_by_one(draw)(chev, rng, 1)
-                if failure is None:
-                    chunks.append(columns)
-                    count += 1
-        if len(chunks) == 1:
-            return chunks[0], failure
-        return [concatenate(parts) for parts in zip(*chunks)], failure
-    return draw_samples
-
-
-def _blocks(chev) -> dict:
-    """:func:`sampling.blocks` and the checks' own, each built from
-    complex_uniform or ``rng.uniform``."""
-    n, r = chev.n, chev.r
-    return {**blocks(chev),
-            "xi_plus_b": (2 * n * n, lambda u: chev.xi + traceless_part(
-                np.triu(complex_rows(u, (n, n), 1.0)))),
-            "unitriangular": (2 * n * n, lambda u: linalg.eye(n) + np.triu(
-                complex_rows(u, (n, n), 0.8), 1)),
-            "torus": (2 * n, lambda u: linalg.diag_matrix(  # diagonal kept away from zero
-                (t := complex_rows(u, (n,), 1.0)) + np.sign(t.real + 1e-12) * 0.5)),
-            "invariants": (2 * r, lambda u: complex_rows(u, (r,), 1.5)),
-            "length": (1, lambda u: 5.0 * u[:, 0])}  # rng.uniform(0, 5)
-
-
-def _fixed(*names):
-    """A draw of fixed layout: each sample takes the doubles of the named
-    blocks in order, all samples' from one ``rng.random`` call."""
-    def draw(chev, rng, samples):
-        layout = list(map(_blocks(chev).get, names))
-        cuts = np.cumsum([width for width, _ in layout])
-        rows = np.split(rng.random((samples, cuts[-1])), cuts[:-1], axis=1)
-        return [convert(part) for (_, convert), part in zip(layout, rows)], None
-    return draw
+def _judge_flow_points(chev, rows, *rest):
+    """The Toda points of the proposed first candidates, the proposals'
+    other columns, and per proposal whether its candidate lies in the flow
+    domain."""
+    p, verdicts = flow_candidates(chev, rows)
+    return [p, *rest], [exc is None for exc in verdicts]
 
 
 def _flow_points(sets):
     """The draw of all samples' flow-domain points, each followed by
     ``sets`` sets of r stabilizer coefficients."""
-    return lambda chev, rng, samples: sample_flow_domain(chev, rng, samples, (chev.r,) * sets)
+    def draw(chev, rng):
+        return sample_flow_domain(chev, rng), *[stabilizer_coefficients(chev, rng)
+                                                for _ in range(sets)]
+    return judged(draw, fixed("candidate", *["coefficients"] * sets), _judge_flow_points)
 
 
 def _flow_point_and_label(chev, rng, point=sample_flow_domain):
@@ -273,13 +196,12 @@ def _flow_point_and_label(chev, rng, point=sample_flow_domain):
 
 
 def _flow_points_judged(draw):
-    """:func:`_judged` for a per-sample draw whose first value is a
-    flow-domain point drawn by its ``point`` argument: the proposal takes
-    that point's first candidate (:func:`sampling.flow_candidate`)."""
-    def judge(chev, rows, *rest):
-        p, verdicts = flow_candidates(chev, rows)
-        return [p, *rest], [exc is None for exc in verdicts]
-    return _judged(draw, functools.partial(draw, point=flow_candidate), judge)
+    """:func:`sampling.judged` for a per-sample draw whose first value is a
+    flow-domain point drawn by its ``point`` argument, and which takes
+    integers: a sample's proposal takes that point's first candidate
+    (:func:`sampling.flow_candidate`)."""
+    return judged(draw, one_by_one(functools.partial(draw, point=flow_candidate)),
+                  _judge_flow_points)
 
 
 # ----------------------------- linalg ---------------------------------- #
@@ -305,22 +227,21 @@ def _judge_conditioned(chev, a):
                                   for exc, ok in zip(errors, _conditioned(vectors))]
 
 
-@_register("linalg_eig_reconstruct", 1e-9, draw=_judged(
-    _draw_well_conditioned, lambda chev, rng: complex_uniform(rng, (chev.n, chev.n)),
-    _judge_conditioned))
+@_register("linalg_eig_reconstruct", 1e-9, draw=judged(
+    _draw_well_conditioned, fixed("matrix"), _judge_conditioned))
 def _check_eig_reconstruct(chev, a, values, vectors):
     # the eigenpairs are the draw's, which judged each matrix by them
     recon = vectors @ linalg.diag_matrix(values) @ linalg.inv(vectors)
     return np.divide(linalg.norm(recon - a), linalg.norm(a)), None
 
 
-@_register("linalg_exp_inverse", 1e-12, draw=_fixed("traceless", "length"))
+@_register("linalg_exp_inverse", 1e-12, draw=fixed("traceless", "length"))
 def _check_exp_inverse(chev, a, length):
     a = a * (length / np.maximum(linalg.norm(a), 1e-12))[:, None, None]
     return linalg.norm(linalg.mat_exp(a) @ linalg.mat_exp(-a) - np.eye(chev.n)), None
 
 
-@_register("linalg_exp_taylor_oracle", linalg.TOL_EXP, draw=_fixed("traceless"))
+@_register("linalg_exp_taylor_oracle", linalg.TOL_EXP, draw=fixed("traceless"))
 def _check_exp_taylor(chev, a):
     # Independent oracle for the exponential contract: for small arguments
     # the truncated series is accurate to machine precision.
@@ -333,7 +254,7 @@ def _check_exp_taylor(chev, a):
     return np.divide(linalg.norm(out - series), linalg.norm(out)), None
 
 
-@_register("linalg_exp_commuting", 1e-10, draw=_fixed("traceless"))
+@_register("linalg_exp_commuting", 1e-10, draw=fixed("traceless"))
 def _check_exp_commuting(chev, a):
     a = a / np.maximum(linalg.norm(a), 1e-12)[:, None, None]
     p = a + 0.3 * (a @ a)
@@ -344,7 +265,7 @@ def _check_exp_commuting(chev, a):
             [None if ok else AssertionError() for ok in commute])
 
 
-@_register("linalg_ldu_roundtrip", 1e-12, skips=(SingularMinor,), draw=_fixed("matrix"))
+@_register("linalg_ldu_roundtrip", 1e-12, skips=(SingularMinor,), draw=fixed("matrix"))
 def _check_ldu_roundtrip(chev, a):
     (lower, diag, upper), errors = linalg.gauss_ldu(a)
     return np.divide(linalg.norm(lower @ diag @ upper - a), linalg.norm(a)), errors
@@ -368,10 +289,9 @@ def _judge_regular(chev, x, s):
     return [x, s], [exc is None and ok for exc, ok in zip(errors, _separated(values))]
 
 
-@_register("lie_centralizer_dimension", 0.5, draw=_judged(
+@_register("lie_centralizer_dimension", 0.5, draw=judged(
     lambda chev, rng: (_random_regular(chev, rng), random_section_point(chev, rng)),
-    lambda chev, rng: (random_traceless(chev, rng), random_section_point(chev, rng)),
-    _judge_regular))
+    fixed("traceless", "section"), _judge_regular))
 def _check_centralizer_dimension(chev, x, s):
     # Deviation is the number of the sample's two points whose centralizer
     # does not have dimension r.
@@ -385,7 +305,7 @@ def _pairings(x, y) -> np.ndarray:
     return np.trace(x @ y, axis1=-2, axis2=-1)
 
 
-@_register("lie_pairing_ad_invariance", 1e-10, draw=_fixed("traceless", "traceless", "exponent"))
+@_register("lie_pairing_ad_invariance", 1e-10, draw=fixed("traceless", "traceless", "exponent"))
 def _check_pairing_invariance(chev, x, y, exponent):
     g = linalg.mat_exp(exponent)
     base, moved = _pairings(x, y).tolist(), _pairings(adjoint(g, x), adjoint(g, y)).tolist()
@@ -401,17 +321,27 @@ def _check_torus_gram(chev, rng, samples):
     return (0.0 if det > 1e-8 else 1.0), 0.5, 1
 
 
+def _away_from_zero(scalars) -> list:
+    """Per complex scalar of a stack, whether its modulus is at least 0.1."""
+    return (np.abs(scalars) >= 0.1).tolist()
+
+
 def _draw_scalar_quotient(chev, rng):
     width, exponents = blocks(chev)["exponent"]
     g = exponents(rng.random((1, width)))[0]  # the draws of random_group_element
     x = random_traceless(chev, rng)
     scalar = complex_uniform(rng, ())
-    while abs(scalar) < 0.1:
+    while not _away_from_zero(scalar[None])[0]:
         scalar = complex_uniform(rng, ())
     return g, x, scalar
 
 
-@_register("lie_group_scalar_quotient", 1e-12, draw=_one_by_one(_draw_scalar_quotient))
+def _judge_scalar_quotient(chev, exponent, x, scalars):
+    return [exponent, x, scalars], _away_from_zero(scalars)
+
+
+@_register("lie_group_scalar_quotient", 1e-12, draw=judged(
+    _draw_scalar_quotient, fixed("exponent", "traceless", "scalar"), _judge_scalar_quotient))
 def _check_scalar_quotient(chev, exponent, x, scalars):
     g = linalg.mat_exp(exponent)
     scaled = np.array(scalars)[:, None, None] * g
@@ -421,7 +351,7 @@ def _check_scalar_quotient(chev, exponent, x, scalars):
 
 # ----------------------------- invariants ------------------------------ #
 
-@_register("inv_conjugation_invariance", 1e-9, draw=_fixed("traceless", "exponent"))
+@_register("inv_conjugation_invariance", 1e-9, draw=fixed("traceless", "exponent"))
 def _check_inv_invariance(chev, x, exponent):
     g = linalg.mat_exp(exponent)
     base = invariant_vector(chev, x)
@@ -430,7 +360,7 @@ def _check_inv_invariance(chev, x, exponent):
                      np.add(1.0, linalg.vector_norm(base))), None
 
 
-@_register("inv_gradient_centralizes", 1e-12, draw=_fixed("traceless"))
+@_register("inv_gradient_centralizes", 1e-12, draw=fixed("traceless"))
 def _check_gradient_centralizes(chev, x):
     sizes = [max(size, 1e-12) for size in linalg.norm(x)]
     grads = invariant_gradients(chev, x)
@@ -438,14 +368,14 @@ def _check_gradient_centralizes(chev, x):
                    for i, grad in enumerate(grads.swapaxes(0, 1), 1)], axis=0), None
 
 
-@_register("inv_gradient_equivariance", 1e-9, draw=_fixed("traceless", "exponent"))
+@_register("inv_gradient_equivariance", 1e-9, draw=fixed("traceless", "exponent"))
 def _check_gradient_equivariance(chev, x, exponent):
     g = linalg.mat_exp(exponent)
     grads, moved = invariant_gradients(chev, x), invariant_gradients(chev, adjoint(g, x))
     return np.max([_rel(adjoint(g, grads[:, i]), moved[:, i]) for i in range(chev.r)], axis=0), None
 
 
-@_register("inv_gradient_independent_on_section", 0.5, draw=_fixed("section"))
+@_register("inv_gradient_independent_on_section", 0.5, draw=fixed("section"))
 def _check_gradient_independence(chev, s):
     # Deviation is 1 when the gradients are dependent at the sample, else 0.
     grads = invariant_gradients(chev, s)
@@ -455,14 +385,14 @@ def _check_gradient_independence(chev, s):
     return [float(abs(det) <= 1e-10 * size) for det, size in zip(np.linalg.det(gram), scale)], None
 
 
-@_register("inv_section_roundtrip", 1e-10, draw=_fixed("invariants"))
+@_register("inv_section_roundtrip", 1e-10, draw=fixed("invariants"))
 def _check_section_roundtrip(chev, z):
     x, errors = section_from_invariants(chev, z)
     return np.divide(linalg.vector_norm(invariant_vector(chev, x) - z),
                      np.add(1.0, linalg.vector_norm(z))), errors
 
 
-@_register("inv_gradient_fd", 1e-6, draw=_fixed("traceless", "traceless"))
+@_register("inv_gradient_fd", 1e-6, draw=fixed("traceless", "traceless"))
 def _check_gradient_fd(chev, x, z):
     h = 1e-6
     slopes = (invariant_vector(chev, x + h * z) - invariant_vector(chev, x - h * z)) / (2.0 * h)
@@ -480,7 +410,7 @@ def _check_longest_weyl(chev, rng, samples):
 
 
 @_register("kostant_section_decomposition_roundtrip", 1e-10,
-           draw=_fixed("xi_plus_b", "unitriangular", "section"))
+           draw=fixed("xi_plus_b", "unitriangular", "section"))
 def _check_decomposition_roundtrip(chev, z, u, s):
     dec, errors = decompose_to_section(chev, z)
     moved, moved_errors = conjugate_section(chev, u, s)
@@ -556,7 +486,7 @@ def _check_open_stabilizer(chev, p, g_coeffs, h_coeffs):
 
 
 @_register("kostant_gstar_refactor", 1e-10,
-           draw=_fixed("unitriangular", "unitriangular", "torus"))
+           draw=fixed("unitriangular", "unitriangular", "torus"))
 def _check_gstar_refactor(chev, u_minus, u, torus):
     u_minus = u_minus.swapaxes(1, 2).copy()  # lower unitriangular
     factors, errors = gstar_factor(chev, longest_weyl_lift(chev) @ u_minus @ torus @ u)
@@ -576,7 +506,7 @@ def _z_points(chev, x, coeffs) -> ZPoint:
     return ZPoint(g=stabilizer_elements(chev, x, coeffs), x=x)
 
 
-@_register("cent_flow_preserves_points", 1e-9, draw=_one_by_one(lambda chev, rng: (
+@_register("cent_flow_preserves_points", 1e-9, draw=one_by_one(lambda chev, rng: (
     *_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)), complex_uniform(rng, ()))))
 def _check_flow_preserves(chev, x, coeffs, labels, times):
     p = _z_points(chev, x, coeffs)
@@ -589,14 +519,14 @@ def _check_flow_preserves(chev, x, coeffs, labels, times):
 @_register("cent_moment_preimage")
 def _check_moment_preimage(chev, rng, samples):
     # each sample: a section point, a stabilizer element of it, a group element
-    (x, coeffs, exponents), _ = _fixed("section", "coefficients", "exponent")(chev, rng, samples)
+    (x, coeffs, exponents), _ = fixed("section", "coefficients", "exponent")(chev, rng, samples)
     g = np.concatenate([stabilizer_elements(chev, x, coeffs), linalg.mat_exp(exponents)])
     report = moment_preimage_report(chev, g, np.concatenate([x, x]))
     return float(report.mismatches) + report.max_member_residual, 1e-9 + 0.5, len(g)
 
 
 @_register("cent_invariants_group_independent", 1e-15,
-           draw=_fixed("section", "coefficients", "coefficients"))
+           draw=fixed("section", "coefficients", "coefficients"))
 def _check_invariants_group_independent(chev, x, first, second):
     p1, p2 = _z_points(chev, x, first), _z_points(chev, x, second)
     values1, errors = z_invariants(chev, p1)
@@ -604,7 +534,7 @@ def _check_invariants_group_independent(chev, x, first, second):
     return linalg.vector_norm(values1 - values2), first_errors(errors, errors2)
 
 
-@_register("cent_hamiltonian_isotropy", 1e-10, draw=_fixed("section", "coefficients"))
+@_register("cent_hamiltonian_isotropy", 1e-10, draw=fixed("section", "coefficients"))
 def _check_ham_isotropy(chev, x, coeffs):
     # the form reads only the algebra part of the drawn points
     fields = hamiltonian_fields(chev, x)
@@ -629,7 +559,7 @@ def _check_ham_duality(chev, c):
     return np.max(np.abs(symplectic_form(c.s, fields, dirs) - slopes), axis=(1, 2)), None
 
 
-@_register("cent_cjl_surjectivity", 1e-8, draw=_fixed("section", "coefficients"))
+@_register("cent_cjl_surjectivity", 1e-8, draw=fixed("section", "coefficients"))
 def _check_cjl_surjectivity(chev, x, coeffs):
     # recover the chart coordinates of a stabilizer element from its
     # exponent in the gradient basis, then rebuild it through the chart
@@ -652,7 +582,7 @@ def _check_cjl_rank(chev, c):
     return (sigma[:, -1] <= 1e-6 * sigma[:, 0]).astype(float), None
 
 
-@_register("cent_flow_group_law", 1e-10, draw=_one_by_one(lambda chev, rng: (
+@_register("cent_flow_group_law", 1e-10, draw=one_by_one(lambda chev, rng: (
     *_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
     complex_uniform(rng, (), scale=0.7), complex_uniform(rng, (), scale=0.7))))
 def _check_flow_group_law(chev, x, coeffs, labels, t, s):
@@ -662,7 +592,7 @@ def _check_flow_group_law(chev, x, coeffs, labels, t, s):
     return _rel(lhs.g, rhs.g), None
 
 
-@_register("cent_cjl_factor_order", 1e-10, draw=_one_by_one(lambda chev, rng: (
+@_register("cent_cjl_factor_order", 1e-10, draw=one_by_one(lambda chev, rng: (
     random_cjl_point(chev, rng), tuple(rng.permutation(chev.r).tolist()))))
 def _check_cjl_factor_order(chev, c, orders):
     base = cjl_chart(chev, c)
@@ -740,11 +670,12 @@ def _check_embed_triangle(chev, p):
 
 @_register("toda_embed_injective")
 def _check_embed_injective(chev, rng, samples):
-    [p], failure = sample_flow_domain(chev, rng, samples)
+    columns, failure = _flow_points(0)(chev, rng, samples)
     if failure is not None:
         raise failure
-    if not len(p.diag):
+    if not columns:
         return 0.0, 0.5, 0
+    p = columns[0]
     images, errors = embed(chev, p)
     if any(errors):
         raise next(exc for exc in errors if exc)

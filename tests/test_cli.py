@@ -610,7 +610,7 @@ PINNED_KEYWORDS = {
     lie_core.centralizer_basis: {"tol"},
     linalg.kernel_basis: {"tol"},
     lie_core.group_equal: {"tol"},
-    sampling.sample_flow_domain: {"scale", "max_tries"},
+    sampling.sample_flow_domain: {"scale", "max_tries", "samples", "scalars"},
     sampling.random_toda_point: {"scale"},
     sampling.random_stabilizer_element: {"scale"},
     sampling.random_traceless: {"scale"},
@@ -637,6 +637,18 @@ def test_no_matrix_power_in_src():
     src = Path(__file__).resolve().parents[1] / "src"
     for path in src.rglob("*.py"):
         assert not re.search(r"matrix_power\b", path.read_text()), path.name
+
+
+def test_one_generator_rewind_in_src():
+    # the judged draw's rewind is the only one: every rejection draw of the
+    # checks goes through it
+    src = Path(__file__).resolve().parents[1] / "src"
+    rewinds = [path.name for path in src.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Attribute) and target.attr == "state"
+               and isinstance(target.value, ast.Attribute) and target.value.attr == "bit_generator"]
+    assert rewinds == ["sampling.py"]
 
 
 def test_no_private_name_imported_across_modules():

@@ -1,9 +1,11 @@
 """Batched draws against draws made one at a time: the fixed-layout draws,
-the flow-domain sampler, the domain fraction and the chart-point draw
-consume the stream exactly as the sequential loops below do, and the
-checks that draw through them give the same rows."""
+the judged draws (the flow-domain points among them), the domain fraction
+and the chart-point draw consume the stream exactly as the sequential
+loops below do, and the checks that draw through them give the same rows."""
 
 import dataclasses
+import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from centralizer_lab.lie_core import build_chevalley, scalar_aligned_distance
 from centralizer_lab.sampling import (
     complex_uniform,
     domain_fraction,
+    fixed,
+    one_by_one,
     random_cjl_point,
     random_group_element,
     random_section_point,
@@ -58,11 +62,9 @@ def _sequential_draw(chev, rng, scalars):
                      for size in scalars))
 
 
-def _sequential_sampler(chev, rng, samples=None, scalars=()):
-    """sample_flow_domain's contract, drawn sample by sample and then
-    stacked into its columns."""
-    if samples is None:
-        return _sequential_draw(chev, rng, scalars)
+def _sequential_sampler(chev, rng, samples, scalars=()):
+    """The flow-domain draw's columns and failure, drawn sample by sample
+    and then stacked."""
     drawn, failure = [], None
     try:
         while len(drawn) < samples:
@@ -114,13 +116,19 @@ def test_complex_uniform_matches_two_draws(shape, scale):
     assert one.uniform() == two.uniform()
 
 
+def _draw_flow_points(chev, rng, samples, scalars=()):
+    """The checks' draw of flow-domain points, each followed by sets of r
+    stabilizer coefficients, one set per entry of ``scalars``."""
+    return suites._flow_points(len(scalars))(chev, rng, samples)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_batched_sampler_matches_sequential_draws(n):
     chev = build_chevalley(n)
     for seed in range(4):
         for scalars in ((), (chev.r,), (chev.r, chev.r)):
             one, two = stream(seed, f"batch-{n}"), stream(seed, f"batch-{n}")
-            drawn = sample_flow_domain(chev, one, 25, scalars)
+            drawn = _draw_flow_points(chev, one, 25, scalars)
             assert drawn[1] is None and len(drawn[0][0].diag) == 25
             _assert_same_draws(drawn, _sequential_sampler(chev, two, 25, scalars))
             assert one.uniform() == two.uniform()
@@ -168,13 +176,20 @@ def test_forced_rejections_keep_the_stream(monkeypatch, n):
     for scalars in ((), (chev.r, chev.r)):
         one, two = stream(3, f"reject-{n}"), stream(3, f"reject-{n}")
         eigvals_calls.clear()
-        drawn = sample_flow_domain(chev, one, 25, scalars)
-        rounds = len(eigvals_calls)
-        reference = _sequential_sampler(chev, two, 25, scalars)
-        rejected = len(eigvals_calls) - rounds - 25
-        assert rejected > 3
-        assert rounds <= 1 + rejected
-        _assert_same_draws(drawn, reference)
+        drawn = _draw_flow_points(chev, one, 25, scalars)
+        batched = Counter(eigvals_calls)  # by the number of axes of the input
+        tries = []  # per sample, the candidates a draw made alone takes
+        for _ in range(25):
+            eigvals_calls.clear()
+            _sequential_draw(chev, two, scalars)
+            tries.append(len(eigvals_calls))
+        alone = [k for k, count in enumerate(tries) if count > 1]
+        assert len(alone) > 3
+        # one stacked eigvals per round, a round after each sample drawn
+        # alone, and one per candidate of such a sample
+        assert batched == {3: 1 + sum(k < 24 for k in alone), 2: sum(tries[k] for k in alone)}
+        two = stream(3, f"reject-{n}")
+        _assert_same_draws(drawn, _sequential_sampler(chev, two, 25, scalars))
         assert one.uniform() == two.uniform()
     one, two = stream(3, f"fraction-{n}"), stream(3, f"fraction-{n}")
     fraction = domain_fraction(chev, one, 30)
@@ -191,7 +206,7 @@ def test_no_convergence_after_1000_rejections(monkeypatch):
     spectra = [linalg.eig(toda_matrix(chev, candidates[k]))[0].tobytes() for k in (600, 1200)]
     _reject_by_value(monkeypatch, lambda values: values.tobytes() not in spectra)
     one, two = stream(8, "stuck"), stream(8, "stuck")
-    drawn = sample_flow_domain(chev, one, 3)
+    drawn = _draw_flow_points(chev, one, 3)
     assert len(drawn[0][0].diag) == 2 and isinstance(drawn[1], NoConvergence)
     assert str(drawn[1]) == "no flow-domain point found in 1000 draws"
     _assert_same_draws(drawn, _sequential_sampler(chev, two, 3))
@@ -217,7 +232,7 @@ def test_eigensolver_error_ends_the_draws_at_its_candidate(monkeypatch):
         bad[:] = [toda_matrix(chev, drawn[0])[3].tobytes()]
         monkeypatch.setattr(linalg, "eigvals", failing_eigvals)
         one, two = stream(2, "eig-error"), stream(2, "eig-error")
-        drawn = sample_flow_domain(chev, one, 10, scalars)
+        drawn = _draw_flow_points(chev, one, 10, scalars)
         assert len(drawn[0][0].diag) == 3 and str(drawn[1]) == "injected"
         _assert_same_draws(drawn, _sequential_sampler(chev, two, 10, scalars))
         assert one.uniform() == two.uniform()
@@ -241,13 +256,12 @@ class _Scripted:
         self.doubles, self.state, self.bit_generator = doubles, 0, self
 
     def random(self, size):
-        size = int(np.prod(size))
-        out = self.doubles[self.state:self.state + size].copy()
-        self.state += size
-        return out
+        out = self.doubles[self.state:self.state + int(np.prod(size))].reshape(size)
+        self.state += out.size
+        return out.copy()
 
     def uniform(self, low, high, size):
-        return low + (high - low) * self.random(size).reshape(size)
+        return low + (high - low) * self.random(size)
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -268,7 +282,7 @@ def test_zero_root_coordinate_is_redrawn_alone(n):
     for scalars in ((), (chev.r,)):
         doubles = with_zero(2 * (w + 2 * sum(scalars)))
         one, two = _Scripted(doubles), _Scripted(doubles)
-        drawn = sample_flow_domain(chev, one, 5, scalars)
+        drawn = _draw_flow_points(chev, one, 5, scalars)
         _assert_same_draws(drawn, _sequential_sampler(chev, two, 5, scalars))
         assert one.state == two.state == 5 * (w + 2 * sum(scalars)) + 2 * chev.r
         assert np.all(drawn[0][0].root_coords[2] != 0)
@@ -296,13 +310,29 @@ def _old_embed_injective(chev, rng, samples):
     return float(bad), 0.5, samples
 
 
-# the stacked checks whose samples are drawn in one sample_flow_domain call
-BATCHED = [name for name, check in suites.CHECKS.items()
-           if getattr(check.draw, "__qualname__", "").startswith("_flow_points.")]
+def _made_with(draw) -> dict:
+    """The arguments that the combinator which made a draw was given."""
+    return inspect.getclosurevars(draw).nonlocals
+
+
+def _coefficient_sets(draw):
+    """For a draw of flow-domain points judged from a fixed-layout
+    proposal, the number of sets of stabilizer coefficients that follow
+    each point; else None."""
+    made = _made_with(draw) if draw else {}
+    if made.get("judge") is not suites._judge_flow_points:
+        return None
+    names = _made_with(made["propose"]).get("names")
+    return None if names is None else names.count("coefficients")
+
+
+# the stacked checks whose samples are drawn by suites._flow_points(sets)
+BATCHED = {name: sets for name, check in suites.CHECKS.items()
+           if (sets := _coefficient_sets(check.draw)) is not None}
 
 
 def test_batched_checks_are_the_flow_domain_ones():
-    assert len(BATCHED) == 11
+    assert Counter(BATCHED.values()) == {0: 9, 1: 1, 2: 1}
 
 
 def _row(result):
@@ -313,9 +343,12 @@ def _row(result):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_rows_equal_those_of_draws_made_one_at_a_time(monkeypatch, n):
-    names = BATCHED + ["toda_embed_injective", "toda_domain_fraction"]
+    names = [*BATCHED, "toda_embed_injective", "toda_domain_fraction"]
     rows = {name: _row(suites.run_check(name, n, 42, 6)) for name in names}
-    monkeypatch.setattr(suites, "sample_flow_domain", _sequential_sampler)
+    for name, sets in BATCHED.items():
+        monkeypatch.setitem(suites.CHECKS, name, dataclasses.replace(
+            suites.CHECKS[name], draw=lambda chev, rng, samples, sets=sets: _sequential_sampler(
+                chev, rng, samples, (chev.r,) * sets)))
     monkeypatch.setattr(suites, "domain_fraction", _sequential_fraction)
     monkeypatch.setitem(suites.CHECKS, "toda_embed_injective",
                         suites.Check(_old_embed_injective, None, (), None))
@@ -324,8 +357,8 @@ def test_rows_equal_those_of_draws_made_one_at_a_time(monkeypatch, n):
 
 
 def _run_injective(monkeypatch, points, embed=toda.embed):
-    monkeypatch.setattr(suites, "sample_flow_domain",
-                        lambda chev, rng, samples: ([stack(points[:samples])], None))
+    monkeypatch.setattr(suites, "_flow_points",
+                        lambda sets: lambda chev, rng, samples: ([stack(points[:samples])], None))
     monkeypatch.setattr(suites, "embed", embed)
     return suites.run_check("toda_embed_injective", 3, 42, len(points))
 
@@ -412,7 +445,7 @@ class _Counted:
 def test_fixed_layout_draws_equal_per_sample_draws(n):
     chev = build_chevalley(n)
     draws = {name: suites.CHECKS[name].draw for name in FIXED}
-    draws["cent_moment_preimage"] = suites._fixed("section", "coefficients", "exponent")
+    draws["cent_moment_preimage"] = fixed("section", "coefficients", "exponent")
     for name, per_sample in FIXED.items():
         one, two = _Counted(stream(n, name)), stream(n, name)
         columns, failure = draws[name](chev, one, 7)
@@ -430,31 +463,42 @@ def test_fixed_layout_draws_are_the_ones_without_rejection_or_integers():
     def drawn_by(maker):
         return {name for name, check in suites.CHECKS.items()
                 if getattr(check.draw, "__qualname__", "").startswith(maker + ".")}
-    assert drawn_by("_one_by_one") == {
-        "lie_group_scalar_quotient", "cent_flow_preserves_points", "cent_flow_group_law",
-        "cent_cjl_factor_order"}
-    assert drawn_by("_judged") == set(JUDGED)
-    assert drawn_by("_fixed") == set(FIXED) - {"cent_moment_preimage"}
+    assert drawn_by("one_by_one") == {
+        "cent_flow_preserves_points", "cent_flow_group_law", "cent_cjl_factor_order"}
+    assert drawn_by("judged") == set(JUDGED) - {"flow_points_0", "flow_points_2",
+                                                "toda_domain_fraction"} | set(BATCHED)
+    assert drawn_by("fixed") == set(FIXED) - {"cent_moment_preimage"}
 
 
-# Per draw that judges all samples' candidates in one pass, the per-sample
-# draw whose _one_by_one it must equal.
-JUDGED = {
+def _in_flow_domain(chev, rng):
+    return in_flow_domain(chev, random_toda_point(chev, rng))
+
+
+# Per draw that judges all samples' candidates in one pass, the draw and
+# the per-sample draw whose one_by_one it must equal.
+JUDGED = {name: (suites.CHECKS[name].draw, draw) for name, draw in {
     "linalg_eig_reconstruct": suites._draw_well_conditioned,
     "lie_centralizer_dimension": lambda chev, rng: (suites._random_regular(chev, rng),
                                                     random_section_point(chev, rng)),
+    "lie_group_scalar_quotient": suites._draw_scalar_quotient,
     "toda_flow_semigroup": suites._draw_semigroup,
     "toda_normal_forms_constant": suites._flow_point_and_label,
+}.items()} | {
+    "flow_points_0": (suites._flow_points(0), _sequential_point),
+    "flow_points_2": (suites._flow_points(2),
+                      lambda chev, rng: _sequential_draw(chev, rng, (chev.r, chev.r))),
+    "toda_domain_fraction": (sampling._memberships, _in_flow_domain),
 }
 
 
 def _assert_same_judged(chev, name, seed, samples):
-    """The judged draw and _one_by_one of its per-sample draw give the same
+    """The judged draw and one_by_one of its per-sample draw give the same
     columns and failure, and leave the stream at the same place, integer
     buffer included."""
     one, two = stream(seed, name), stream(seed, name)
-    drawn = suites.CHECKS[name].draw(chev, one, samples)
-    _assert_same_draws(drawn, suites._one_by_one(JUDGED[name])(chev, two, samples))
+    draw, per_sample = JUDGED[name]
+    drawn = draw(chev, one, samples)
+    _assert_same_draws(drawn, one_by_one(per_sample)(chev, two, samples))
     assert one.random(2).tobytes() == two.random(2).tobytes()
     assert one.integers(1, 9, 5).tolist() == two.integers(1, 9, 5).tolist()
     return drawn
@@ -462,15 +506,16 @@ def _assert_same_judged(chev, name, seed, samples):
 
 def _judged_matrix(chev, name, columns, k):
     """Sample k's matrix that the draw judges."""
-    if name.startswith("toda"):
+    if isinstance(columns[0], toda.TodaPoint):
         return toda_matrix(chev, map_arrays(lambda part: part[k], columns[0]))
     return columns[0][k]
 
 
 def _judged_bytes(chev, name, columns, k):
     """The bytes of what the verdict reads for sample k: the eigenvectors
-    of linalg_eig_reconstruct's matrix, else the spectrum."""
-    if name == "linalg_eig_reconstruct":
+    of linalg_eig_reconstruct's matrix, the scalar of
+    lie_group_scalar_quotient, else the spectrum."""
+    if name in ("linalg_eig_reconstruct", "lie_group_scalar_quotient"):
         return columns[2][k].tobytes()
     return linalg.eigvals(_judged_matrix(chev, name, columns, k)).tobytes()
 
@@ -485,6 +530,8 @@ def _force_rejections(monkeypatch, name, targets):
         monkeypatch.setattr(suites, "_conditioned", rejecting(suites._conditioned))
     elif name == "lie_centralizer_dimension":
         monkeypatch.setattr(suites, "_separated", rejecting(suites._separated))
+    elif name == "lie_group_scalar_quotient":
+        monkeypatch.setattr(suites, "_away_from_zero", rejecting(suites._away_from_zero))
     else:
         _reject_by_value(monkeypatch, lambda row: row.tobytes() in targets)
 
@@ -504,7 +551,7 @@ def _inject_failures(monkeypatch, targets):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_judged_draws_equal_draws_made_one_at_a_time(n):
     chev = build_chevalley(n)
-    for name in JUDGED:
+    for name, (draw, _) in JUDGED.items():
         for seed in (42, 1):
             columns, failure = _assert_same_judged(chev, name, seed, 25)
             assert failure is None and len(arrays(columns[0])[0]) == 25
@@ -512,25 +559,45 @@ def test_judged_draws_equal_draws_made_one_at_a_time(n):
                 (values, vectors), errors = linalg.eig(columns[0])
                 assert errors == [None] * 25
                 assert _same_bits(values, columns[1]) and _same_bits(vectors, columns[2])
-    assert suites.CHECKS["toda_flow_semigroup"].draw(chev, stream(1, "none"), 0) == ([], None)
+        assert draw(chev, stream(1, "none"), 0) == ([], None)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_judged_draws_replay_rejections_and_failures(monkeypatch, n):
     chev = build_chevalley(n)
-    for name, draw in JUDGED.items():
-        columns, _ = suites._one_by_one(draw)(chev, stream(n, name), 7)
+    for name, (_, draw) in JUDGED.items():
+        columns, _ = one_by_one(draw)(chev, stream(n, name), 7)
+        if name == "toda_domain_fraction":  # the candidates its verdicts read
+            rng = stream(n, name)
+            columns = [stack([random_toda_point(chev, rng) for _ in range(7)])]
         for k in (0, 3, 6):  # the first, a middle and the last sample
             target = _judged_bytes(chev, name, columns, k)
             with monkeypatch.context() as patch:
                 _force_rejections(patch, name, {target})
                 drawn, failure = _assert_same_judged(chev, name, n, 7)
-            assert failure is None and _judged_bytes(chev, name, drawn, k) != target, (name, k)
+            assert failure is None, (name, k)
+            if name == "toda_domain_fraction":  # a rejection is a verdict
+                assert drawn[0][k] is False
+            else:
+                assert _judged_bytes(chev, name, drawn, k) != target, (name, k)
+            if name == "lie_group_scalar_quotient":
+                continue  # no eigensolver runs in its draw
             with monkeypatch.context() as patch:
                 _inject_failures(patch, {_judged_matrix(chev, name, columns, k).tobytes()})
                 drawn, failure = _assert_same_judged(chev, name, n, 7)
             assert str(failure) == "injected" and (k == 0) == (drawn == []), (name, k)
             assert k == 0 or len(arrays(drawn[0])[0]) == k
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_zero_samples_draw_nothing(n):
+    # every sampled check, and the injectivity check that draws its points
+    # through the flow-domain draw, takes the empty draw and passes
+    rows = {row.name: row for row in suites.run_all(n, 42, 0).checks}
+    sampled = [name for name, check in suites.CHECKS.items() if check.draw is not None]
+    for name in [*sampled, "toda_embed_injective"]:
+        assert (rows[name].samples, rows[name].passed, rows[name].error) == (0, True, None), name
+    assert all(row.passed and row.error is None for row in rows.values())
 
 
 def test_section_scales_are_computed_once():
