@@ -91,7 +91,7 @@ def symplectic_form(x: np.ndarray, left: Tangent, right: Tangent) -> np.ndarray:
 def check_z_point(chev: ChevalleyData, p: ZPoint) -> ZPoint:
     """Return p if x is on the section to ``SECTION_TOL`` and g stabilizes
     it to ``STABILIZER_TOL``; raise :class:`InvalidZPoint` otherwise."""
-    _, missed = chev.section_coords(p.x)  # on the section: chev.on_section's test
+    _, missed = chev.section_coords(p.x)
     return p, [
         InvalidZPoint(f"algebra part misses the section by {off:.3e}")
         if not off <= SECTION_TOL * (1.0 + size) else
@@ -110,10 +110,6 @@ class MomentPreimageReport:
     preimage_members: int
     mismatches: int
     max_member_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.mismatches == 0
 
 
 def moment_preimage_report(chev: ChevalleyData, g, x) -> MomentPreimageReport:
@@ -143,13 +139,6 @@ def z_invariants(chev: ChevalleyData, p: ZPoint) -> np.ndarray:
     part, independent of the group part."""
     _, errors = check_z_point(chev, p)
     return invariant_vector(chev, p.x), errors
-
-
-def hamiltonian_field(chev: ChevalleyData, p: ZPoint, i) -> Tangent:
-    """Left-trivialized Hamiltonian field of the i-th invariant:
-    (invariant gradient of x, 0); i may be given per sample of a stack."""
-    y = invariant_gradient(chev, p.x, i)
-    return Tangent(y=y, z=np.zeros_like(y))
 
 
 def flow_step(chev: ChevalleyData, t, p: ZPoint, i) -> ZPoint:

@@ -37,6 +37,7 @@ from .formats import (
 )
 from .invariants import invariant_vector
 from .lie_core import build_chevalley
+from .linalg import relative_distance
 from .sampling import random_cjl_point, stream
 from .stacks import stack
 from .suites import run_all
@@ -222,8 +223,7 @@ def cmd_embed(cfg: RunConfig) -> int:
     zp = embed(chev, p0)
     back = embed_inverse(chev, zp)
     m0 = toda_matrix(chev, p0)
-    error = float(np.linalg.norm(toda_matrix(chev, back) - m0)
-                  / (1.0 + np.linalg.norm(m0)))
+    error = float(relative_distance(toda_matrix(chev, back), m0))
     payload = {
         "n": cfg.n,
         "point": {"diag": to_json(p0.diag), "root_coords": to_json(p0.root_coords)},

@@ -53,17 +53,14 @@ def to_json(a):
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def vector_from_json(obj) -> np.ndarray:
-    return np.array([complex_from_obj(z) for z in obj], dtype=complex)
-
-
 def toda_point_from_json(obj):
     from .toda import make_toda_point
 
     if not isinstance(obj, dict) or "diag" not in obj or "root_coords" not in obj:
         raise ValueError('phase-space point needs keys "diag" and "root_coords"')
-    return make_toda_point(vector_from_json(obj["diag"]),
-                           vector_from_json(obj["root_coords"]))
+    diag, root_coords = (np.array([complex_from_obj(z) for z in obj[key]], dtype=complex)
+                         for key in ("diag", "root_coords"))
+    return make_toda_point(diag, root_coords)
 
 
 def dump_json(obj) -> str:

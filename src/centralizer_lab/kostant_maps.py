@@ -100,7 +100,7 @@ def conjugate_section(chev: ChevalleyData, u: np.ndarray, s: np.ndarray) -> np.n
     """Ad_u(s) for u upper unitriangular and s on the Kostant section;
     ValueError where u or s is not."""
     u, s = linalg.as_matrix(u), linalg.as_matrix(s)
-    _, missed = chev.section_coords(s)  # on the section: chev.on_section's test
+    _, missed = chev.section_coords(s)
     errors = [
         ValueError("matrix is not upper unitriangular")
         if low > 1e-12 * (1.0 + size) or unit > 1e-12 * (1.0 + size) else

@@ -89,12 +89,6 @@ class ChevalleyData:
         coords = np.matvec(self._section_pinv, defect)
         return coords, linalg.norm(self.section_point(coords) - x)
 
-    def on_section(self, x: np.ndarray, tol: float = 1e-10) -> bool:
-        """Whether x is within ``tol``, relative to 1 + ||x||, of the
-        section."""
-        _, residual = self.section_coords(x)
-        return residual <= tol * (1.0 + linalg.norm(x))
-
 
 def _matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)

@@ -81,6 +81,11 @@ def norm(a):
     return vector_norm(a.reshape(len(a), a.shape[-2] * a.shape[-1]))
 
 
+def relative_distance(a, b):
+    """||a - b|| / (1 + ||b||) of two matrices, or per matrix of two stacks."""
+    return np.divide(norm(a - b), np.add(1.0, norm(b)))
+
+
 @functools.lru_cache(maxsize=None)
 def eye(n: int) -> np.ndarray:
     """The complex n x n identity, shared and read-only."""

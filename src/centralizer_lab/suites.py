@@ -1,7 +1,8 @@
 """Named verification suites behind the ``check`` command.
 
-A check is *sampled* or *plain*.  A sampled check is registered with its
-pinned bound, the exception types that count as a skipped sample, and a
+Every check is registered with its pinned bound: a float, or a function
+of n.  A check is *sampled* or *plain*.  A sampled check is also
+registered with the exception types that count as a skipped sample, and a
 ``draw(chev, rng, samples) -> (columns, failure)``: the samples' values
 as stacked columns (Python scalars such as flow times and labels in
 lists), and the exception (or None) that ended them.  Its function takes
@@ -12,9 +13,9 @@ when it takes only doubles and rejects nothing, judged when it rejects
 candidates, else sample by sample.  No draw depends on another sample or
 on the number of samples, and each consumes the stream as draws made one
 at a time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
-plain check is a function ``(chev, rng, samples) -> (deviation, bound,
-used)``, for structure constants, rank-dependent cases and checks over
-the whole sample set at once.
+plain check has no draw, and is a function ``(chev, rng, samples) ->
+(deviation, used)``, for structure constants, rank-dependent cases and
+checks over the whole sample set at once.
 
 The driver, :func:`run_check`, folds the ordered per-sample outcomes, a
 deviation or an exception, into the running maximum (NaN once a
@@ -23,12 +24,12 @@ deviation with ``np.maximum``, which keeps a NaN), the sample and skip
 counts, and the first exception that is not a skip.  A draw that raises
 ends the list with its exception.  Such an exception, or any other that
 escapes a check, fails it with an infinite deviation, and the result
-names the exception, keeps the declared bound (a plain check declares
-none and reads 0.0) and counts the samples finished before it.  Each
-check draws from its own named random stream, starts from an empty
-spectrum memo (see :func:`linalg.eigvals`), and the checks run one
-after another in registry order, so reports are deterministic for a
-fixed configuration.  No tolerance or bound can be set from outside.
+names the exception, keeps the registered bound and counts the samples
+finished before it.  Each check draws from its own named random stream,
+starts from an empty spectrum memo (see :func:`linalg.eigvals`), and the
+checks run one after another in registry order, so reports are
+deterministic for a fixed configuration.  No tolerance or bound can be
+set from outside.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ from .lie_core import (
     stabilizer_residual,
     traceless_part,
 )
+from .linalg import relative_distance
 from .report import CheckResult, Report
 from .sampling import (
     blocks,
@@ -127,22 +129,22 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Check:
-    """A registered check: its function, declared bound and skip
-    exceptions, and for a sampled check the draw of its samples."""
+    """A registered check: its function, bound and skip exceptions, and
+    for a sampled check the draw of its samples."""
 
     fn: object
-    bound: object  # a float, a function of n, or None for a plain check
+    bound: object  # a float or a function of n
     skips: tuple
-    draw: object
+    draw: object  # None for a plain check
 
 
 CHECKS = {}
 
 
-def _register(name, bound=None, skips=(), draw=None):
-    """Register a sampled check with its ``bound``, skip exceptions and
-    ``draw(chev, rng, samples)``, which makes the draws of the samples that
-    the function evaluates at once, or, without a bound, a plain check."""
+def _register(name, bound, skips=(), draw=None):
+    """Register a check with its ``bound``, and a sampled one with its skip
+    exceptions and ``draw(chev, rng, samples)``, which makes the draws of
+    the samples that the function evaluates at once."""
     def deco(fn):
         CHECKS[name] = Check(fn, bound, skips, draw)
         return fn
@@ -152,11 +154,6 @@ def _register(name, bound=None, skips=(), draw=None):
 class SmallRootCoordinate(Exception):
     """A dressed point with a root coordinate below 1e-6 in modulus, too
     close to the wall for the lift to be compared: the sample is skipped."""
-
-
-def _rel(a, b):
-    """||a - b|| / (1 + ||b||), one value per matrix for stacks."""
-    return np.divide(linalg.norm(a - b), np.add(1.0, linalg.norm(b)))
 
 
 def _separated(values) -> list:
@@ -261,7 +258,7 @@ def _check_exp_commuting(chev, a):
     q = 0.5 * a - 0.2 * (a @ a)
     commute = [gap < 1e-13 * (1 + size_p * size_q) for gap, size_p, size_q
                in zip(linalg.norm(bracket(p, q)), linalg.norm(p), linalg.norm(q))]
-    return (_rel(linalg.mat_exp(p + q), linalg.mat_exp(p) @ linalg.mat_exp(q)),
+    return (relative_distance(linalg.mat_exp(p + q), linalg.mat_exp(p) @ linalg.mat_exp(q)),
             [None if ok else AssertionError() for ok in commute])
 
 
@@ -273,7 +270,7 @@ def _check_ldu_roundtrip(chev, a):
 
 # ----------------------------- lie core -------------------------------- #
 
-@_register("lie_sl2_triple")
+@_register("lie_sl2_triple", 1e-14)
 def _check_sl2_triple(chev, rng, samples):
     parts = [linalg.norm(bracket(chev.h, chev.xi) - 2 * chev.xi),
              linalg.norm(bracket(chev.h, chev.eta) + 2 * chev.eta),
@@ -281,7 +278,7 @@ def _check_sl2_triple(chev, rng, samples):
     for i in range(chev.r):
         alpha_h = chev.h[i, i] - chev.h[i + 1, i + 1]
         parts += [abs(alpha_h + 2.0), abs(pairing(chev.e_plus[i], chev.e_minus[i]) - 1.0)]
-    return np.max(parts), 1e-14, 1
+    return np.max(parts), 1
 
 
 def _judge_regular(chev, x, s):
@@ -312,13 +309,13 @@ def _check_pairing_invariance(chev, x, y, exponent):
     return [abs(b - a) / (1.0 + abs(a)) for a, b in zip(base, moved)], None
 
 
-@_register("lie_torus_gram_nondegenerate")
+@_register("lie_torus_gram_nondegenerate", 0.5)
 def _check_torus_gram(chev, rng, samples):
     # On the simple coroots the Gram matrix is the Cartan matrix, det = n.
     coroots = [bracket(e, f) for e, f in zip(chev.e_plus, chev.e_minus)]
     gram = np.array([[pairing(a, b) for b in coroots] for a in coroots])
     det = abs(np.linalg.det(gram))
-    return (0.0 if det > 1e-8 else 1.0), 0.5, 1
+    return (0.0 if det > 1e-8 else 1.0), 1
 
 
 def _away_from_zero(scalars) -> list:
@@ -346,7 +343,7 @@ def _check_scalar_quotient(chev, exponent, x, scalars):
     g = linalg.mat_exp(exponent)
     scaled = np.array(scalars)[:, None, None] * g
     apart = ~(group_equal(g, scaled) & group_equal(scaled, g))
-    return np.maximum(_rel(adjoint(scaled, x), adjoint(g, x)), apart), None
+    return np.maximum(relative_distance(adjoint(scaled, x), adjoint(g, x)), apart), None
 
 
 # ----------------------------- invariants ------------------------------ #
@@ -372,7 +369,8 @@ def _check_gradient_centralizes(chev, x):
 def _check_gradient_equivariance(chev, x, exponent):
     g = linalg.mat_exp(exponent)
     grads, moved = invariant_gradients(chev, x), invariant_gradients(chev, adjoint(g, x))
-    return np.max([_rel(adjoint(g, grads[:, i]), moved[:, i]) for i in range(chev.r)], axis=0), None
+    return np.max([relative_distance(adjoint(g, grads[:, i]), moved[:, i])
+                   for i in range(chev.r)], axis=0), None
 
 
 @_register("inv_gradient_independent_on_section", 0.5, draw=fixed("section"))
@@ -402,11 +400,11 @@ def _check_gradient_fd(chev, x, z):
 
 # ----------------------------- kostant maps ---------------------------- #
 
-@_register("kostant_longest_weyl_ad")
+@_register("kostant_longest_weyl_ad", 1e-14)
 def _check_longest_weyl(chev, rng, samples):
     w0 = longest_weyl_lift(chev)
     return np.max([linalg.norm(adjoint(w0, chev.e_plus[i]) - chev.e_minus[chev.r - 1 - i])
-                   for i in range(chev.r)]), 1e-14, 1
+                   for i in range(chev.r)]), 1
 
 
 @_register("kostant_section_decomposition_roundtrip", 1e-10,
@@ -415,8 +413,9 @@ def _check_decomposition_roundtrip(chev, z, u, s):
     dec, errors = decompose_to_section(chev, z)
     moved, moved_errors = conjugate_section(chev, u, s)
     dec2, errors2 = decompose_to_section(chev, moved)
-    return np.maximum.reduce([_rel(adjoint(dec.u, dec.s), z), _rel(dec2.u, u),
-                              _rel(dec2.s, s)]), first_errors(errors, moved_errors, errors2)
+    return (np.maximum.reduce([relative_distance(adjoint(dec.u, dec.s), z),
+                               relative_distance(dec2.u, u), relative_distance(dec2.s, s)]),
+            first_errors(errors, moved_errors, errors2))
 
 
 @_register("kostant_chamber_form", 1e-9, draw=_flow_points(0))
@@ -425,7 +424,7 @@ def _check_chamber_form(chev, p):
     form, errors = chamber_form(chev, x)
     dev = linalg.vector_norm(invariant_vector(chev, form) - invariant_vector(chev, x))
     again, errors2 = chamber_form(chev, form)
-    return np.maximum(dev, _rel(again, form)), first_errors(errors, errors2)
+    return np.maximum(dev, relative_distance(again, form)), first_errors(errors, errors2)
 
 
 @_register("kostant_chamber_conjugator", 1e-9, draw=_flow_points(0))
@@ -433,7 +432,7 @@ def _check_chamber_conjugator(chev, p):
     x = toda_matrix(chev, p)
     conj, errors = chamber_conjugator(chev, x)
     theta_x, errors2 = chamber_form(chev, x)
-    return _rel(adjoint(conj, theta_x), x), first_errors(errors, errors2)
+    return relative_distance(adjoint(conj, theta_x), x), first_errors(errors, errors2)
 
 
 @_register("kostant_section_chamber_conjugator", 1e-9, draw=_flow_points(0))
@@ -442,7 +441,7 @@ def _check_section_chamber_conjugator(chev, p):
     conj, errors = chamber_to_section_conjugator(chev, x)
     theta_x, errors2 = chamber_form(chev, x)
     beta_x, errors3 = section_form(chev, x)
-    return _rel(adjoint(conj, theta_x), beta_x), first_errors(errors, errors2, errors3)
+    return relative_distance(adjoint(conj, theta_x), beta_x), first_errors(errors, errors2, errors3)
 
 
 @_register("kostant_stabilizer_lift", 1e-9, draw=_flow_points(0))
@@ -451,7 +450,7 @@ def _check_stabilizer_lift(chev, p):
     theta_x, errors = chamber_form(chev, x)
     lift, errors2 = stabilizer_lift(chev, x)
     dressed, errors3 = dress(chev, theta_x, lift)
-    return (np.maximum(stabilizer_residual(lift, theta_x), _rel(dressed, x)),
+    return (np.maximum(stabilizer_residual(lift, theta_x), relative_distance(dressed, x)),
             first_errors(errors, errors2, errors3))
 
 
@@ -490,7 +489,8 @@ def _check_open_stabilizer(chev, p, g_coeffs, h_coeffs):
 def _check_gstar_refactor(chev, u_minus, u, torus):
     u_minus = u_minus.swapaxes(1, 2).copy()  # lower unitriangular
     factors, errors = gstar_factor(chev, longest_weyl_lift(chev) @ u_minus @ torus @ u)
-    return np.maximum.reduce([_rel(factors.u_minus, u_minus), _rel(factors.u, u),
+    return np.maximum.reduce([relative_distance(factors.u_minus, u_minus),
+                              relative_distance(factors.u, u),
                               scalar_aligned_distance(factors.torus, torus)]), errors
 
 
@@ -516,13 +516,13 @@ def _check_flow_preserves(chev, x, coeffs, labels, times):
     return np.maximum(stabilizer_residual(moved.g, moved.x), carried), None
 
 
-@_register("cent_moment_preimage")
+@_register("cent_moment_preimage", 1e-9 + 0.5)
 def _check_moment_preimage(chev, rng, samples):
     # each sample: a section point, a stabilizer element of it, a group element
     (x, coeffs, exponents), _ = fixed("section", "coefficients", "exponent")(chev, rng, samples)
     g = np.concatenate([stabilizer_elements(chev, x, coeffs), linalg.mat_exp(exponents)])
     report = moment_preimage_report(chev, g, np.concatenate([x, x]))
-    return float(report.mismatches) + report.max_member_residual, 1e-9 + 0.5, len(g)
+    return float(report.mismatches) + report.max_member_residual, len(g)
 
 
 @_register("cent_invariants_group_independent", 1e-15,
@@ -589,7 +589,7 @@ def _check_flow_group_law(chev, x, coeffs, labels, t, s):
     p = _z_points(chev, x, coeffs)
     lhs = flow_step(chev, t, flow_step(chev, s, p, labels), labels)
     rhs = flow_step(chev, [a + b for a, b in zip(t, s)], p, labels)
-    return _rel(lhs.g, rhs.g), None
+    return relative_distance(lhs.g, rhs.g), None
 
 
 @_register("cent_cjl_factor_order", 1e-10, draw=one_by_one(lambda chev, rng: (
@@ -600,7 +600,7 @@ def _check_cjl_factor_order(chev, c, orders):
     rows = np.arange(len(orders))
     for idx in orders.T:  # position by position, one flow per sample
         p = flow_step(chev, c.lam[rows, idx], p, idx + 1)
-    return _rel(p.g, base.g), None
+    return relative_distance(p.g, base.g), None
 
 
 @_register("cent_cjl_pullback", cjl_pullback_tolerance, draw=_cjl_points)
@@ -641,7 +641,7 @@ def _check_toda_semigroup(chev, p, labels, t, s):
     mid, errors = toda_flow(chev, labels, t, p)
     lhs, errors2 = toda_flow(chev, labels, s, mid)
     rhs, errors3 = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
-    return (_rel(toda_matrix(chev, lhs), toda_matrix(chev, rhs)),
+    return (relative_distance(toda_matrix(chev, lhs), toda_matrix(chev, rhs)),
             first_errors(errors, errors2, errors3))
 
 
@@ -654,7 +654,7 @@ def _check_normal_forms_constant(chev, p, labels):
         f1, errors1 = fn(chev, x1)
         f0, errors0 = fn(chev, x0)
         errors = first_errors(errors, errors1, errors0)
-        devs.append(_rel(f1, f0))
+        devs.append(relative_distance(f1, f0))
     return np.maximum.reduce(devs), errors
 
 
@@ -668,13 +668,13 @@ def _check_embed_triangle(chev, p):
     return dev, first_errors(errors, errors2, errors3)
 
 
-@_register("toda_embed_injective")
+@_register("toda_embed_injective", 0.5)
 def _check_embed_injective(chev, rng, samples):
     columns, failure = _flow_points(0)(chev, rng, samples)
     if failure is not None:
         raise failure
     if not columns:
-        return 0.0, 0.5, 0
+        return 0.0, 0
     p = columns[0]
     images, errors = embed(chev, p)
     if any(errors):
@@ -682,9 +682,9 @@ def _check_embed_injective(chev, rng, samples):
     a, b = np.triu_indices(samples, 1)
     x = toda_matrix(chev, p)
     image_gap = np.maximum(scalar_aligned_distance(images.g[a], images.g[b]),
-                           _rel(images.x[a], images.x[b]))
+                           relative_distance(images.x[a], images.x[b]))
     distinct = np.array(linalg.norm(x[a] - x[b])) >= 1e-6
-    return float(np.count_nonzero(distinct & (image_gap < 1e-10))), 0.5, samples
+    return float(np.count_nonzero(distinct & (image_gap < 1e-10))), samples
 
 
 @_register("toda_embed_roundtrip", 1e-8, draw=_flow_points(0))
@@ -692,8 +692,8 @@ def _check_embed_roundtrip(chev, p):
     zp, errors = embed(chev, p)
     back, errors2 = embed_inverse(chev, zp)
     again, errors3 = embed(chev, back)
-    dev_p = _rel(toda_matrix(chev, back), toda_matrix(chev, p))
-    dev_x = _rel(again.x, zp.x)
+    dev_p = relative_distance(toda_matrix(chev, back), toda_matrix(chev, p))
+    dev_x = relative_distance(again.x, zp.x)
     dev_g = scalar_aligned_distance(again.g, zp.g)
     return np.maximum.reduce([dev_p, dev_g, dev_x]), first_errors(errors, errors2, errors3)
 
@@ -711,22 +711,22 @@ def _check_intertwine_infinitesimal(chev, p):
     return intertwine_infinitesimal(chev, [1 + k % chev.r for k in range(len(p.diag))], p)
 
 
-@_register("toda_domain_fraction")
+@_register("toda_domain_fraction", 1.0 - 1e-12)
 def _check_domain_fraction(chev, rng, samples):
     # Deviation is 1 - fraction: the check records the sampled density of
     # the flow domain and fails only if no sample lands inside.
     frac = domain_fraction(chev, rng, max(samples, 20))
-    return 1.0 - frac, 1.0 - 1e-12, max(samples, 20)
+    return 1.0 - frac, max(samples, 20)
 
 
-@_register("toda_rk4_cross_check")
+@_register("toda_rk4_cross_check", 1e-5)
 def _check_rk4(chev, rng, samples):
     if chev.n != 2:
-        return 0.0, 1e-5, 0  # golden initial point is rank-1 specific
+        return 0.0, 0  # golden initial point is rank-1 specific
     golden = make_toda_point([0.0, 0.0], [1.0])
     direct = toda_matrix(chev, toda_flow(chev, 1, 1.0, golden))
     integrated = toda_matrix(chev, rk4_toda(chev, 1, golden, 1.0, step=5e-3))
-    return _rel(integrated, direct), 1e-5, 1
+    return relative_distance(integrated, direct), 1
 
 
 # ----------------------------- driver ----------------------------------- #
@@ -767,8 +767,8 @@ def run_check(name: str, n: int, seed: int, samples: int,
     worst, used, skipped, error = 0.0, 0, Counter(), None
     start = time.perf_counter()
     try:
-        if bound is None:
-            worst, bound, used = check.fn(chev, rng, samples)
+        if check.draw is None:
+            worst, used = check.fn(chev, rng, samples)
         else:
             for outcome in _outcomes(check, chev, rng, samples):
                 if isinstance(outcome, Exception):
@@ -782,8 +782,7 @@ def run_check(name: str, n: int, seed: int, samples: int,
         worst = float("inf")
         error = type(exc).__name__ + (f": {exc}" if str(exc) else "")
     elapsed = time.perf_counter() - start
-    bound = 0.0 if bound is None else float(bound)
-    return CheckResult(name=name, max_deviation=float(worst), tolerance=bound,
+    return CheckResult(name=name, max_deviation=float(worst), tolerance=float(bound),
                        passed=bool(worst <= bound), samples=int(used),
                        skipped=dict(sorted(skipped.items())), error=error,
                        seconds=elapsed)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .centralizer import ZPoint, check_z_point, flow_step, hamiltonian_field
+from .centralizer import ZPoint, check_z_point, flow_step
 from .errors import NoConvergence, NotInGStar, NotInV, NotInW
 from .invariants import gradient_power, invariant_gradient
 from .kostant_maps import (
@@ -80,7 +80,7 @@ def toda_point_from_matrix(chev: ChevalleyData, m: np.ndarray) -> TodaPoint:
     shape (unit subdiagonal, nothing else off the three diagonals)."""
     m = linalg.as_matrix(m)
     p = TodaPoint(diag=m.diagonal(0, -2, -1).copy(), root_coords=m.diagonal(1, -2, -1).copy())
-    off = linalg.norm(np.where(_lax_masks(chev.n)[1], 0, m - chev.xi))  # m less its Toda matrix
+    off = linalg.norm(np.where(_lax_band(chev.n), 0, m - chev.xi))  # m less its Toda matrix
     shape_errors = [ValueError(f"matrix is {o:.3e} away from the Toda phase space")
                     if o > 1e-8 * (1.0 + size) else None
                     for o, size in zip(off, linalg.norm(m))]
@@ -177,18 +177,17 @@ def toda_vector_field(chev: ChevalleyData, i, p: TodaPoint) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _lax_masks(n: int):
-    """The strict upper triangle and the diagonal-superdiagonal band, n x n."""
-    return np.tri(n, k=-1, dtype=bool).T, np.tri(n, k=1, dtype=bool) & np.tri(n, dtype=bool).T
+def _lax_band(n: int):
+    """The mask of the diagonal-superdiagonal band, n x n."""
+    return np.tri(n, k=1, dtype=bool) & np.tri(n, dtype=bool).T
 
 
 def _lax_field(chev: ChevalleyData, i, x: np.ndarray):
     """:func:`toda_vector_field` at a stack of phase-space matrices x."""
-    upper, band = _lax_masks(chev.n)
     # the gradient's trace shift only moves the diagonal, which the strict
     # upper triangle drops: take the triangle of x^i itself
-    w = bracket(np.where(upper, gradient_power(chev, x, i), 0), x)
-    shaped = np.where(band, w, 0)
+    w = bracket(np.where(linalg.strict_triangles(chev.n)[1], gradient_power(chev, x, i), 0), x)
+    shaped = np.where(_lax_band(chev.n), w, 0)
     return shaped, [ValueError(f"Lax field has off-shape mass {off:.3e}")
                     if off > 1e-5 * (1.0 + size) else None
                     for off, size in zip(linalg.norm(w - shaped), linalg.norm(w))]
@@ -266,8 +265,8 @@ def intertwine_check(chev: ChevalleyData, i, t, p: TodaPoint) -> float:
     left, left_errors = embed(chev, moved)
     base, base_errors = embed(chev, p)
     right = flow_step(chev, t, base, i)
-    dx = np.divide(linalg.norm(left.x - right.x), np.add(1.0, linalg.norm(right.x)))
-    return (np.maximum(scalar_aligned_distance(left.g, right.g), dx),
+    return (np.maximum(scalar_aligned_distance(left.g, right.g),
+                       linalg.relative_distance(left.x, right.x)),
             first_errors(errors, left_errors, base_errors))
 
 
@@ -276,9 +275,11 @@ def intertwine_infinitesimal(chev: ChevalleyData, i, p: TodaPoint) -> float:
     """Deviation between the Hamiltonian field at the embedded point and the
     central-difference pushforward, with step 1e-6, of the Toda vector field.
 
-    The group-direction derivative is compared in the scalar quotient, so
-    its traceless part is the meaningful representative.  For a stacked p,
-    i is shared or given per sample.
+    The field is (invariant gradient, 0), so the algebra-direction
+    derivative is measured by its norm.  The group-direction derivative is
+    compared in the scalar quotient, so its traceless part is the
+    meaningful representative.  For a stacked p, i is shared or given per
+    sample.
     """
     step = 1e-6
     base, errors = embed(chev, p)
@@ -288,9 +289,8 @@ def intertwine_infinitesimal(chev: ChevalleyData, i, p: TodaPoint) -> float:
     plus, plus_embed_errors = embed(chev, plus)
     minus, minus_errors = toda_point_from_matrix(chev, m - step * w)
     minus, minus_embed_errors = embed(chev, minus)
-    target = hamiltonian_field(chev, base, i)
     y_fd = traceless_part(linalg.solve(base.g, (plus.g - minus.g) / (2.0 * step)))
     z_fd = (plus.x - minus.x) / (2.0 * step)
-    dy = np.divide(linalg.norm(y_fd - target.y), np.add(1.0, linalg.norm(target.y)))
-    return np.maximum(dy, linalg.norm(z_fd - target.z)), first_errors(
+    dy = linalg.relative_distance(y_fd, invariant_gradient(chev, base.x, i))
+    return np.maximum(dy, linalg.norm(z_fd)), first_errors(
         errors, field_errors, plus_errors, plus_embed_errors, minus_errors, minus_embed_errors)

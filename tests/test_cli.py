@@ -105,6 +105,27 @@ def test_check_failure_names_its_exception(monkeypatch):
     assert row.split(",")[-3:-1] == ["0", "NoConvergence"]
 
 
+# the seven plain checks and a sampled one whose bound is a function of n
+REGISTERED_BOUNDS = {"lie_sl2_triple": 1e-14, "lie_torus_gram_nondegenerate": 0.5,
+                     "kostant_longest_weyl_ad": 1e-14, "cent_moment_preimage": 1e-9 + 0.5,
+                     "toda_embed_injective": 0.5, "toda_domain_fraction": 1.0 - 1e-12,
+                     "toda_rk4_cross_check": 1e-5, "cent_cjl_pullback": 1e-5}
+
+
+@pytest.mark.parametrize("name", REGISTERED_BOUNDS)
+def test_failed_check_keeps_its_registered_bound(monkeypatch, name):
+    # a check that raises reports the bound it was registered with, plain
+    # or sampled, beside its infinite deviation and its exception
+    def fail(*args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setitem(suites.CHECKS, name, dataclasses.replace(suites.CHECKS[name], fn=fail))
+    result = run_check(name, 2, 42, 3)
+    assert result.tolerance == REGISTERED_BOUNDS[name]
+    assert result.max_deviation == float("inf") and not result.passed
+    assert result.error == "ZeroDivisionError: injected"
+
+
 def test_failed_check_writes_strict_json(tmp_path, monkeypatch):
     # the report holds an infinite toda_conservation row; a strict parser
     # rejects NaN and Infinity, so the row must read null
@@ -205,7 +226,7 @@ def _assert_nan_row(name):
 
 def test_nan_in_a_two_array_maximum_fails_the_row(monkeypatch):
     # kostant_chamber_form: the invariant gap, then the NaN refold gap
-    monkeypatch.setattr(suites, "_rel", lambda a, b: np.full(len(a), np.nan))
+    monkeypatch.setattr(suites, "relative_distance", lambda a, b: np.full(len(a), np.nan))
     _assert_nan_row("kostant_chamber_form")
 
 
@@ -257,12 +278,19 @@ def test_nan_in_intertwine_check_fails_the_row(monkeypatch):
 
 
 def test_nan_in_intertwine_infinitesimal_fails_the_row(monkeypatch):
-    # the group-direction gap, then the NaN algebra-direction gap
-    def hamiltonian_field(chev, p, i):
-        field = centralizer.hamiltonian_field(chev, p, i)
-        return centralizer.Tangent(y=field.y, z=np.full_like(field.z, np.nan))
+    # the group-direction gap, then the NaN algebra-direction gap: after
+    # the base point, each embedding keeps its group part and loses its
+    # algebra part, so only the difference quotient of x is NaN
+    calls, embed_point = [], toda.embed
 
-    monkeypatch.setattr(toda, "hamiltonian_field", hamiltonian_field)
+    def embed(chev, p):
+        zp, errors = embed_point(chev, p)
+        calls.append(p)
+        if len(calls) > 1:
+            zp = centralizer.ZPoint(g=zp.g, x=np.full_like(zp.x, np.nan))
+        return zp, errors
+
+    monkeypatch.setattr(toda, "embed", embed)
     _assert_nan_row("toda_intertwine_infinitesimal")
 
 
@@ -283,11 +311,11 @@ def test_stacked_checks_replay_their_samples(name):
 
 
 def test_every_sampled_check_draws_its_samples():
-    # a check with a bound is sampled and has a draw, so the replay test
-    # above and the non-finite-draw test in test_stacks run for all of them;
-    # a plain check has neither
+    # every check registers its bound, a float or a function of n; the 38
+    # with a draw are sampled, so the replay test above and the
+    # non-finite-draw test in test_stacks run for all of them
     checks = suites.CHECKS.values()
-    assert all((check.bound is None) == (check.draw is None) for check in checks)
+    assert all(isinstance(check.bound, float) or callable(check.bound) for check in checks)
     assert sum(check.draw is not None for check in checks) == 38
 
 
@@ -676,6 +704,23 @@ def test_import_builds_nothing():
 
 
 # ----------------------------- benchmark hooks --------------------------- #
+
+def test_row_digest_prints_every_report_row(monkeypatch, capsys):
+    # tools/row_digest.py is what two checkouts' reports are diffed by
+    path = Path(__file__).resolve().parents[1] / "tools" / "row_digest.py"
+    spec = importlib.util.spec_from_file_location("row_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    monkeypatch.setattr(digest, "SIZES", (2,))
+    monkeypatch.setattr(digest, "SEEDS", (42,))
+    monkeypatch.setattr(digest, "SAMPLES", 3)
+    digest.main()
+    lines = capsys.readouterr().out.splitlines()
+    rows = suites.run_all(2, 42, 3).checks
+    assert len(lines) == len(rows) == len(suites.CHECKS)
+    assert lines == [f"2 42 {row.name} {row.max_deviation!r} {row.passed} {row.samples} "
+                     f"{row.skipped} {row.error}" for row in rows]
+
 
 def test_benchmark_hooks_are_bound():
     # perfbench/tracing.py looks up every TRACED name with getattr, and the

@@ -124,7 +124,8 @@ def test_section_roundtrip_seeded(n):
         x = section_from_invariants(chev, z)
         dev = np.linalg.norm(invariant_vector(chev, x) - z)
         assert dev <= 1e-10 * (1.0 + np.linalg.norm(z))
-        assert chev.on_section(x)
+        _, residual = chev.section_coords(x)
+        assert residual <= 1e-10 * (1.0 + linalg.norm(x))
 
 
 def _in_chamber_image(chev, z):

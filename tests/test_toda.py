@@ -532,7 +532,7 @@ def test_lax_field_takes_the_triangle_of_the_power(n):
     chev = build_chevalley(n)
     rng = stream(n, f"lax-triangle-{n}")
     x = toda_matrix(chev, stack([sample_flow_domain(chev, rng) for _ in range(6)]))
-    upper, band = toda._lax_masks(n)
+    upper, band = linalg.strict_triangles(n)[1], toda._lax_band(n)
     labels = [1 + k % chev.r for k in range(6)]
     for i in [*range(1, chev.r + 1), labels]:
         w = bracket(np.where(upper, invariants.invariant_gradient(chev, x, i), 0), x)
