@@ -91,13 +91,12 @@ def symplectic_form(x: np.ndarray, left: Tangent, right: Tangent) -> np.ndarray:
 def check_z_point(chev: ChevalleyData, p: ZPoint) -> ZPoint:
     """Return p if x is on the section to ``SECTION_TOL`` and g stabilizes
     it to ``STABILIZER_TOL``; raise :class:`InvalidZPoint` otherwise."""
-    _, missed = chev.section_coords(p.x)
     return p, [
-        InvalidZPoint(f"algebra part misses the section by {off:.3e}")
-        if not off <= SECTION_TOL * (1.0 + size) else
+        InvalidZPoint(f"algebra part misses the section by relative {off:.3e}")
+        if not off <= SECTION_TOL else
         InvalidZPoint(f"group part moves x by relative {moved:.3e}")
         if moved > STABILIZER_TOL else None
-        for off, size, moved in zip(missed, linalg.norm(p.x), stabilizer_residual(p.g, p.x))]
+        for off, moved in zip(chev.section_residual(p.x), stabilizer_residual(p.g, p.x))]
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,12 @@ def moment_preimage_report(chev: ChevalleyData, g, x) -> MomentPreimageReport:
     decided at ``STABILIZER_TOL``, and must agree on every sample.
     """
     tol, g, x = STABILIZER_TOL, linalg.as_matrix(g), linalg.as_matrix(x)
-    mu_l = adjoint(g, x)
-    (_, off_x), (_, off_mu) = chev.section_coords(x), chev.section_coords(mu_l)
-    size_mu, residual = np.array(linalg.norm(mu_l)), np.array(stabilizer_residual(g, x))
-    on_sec = np.array(off_x) <= tol * np.add(1.0, linalg.norm(x))
-    in_z, in_pre = on_sec & (residual <= tol), on_sec & (np.array(off_mu) <= tol * (1.0 + size_mu))
-    member_res = np.maximum(residual, np.array(off_mu) / np.maximum(size_mu, 1e-300))
+    mu_l, residual = adjoint(g, x), np.array(stabilizer_residual(g, x))
+    on_sec = chev.section_residual(x) <= tol
+    in_z, in_pre = on_sec & (residual <= tol), on_sec & (chev.section_residual(mu_l) <= tol)
+    # the reported miss of Ad_g(x) is scale-free, over ||Ad_g(x)|| alone
+    member_res = np.maximum(residual, np.divide(chev.section_coords(mu_l)[1],
+                                                np.maximum(linalg.norm(mu_l), 1e-300)))
     return MomentPreimageReport(total=len(x), centralizer_members=int(in_z.sum()),
                                 preimage_members=int(in_pre.sum()),
                                 mismatches=int(np.count_nonzero(in_z != in_pre)),

@@ -92,9 +92,6 @@ def section_from_invariants(chev: ChevalleyData, z) -> np.ndarray:
         top = functools.reduce(np.matmul, [x] * (i + 1))
         coord = (z[:, i - 1] - top.diagonal(0, -2, -1).sum(-1) / (i + 1)) / gammas[i - 1]
         x = x + coord[:, None, None] * chev.centralizer_eta[i - 1]
-    residual = linalg.vector_norm(invariant_vector(chev, x) - z)
-    return x, [
-        NoConvergence(f"section inversion residual {res:.3e} exceeds {1e-10 * (1.0 + size):.3e} "
-                      f"(n={chev.n}, ||z||={size:.3e})")
-        if res > 1e-10 * (1.0 + size) else None
-        for res, size in zip(residual, linalg.vector_norm(z))]
+    return x, [NoConvergence(f"relative section inversion residual {res:.3e} exceeds 1e-10")
+               if res > 1e-10 else None
+               for res in linalg.vector_relative_distance(invariant_vector(chev, x), z)]

@@ -89,6 +89,10 @@ class ChevalleyData:
         coords = np.matvec(self._section_pinv, defect)
         return coords, linalg.norm(self.section_point(coords) - x)
 
+    def section_residual(self, x: np.ndarray):
+        """The residual of :meth:`section_coords` over 1 + ||x||, per matrix."""
+        return np.divide(self.section_coords(x)[1], np.add(1.0, linalg.norm(x)))
+
 
 def _matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)

@@ -76,14 +76,17 @@ def norm(a):
     a = np.asarray(a)
     if a.ndim <= 2:
         return _norm(a.ravel(order="K"))
-    if len(a) == 1:
-        return [_norm(a.reshape(-1))]
     return vector_norm(a.reshape(len(a), a.shape[-2] * a.shape[-1]))
 
 
 def relative_distance(a, b):
     """||a - b|| / (1 + ||b||) of two matrices, or per matrix of two stacks."""
     return np.divide(norm(a - b), np.add(1.0, norm(b)))
+
+
+def vector_relative_distance(a, b):
+    """||a - b|| / (1 + ||b||) of two vectors, or per row of two stacks (m, k)."""
+    return np.divide(vector_norm(a - b), np.add(1.0, vector_norm(b)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -83,7 +83,6 @@ from .lie_core import (
     pairing,
     scalar_aligned_distance,
     stabilizer_residual,
-    traceless_part,
 )
 from .linalg import relative_distance
 from .report import CheckResult, Report
@@ -350,11 +349,8 @@ def _check_scalar_quotient(chev, exponent, x, scalars):
 
 @_register("inv_conjugation_invariance", 1e-9, draw=fixed("traceless", "exponent"))
 def _check_inv_invariance(chev, x, exponent):
-    g = linalg.mat_exp(exponent)
-    base = invariant_vector(chev, x)
-    moved = invariant_vector(chev, adjoint(g, x))
-    return np.divide(linalg.vector_norm(moved - base),
-                     np.add(1.0, linalg.vector_norm(base))), None
+    moved = invariant_vector(chev, adjoint(linalg.mat_exp(exponent), x))
+    return linalg.vector_relative_distance(moved, invariant_vector(chev, x)), None
 
 
 @_register("inv_gradient_centralizes", 1e-12, draw=fixed("traceless"))
@@ -386,8 +382,7 @@ def _check_gradient_independence(chev, s):
 @_register("inv_section_roundtrip", 1e-10, draw=fixed("invariants"))
 def _check_section_roundtrip(chev, z):
     x, errors = section_from_invariants(chev, z)
-    return np.divide(linalg.vector_norm(invariant_vector(chev, x) - z),
-                     np.add(1.0, linalg.vector_norm(z))), errors
+    return linalg.vector_relative_distance(invariant_vector(chev, x), z), errors
 
 
 @_register("inv_gradient_fd", 1e-6, draw=fixed("traceless", "traceless"))
@@ -616,17 +611,16 @@ def _check_toda_conservation(chev, p):
     base = invariant_vector(chev, x0)
     eig0, errors = linalg.eigvals(x0)
     eig0 = np.sort_complex(eig0)
-    size = np.add(1.0, linalg.vector_norm(base))
     worst = np.zeros(len(eig0))
     for i in range(1, chev.r + 1):
         for t in (0.1, 0.7):
             q, flow_errors = toda_flow(chev, i, t, p)
             xt = toda_matrix(chev, q)
-            dev_f = linalg.vector_norm(invariant_vector(chev, xt) - base)
+            dev_f = linalg.vector_relative_distance(invariant_vector(chev, xt), base)
             eig_t, eig_errors = linalg.eigvals(xt)
             errors = first_errors(errors, flow_errors, eig_errors)
             dev_eig = np.max(np.abs(np.sort_complex(eig_t) - eig0), axis=-1)
-            worst = np.maximum.reduce([worst, np.divide(dev_f, size), dev_eig])
+            worst = np.maximum.reduce([worst, dev_f, dev_eig])
     return worst, errors
 
 
@@ -663,9 +657,8 @@ def _check_embed_triangle(chev, p):
     zp, errors = embed(chev, p)
     values, errors2 = z_invariants(chev, zp)
     base = invariant_vector(chev, toda_matrix(chev, p))
-    dev = np.divide(linalg.vector_norm(values - base), np.add(1.0, linalg.vector_norm(base)))
     _, errors3 = gstar_factor(chev, zp.g)  # image membership
-    return dev, first_errors(errors, errors2, errors3)
+    return linalg.vector_relative_distance(values, base), first_errors(errors, errors2, errors3)
 
 
 @_register("toda_embed_injective", 0.5)

@@ -12,8 +12,9 @@ The embedding sends x to (u_rev^{-1} w0 t u_x, s): s is the section form
 of x, u_x and u_rev its conjugators to x and to the reversed point, t the
 partial products of the superdiagonal.  Its image is the open subset of
 the centralizer with regular-real-part spectrum and group part in the
-translated big cell.  The inverse dresses the chamber form by the group
-part, Kostant's route to the same flows.
+translated big cell.  The row reversal of g is lower unitriangular times
+t times u_x, so by uniqueness u_x is the upper factor of its translated
+Gauss factorization, and the inverse conjugates s by it.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ import numpy as np
 
 from . import linalg
 from .centralizer import ZPoint, check_z_point, flow_step
-from .errors import NoConvergence, NotInGStar, NotInV, NotInW
+from .errors import NoConvergence, NotInGStar, NotInW
 from .invariants import gradient_power, invariant_gradient
 from .kostant_maps import (
     carried_lift,
     chamber_errors,
-    chamber_form,
     decompose_to_section,
-    dress,
-    unipotent_conjugator,
+    gstar_factor,
     weyl_translation,
 )
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
@@ -209,18 +208,17 @@ def embed(chev: ChevalleyData, p: TodaPoint) -> ZPoint:
 def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
     """Constructive inverse of :func:`embed` on its image.
 
-    Raises :class:`NotInW` when the spectrum has collided real parts or the
-    (conjugated) group part falls outside the translated big cell.
+    Raises :class:`NotInW` when the spectrum has collided real parts or g
+    falls outside the translated big cell.
     """
     _, errors = check_z_point(chev, zp)
-    z, chamber = chamber_form(chev, zp.x)
-    k_s = unipotent_conjugator(zp.x, z)
-    v, dressing = dress(chev, z, linalg.solve(k_s, zp.g @ k_s))
-    q, point_errors = toda_point_from_matrix(chev, v)
-    return q, first_errors(
-        errors, [NotInW(str(exc)) if isinstance(exc, NotInV) else exc for exc in chamber],
-        [NotInW(f"group part outside the embedding image: {exc}")
-         if isinstance(exc, NotInGStar) else exc for exc in dressing], point_errors)
+    values, spectrum = linalg.eigvals(zp.x)
+    factors, big_cell = gstar_factor(chev, zp.g)
+    q, point_errors = toda_point_from_matrix(chev, adjoint(factors.u, zp.x))
+    return q, first_errors(errors, spectrum, [
+        None if exc is None else NotInW(str(exc)) for exc in chamber_errors(values)], [
+        None if exc is None else NotInW(f"group part outside the embedding image: {exc}")
+        for exc in big_cell], point_errors)
 
 
 def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,

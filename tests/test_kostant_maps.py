@@ -482,6 +482,29 @@ def test_gstar_factor_matches_the_solve_by_w0_up_to_signed_zeros(n):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_gstar_factor_is_torus_equivariant(n):
+    # The cell is stable under the torus on both sides.  Rows and columns
+    # scaled by powers of two over 2^-60..2^60 keep the verdict, members
+    # and exact vanishing minors (1, then 2) alike, and move u by exactly
+    # the column scaling: D2 u(D1 g D2) D2^-1 is u(g) bit for bit.
+    chev = build_chevalley(n)
+    rng = stream(45, f"gstar-torus-{n}")
+    for k in range(12):
+        g = complex_uniform(rng, (n, n))
+        if k % 3 == 1:
+            g[-1, 0] = 0.0  # the reversal's first pivot
+        elif k % 3 == 2:
+            g[-2, :2] = 0.5 * g[-1, :2]  # the reversal's second leading minor
+        d1, d2 = 2.0 ** rng.integers(-60, 61, (2, n))
+        verdict = _gstar_verdict(chev, g)
+        assert _gstar_verdict(chev, d1[:, None] * g * d2) == verdict
+        assert verdict == (None, 1, 2)[k % 3]
+        if verdict is None:
+            moved = gstar_factor(chev, d1[:, None] * g * d2).u
+            assert np.array_equal(d2[:, None] * moved / d2, gstar_factor(chev, g).u)
+
+
 def _gstar_verdict(chev, g):
     try:
         gstar_factor(chev, g)

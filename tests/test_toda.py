@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from centralizer_lab import invariants, kostant_maps, linalg, toda
+from centralizer_lab import invariants, kostant_maps, linalg, suites, toda
 from centralizer_lab.centralizer import check_z_point, flow_step, z_invariants
 from centralizer_lab.errors import NoConvergence, NotInGStar, NotInV, NotInW
 from centralizer_lab.invariants import invariant_vector, section_from_invariants
@@ -27,7 +27,7 @@ from centralizer_lab.sampling import (
     sample_flow_domain,
     stream,
 )
-from centralizer_lab.stacks import stack
+from centralizer_lab.stacks import first_errors, stack, stacked
 from centralizer_lab.toda import (
     ZPoint,
     embed,
@@ -270,6 +270,38 @@ def test_embed_roundtrips_seeded(n):
         assert linalg.norm(again.x - zp.x) <= 1e-8 * (1 + linalg.norm(zp.x))
 
 
+def test_embed_inverse_returns_a_torus_graded_point():
+    # The first point of this stream scaled by 30: the torus factor grades
+    # the entries of g over many decades.  Dressing the chamber form moved
+    # it by more than its centralizing tolerance (NotCentralizing), and an
+    # unequilibrated pivot test refused g; the round trip holds to 1e-10.
+    chev = build_chevalley(6)
+    p = random_toda_point(chev, stream(9, "bits-big-6"))
+    big = make_toda_point(30.0 * p.diag, 30.0 * p.root_coords)
+    back = embed_inverse(chev, embed(chev, big))
+    x = toda_matrix(chev, big)
+    assert linalg.relative_distance(toda_matrix(chev, back), x) <= 1e-8
+
+
+def test_embed_with_a_chamber_conjugator_fails_the_roundtrip_row(monkeypatch):
+    # A mutant embedding that takes u_x from the chamber form instead of the
+    # section form builds a g that does not stabilize s: the round-trip row
+    # must fail, so it does not merely read back the u that embed built.
+    @stacked(1)
+    def chamber_embed(chev, p):
+        (x, w0_t, reversed_x), errors = kostant_maps.weyl_translation(chev, toda_matrix(chev, p))
+        dec, section = kostant_maps.decompose_to_section(chev, x)
+        u_x, chamber = kostant_maps.chamber_conjugator(chev, x)
+        zp = ZPoint(g=kostant_maps.carried_lift(w0_t, reversed_x, dec.s, u_x), x=dec.s)
+        _, z_errors = check_z_point(chev, zp)
+        return zp, first_errors(errors, section, chamber, z_errors)
+
+    monkeypatch.setattr(toda, "embed", chamber_embed)
+    monkeypatch.setattr(suites, "embed", chamber_embed)
+    rows = {row.name: row for row in suites.run_all(4, 42, 10).checks}
+    assert not rows["toda_embed_roundtrip"].passed
+
+
 # ----------------------------- intertwining ------------------------------ #
 
 def test_intertwine_time_zero(chev2, golden):
@@ -392,22 +424,29 @@ def test_flows_read_no_normal_forms(monkeypatch):
     chev = build_chevalley(4)
     p = sample_flow_domain(chev, stream(11, "shared_normal_forms"))
     calls = []
-    original = kostant_maps.decompose_to_section
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(kostant_maps, "decompose_to_section", counting)
-    # counted in toda too, should toda ever bind the decomposition itself
-    monkeypatch.setattr(toda, "decompose_to_section", counting, raising=False)
+    # counted in toda too, should toda ever bind one of them itself
+    for name in ("decompose_to_section", "chamber_form", "unipotent_conjugator", "dress"):
+        wrapped = counting(name, getattr(kostant_maps, name))
+        monkeypatch.setattr(kostant_maps, name, wrapped)
+        monkeypatch.setattr(toda, name, wrapped, raising=False)
+    monkeypatch.setattr(linalg, "solve", counting("solve", linalg.solve))
     for i in range(1, chev.n):
         toda_flow(chev, i, 0.3, p)
     assert not calls  # Symes' factorization needs no normal form
     zp = embed(chev, p)
-    assert len(calls) == 1  # x only; the conjugators are column recurrences
+    assert calls.count("decompose_to_section") == 1  # x only; the conjugators are column recurrences
+    calls.clear()
+    # the inverse is one gstar_factor and one conjugation: no chamber form,
+    # no conjugator, no solve and no dressing
     embed_inverse(chev, zp)
-    assert len(calls) == 1
+    assert not calls
 
 
 def test_embed_and_lift_build_only_their_own_forms(monkeypatch):
