@@ -12,20 +12,21 @@ symplectic subvariety, so the same formula evaluates its form on tangent
 vectors of the centralizer.
 
 The invariant system assigns to (g, x) the invariant vector of x.  Its
-Hamiltonian fields are the left-invariant fields of the invariant
-gradients, so flows act by right translation of g with x frozen, and
-composing the r flows from the identity fiber gives an explicit chart
-(Caratheodory-Jacobi-Lie coordinates) whose pullback of the symplectic
-form is checked against sum(dz_i ^ df_i).  The chart's exponents are
-polynomials in s, so they commute, and its i-th flow-time direction is
-exactly the Hamiltonian field (gradient_i(s), 0).  Its section directions
-run along the coordinate fields df_j of the invariants on the section,
-which is affine, so the z part of the j-th section direction is df_j
-exactly.  Their y parts are exact too: the derivative of exp at A along
-dA is the upper-right block of exp([[A, dA], [0, A]]) (Higham, Functions
-of Matrices, 2008, section 3.2; Najfeld and Havel, 1995), so one
-exponential of an (r, 2n, 2n) stack gives all r of them.  The form is
-evaluated on all pairs of the 2r directions at once, as one Gram matrix.
+Hamiltonian fields are the left-invariant fields of the invariant gradients,
+so flows act by right translation of g with x frozen, and composing the r
+flows from the identity fiber gives an explicit chart (Caratheodory-Jacobi-Lie
+coordinates) whose pullback of the symplectic form is checked against
+sum(dz_i ^ df_i).  The chart's exponents are polynomials in s, so they
+commute, and its i-th flow-time direction is exactly the Hamiltonian field
+(gradient_i(s), 0).  Its section directions run along the coordinate fields
+df_j of the invariants on the section, which is affine, so the z part of the
+j-th section direction is df_j exactly.  Their y parts are exact too: the
+derivative of exp at A along dA is the upper-right block of
+exp([[A, dA], [0, A]]) (Higham, Functions of Matrices, 2008, section 3.2;
+Najfeld and Havel, 1995), so one exponential of an (r, 2n, 2n) stack gives
+all r of them.  One ladder s^0 .. s^r per chart point gives the gradients,
+the fields and the exponents.  The form is evaluated on all pairs of the 2r
+directions at once, as one Gram matrix of two matrix products.
 
 The chart functions broadcast over a leading sample axis: m chart points
 take one exponential of an (m r, 2n, 2n) stack and one Gram matrix call,
@@ -72,19 +73,23 @@ class CJLPoint:
     s: np.ndarray
 
 
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a_i b_j) of (..., i, n, n) and (..., j, n, n), as vec(a_i) . vec(b_j^T)."""
+    rows, cols = (m.reshape(m.shape[:-2] + (m.shape[-1] ** 2,)) for m in (a, b.swapaxes(-1, -2)))
+    return rows @ cols.swapaxes(-1, -2)
+
+
 def symplectic_form(x: np.ndarray, left: Tangent, right: Tangent) -> np.ndarray:
     """Gram matrix of the ambient symplectic form at base algebra part x
     (..., n, n) on left-trivialized tangents along a direction axis,
     (..., a, n, n) and (..., b, n, n): entry (..., a, b) is
     Omega(left[a], right[b]),
 
-        tr(y_a z_b) - tr(z_a y_b) + tr((x y_a - y_a x) y_b).
+        tr(y_a z_b) + tr((x y_a - y_a x - z_a) y_b).
     """
     x = linalg.as_matrix(x)[..., None, :, :]
     moved = x @ left.y - left.y @ x
-    return (np.einsum("...aij,...bji->...ab", left.y, right.z)
-            - np.einsum("...aij,...bji->...ab", left.z, right.y)
-            + np.einsum("...aij,...bji->...ab", moved, right.y))
+    return _pair(left.y, right.z) + _pair(moved - left.z, right.y)
 
 
 @stacked(2)
@@ -182,33 +187,31 @@ def coordinate_fields(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
 
 def _dual_fields(chev: ChevalleyData, grads: np.ndarray) -> np.ndarray:
     """The combinations df_j of eta, ..., eta^r with tr(grads[i] df_j) = delta_ij."""
-    gram = np.einsum("...iab,jba->...ij", grads, chev.centralizer_eta)
+    gram = _pair(grads, chev.centralizer_eta)
     return np.einsum("...kj,kab->...jab", np.linalg.inv(gram), chev.centralizer_eta)
 
 
-def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields: np.ndarray) -> Tangent:
+def chart_pushforward_section(chev: ChevalleyData, c: CJLPoint, fields: np.ndarray,
+                              powers: np.ndarray) -> Tangent:
     """Exact pushforwards of the section directions ``fields`` (the
     coordinate fields df_j, (..., r, n, n)) at c, left-trivialized.
 
     Moving s along v moves the exponent A = sum_i lam_i gradient_i(s) by
     dA = sum_i lam_i sum_{a+b=i-1} s^a v s^b, less its trace part, and the
     group part exp(A) by the Frechet derivative L_exp(A, dA), the
-    upper-right block of exp([[A, dA], [0, A]]).  The powers s^0 .. s^r
-    are the ladder of the gradients that :func:`cjl_chart` reads; every
-    dA comes from stacked products, and one exponential of the
-    stack of all block matrices, r per chart point, gives every
-    direction: its y part is E11^-1 E12 of its block, its z part v itself.
+    upper-right block of exp([[A, dA], [0, A]]).  A and every dA come from
+    the ladder ``powers`` s^0 .. s^r of :func:`linalg.matrix_powers`, and one
+    exponential of the stack of all block matrices, r per chart point, gives
+    every direction: its y part is E11^-1 E12 of its block, its z part v.
     """
     lam = _flow_times(chev, c)
     n, r = chev.n, chev.r
-    s = linalg.as_matrix(c.s)
-    powers = linalg.matrix_powers(s, r)
     # sum_{a+b<r} lam_{a+b+1} s^a v s^b = sum_a s^a v q_a, q_a = sum_b lam_{a+b+1} s^b
     padded = np.concatenate([lam, np.zeros_like(lam)], axis=-1)
     hankel = padded[..., np.add.outer(range(r), range(r))]  # lam_{a+b+1}, or 0
     q = np.einsum("...ab,...bxy->...axy", hankel, powers[..., :r, :, :])
-    block = np.zeros(s.shape[:-2] + (r, 2 * n, 2 * n), dtype=complex)
-    exponent = np.einsum("...i,...iab->...ab", lam, traceless_part(powers[..., 1:, :, :]))
+    block = np.zeros(powers.shape[:-3] + (r, 2 * n, 2 * n), dtype=complex)
+    exponent = traceless_part(np.einsum("...i,...iab->...ab", lam, powers[..., 1:, :, :]))
     block[..., :n, :n] = block[..., n:, n:] = exponent[..., None, :, :]
     block[..., :n, n:] = traceless_part((powers[..., :r, None, :, :] @ fields[..., None, :, :, :]
                                          @ q[..., :, None, :, :]).sum(axis=-4))
@@ -224,13 +227,14 @@ def chart_directions(chev: ChevalleyData, c: CJLPoint) -> Tangent:
     The chart's exponents commute, so the i-th flow-time direction is the
     Hamiltonian field (gradient_i(s), 0).  The section directions run along
     the coordinate fields df_j, so d f (z) of the j-th is the j-th unit
-    vector; they are exact, from one block exponential (see
-    :func:`chart_pushforward_section`), and no chart is evaluated.
+    vector; they are exact, from one block exponential on the gradients' ladder
+    s^0 .. s^r (see :func:`chart_pushforward_section`); no chart is evaluated.
     """
-    flows = hamiltonian_fields(chev, c.s)
-    section = chart_pushforward_section(chev, c, _dual_fields(chev, flows.y))
-    return Tangent(y=np.concatenate([flows.y, section.y], axis=-3),
-                   z=np.concatenate([flows.z, section.z], axis=-3))
+    powers = linalg.matrix_powers(linalg.as_matrix(c.s), chev.r)
+    grads = traceless_part(powers[..., 1:, :, :])
+    section = chart_pushforward_section(chev, c, _dual_fields(chev, grads), powers)
+    return Tangent(y=np.concatenate([grads, section.y], axis=-3),
+                   z=np.concatenate([np.zeros_like(grads), section.z], axis=-3))
 
 
 @dataclass(frozen=True)

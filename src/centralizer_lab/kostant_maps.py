@@ -239,11 +239,12 @@ def gstar_factor(chev: ChevalleyData, g: np.ndarray) -> GStarFactorization:
     equal a linear solve's by w0_tilde except, at most, in signs of zeros.
     """
     def scaled(a, rows, cols):  # a[..., i, j] * 2**(rows[..., i] + cols[..., j]), exactly
-        shift = np.repeat(rows[..., :, None] + cols[..., None, :], 2, axis=-1)
-        return np.ldexp(np.ascontiguousarray(a).view(np.float64), shift).view(complex)
+        shift = (rows[..., :, None] + cols[..., None, :])[..., None]  # over (real, imaginary)
+        return np.ldexp(a[..., None].view(np.float64), shift).view(complex)[..., 0]
     translated = linalg.as_matrix(g)[..., ::-1, :]
-    rows = -np.frexp(np.abs(translated).max(axis=-1))[1]
-    cols = -np.frexp(np.ldexp(np.abs(translated), rows[..., None]).max(axis=-2))[1]
+    magnitude = np.abs(translated)
+    rows = -np.frexp(magnitude.max(axis=-1))[1]
+    cols = -np.frexp(np.ldexp(magnitude, rows[..., None]).max(axis=-2))[1]
     (lower, diag, upper), errors = linalg.gauss_ldu(scaled(translated, rows, cols))
     return GStarFactorization(u_minus=scaled(lower, -rows, rows),
                               torus=scaled(diag, -rows, -cols), u=scaled(upper, cols, -cols)), [

@@ -126,6 +126,33 @@ def test_symplectic_form_matches_pairwise_definition(n):
     assert np.max(np.abs(gram + swapped.T)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_symplectic_form_equals_per_sample_calls(n):
+    # m base points with direction lists of different lengths a != b: the
+    # flattened-and-transposed products give each sample's Gram matrix bit
+    # for bit, and every entry matches the three pairings
+    chev = build_chevalley(n)
+    rng = stream(77, f"omega-stack-{n}")
+    m, a, b = 3, n + 1, n - 1
+
+    def traceless(*shape):
+        draws = [random_traceless(chev, rng) for _ in range(int(np.prod(shape)))]
+        return np.array(draws).reshape(shape + (n, n))
+
+    x = traceless(m)
+    left = Tangent(traceless(m, a), traceless(m, a))
+    right = Tangent(traceless(m, b), traceless(m, b))
+    gram = symplectic_form(x, left, right)
+    assert gram.shape == (m, a, b)
+    for k in range(m):
+        left_k, right_k = Tangent(left.y[k], left.z[k]), Tangent(right.y[k], right.z[k])
+        assert _same_bits(gram[k], symplectic_form(x[k], left_k, right_k))
+        scale = 1.0 + np.max(np.abs(gram[k]))
+        for i, vi in enumerate(_each(left_k)):
+            for j, vj in enumerate(_each(right_k)):
+                assert abs(gram[k, i, j] - _omega_term_by_term(x[k], vi, vj)) <= 1e-13 * scale
+
+
 # ----------------------------- moment maps ------------------------------- #
 
 def test_moment_maps():
@@ -472,10 +499,10 @@ def test_flow_directions_match_chart_differences(n):
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
-    # one block exponential and no chart evaluation per chart_directions,
-    # and one Gram matrix per pullback, for one chart point or a stack of
-    # them; the section inverse and the invariant vector are not on the
-    # chart path
+    # one ladder of powers, one section pushforward, one block exponential
+    # and no chart evaluation per chart_directions, and one Gram matrix per
+    # pullback, for one chart point or a stack of them; the section inverse
+    # and the invariant vector are not on the chart path
     def forbidden(*args, **kwargs):
         raise AssertionError("the chart path left the affine section")
 
@@ -490,17 +517,24 @@ def test_chart_directions_evaluate_the_base_chart_once(monkeypatch, n):
     form = centralizer.symplectic_form
     monkeypatch.setattr(centralizer, "symplectic_form",
                         lambda *args: grams.append(1) or form(*args))
+    ladders = []
+    ladder = linalg.matrix_powers
+    monkeypatch.setattr(linalg, "matrix_powers",
+                        lambda *args: ladders.append(1) or ladder(*args))
+    pushes = []
+    push = centralizer.chart_pushforward_section
+    monkeypatch.setattr(centralizer, "chart_pushforward_section",
+                        lambda *args: pushes.append(1) or push(*args))
     chev = build_chevalley(n)
     rng = stream(72, f"chart-count-{n}")
     for c, m in ((random_cjl_point(chev, rng), 1), (random_cjl_point(chev, rng, 5), 5)):
-        exps.clear()
-        grams.clear()
-        chart_directions(chev, c)
-        assert exps == [(m * chev.r, 2 * n, 2 * n)]
-        exps.clear()
-        cjl_pullback_deviation(chev, c)
-        assert exps == [(m * chev.r, 2 * n, 2 * n)]
-        assert len(grams) == 1
+        for call in (chart_directions, cjl_pullback_deviation):
+            for counts in (exps, grams, ladders, pushes):
+                counts.clear()
+            call(chev, c)
+            assert exps == [(m * chev.r, 2 * n, 2 * n)]
+            assert len(ladders) == len(pushes) == 1
+            assert len(grams) == (call is cjl_pullback_deviation)
 
 
 def _same_bits(a, b) -> bool:
