@@ -43,7 +43,7 @@ from . import linalg
 from .errors import InvalidZPoint
 from .invariants import invariant_gradient, invariant_gradients, invariant_vector
 from .lie_core import ChevalleyData, adjoint, stabilizer_residual, traceless_part
-from .stacks import per_sample, stacked
+from .stacks import stacked
 
 STABILIZER_TOL = 1e-9
 SECTION_TOL = 1e-10
@@ -149,10 +149,8 @@ def flow_step(chev: ChevalleyData, t, p: ZPoint, i) -> ZPoint:
     """Time-t flow of the i-th invariant: right-translate the group part by
     exp(t * gradient), keep the algebra part.  For a stacked p, t and i
     are shared or given per sample."""
-    v = invariant_gradient(chev, p.x, i)
-    if per_sample(t):
-        t = np.asarray(t, dtype=complex)[:, None, None]
-    return ZPoint(g=p.g @ linalg.mat_exp(t * v), x=p.x)
+    t = np.asarray(t, dtype=complex)[..., None, None]
+    return ZPoint(g=p.g @ linalg.mat_exp(t * invariant_gradient(chev, p.x, i)), x=p.x)
 
 
 def _flow_times(chev: ChevalleyData, c: CJLPoint) -> np.ndarray:

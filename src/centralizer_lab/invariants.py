@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NoConvergence
-from .lie_core import ChevalleyData, build_chevalley, traceless_part
+from .lie_core import ChevalleyData, build_chevalley, pairing, traceless_part
 from .stacks import stacked
 
 
@@ -65,7 +65,7 @@ def _leading_coefficients(n: int) -> np.ndarray:
     section coordinate inside f_i."""
     chev = build_chevalley(n)
     xi_powers = linalg.matrix_powers(chev.xi, chev.r)[1:]
-    gammas = np.trace(xi_powers @ chev.centralizer_eta, axis1=-2, axis2=-1)
+    gammas = pairing(xi_powers, chev.centralizer_eta)
     if np.any(np.abs(gammas) < 1e-12):
         raise NoConvergence("degenerate section grading coefficients")
     return gammas

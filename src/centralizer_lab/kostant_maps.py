@@ -130,11 +130,9 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
     if z.shape[-1] != n:
         raise NotInXiPlusB(f"expected size {n}, got {z.shape[-1]}")
     scale = [1.0 + size for size in linalg.norm(z)]
-    off_shape = linalg.norm(np.where(linalg.strict_triangles(n)[0], z, 0) - chev.xi)
-    shape_errors = [
-        NotInXiPlusB("strictly lower part is not the unit subdiagonal") if off > 1e-12 * sc
-        else NotInXiPlusB(f"trace {tr:.3e} is not zero") if abs(tr) > 1e-12 * sc else None
-        for off, tr, sc in zip(off_shape, z.diagonal(0, -2, -1).sum(-1).tolist(), scale)]
+    shape_errors = first_errors(_lower_part_errors(chev, z, scale), [
+        NotInXiPlusB(f"trace {tr:.3e} is not zero") if abs(tr) > 1e-12 * sc else None
+        for tr, sc in zip(z.diagonal(0, -2, -1).sum(-1).tolist(), scale)])
     s, errors = section_from_invariants(chev, invariant_vector(chev, z))
     u = unipotent_conjugator(z, s)
     # the recurrence leaves the last column of z u = u s free
@@ -145,14 +143,20 @@ def decompose_to_section(chev: ChevalleyData, z: np.ndarray) -> SectionDecomposi
         for res, sc, size in zip(residual, scale, linalg.norm(u))])
 
 
+def _lower_part_errors(chev: ChevalleyData, x: np.ndarray, scale) -> list:
+    """:class:`NotInXiPlusB` for each matrix of a stack x whose strictly lower
+    part misses the unit subdiagonal by more than 1e-12 times its entry of
+    ``scale``, the list of 1 + ||x||, else None."""
+    off_shape = linalg.norm(np.where(linalg.strict_triangles(chev.n)[0], x, 0) - chev.xi)
+    return [NotInXiPlusB("strictly lower part is not the unit subdiagonal")
+            if off > 1e-12 * sc else None for off, sc in zip(off_shape, scale)]
+
+
 def real_part_gap(values):
     """Smallest pairwise distance between the real parts of the values, per
     row for a stack."""
     re = np.sort(np.asarray(values).real, axis=-1)
-    if re.shape[-1] < 2:
-        return np.inf
-    gap = (re[..., 1:] - re[..., :-1]).min(axis=-1)
-    return float(gap) if gap.ndim == 0 else gap
+    return (re[..., 1:] - re[..., :-1]).min(axis=-1)
 
 
 @stacked(2)
@@ -204,9 +208,7 @@ def chamber_conjugator(chev: ChevalleyData, x: np.ndarray) -> np.ndarray:
     x = linalg.as_matrix(x)
     theta, errors = chamber_form(chev, x)
     return unipotent_conjugator(x, theta), first_errors(
-        [NotInXiPlusB("strictly lower part is not the unit subdiagonal")
-         if off > 1e-12 * (1.0 + size) else None
-         for off, size in zip(linalg.norm(np.tril(x, -1) - chev.xi), linalg.norm(x))], errors)
+        _lower_part_errors(chev, x, [1.0 + size for size in linalg.norm(x)]), errors)
 
 
 @stacked(2)

@@ -132,13 +132,15 @@ def build_chevalley(n: int) -> ChevalleyData:
         centralizer_eta=eta_powers, _section_pinv=section_pinv)
 
 
-def pairing(x: np.ndarray, y: np.ndarray) -> complex:
-    """The invariant trace form tr(x y)."""
-    x = linalg.as_matrix(x)
-    y = linalg.as_matrix(y)
-    if x.shape != y.shape:
+def pairing(x: np.ndarray, y: np.ndarray):
+    """The invariant trace form tr(x y) of two matrices, or matrix by
+    matrix of stacks (..., n, n) broadcast against each other."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    for m in (x, y):
+        linalg.as_matrix(m.reshape((-1,) + m.shape[-2:]))
+    if x.shape[-2:] != y.shape[-2:]:
         raise DimensionMismatch(f"pairing of shapes {x.shape} and {y.shape}")
-    return complex(np.trace(x @ y))
+    return np.trace(x @ y, axis1=-2, axis2=-1)
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -162,8 +162,7 @@ def judged(draw, propose, judge):
 
 
 def random_traceless(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
-    m = complex_uniform(rng, (chev.n, chev.n))
-    return m - (np.trace(m) / chev.n) * np.eye(chev.n)
+    return traceless_part(complex_uniform(rng, (chev.n, chev.n)))
 
 
 def random_group_element(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:

@@ -44,6 +44,7 @@ import numpy as np
 from . import linalg
 from .centralizer import (
     CJLPoint,
+    Tangent,
     ZPoint,
     chart_directions,
     cjl_chart,
@@ -295,16 +296,10 @@ def _check_centralizer_dimension(chev, x, s):
     return np.count_nonzero(dims != chev.r, axis=0).astype(float), None
 
 
-def _pairings(x, y) -> np.ndarray:
-    """The trace forms tr(x y) of two stacks, matrix by matrix (see
-    :func:`pairing`)."""
-    return np.trace(x @ y, axis1=-2, axis2=-1)
-
-
 @_register("lie_pairing_ad_invariance", 1e-10, draw=fixed("traceless", "traceless", "exponent"))
 def _check_pairing_invariance(chev, x, y, exponent):
     g = linalg.mat_exp(exponent)
-    base, moved = _pairings(x, y).tolist(), _pairings(adjoint(g, x), adjoint(g, y)).tolist()
+    base, moved = pairing(x, y).tolist(), pairing(adjoint(g, x), adjoint(g, y)).tolist()
     return [abs(b - a) / (1.0 + abs(a)) for a, b in zip(base, moved)], None
 
 
@@ -373,7 +368,7 @@ def _check_gradient_equivariance(chev, x, exponent):
 def _check_gradient_independence(chev, s):
     # Deviation is 1 when the gradients are dependent at the sample, else 0.
     grads = invariant_gradients(chev, s)
-    gram = _pairings(grads[:, :, None], grads[:, None])
+    gram = pairing(grads[:, :, None], grads[:, None])
     sizes = np.reshape(linalg.norm(grads.reshape(-1, chev.n, chev.n)), grads.shape[:2])
     scale = np.prod(np.maximum(sizes, 1e-12), axis=1)
     return [float(abs(det) <= 1e-10 * size) for det, size in zip(np.linalg.det(gram), scale)], None
@@ -389,7 +384,7 @@ def _check_section_roundtrip(chev, z):
 def _check_gradient_fd(chev, x, z):
     h = 1e-6
     slopes = (invariant_vector(chev, x + h * z) - invariant_vector(chev, x - h * z)) / (2.0 * h)
-    gaps = slopes - _pairings(invariant_gradients(chev, x), z[:, None])
+    gaps = slopes - pairing(invariant_gradients(chev, x), z[:, None])
     return np.max([[abs(gap) for gap in row] for row in gaps], axis=1), None
 
 
@@ -546,11 +541,12 @@ def _check_ham_duality(chev, c):
     # Omega(H_i, (y, z)) = tr(grad_i z) + tr([s, grad_i] y), and grad_i
     # commutes with s, so every entry reduces to tr(grad_i z) up to rounding:
     # the row never reads a direction's y, and its flow half repeats
-    # cent_hamiltonian_isotropy.  The fields read only the section point,
-    # so the chart is not evaluated.
+    # cent_hamiltonian_isotropy.  The fields are the flow half of the
+    # directions, bit for bit hamiltonian_fields(chev, c.s), and no chart
+    # is evaluated.
     dirs = chart_directions(chev, c)
-    fields = hamiltonian_fields(chev, c.s)
-    slopes = np.trace(fields.y[:, :, None] @ dirs.z[:, None], axis1=-2, axis2=-1)
+    fields = Tangent(y=dirs.y[:, :chev.r], z=dirs.z[:, :chev.r])
+    slopes = pairing(fields.y[:, :, None], dirs.z[:, None])
     return np.max(np.abs(symplectic_form(c.s, fields, dirs) - slopes), axis=(1, 2)), None
 
 

@@ -542,6 +542,19 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_duality_row_reads_the_fields_off_the_chart_directions(monkeypatch):
+    # the draw's ladder and that of chart_directions, whose flow half is
+    # the Hamiltonian fields: no ladder of the row's own
+    ladders = []
+    ladder = linalg.matrix_powers
+    monkeypatch.setattr(linalg, "matrix_powers",
+                        lambda x, k: ladders.append(np.ndim(x)) or ladder(x, k))
+    for name in ("cent_hamiltonian_duality_fd", "cent_cjl_pullback"):
+        ladders.clear()
+        assert run_check(name, 4, 42, 25).passed
+        assert ladders.count(3) == 2, name
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_stacked_chart_calls_equal_per_point_calls(n):
     # a stack of chart points is evaluated by the per-point body, bit for bit

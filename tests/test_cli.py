@@ -667,6 +667,12 @@ def test_no_matrix_power_in_src():
         assert not re.search(r"matrix_power\b", path.read_text()), path.name
 
 
+def test_one_trace_form_in_src():
+    # every trace form tr(x y) is lie_core.pairing
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert sum(path.read_text().count("np.trace(") for path in src.rglob("*.py")) == 1
+
+
 def test_one_generator_rewind_in_src():
     # the judged draw's rewind is the only one: every rejection draw of the
     # checks goes through it

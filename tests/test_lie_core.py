@@ -126,6 +126,22 @@ def test_pairing_examples():
         pairing(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("n", ALL_N)
+def test_pairing_of_broadcast_stacks_equals_per_pair_calls(n):
+    rng = stream(6, f"pairing-stacks-{n}")
+    x, y = complex_uniform(rng, (3, 1, n, n)), complex_uniform(rng, (1, 4, n, n))
+    gram = pairing(x, y)
+    assert gram.shape == (3, 4)
+    for a, b in itertools.product(range(3), range(4)):
+        assert gram[a, b].tobytes() == pairing(x[a, 0], y[0, b]).tobytes()
+    with pytest.raises(DimensionMismatch):
+        pairing(x, np.eye(n + 1))
+    bad = x.copy()
+    bad[2, 0, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        pairing(bad, y)
+
+
 def test_pairing_ad_invariance_seeded():
     chev = build_chevalley(3)
     rng = stream(5, "pairing-invariance")
