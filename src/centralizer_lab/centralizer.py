@@ -126,11 +126,11 @@ def moment_preimage_report(chev: ChevalleyData, g, x) -> MomentPreimageReport:
     """
     tol, g, x = STABILIZER_TOL, linalg.as_matrix(g), linalg.as_matrix(x)
     mu_l, residual = adjoint(g, x), np.array(stabilizer_residual(g, x))
+    miss, size = chev.section_coords(mu_l)[1], linalg.norm(mu_l)
     on_sec = chev.section_residual(x) <= tol
-    in_z, in_pre = on_sec & (residual <= tol), on_sec & (chev.section_residual(mu_l) <= tol)
+    in_z, in_pre = on_sec & (residual <= tol), on_sec & (np.divide(miss, np.add(1.0, size)) <= tol)
     # the reported miss of Ad_g(x) is scale-free, over ||Ad_g(x)|| alone
-    member_res = np.maximum(residual, np.divide(chev.section_coords(mu_l)[1],
-                                                np.maximum(linalg.norm(mu_l), 1e-300)))
+    member_res = np.maximum(residual, np.divide(miss, np.maximum(size, 1e-300)))
     return MomentPreimageReport(total=len(x), centralizer_members=int(in_z.sum()),
                                 preimage_members=int(in_pre.sum()),
                                 mismatches=int(np.count_nonzero(in_z != in_pre)),

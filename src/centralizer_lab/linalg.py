@@ -10,16 +10,14 @@ package depends on.
 
 The flow domain, the chamber form and the Toda substeps all read the
 spectrum of the same point, so :func:`eigvals` keeps the spectra of the
-last ``SPECTRUM_MEMO`` stacks it solved without an error, keyed by the
-stack's shape and bytes, and hands out copies; :func:`forget_spectra`
-empties the memo.
+last stack it solved without an error, keyed by the stack's shape and
+bytes, and hands out copies; :func:`forget_spectra` empties the memo.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 
 import numpy as np
 import scipy.linalg
@@ -30,9 +28,8 @@ from .stacks import first_errors, stacked
 TOL_EIG = 1e-10
 TOL_MINOR = 1e-12
 TOL_EXP = 1e-13
-SPECTRUM_MEMO = 8  # stacks whose spectra eigvals keeps
 
-_spectra = OrderedDict()  # (shape, bytes) of a stack -> its spectra, least recent first
+_spectra = {}  # (shape, bytes) of the last stack solved without an error -> its spectra
 
 
 def as_matrix(a) -> np.ndarray:
@@ -164,16 +161,14 @@ def eigvals(a: np.ndarray):
     and their residual test; :class:`NoConvergence` (and zeros, in a stack)
     where LAPACK does not converge.
 
-    A stack solved before without an error, and among the last
-    ``SPECTRUM_MEMO`` such stacks, is not solved again: its spectra are
-    copied from the memo.  A stack with a failed sample is solved anew on
-    every call.
+    The last stack solved without an error is not solved again: its
+    spectra are copied from the memo.  A stack with a failed sample is
+    solved anew on every call, and leaves the memo as it was.
     """
     a = as_matrix(a)
     key = (a.shape, a.tobytes())
     kept = _spectra.get(key)
     if kept is not None:
-        _spectra.move_to_end(key)
         return kept.copy(), [None] * len(a)
     errors = [None] * len(a)
     try:
@@ -186,9 +181,8 @@ def eigvals(a: np.ndarray):
             except np.linalg.LinAlgError as exc:
                 errors[k] = NoConvergence(f"eigensolver did not converge: {exc}")
     if errors.count(None) == len(errors):
+        _spectra.clear()
         _spectra[key] = values.copy()
-        if len(_spectra) > SPECTRUM_MEMO:
-            _spectra.popitem(last=False)
     return values, errors
 
 

@@ -26,7 +26,8 @@ ends the list with its exception.  Such an exception, or any other that
 escapes a check, fails it with an infinite deviation, and the result
 names the exception, keeps the registered bound and counts the samples
 finished before it.  Each check draws from its own named random stream,
-starts from an empty spectrum memo (see :func:`linalg.eigvals`), and the
+starts from an empty spectrum memo, which then holds the spectra of the
+last stack solved without an error (see :func:`linalg.eigvals`), and the
 checks run one after another in registry order, so reports are
 deterministic for a fixed configuration.  No tolerance or bound can be
 set from outside.
@@ -105,7 +106,7 @@ from .sampling import (
     stabilizer_exponents,
     stream,
 )
-from .stacks import arrays, first_errors, map_arrays
+from .stacks import arrays, concatenate, first_errors, map_arrays
 from .toda import (
     embed,
     embed_inverse,
@@ -607,16 +608,19 @@ def _check_toda_conservation(chev, p):
     base = invariant_vector(chev, x0)
     eig0, errors = linalg.eigvals(x0)
     eig0 = np.sort_complex(eig0)
-    worst = np.zeros(len(eig0))
-    for i in range(1, chev.r + 1):
-        for t in (0.1, 0.7):
-            q, flow_errors = toda_flow(chev, i, t, p)
-            xt = toda_matrix(chev, q)
-            dev_f = linalg.vector_relative_distance(invariant_vector(chev, xt), base)
-            eig_t, eig_errors = linalg.eigvals(xt)
-            errors = first_errors(errors, flow_errors, eig_errors)
-            dev_eig = np.max(np.abs(np.sort_complex(eig_t) - eig0), axis=-1)
-            worst = np.maximum.reduce([worst, dev_f, dev_eig])
+    m = len(eig0)
+    # every flow reads the memoized spectrum of x0; the flowed points'
+    # spectra are then read in one stacked call
+    flows = [toda_flow(chev, i, t, p) for i in range(1, chev.r + 1) for t in (0.1, 0.7)]
+    xt = toda_matrix(chev, concatenate([q for q, _ in flows]))
+    values, (eig_t, eig_errors) = invariant_vector(chev, xt), linalg.eigvals(xt)
+    worst = np.zeros(m)
+    for k, (_, flow_errors) in enumerate(flows):
+        part = slice(k * m, (k + 1) * m)
+        dev_f = linalg.vector_relative_distance(values[part], base)
+        errors = first_errors(errors, flow_errors, eig_errors[part])
+        dev_eig = np.max(np.abs(np.sort_complex(eig_t[part]) - eig0), axis=-1)
+        worst = np.maximum.reduce([worst, dev_f, dev_eig])
     return worst, errors
 
 
@@ -628,9 +632,10 @@ def _draw_semigroup(chev, rng, point=sample_flow_domain):
 
 @_register("toda_flow_semigroup", 1e-8, draw=_flow_points_judged(_draw_semigroup))
 def _check_toda_semigroup(chev, p, labels, t, s):
+    # both flows from p read one spectrum before the flow from mid reads its own
+    rhs, errors3 = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
     mid, errors = toda_flow(chev, labels, t, p)
     lhs, errors2 = toda_flow(chev, labels, s, mid)
-    rhs, errors3 = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
     return (relative_distance(toda_matrix(chev, lhs), toda_matrix(chev, rhs)),
             first_errors(errors, errors2, errors3))
 
@@ -638,13 +643,14 @@ def _check_toda_semigroup(chev, p, labels, t, s):
 @_register("toda_normal_forms_constant", 1e-7, draw=_flow_points_judged(_flow_point_and_label))
 def _check_normal_forms_constant(chev, p, labels):
     q, errors = toda_flow(chev, labels, 0.5, p)
-    x0, x1 = toda_matrix(chev, p), toda_matrix(chev, q)
+    m = len(p.diag)
+    # each normal form is taken once, of x1 and x0 stacked: one spectrum
+    both = np.concatenate([toda_matrix(chev, q), toda_matrix(chev, p)])
     devs = []
     for fn in (chamber_form, section_form, chamber_to_section_conjugator):
-        f1, errors1 = fn(chev, x1)
-        f0, errors0 = fn(chev, x0)
-        errors = first_errors(errors, errors1, errors0)
-        devs.append(relative_distance(f1, f0))
+        f, fn_errors = fn(chev, both)
+        errors = first_errors(errors, fn_errors[:m], fn_errors[m:])
+        devs.append(relative_distance(f[:m], f[m:]))
     return np.maximum.reduce(devs), errors
 
 
@@ -746,8 +752,9 @@ def _outcomes(check: Check, chev, rng, samples: int):
 def run_check(name: str, n: int, seed: int, samples: int,
               tols: Tolerances | None = None) -> CheckResult:
     """Run one named check; ``tols`` is accepted and ignored.  The check
-    starts from an empty spectrum memo (see :func:`linalg.eigvals`), so no
-    spectrum solved before it serves it."""
+    starts from an empty spectrum memo, which then holds the spectra of
+    the last stack solved without an error (see :func:`linalg.eigvals`),
+    so no spectrum solved before it serves it."""
     linalg.forget_spectra()
     check = CHECKS[name]
     chev = build_chevalley(n)

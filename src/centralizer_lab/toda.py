@@ -94,17 +94,6 @@ def in_flow_domain(chev: ChevalleyData, p: TodaPoint) -> bool:
     return chamber_errors(linalg.eigvals(toda_matrix(chev, p))[None])[0] is None
 
 
-def _powers(values: np.ndarray, labels) -> np.ndarray:
-    """values ** i row by row, with a Python int exponent as the per-point
-    flow takes it (numpy squares an int exponent 2 in its own way)."""
-    if not per_sample(labels):
-        return values ** labels
-    out = np.empty_like(values)
-    for label in np.unique(labels):
-        out[labels == label] = values[labels == label] ** int(label)
-    return out
-
-
 @stacked(1)
 def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     """Time-t image of p under the i-th flow, by Symes' factorization, in
@@ -120,11 +109,11 @@ def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     """
     x = toda_matrix(chev, p)
     m = len(x)
-    labels = np.asarray(i) if per_sample(i) else i
+    labels = np.asarray(i)
     times = list(t) if per_sample(t) else [t] * m
     values, errors = linalg.eigvals(x)
     with np.errstate(over="ignore", invalid="ignore"):  # a spread that is not finite fails
-        exponents = (np.array(times, dtype=complex)[:, None] * _powers(values, labels)).real
+        exponents = (np.array(times, dtype=complex)[:, None] * values ** labels[..., None]).real
         spreads = (exponents.max(axis=-1) - exponents.min(axis=-1)).tolist()
     steps = [max(1, math.ceil(s / 8.0)) if math.isfinite(s) else 0 for s in spreads]
     errors = first_errors(errors, chamber_errors(values), [None if sk else NoConvergence(
@@ -259,9 +248,9 @@ def intertwine_check(chev: ChevalleyData, i, t, p: TodaPoint) -> float:
     (the Toda side can raise :class:`NotInGStar` at complex time).  For a
     stacked p, i and t are shared or given per sample.
     """
+    base, base_errors = embed(chev, p)  # before the flow, which reads the same spectrum
     moved, errors = toda_flow(chev, i, t, p)
     left, left_errors = embed(chev, moved)
-    base, base_errors = embed(chev, p)
     right = flow_step(chev, t, base, i)
     return (np.maximum(scalar_aligned_distance(left.g, right.g),
                        linalg.relative_distance(left.x, right.x)),

@@ -5,6 +5,7 @@ from centralizer_lab import linalg
 from centralizer_lab.errors import NoConvergence, NotInV
 from centralizer_lab.invariants import (
     _leading_coefficients,
+    gradient_power,
     invariant_gradient,
     invariant_gradients,
     invariant_vector,
@@ -184,3 +185,28 @@ def test_leading_coefficients_equal_the_product_loop(n):
         xp = xp @ chev.xi
         gammas.append(np.trace(xp @ chev.centralizer_eta[i - 1]))
     assert _leading_coefficients(n).tobytes() == np.array(gammas).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_products_without_a_ladder_are_its_rungs(n):
+    # gradient_power of one label and the section inverse's top power
+    # multiply x out left to right: bit for bit linalg.matrix_powers
+    chev = build_chevalley(n)
+    rng = stream(n, "one-ladder")
+    x = np.stack([random_traceless(chev, rng) for _ in range(4)])
+    ladder = linalg.matrix_powers(x, chev.r)
+    for i in range(1, chev.r + 1):
+        assert gradient_power(chev, x, i).tobytes() == ladder[:, i].tobytes()
+        for k in range(len(x)):
+            assert gradient_power(chev, x[k], i).tobytes() == ladder[k, i].tobytes()
+    # the section inverse by forward substitution with the ladder's top rung
+    z = rng.standard_normal((4, chev.r)) + 1j * rng.standard_normal((4, chev.r))
+    gammas = _leading_coefficients(n)
+    expected = chev.section_point(np.zeros(z.shape, dtype=complex))
+    for i in range(1, chev.r + 1):
+        top = linalg.matrix_powers(expected, i + 1)[:, i + 1]
+        coord = (z[:, i - 1] - top.diagonal(0, -2, -1).sum(-1) / (i + 1)) / gammas[i - 1]
+        expected = expected + coord[:, None, None] * chev.centralizer_eta[i - 1]
+    assert section_from_invariants(chev, z)[0].tobytes() == expected.tobytes()
+    for k in range(len(z)):
+        assert section_from_invariants(chev, z[k]).tobytes() == expected[k].tobytes()

@@ -99,35 +99,43 @@ def test_eigvals_memo_gives_the_solved_bits(monkeypatch, n):
     for _ in range(2):  # solved, then served by the memo
         values, errors = linalg.eigvals(x)
         assert values.tobytes() == fresh.tobytes() and errors == [None] * 6
-        for k in (0, 5):
+    for k in (0, 5):  # a point is a stack of its own, which replaces the one before
+        for _ in range(2):
             assert linalg.eigvals(x[k]).tobytes() == fresh[k].tobytes()
     assert calls == [(6, n, n), (1, n, n), (1, n, n)]
     # a returned array is the caller's own: changing it leaves the memo intact
+    single = linalg.eigvals(x[5])
+    single[0] = 7.0
+    assert linalg.eigvals(x[5]).tobytes() == fresh[5].tobytes()
     values, errors = linalg.eigvals(x)
     values[:] = 0
     errors[0] = NoConvergence("changed")
     again, errors = linalg.eigvals(x)
     assert again.tobytes() == fresh.tobytes() and errors == [None] * 6
-    single = linalg.eigvals(x[5])
-    single[0] = 7.0
-    assert linalg.eigvals(x[5]).tobytes() == fresh[5].tobytes()
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
 def test_eigvals_memo_keeps_the_last_stacks(monkeypatch):
     calls = _counting_eigvals(monkeypatch)
-    stacks = [np.diag([k + 1.0, -k - 1.0])[None] for k in range(linalg.SPECTRUM_MEMO + 1)]
+    stacks = [np.diag([k + 1.0, -k - 1.0])[None] for k in range(3)]
     for a in stacks:
         linalg.eigvals(a)
-    assert len(calls) == linalg.SPECTRUM_MEMO + 1
+    assert len(calls) == 3
     linalg.eigvals(stacks[-1])  # kept
-    assert len(calls) == linalg.SPECTRUM_MEMO + 1
-    linalg.eigvals(stacks[0])  # the least recent one was dropped
-    assert len(calls) == linalg.SPECTRUM_MEMO + 2
-    # the key is the shape and the bytes: a reshaped or changed stack is new
-    linalg.eigvals(np.concatenate(stacks[1:3]))
+    assert len(calls) == 3
+    linalg.eigvals(stacks[0])  # replaced by each later stack
+    linalg.eigvals(stacks[1])
+    assert len(calls) == 5
+    # the key is the shape and the bytes: a copy is served by the memo, a
+    # reshaped or changed stack is new
+    linalg.eigvals(stacks[1].copy())
+    assert len(calls) == 5
+    linalg.eigvals(np.concatenate([stacks[1], stacks[1]]))
     linalg.eigvals(stacks[1] + 1e-300)
-    assert len(calls) == linalg.SPECTRUM_MEMO + 4
+    assert len(calls) == 7
+    linalg.forget_spectra()
+    linalg.eigvals(stacks[1] + 1e-300)
+    assert len(calls) == 8
 
 
 def test_eigvals_memo_keeps_no_failed_solve(monkeypatch):
@@ -142,6 +150,19 @@ def test_eigvals_memo_keeps_no_failed_solve(monkeypatch):
             linalg.eigvals(bad)
     # each call tried the stack and then its samples; the failed ones again
     assert calls == [(2, 2, 2), (2, 2), (2, 2), (1, 2, 2), (2, 2)] * 2
+
+
+def test_eigvals_failed_solve_keeps_the_memo(monkeypatch):
+    bad = np.diag([2.0, -2.0]) + 0j
+    calls = _counting_eigvals(
+        monkeypatch, lambda a: any(np.array_equal(ak, bad) for ak in np.reshape(a, (-1, 2, 2))))
+    good = np.diag([3.0, -3.0])[None] + 0j
+    linalg.eigvals(good)
+    _, errors = linalg.eigvals(np.stack([good[0], bad]))
+    assert isinstance(errors[1], NoConvergence)
+    calls.clear()
+    assert linalg.eigvals(good)[0].tobytes() == np.linalg.eigvals(good).tobytes()
+    assert calls == [(1, 2, 2)]  # the reference solve alone
 
 
 def test_no_spectrum_serves_a_later_check(monkeypatch):

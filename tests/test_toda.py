@@ -536,6 +536,41 @@ def test_toda_path_computes_no_eigenvectors(monkeypatch, n):
     assert errors + embed_errors + inverse_errors + chamber_errors == [None] * 16
 
 
+def _count_lapack_spectra(monkeypatch):
+    """The stacks that reach np.linalg.eigvals; the spectrum memo starts empty."""
+    linalg.forget_spectra()
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(np.shape(a)) or eigvals(a))
+    return calls
+
+
+def test_toda_pipeline_solves_two_spectra_per_point(monkeypatch):
+    # the domain test, the three flows and embed read the spectrum of x,
+    # embed_inverse that of the section form
+    chev = build_chevalley(4)
+    rng = stream(21, "lapack-traffic")
+    points = [sample_flow_domain(chev, rng) for _ in range(5)]
+    calls = _count_lapack_spectra(monkeypatch)
+    for p in points:
+        assert in_flow_domain(chev, p)
+        for i, t in enumerate((0.3, -0.5, 0.2 + 0.1j), start=1):
+            toda_flow(chev, i, t, p)
+        embed_inverse(chev, embed(chev, p))
+    assert len(calls) == 2 * len(points)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("name", ["toda_conservation", "toda_flow_semigroup",
+                                  "toda_intertwine_flow", "toda_normal_forms_constant"])
+def test_two_point_checks_solve_two_spectra(monkeypatch, name, n):
+    # the draw's spectra serve the flows from p; the flowed points' spectra
+    # are one more stack
+    calls = _count_lapack_spectra(monkeypatch)
+    assert suites.run_check(name, n, 42, 25).passed
+    assert len(calls) == 2
+
+
 def test_flow_off_phase_space_raises_no_convergence(monkeypatch, chev2, golden):
     monkeypatch.setattr(toda, "adjoint",
                         lambda g, x: np.broadcast_to([[0.0, 1.0], [2.0, 0.0]], np.shape(x)))
