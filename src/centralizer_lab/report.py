@@ -10,7 +10,7 @@ exception that failed a check, or None.  JSON writes a non-finite
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .formats import fmt_float, json_float
 
@@ -51,7 +51,7 @@ class Report:
         return out
 
     def to_json_obj(self) -> dict:
-        checks = [{**asdict(c), "max_deviation": json_float(c.max_deviation)}
+        checks = [{**vars(c), "max_deviation": json_float(c.max_deviation)}
                   for c in self.checks]
         return {"config": self.config, "checks": checks, "passed": self.passed}
 
@@ -59,7 +59,7 @@ class Report:
         rows = [",".join(f.name for f in fields(CheckResult))]
         for c in self.checks:
             # the error cell holds the type only, since a message may hold a comma
-            cells = {**asdict(c), "skipped": sum(c.skipped.values()),
+            cells = {**vars(c), "skipped": sum(c.skipped.values()),
                      "error": (c.error or "").partition(":")[0]}
             rows.append(",".join(_csv_cell(value) for value in cells.values()))
         return "\n".join(rows) + "\n"

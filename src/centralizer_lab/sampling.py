@@ -14,16 +14,17 @@ samples' values as stacked columns and the exception (or None) that ended
 them, and consumes the stream exactly as per-sample draws made one at a
 time do, bit for bit.  Philox's stream is one fixed sequence of doubles,
 which ``rng.uniform(low, high)`` maps by u -> low + (high - low) u: a
-draw of fixed layout (:func:`fixed`) takes all its samples' doubles in
-one call and maps them by :func:`blocks`; a draw whose candidates are
-rejected (:func:`judged`) proposes every remaining sample, judges the
-proposals in one stacked pass, and rewinds to draw only a rejected sample
-alone; the other draws are made sample by sample (:func:`one_by_one`).
+draw of fixed layout (:func:`fixed`) takes its samples' doubles in one
+call, or in one per run between integer draws, and maps them by
+:func:`blocks`; a draw whose candidates are rejected (:func:`judged`)
+proposes every remaining sample, judges the proposals in one stacked
+pass, and rewinds to draw only a rejected sample alone (:func:`one_by_one`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import zlib
 
 import numpy as np
@@ -69,6 +70,13 @@ def blocks(chev: ChevalleyData) -> dict:
     def clipped(u):  # random_group_element's exponent, clipped to norm at most 1
         m = traceless(u)
         return m / np.maximum(linalg.norm(m), 1.0)[:, None, None]
+
+    def chart(u):  # random_cjl_point
+        rows = -1.0 + 2.0 * u
+        s = chev.section_point((rows[:, :r] + 1j * rows[:, r:2 * r]) * _section_scales(n, 0.8))
+        grads = invariant_gradients(chev, s).reshape(-1, n, n)
+        damp = 0.4 / np.maximum(1.0, np.reshape(linalg.norm(grads), (-1, r)))
+        return CJLPoint(lam=(rows[:, 2 * r::2] + 1j * rows[:, 2 * r + 1::2]) * damp, s=s)
     return {"matrix": (2 * n * n, lambda u: complex_rows(u, (n, n), 1.0)),  # complex_uniform
             "traceless": (2 * n * n, traceless),  # random_traceless
             "exponent": (2 * n * n, clipped),
@@ -77,8 +85,14 @@ def blocks(chev: ChevalleyData) -> dict:
             # stabilizer_coefficients: r scalars, each real then imaginary part
             "coefficients": (2 * r, lambda u: complex_rows(u.reshape(-1, 2), (), 1.0)
                              .reshape(-1, r)),
-            "candidate": (2 * (n + r), lambda u: -1.0 + 2.0 * u),  # flow_candidate
+            # sample_flow_domain's first candidate: real then imaginary parts of
+            # the diagonal, then of the root coordinates, each in [-1, 1)
+            "candidate": (2 * (n + r), lambda u: -1.0 + 2.0 * u),
             "scalar": (2, lambda u: complex_rows(u, (), 1.0)),
+            # complex_uniform(rng, (), 0.7), and the real part of it at scale 0.5
+            "flow_time": (2, lambda u: list(complex_rows(u, (), 0.7))),
+            "real_time": (2, lambda u: list(complex_rows(u, (), 0.5).real)),
+            "chart": (4 * r, chart),
             "xi_plus_b": (2 * n * n, lambda u: chev.xi + traceless_part(
                 np.triu(complex_rows(u, (n, n), 1.0)))),
             "unitriangular": (2 * n * n, lambda u: linalg.eye(n) + np.triu(
@@ -89,23 +103,41 @@ def blocks(chev: ChevalleyData) -> dict:
             "length": (1, lambda u: 5.0 * u[:, 0])}  # rng.uniform(0, 5)
 
 
-def fixed(*names):
-    """A draw of fixed layout: each sample takes the doubles of the named
-    blocks in order, all samples' from one ``rng.random`` call."""
-    def draw(chev, rng, samples):
-        layout = list(map(blocks(chev).get, names))
-        cuts = np.cumsum([width for width, _ in layout])
-        rows = np.split(rng.random((samples, cuts[-1])), cuts[:-1], axis=1)
-        return [convert(part) for (_, convert), part in zip(layout, rows)], None
-    return draw
-
-
 def _columns(drawn) -> list:
     """Per-sample draws stacked into columns, one per position of a tuple;
     Python scalars stay lists."""
     parts = zip(*(value if type(value) is tuple else (value,) for value in drawn))
     return [list(part) if isinstance(part[0], (int, float, complex)) else stack(part)
             for part in parts]
+
+
+def fixed(*slots):
+    """A draw of fixed layout: each sample takes the doubles of the named
+    blocks and the values of the integer draws ``slot(chev, rng)`` in
+    order.  All samples' doubles come from one ``rng.random`` call, or with
+    integer draws each sample's run of consecutive blocks from one call and
+    each integer draw from its own; each block's map runs once on the
+    stacked rows."""
+    def draw(chev, rng, samples):
+        table = blocks(chev)
+        layout = [table[slot] for slot in slots if type(slot) is str]
+        ends = list(itertools.accumulate(table[s][0] if type(s) is str else 0 for s in slots))
+        takers = [(end, slot) for end, slot in zip(ends, slots) if type(slot) is not str]
+        rows = np.empty((samples, ends[-1])) if takers else rng.random((samples, ends[-1]))
+        taken = [[] for _ in takers]
+        for row in rows if takers else ():
+            start = 0
+            for (end, slot), values in zip(takers, taken):
+                rng.random(out=row[start:end])
+                values.append(slot(chev, rng))
+                start = end
+            if start < ends[-1]:
+                rng.random(out=row[start:])
+        cuts = np.cumsum([width for width, _ in layout])[:-1]
+        doubles = iter([fn(part) for (_, fn), part in zip(layout, np.split(rows, cuts, 1))])
+        integers = iter(_columns(zip(*taken)) or taken)  # no samples: empty lists
+        return [next(doubles if type(slot) is str else integers) for slot in slots], None
+    return draw
 
 
 def one_by_one(draw):
@@ -128,10 +160,9 @@ def judged(draw, propose, judge):
 
     ``propose(chev, rng, k)`` is a draw of k proposals: the generator calls
     that ``draw`` makes for each sample whose first candidate is accepted,
-    as :func:`fixed` blocks when they take only doubles, else by
-    ``one_by_one`` of a per-sample proposal.  ``judge(chev, *columns)``
-    takes the proposals' columns and returns the columns of their samples
-    as ``draw`` gives them, and per proposal whether ``draw`` accepts it.
+    as a :func:`fixed` draw.  ``judge(chev, *columns)`` takes the
+    proposals' columns and returns the columns of their samples as
+    ``draw`` gives them, and per proposal whether ``draw`` accepts it.
     The proposals are kept up to the first one not accepted.  For that
     sample the generator is rewound to the round's start, the kept
     proposals are made again and ``draw`` runs alone; then the next round
@@ -193,17 +224,13 @@ def random_cjl_point(chev: ChevalleyData, rng: np.random.Generator, samples=None
     with ``samples`` the stack of that many.
 
     A point takes 4r doubles: the real then the imaginary plane of its
-    section coordinates, then (real, imaginary) of each flow time.  All
-    are taken in one call, so a stack holds the points drawn one at a
-    time, bit for bit, and leaves the stream where they leave it.
+    section coordinates, then (real, imaginary) of each flow time, all in
+    one call mapped by the ``"chart"`` block, so a stack holds the points
+    drawn one at a time, bit for bit, and leaves the stream as they do.
     """
-    r = chev.r
-    rows = rng.uniform(-1.0, 1.0, size=(1 if samples is None else samples, 4 * r))
-    s = chev.section_point((rows[:, :r] + 1j * rows[:, r:2 * r]) * _section_scales(chev.n, 0.8))
-    grads = invariant_gradients(chev, s).reshape(-1, chev.n, chev.n)
-    damp = 0.4 / np.maximum(1.0, np.reshape(linalg.norm(grads), (-1, r)))
-    lam = (rows[:, 2 * r::2] + 1j * rows[:, 2 * r + 1::2]) * damp
-    return CJLPoint(lam=lam, s=s) if samples is not None else CJLPoint(lam=lam[0], s=s[0])
+    width, chart = blocks(chev)["chart"]
+    c = chart(rng.random((1 if samples is None else samples, width)))
+    return c if samples is not None else CJLPoint(lam=c.lam[0], s=c.s[0])
 
 
 def random_stabilizer_element(chev: ChevalleyData, rng: np.random.Generator,
@@ -253,17 +280,9 @@ def random_toda_point(chev: ChevalleyData, rng: np.random.Generator) -> TodaPoin
     return make_toda_point(diag, coords)
 
 
-def flow_candidate(chev: ChevalleyData, rng: np.random.Generator) -> np.ndarray:
-    """The doubles of one flow-domain candidate, the draws that
-    :func:`sample_flow_domain` makes for a point whose first candidate is
-    accepted: the real then the imaginary parts of the diagonal, then of
-    the root coordinates, each in [-1, 1)."""
-    return rng.uniform(-1.0, 1.0, 2 * (chev.n + chev.r))
-
-
 def flow_candidates(chev: ChevalleyData, rows: np.ndarray):
-    """The stacked Toda points of candidate rows (m, 2(n + r)) (see
-    :func:`flow_candidate`, the diagonal recentred to trace zero) and, per
+    """The stacked Toda points of candidate rows (m, 2(n + r)) (see the
+    ``"candidate"`` block, the diagonal recentred to trace zero) and, per
     candidate, None if it lies in the flow domain, else the exception that
     rejects it."""
     n, r = chev.n, chev.r

@@ -9,33 +9,32 @@ lists), and the exception (or None) that ended them.  Its function takes
 the columns and returns ``(deviations, errors)`` from one pass over the
 stack (see :mod:`stacks`), with ``errors`` None where no sample can fail.
 A draw is built by the combinators of :mod:`sampling`: of fixed layout
-when it takes only doubles and rejects nothing, judged when it rejects
-candidates, else sample by sample.  No draw depends on another sample or
-on the number of samples, and each consumes the stream as draws made one
-at a time do, so ``run_check(name, n, seed, k + 1)`` replays sample ``k``.  A
-plain check has no draw, and is a function ``(chev, rng, samples) ->
-(deviation, used)``, for structure constants, rank-dependent cases and
-checks over the whole sample set at once.
+when it rejects nothing, judged when it rejects candidates.  No draw
+depends on another sample or on the number of samples, and each consumes
+the stream as draws made one at a time do, so ``run_check(name, n, seed,
+k + 1)`` replays sample ``k``.  A plain check has no draw, and is a
+function ``(chev, rng, samples) -> (deviation, used)``, for structure
+constants, rank-dependent cases and checks over the whole sample set at
+once.
 
 The driver, :func:`run_check`, folds the ordered per-sample outcomes, a
-deviation or an exception, into the running maximum (NaN once a
-deviation is NaN, which fails the check; a check combines the parts of a
-deviation with ``np.maximum``, which keeps a NaN), the sample and skip
-counts, and the first exception that is not a skip.  A draw that raises
-ends the list with its exception.  Such an exception, or any other that
-escapes a check, fails it with an infinite deviation, and the result
-names the exception, keeps the registered bound and counts the samples
-finished before it.  Each check draws from its own named random stream,
-starts from an empty spectrum memo, which then holds the spectra of the
-last stack solved without an error (see :func:`linalg.eigvals`), and the
-checks run one after another in registry order, so reports are
+deviation or an exception, into the maximum of the kept deviations (NaN
+once a deviation is NaN, which fails the check; a check combines the
+parts of a deviation with ``np.maximum``, which keeps a NaN), the sample
+and skip counts, and the first exception that is not a skip.  A draw
+that raises ends the list with its exception.  Such an exception, or any
+other that escapes a check, fails it with an infinite deviation, and the
+result names the exception, keeps the registered bound and counts the
+samples finished before it.  Each check draws from its own named random
+stream, starts from an empty spectrum memo, which then holds the spectra
+of the last stack solved without an error (see :func:`linalg.eigvals`),
+and the checks run one after another in registry order, so reports are
 deterministic for a fixed configuration.  No tolerance or bound can be
 set from outside.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -93,10 +92,8 @@ from .sampling import (
     complex_uniform,
     domain_fraction,
     fixed,
-    flow_candidate,
     flow_candidates,
     judged,
-    one_by_one,
     random_cjl_point,
     random_section_point,
     random_traceless,
@@ -189,17 +186,19 @@ def _flow_points(sets):
     return judged(draw, fixed("candidate", *["coefficients"] * sets), _judge_flow_points)
 
 
-def _flow_point_and_label(chev, rng, point=sample_flow_domain):
-    return point(chev, rng), int(rng.integers(1, chev.r + 1))
+def _label(chev, rng):
+    return int(rng.integers(1, chev.r + 1))
 
 
-def _flow_points_judged(draw):
-    """:func:`sampling.judged` for a per-sample draw whose first value is a
-    flow-domain point drawn by its ``point`` argument, and which takes
-    integers: a sample's proposal takes that point's first candidate
-    (:func:`sampling.flow_candidate`)."""
-    return judged(draw, one_by_one(functools.partial(draw, point=flow_candidate)),
-                  _judge_flow_points)
+def _flow_point_and_label(chev, rng):
+    return sample_flow_domain(chev, rng), _label(chev, rng)
+
+
+def _flow_points_judged(draw, *slots):
+    """:func:`sampling.judged` for a per-sample draw of a flow-domain point
+    and then the :func:`sampling.fixed` ``slots``: a sample's proposal is
+    that point's first candidate (the ``"candidate"`` block) and the slots."""
+    return judged(draw, fixed("candidate", *slots), _judge_flow_points)
 
 
 # ----------------------------- linalg ---------------------------------- #
@@ -487,18 +486,14 @@ def _check_gstar_refactor(chev, u_minus, u, torus):
 
 # ----------------------------- centralizer ----------------------------- #
 
-def _draw_z_point(chev, rng):
-    return random_section_point(chev, rng), stabilizer_coefficients(chev, rng)
-
-
 def _z_points(chev, x, coeffs) -> ZPoint:
     """The centralizer points of a stack of section points and their rows
     of stabilizer coefficients."""
     return ZPoint(g=stabilizer_elements(chev, x, coeffs), x=x)
 
 
-@_register("cent_flow_preserves_points", 1e-9, draw=one_by_one(lambda chev, rng: (
-    *_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)), complex_uniform(rng, ()))))
+@_register("cent_flow_preserves_points", 1e-9,
+           draw=fixed("section", "coefficients", _label, "scalar"))
 def _check_flow_preserves(chev, x, coeffs, labels, times):
     p = _z_points(chev, x, coeffs)
     moved = flow_step(chev, times, p, labels)
@@ -574,9 +569,8 @@ def _check_cjl_rank(chev, c):
     return (sigma[:, -1] <= 1e-6 * sigma[:, 0]).astype(float), None
 
 
-@_register("cent_flow_group_law", 1e-10, draw=one_by_one(lambda chev, rng: (
-    *_draw_z_point(chev, rng), int(rng.integers(1, chev.r + 1)),
-    complex_uniform(rng, (), scale=0.7), complex_uniform(rng, (), scale=0.7))))
+@_register("cent_flow_group_law", 1e-10,
+           draw=fixed("section", "coefficients", _label, "flow_time", "flow_time"))
 def _check_flow_group_law(chev, x, coeffs, labels, t, s):
     p = _z_points(chev, x, coeffs)
     lhs = flow_step(chev, t, flow_step(chev, s, p, labels), labels)
@@ -584,8 +578,8 @@ def _check_flow_group_law(chev, x, coeffs, labels, t, s):
     return relative_distance(lhs.g, rhs.g), None
 
 
-@_register("cent_cjl_factor_order", 1e-10, draw=one_by_one(lambda chev, rng: (
-    random_cjl_point(chev, rng), tuple(rng.permutation(chev.r).tolist()))))
+@_register("cent_cjl_factor_order", 1e-10,
+           draw=fixed("chart", lambda chev, rng: rng.permutation(chev.r)))
 def _check_cjl_factor_order(chev, c, orders):
     base = cjl_chart(chev, c)
     p = ZPoint(g=linalg.identities(c.s.shape), x=c.s)
@@ -624,13 +618,13 @@ def _check_toda_conservation(chev, p):
     return worst, errors
 
 
-def _draw_semigroup(chev, rng, point=sample_flow_domain):
-    p, i = _flow_point_and_label(chev, rng, point)
-    t = complex_uniform(rng, (), scale=0.5).real
-    return p, i, t, complex_uniform(rng, (), scale=0.5).real
+def _draw_semigroup(chev, rng):
+    return (*_flow_point_and_label(chev, rng),
+            *[complex_uniform(rng, (), scale=0.5).real for _ in range(2)])
 
 
-@_register("toda_flow_semigroup", 1e-8, draw=_flow_points_judged(_draw_semigroup))
+@_register("toda_flow_semigroup", 1e-8,
+           draw=_flow_points_judged(_draw_semigroup, _label, "real_time", "real_time"))
 def _check_toda_semigroup(chev, p, labels, t, s):
     # both flows from p read one spectrum before the flow from mid reads its own
     rhs, errors3 = toda_flow(chev, labels, [a + b for a, b in zip(t, s)], p)
@@ -640,7 +634,8 @@ def _check_toda_semigroup(chev, p, labels, t, s):
             first_errors(errors, errors2, errors3))
 
 
-@_register("toda_normal_forms_constant", 1e-7, draw=_flow_points_judged(_flow_point_and_label))
+@_register("toda_normal_forms_constant", 1e-7,
+           draw=_flow_points_judged(_flow_point_and_label, _label))
 def _check_normal_forms_constant(chev, p, labels):
     q, errors = toda_flow(chev, labels, 0.5, p)
     m = len(p.diag)
@@ -720,7 +715,7 @@ def _check_rk4(chev, rng, samples):
         return 0.0, 0  # golden initial point is rank-1 specific
     golden = make_toda_point([0.0, 0.0], [1.0])
     direct = toda_matrix(chev, toda_flow(chev, 1, 1.0, golden))
-    integrated = toda_matrix(chev, rk4_toda(chev, 1, golden, 1.0, step=5e-3))
+    integrated = toda_matrix(chev, rk4_toda(chev, golden, 1.0, step=5e-3))
     return relative_distance(integrated, direct), 1
 
 
@@ -760,7 +755,7 @@ def run_check(name: str, n: int, seed: int, samples: int,
     chev = build_chevalley(n)
     rng = stream(seed, name)
     bound = check.bound(n) if callable(check.bound) else check.bound
-    worst, used, skipped, error = 0.0, 0, Counter(), None
+    worst, used, kept, skipped, error = 0.0, 0, [], Counter(), None
     start = time.perf_counter()
     try:
         if check.draw is None:
@@ -772,8 +767,9 @@ def run_check(name: str, n: int, seed: int, samples: int,
                         raise outcome
                     skipped[type(outcome).__name__] += 1
                     continue
-                worst = np.maximum(worst, outcome)
+                kept.append(outcome)
                 used += 1
+            worst = np.max(kept, initial=0.0)  # NaN once a deviation is NaN
     except Exception as exc:  # a structural error inside a check is a failure, not a crash
         worst = float("inf")
         error = type(exc).__name__ + (f": {exc}" if str(exc) else "")

@@ -39,6 +39,9 @@ from .kostant_maps import (
 from .lie_core import ChevalleyData, adjoint, bracket, scalar_aligned_distance, traceless_part
 from .stacks import first_errors, per_sample, stacked
 
+# Most substeps of one flow; a longer flow fails with NoConvergence.
+MAX_SUBSTEPS = 10_000
+
 
 @dataclass(frozen=True)
 class TodaPoint:
@@ -104,8 +107,8 @@ def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     domain, :class:`NotInGStar` when a tau-function (a leading minor of the
     exponential) vanishes, the blow-up mode at complex time, with the minor
     index attached, and :class:`NoConvergence` when the substep count is
-    not finite or a substep misses the Toda phase space.  A failed sample's
-    result is the point it had reached.
+    not finite or above :data:`MAX_SUBSTEPS`, or a substep misses the Toda
+    phase space.  A failed sample's result is the point it had reached.
     """
     x = toda_matrix(chev, p)
     m = len(x)
@@ -115,9 +118,10 @@ def toda_flow(chev: ChevalleyData, i, t, p: TodaPoint) -> TodaPoint:
     with np.errstate(over="ignore", invalid="ignore"):  # a spread that is not finite fails
         exponents = (np.array(times, dtype=complex)[:, None] * values ** labels[..., None]).real
         spreads = (exponents.max(axis=-1) - exponents.min(axis=-1)).tolist()
-    steps = [max(1, math.ceil(s / 8.0)) if math.isfinite(s) else 0 for s in spreads]
+    steps = [max(1, math.ceil(s / 8.0)) if s / 8.0 <= MAX_SUBSTEPS else 0 for s in spreads]
     errors = first_errors(errors, chamber_errors(values), [None if sk else NoConvergence(
-        f"flow time {tk} has no finite substep count") for tk, sk in zip(times, steps)])
+        f"flow time {tk} has no finite substep count up to {MAX_SUBSTEPS}")
+        for tk, sk in zip(times, steps)])
     # each sample's substep time is divided in Python, where a complex t
     # rounds as it does alone; numpy's complex division rounds otherwise
     dt = np.array([tk / sk if sk else 0 for tk, sk in zip(times, steps)],
@@ -210,34 +214,35 @@ def embed_inverse(chev: ChevalleyData, zp: ZPoint) -> TodaPoint:
         for exc in big_cell], point_errors)
 
 
-def rk4_toda(chev: ChevalleyData, i: int, p: TodaPoint, t_end: float,
-             step: float = 1e-3) -> TodaPoint:
-    """Integrate the i-th vector field with classical RK4.
+def _flaschka_field(n: int, z: list) -> list:
+    """Flow 1 in Flaschka's band coordinates (Flaschka, 1974): for the state
+    z = a followed by y (the diagonal, then the superdiagonal), a_k' =
+    y_k - y_{k-1} and y_k' = y_k (a_{k+1} - a_k), with y_0 = y_n = 0."""
+    a, y = z[:n], [0j, *z[n:], 0j]
+    return ([y[k + 1] - y[k] for k in range(n)]
+            + [y[k + 1] * (a[k + 1] - a[k]) for k in range(n - 1)])
 
-    This is an independent route to the time-t point: the Lax field is
-    evaluated in closed form, so agreement with :func:`toda_flow` at t_end
-    checks the factorization against the ODE it solves.  The field is
-    tangent to the phase space, so every stage matrix is tridiagonal with
-    unit subdiagonal and the field is taken on it directly; the end point
-    is read off by :func:`toda_point_from_matrix`.
+
+def rk4_toda(chev: ChevalleyData, p: TodaPoint, t_end: float, step: float = 1e-3) -> TodaPoint:
+    """Integrate the first flow with classical RK4 on Flaschka's equations.
+
+    An independent route to the time-t point: the band of the Lax field,
+    written out in the point's coordinates and stepped on Python complex
+    scalars, so agreement with :func:`toda_flow` at t_end checks the
+    factorization against the ODE it solves.
     """
+    n = chev.n
     steps = max(1, round(abs(t_end) / step))
     h = t_end / steps
-    m = toda_matrix(chev, p)[None]
-
-    def field(mat):
-        w, errors = _lax_field(chev, i, mat)
-        if errors[0] is not None:
-            raise errors[0]
-        return w
-
+    half, sixth = 0.5 * h, h / 6.0
+    z = p.diag.tolist() + p.root_coords.tolist()
     for _ in range(steps):
-        k1 = field(m)
-        k2 = field(m + 0.5 * h * k1)
-        k3 = field(m + 0.5 * h * k2)
-        k4 = field(m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return toda_point_from_matrix(chev, m[0])
+        k1 = _flaschka_field(n, z)
+        k2 = _flaschka_field(n, [v + half * k for v, k in zip(z, k1)])
+        k3 = _flaschka_field(n, [v + half * k for v, k in zip(z, k2)])
+        k4 = _flaschka_field(n, [v + h * k for v, k in zip(z, k3)])
+        z = [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(z, k1, k2, k3, k4)]
+    return make_toda_point(z[:n], z[n:])
 
 
 @stacked(1)

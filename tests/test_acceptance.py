@@ -304,7 +304,7 @@ def test_criterion_9_rk4_cross_check():
     chev = _warmup()
     golden = make_toda_point([0.0, 0.0], [1.0])
     direct = toda_matrix(chev, toda_flow(chev, 1, 1.0, golden))
-    integrated = toda_matrix(chev, rk4_toda(chev, 1, golden, 1.0, step=1e-3))
+    integrated = toda_matrix(chev, rk4_toda(chev, golden, 1.0, step=1e-3))
     dev = linalg.norm(integrated - direct)
     passed = dev <= 1e-5
     _report("criterion 9 (RK4 vs factorization)", passed,

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from centralizer_lab import (
 from centralizer_lab.cli import main
 from centralizer_lab.errors import NoConvergence, NotInGStar, SingularMinor
 from centralizer_lab.formats import dump_json
-from centralizer_lab.report import Report
+from centralizer_lab.report import CheckResult, Report
 from centralizer_lab.suites import Tolerances, run_check
 
 GOLDEN_POINT = '{"diag": [[0,0],[0,0]], "root_coords": [[1,0]]}'
@@ -103,6 +104,17 @@ def test_check_failure_names_its_exception(monkeypatch):
     assert report.to_json_obj()["checks"][0]["error"] == first.error
     row = report.to_csv().splitlines()[1]
     assert row.split(",")[-3:-1] == ["0", "NoConvergence"]
+
+
+def test_report_rows_hold_each_result_in_field_order():
+    result = CheckResult(name="x", max_deviation=float("nan"), tolerance=1e-9, passed=False,
+                         samples=3, skipped={"NotInGStar": 2}, error="ValueError: a, b",
+                         seconds=0.5)
+    report = Report(config={"n": 2}, checks=(result,))
+    row = report.to_json_obj()["checks"][0]
+    assert row == {**dataclasses.asdict(result), "max_deviation": None}
+    assert list(row) == [field.name for field in dataclasses.fields(CheckResult)]
+    assert report.to_csv().splitlines()[1] == "x,nan,1e-09,false,3,2,ValueError,0.5"
 
 
 # the seven plain checks and a sampled one whose bound is a function of n
@@ -419,6 +431,18 @@ def test_flow_overflowing_time_marks_row_and_exits_1(tmp_path):
     assert lines[1].endswith("ok")
     assert lines[2].endswith("NoConvergence")
     assert len(lines[2].split(",")) == len(lines[0].split(","))
+
+
+def test_flow_past_the_substep_cap_marks_row_promptly(tmp_path):
+    # t = 1e300 has a finite spread that asks for about 1e299 substeps
+    out = tmp_path / "long.csv"
+    start = time.perf_counter()
+    code = main(["flow", "--n", "3", "--i", "1", "--t", "0.5,1e300", "--point",
+                 '{"diag": [0.7, 0, -0.7], "root_coords": [0.5, 0.6]}', "--out", str(out)])
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    lines = out.read_text().strip().splitlines()
+    assert lines[1].endswith("ok") and lines[2].endswith("NoConvergence")
 
 
 def test_flow_bad_label_exits_2():

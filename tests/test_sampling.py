@@ -317,13 +317,15 @@ def _made_with(draw) -> dict:
 
 def _coefficient_sets(draw):
     """For a draw of flow-domain points judged from a fixed-layout
-    proposal, the number of sets of stabilizer coefficients that follow
-    each point; else None."""
+    proposal of doubles only, the number of sets of stabilizer
+    coefficients that follow each point; else None."""
     made = _made_with(draw) if draw else {}
     if made.get("judge") is not suites._judge_flow_points:
         return None
-    names = _made_with(made["propose"]).get("names")
-    return None if names is None else names.count("coefficients")
+    slots = _made_with(made["propose"])["slots"]
+    if not set(slots) <= {"candidate", "coefficients"}:
+        return None  # a proposal that takes integers
+    return slots.count("coefficients")
 
 
 # the stacked checks whose samples are drawn by suites._flow_points(sets)
@@ -459,15 +461,74 @@ def test_fixed_layout_draws_equal_per_sample_draws(n):
         assert one.rng.uniform() == two.uniform()
 
 
-def test_fixed_layout_draws_are_the_ones_without_rejection_or_integers():
+def _label(chev, rng):
+    return int(rng.integers(1, chev.r + 1))
+
+
+def _candidate(chev, rng):
+    return rng.uniform(-1.0, 1.0, 2 * (chev.n + chev.r))
+
+
+def _time(chev, rng):
+    return _two_call_complex(rng, (), 0.7)
+
+
+def _real_time(chev, rng):
+    return _two_call_complex(rng, (), 0.5).real
+
+
+def _proposal(name):
+    """The fixed-layout proposal of a judged check's draw."""
+    return _made_with(suites.CHECKS[name].draw)["propose"]
+
+
+# Per fixed-layout draw that takes integers, the draw and the per-sample
+# draws each sample makes in turn, one per column: the three checks' draws
+# and the proposals of the two judged draws whose samples take a label.
+WITH_INTEGERS = {
+    "cent_flow_preserves_points": (
+        suites.CHECKS["cent_flow_preserves_points"].draw,
+        (random_section_point, stabilizer_coefficients, _label,
+         lambda chev, rng: _two_call_complex(rng, ()))),
+    "cent_flow_group_law": (suites.CHECKS["cent_flow_group_law"].draw,
+                            (random_section_point, stabilizer_coefficients, _label, _time, _time)),
+    "cent_cjl_factor_order": (suites.CHECKS["cent_cjl_factor_order"].draw,
+                              (_sequential_cjl_point, lambda chev, rng: rng.permutation(chev.r))),
+    "toda_flow_semigroup": (_proposal("toda_flow_semigroup"),
+                            (_candidate, _label, _real_time, _real_time)),
+    "toda_normal_forms_constant": (_proposal("toda_normal_forms_constant"), (_candidate, _label)),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_integer_taking_layouts_equal_per_sample_draws(n):
+    # a sample's doubles between two integer draws come from one call, and
+    # the integers from their own calls, so the stream and numpy's buffered
+    # 32-bit half end where the per-sample draws leave them
+    chev = build_chevalley(n)
+    for name, (draw, per_sample) in WITH_INTEGERS.items():
+        one, two = stream(n, name), stream(n, name)
+        columns, failure = draw(chev, one, 7)
+        assert failure is None and len(columns) == len(per_sample)
+        for k in range(7):
+            for column, ref in zip(columns, per_sample):
+                value = map_arrays(lambda part: part[k], column)
+                for a, b in zip(arrays(value), arrays(ref(chev, two)), strict=True):
+                    assert _same_bits(a, b), (name, k)
+        assert draw(chev, one, 0)[1] is None  # takes nothing, as judged's replay of none
+        assert one.random(2).tobytes() == two.random(2).tobytes()
+        assert one.integers(1, 9, 5).tolist() == two.integers(1, 9, 5).tolist()
+
+
+def test_fixed_layout_draws_are_the_ones_without_rejection():
     def drawn_by(maker):
         return {name for name, check in suites.CHECKS.items()
                 if getattr(check.draw, "__qualname__", "").startswith(maker + ".")}
-    assert drawn_by("one_by_one") == {
-        "cent_flow_preserves_points", "cent_flow_group_law", "cent_cjl_factor_order"}
+    assert drawn_by("one_by_one") == set()
     assert drawn_by("judged") == set(JUDGED) - {"flow_points_0", "flow_points_2",
                                                 "toda_domain_fraction"} | set(BATCHED)
-    assert drawn_by("fixed") == set(FIXED) - {"cent_moment_preimage"}
+    assert drawn_by("fixed") == (set(FIXED) - {"cent_moment_preimage"}
+                                 | set(WITH_INTEGERS) - set(JUDGED))
 
 
 def _in_flow_domain(chev, rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -195,8 +197,33 @@ def test_distinct_flows_commute():
 
 def test_rk4_cross_check_golden(chev2, golden):
     direct = toda_matrix(chev2, toda_flow(chev2, 1, 1.0, golden))
-    integrated = toda_matrix(chev2, rk4_toda(chev2, 1, golden, 1.0, step=5e-3))
+    integrated = toda_matrix(chev2, rk4_toda(chev2, golden, 1.0, step=5e-3))
     assert linalg.norm(integrated - direct) <= 1e-5 * (1 + linalg.norm(direct))
+
+
+def test_flow_and_rk4_match_the_exact_golden_solution(chev2, golden):
+    # from the golden point the first flow is a_1 = -a_2 = tanh t and
+    # y = sech^2 t (its rates at 0 are pinned above)
+    def gap(p, t):
+        exact = [math.tanh(t), -math.tanh(t), 1.0 / math.cosh(t) ** 2]
+        return np.max(np.abs(np.concatenate([p.diag, p.root_coords]) - exact))
+    for t in (0.3, 1.0, -1.5, 2.0):
+        assert gap(toda_flow(chev2, 1, t, golden), t) <= 1e-15
+    # RK4 is of fourth order: halving the step cuts the error about 16 times
+    coarse, fine = (gap(rk4_toda(chev2, golden, 1.0, step=h), 1.0) for h in (1e-2, 5e-3))
+    assert fine <= 1e-11 and 12.0 <= coarse / fine <= 20.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_flaschka_field_is_the_band_of_the_lax_field(n):
+    chev = build_chevalley(n)
+    rng = stream(n, f"flaschka-{n}")
+    for _ in range(10):
+        p = sample_flow_domain(chev, rng)
+        w = toda_vector_field(chev, 1, p)
+        field = toda._flaschka_field(n, p.diag.tolist() + p.root_coords.tolist())
+        band = np.concatenate([np.diagonal(w), np.diagonal(w, 1)])
+        assert np.max(np.abs(np.array(field) - band)) <= 1e-15 * (1 + linalg.norm(w))
 
 
 # ----------------------------- the embedding ----------------------------- #
@@ -583,6 +610,15 @@ def test_flow_with_no_finite_substep_count_raises_no_convergence(chev2, golden, 
     # Re(t * eigenvalue) spreads beyond the floating-point range
     with pytest.raises(NoConvergence, match="no finite substep count"):
         toda_flow(chev2, 1, t, golden)
+
+
+def test_flow_past_the_substep_cap_raises_no_convergence(monkeypatch, chev2, golden):
+    # the golden spectrum is +-1, so time t asks for ceil(t / 4) substeps:
+    # past the cap the flow is refused before its first substep
+    monkeypatch.setattr(linalg, "gauss_ldu", lambda g: pytest.fail("a substep ran"))
+    for t in (4.0 * toda.MAX_SUBSTEPS * (1 + 1e-9), 1e300):
+        with pytest.raises(NoConvergence, match=f"substep count up to {toda.MAX_SUBSTEPS}"):
+            toda_flow(chev2, 1, t, golden)
 
 
 def test_flow_overflowing_sample_leaves_the_others_unchanged(chev2, golden):
